@@ -1,5 +1,5 @@
 //! `calibrate` — run the workflow traced, join the ledger, fit the
-//! cost-model constants, and flag drift that would flip a selection.
+//! cost-model constants, and flag a model ranking the host contradicts.
 //!
 //! Flow:
 //! 1. Run the fused TF/IDF → K-means workflow on the *Mix* corpus with
@@ -10,9 +10,8 @@
 //! 3. Fit one scale `alpha` per phase by least squares
 //!    (`measured ≈ alpha × predicted`) and report drift against the
 //!    hard-coded constants.
-//! 4. Re-run the two `Auto` selections (dict backend per phase, K-means
-//!    assignment kernel across per-kernel traced fits) under the fitted
-//!    constants and flag flips.
+//! 4. Compare the model's K-means assignment-kernel ranking with the
+//!    measured one (per-kernel traced fits) and flag a flip.
 //!
 //! Emits `LEDGER_calibrate.json` and `LEDGER_calibrate.txt` into the
 //! output directory. Accepts the standard bench flags (`--scale`,
@@ -106,10 +105,7 @@ fn main() {
     }
 
     // ---- 4b. selection flip checks ----------------------------------
-    let mut checks = calib::dict_flip_checks(&fits, threads);
-    if let Some(check) = calib::kernel_flip_check(&per_kernel) {
-        checks.push(check);
-    }
+    let checks: Vec<SelectionCheck> = calib::kernel_flip_check(&per_kernel).into_iter().collect();
 
     // ---- emit -------------------------------------------------------
     let text = render_text(&ledger, &fits, &checks, &per_kernel);
@@ -188,7 +184,7 @@ fn render_text(
     out.push_str(&kernel_table.to_text());
 
     let mut check_table = Table::new(
-        "auto-selection checks under fitted constants",
+        "model ranking vs measurement",
         &["domain", "context", "model pick", "audited pick", "flip"],
     );
     for c in checks {

@@ -10,8 +10,7 @@
 //! * `kmeans_assign` — pruned-vs-naive assign speedup (one-sided,
 //!   `baseline / tolerance` floor) and a non-zero pruning counter;
 //! * `arff_pipeline` — the `kmeans_input` and `tfidf_output` pipelining
-//!   speedups (same one-sided floor);
-//! * `dict_arena` — `auto_pick` backend equality per (phase, threads).
+//!   speedups (same one-sided floor).
 //!
 //! Exit status 0 on pass (warnings allowed), 1 on any failed check or
 //! bad usage. The report always prints, pass or fail.

@@ -1,5 +1,5 @@
 //! Calibration audit: fit cost-model scale factors from measured
-//! ledgers and check whether the drift would flip an `Auto` selection.
+//! ledgers and check whether the drift would flip a model-ranked choice.
 //!
 //! The analytic model predicts `predicted_ns` for every phase it
 //! prices; a traced run measures what actually happened. Per phase the
@@ -9,15 +9,11 @@
 //! squares through the origin. `alpha ≈ 1` means the hard-coded
 //! constants describe this host; `alpha` far from 1 quantifies drift.
 //!
-//! Drift only *matters* where the model makes a decision. The two
-//! `Auto` selections in the workspace are the dictionary backend
-//! ([`hpa_dict::costmodel::auto_pick`]) and the K-means assignment
-//! kernel; [`dict_flip_checks`] and [`kernel_flip_check`] re-run those
-//! decisions under the fitted constants and flag selections that flip.
+//! Drift only *matters* where the model ranks alternatives: the
+//! K-means assignment kernels. [`kernel_flip_check`] compares the
+//! model's ranking with the measured one and flags a disagreement.
 
 use crate::ledger::RunLedger;
-use hpa_dict::costmodel::{auto_scores, DictPhase};
-use hpa_dict::DictKind;
 use hpa_trace::Recording;
 use std::collections::BTreeMap;
 
@@ -86,12 +82,12 @@ pub fn alpha_for(fits: &[FitRow], cat: &str, name: &str) -> f64 {
         .map_or(1.0, |f| f.alpha)
 }
 
-/// A re-run `Auto` decision under fitted constants.
+/// A model ranking re-checked against measurements.
 #[derive(Debug, Clone)]
 pub struct SelectionCheck {
-    /// Which selection: `"dict"` or `"kmeans-assign"`.
+    /// Which selection: `"kmeans-assign"`.
     pub domain: &'static str,
-    /// Human context, e.g. `"wordcount @ 8 threads (alpha 1.73)"`.
+    /// Human context, e.g. `"3 kernel arms"`.
     pub context: String,
     /// What the hard-coded model picks.
     pub model_pick: String,
@@ -99,59 +95,6 @@ pub struct SelectionCheck {
     pub audited_pick: String,
     /// True when the two picks differ — drift that changes behaviour.
     pub flipped: bool,
-}
-
-/// Re-score [`auto_scores`]' candidates with the CPU component scaled
-/// by `alpha`, keeping the bandwidth-weighted memory term. The scalar
-/// score is `cpu·alpha + mem·bw`; since `score = cpu + mem·bw`, the
-/// memory term is recovered as `score - cpu` without re-deriving the
-/// contention weight.
-pub fn rescored_pick(phase: DictPhase, threads: usize, alpha: f64) -> DictKind {
-    let scores = auto_scores(phase, threads);
-    let mut best = scores[0].0;
-    let mut best_score = f64::INFINITY;
-    for (kind, cost, score) in scores {
-        let rescored = cost.cpu_ns * alpha + (score - cost.cpu_ns);
-        if rescored < best_score {
-            best = kind;
-            best_score = rescored;
-        }
-    }
-    best
-}
-
-/// Map a dict phase onto the workflow phase whose fitted alpha applies
-/// to it: per-document counting and the merge tail live inside
-/// `tfidf/count-words`; vocabulary lookups inside `tfidf/transform`.
-fn dict_phase_alpha(fits: &[FitRow], phase: DictPhase) -> f64 {
-    match phase {
-        DictPhase::WordCount | DictPhase::Merge => alpha_for(fits, "tfidf", "count-words"),
-        DictPhase::Lookup => alpha_for(fits, "tfidf", "transform"),
-    }
-}
-
-/// Check all three dict `Auto` selections at `threads` against the
-/// fitted constants.
-pub fn dict_flip_checks(fits: &[FitRow], threads: usize) -> Vec<SelectionCheck> {
-    [
-        (DictPhase::WordCount, "wordcount"),
-        (DictPhase::Merge, "merge"),
-        (DictPhase::Lookup, "lookup"),
-    ]
-    .into_iter()
-    .map(|(phase, label)| {
-        let alpha = dict_phase_alpha(fits, phase);
-        let model = hpa_dict::costmodel::auto_pick(phase, threads);
-        let audited = rescored_pick(phase, threads, alpha);
-        SelectionCheck {
-            domain: "dict",
-            context: format!("{label} @ {threads} threads (alpha {alpha:.3})"),
-            model_pick: model.label().to_string(),
-            audited_pick: audited.label().to_string(),
-            flipped: model != audited,
-        }
-    })
-    .collect()
 }
 
 /// Compare the model's assignment-kernel ranking with the measured one.
@@ -184,8 +127,6 @@ pub fn kernel_flip_check(per_kernel: &[(String, RunLedger)]) -> Option<Selection
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpa_dict::costmodel::phase_op_cost;
-    use hpa_dict::costmodel::AUTO_CANDIDATES;
     use hpa_trace::{PredictRec, SpanRec};
 
     fn recording(spans: Vec<SpanRec>, predictions: Vec<PredictRec>) -> Recording {
@@ -256,50 +197,6 @@ mod tests {
         let pairs = paired_samples(&rec);
         let samples = &pairs[&("tfidf".to_string(), "count-words".to_string())];
         assert_eq!(samples, &vec![(400, 500)]);
-    }
-
-    #[test]
-    fn unit_alpha_never_flips_the_dict_selection() {
-        for threads in [1, 4, 20] {
-            for check in dict_flip_checks(&[], threads) {
-                assert!(
-                    !check.flipped,
-                    "alpha=1 flipped {}: {} vs {}",
-                    check.context, check.model_pick, check.audited_pick
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn extreme_cpu_drift_flips_a_selection_when_rankings_diverge() {
-        // When the cheapest-CPU candidate differs from the cheapest-
-        // memory candidate, some alpha must flip the pick: alpha → ∞
-        // selects on CPU alone, alpha → 0 on memory alone.
-        let threads = 20;
-        for phase in [DictPhase::WordCount, DictPhase::Merge, DictPhase::Lookup] {
-            let costs: Vec<_> = AUTO_CANDIDATES
-                .iter()
-                .map(|&k| (k, phase_op_cost(k, phase)))
-                .collect();
-            let cpu_best = costs
-                .iter()
-                .min_by(|a, b| a.1.cpu_ns.total_cmp(&b.1.cpu_ns))
-                .unwrap()
-                .0;
-            let mem_best = costs
-                .iter()
-                .min_by(|a, b| a.1.mem_bytes.total_cmp(&b.1.mem_bytes))
-                .unwrap()
-                .0;
-            if cpu_best == mem_best {
-                continue; // degenerate phase: no alpha can flip it
-            }
-            let flipped = [1e-4, 1e4].iter().any(|&alpha| {
-                rescored_pick(phase, threads, alpha) != rescored_pick(phase, threads, 1.0)
-            });
-            assert!(flipped, "divergent rankings but no alpha flipped {phase:?}");
-        }
     }
 
     #[test]

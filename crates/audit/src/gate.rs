@@ -2,8 +2,8 @@
 //!
 //! Each gated bench artifact carries one or two headline metrics whose
 //! regression would mean the optimization under test stopped paying
-//! off: the pruned-assignment speedup, the two ARFF pipelining
-//! speedups, and the dict `Auto` picks. The gate compares a freshly
+//! off: the pruned-assignment speedup and the two ARFF pipelining
+//! speedups, among others. The gate compares a freshly
 //! generated artifact against the committed baseline with an explicit
 //! one-sided noise tolerance: a fresh speedup may fall to
 //! `baseline / tolerance` before the gate fails, and may improve
@@ -21,10 +21,9 @@ use std::path::Path;
 pub const DEFAULT_TOLERANCE: f64 = 1.5;
 
 /// The artifacts the gate knows how to compare.
-pub const GATED_FILES: [&str; 6] = [
+pub const GATED_FILES: [&str; 5] = [
     "BENCH_kmeans_assign.json",
     "BENCH_arff_pipeline.json",
-    "BENCH_dict_arena.json",
     "BENCH_colfmt.json",
     "BENCH_planner.json",
     "BENCH_scenario_matrix.json",
@@ -278,7 +277,6 @@ pub fn compare_artifact(
                 demote,
             );
         }
-        "dict_arena" => gate_auto_picks(report, file, base, fresh),
         "colfmt" => {
             gate_speedup(
                 report,
@@ -335,7 +333,7 @@ pub fn compare_artifact(
                 file,
                 base,
                 fresh,
-                "best_speedup_vs_scalar_p4",
+                "best_speedup_vs_naive_p4",
                 tolerance,
                 demote,
             );
@@ -433,8 +431,8 @@ fn gate_ceiling(
     );
 }
 
-/// The scenario-matrix bin asserts every dispatch arm bit-identical to
-/// Scalar before timing and records the fact; a missing or false flag
+/// The scenario-matrix bin asserts every kernel arm bit-identical to
+/// naive before timing and records the fact; a missing or false flag
 /// means the timings compare diverging computations — meaningless.
 fn gate_bit_identity(report: &mut GateReport, file: &str, fresh: &JsonValue) {
     let ok = fresh
@@ -451,9 +449,9 @@ fn gate_bit_identity(report: &mut GateReport, file: &str, fresh: &JsonValue) {
         "bit_identical",
         status,
         if ok {
-            "all dispatch arms asserted bit-identical to scalar".into()
+            "all kernel arms asserted bit-identical to naive".into()
         } else {
-            "fresh artifact does not assert dispatch bit-identity".into()
+            "fresh artifact does not assert kernel bit-identity".into()
         },
     );
 }
@@ -492,61 +490,6 @@ fn gate_pruning_counters(report: &mut GateReport, file: &str, fresh: &JsonValue)
         status,
         format!("{pruned} distances avoided by the triangle-inequality bound"),
     );
-}
-
-/// `Auto` must keep choosing the same backend wherever the baseline and
-/// fresh artifacts measured the same (phase, threads) cell.
-fn gate_auto_picks(report: &mut GateReport, file: &str, base: &JsonValue, fresh: &JsonValue) {
-    let empty = Vec::new();
-    let base_rows = base
-        .get("phases")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let fresh_rows = fresh
-        .get("phases")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let cell = |row: &JsonValue| {
-        Some((
-            row.get("phase")?.as_str()?.to_string(),
-            row.get("threads")?.as_u64()?,
-        ))
-    };
-    let mut compared = 0usize;
-    for brow in base_rows {
-        let Some(key) = cell(brow) else { continue };
-        let Some(frow) = fresh_rows.iter().find(|r| cell(r).as_ref() == Some(&key)) else {
-            continue;
-        };
-        compared += 1;
-        let bpick = brow
-            .get("auto_pick")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?");
-        let fpick = frow
-            .get("auto_pick")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?");
-        let status = if bpick == fpick {
-            GateStatus::Pass
-        } else {
-            GateStatus::Fail
-        };
-        report.push(
-            file,
-            &format!("auto_pick {}@{}", key.0, key.1),
-            status,
-            format!("baseline '{bpick}', fresh '{fpick}'"),
-        );
-    }
-    if compared == 0 {
-        report.push(
-            file,
-            "auto_pick",
-            GateStatus::Warn,
-            "no overlapping (phase, threads) rows to compare".into(),
-        );
-    }
 }
 
 /// The planner must keep choosing the same transport wherever the
@@ -644,14 +587,6 @@ mod tests {
         .unwrap()
     }
 
-    fn dict_doc(pick: &str) -> JsonValue {
-        JsonValue::parse(&format!(
-            r#"{{"schema_version": 1, "bench": "dict_arena",
-                 "phases": [{{"phase": "input+wc", "threads": 4, "auto_pick": "{pick}"}}]}}"#
-        ))
-        .unwrap()
-    }
-
     #[test]
     fn identical_artifacts_pass() {
         let mut report = GateReport::default();
@@ -667,13 +602,6 @@ mod tests {
             "a.json",
             &arff_doc(2.9, 4.5),
             &arff_doc(2.9, 4.5),
-            1.5,
-        );
-        compare_artifact(
-            &mut report,
-            "d.json",
-            &dict_doc("arena"),
-            &dict_doc("arena"),
             1.5,
         );
         compare_artifact(
@@ -846,19 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_pick_flip_fails() {
-        let mut report = GateReport::default();
-        compare_artifact(
-            &mut report,
-            "d.json",
-            &dict_doc("arena"),
-            &dict_doc("u-map"),
-            1.5,
-        );
-        assert!(report.failed());
-    }
-
-    #[test]
     fn zero_pruning_fails_even_with_good_speedup() {
         let mut report = GateReport::default();
         compare_artifact(
@@ -884,7 +799,7 @@ mod tests {
     fn scenario_doc(speedup: f64, bit_identical: bool, cores: u64) -> JsonValue {
         JsonValue::parse(&format!(
             r#"{{"schema_version": 2, "host_cores": {cores}, "bench": "scenario_matrix",
-                 "best_speedup_vs_scalar_p4": {speedup},
+                 "best_speedup_vs_naive_p4": {speedup},
                  "bit_identical": {bit_identical}}}"#
         ))
         .unwrap()
@@ -997,10 +912,9 @@ mod tests {
 
     #[test]
     fn schema_version_mismatch_fails() {
-        let v2 = JsonValue::parse(r#"{"schema_version": 2, "bench": "dict_arena", "phases": []}"#)
-            .unwrap();
+        let v2 = JsonValue::parse(r#"{"schema_version": 2, "bench": "arff_pipeline"}"#).unwrap();
         let mut report = GateReport::default();
-        compare_artifact(&mut report, "d.json", &dict_doc("arena"), &v2, 1.5);
+        compare_artifact(&mut report, "a.json", &arff_doc(2.9, 4.5), &v2, 1.5);
         assert!(report.failed());
     }
 }

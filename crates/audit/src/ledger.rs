@@ -37,7 +37,7 @@ pub enum Conformance {
     /// Paired, but the error ratio falls outside the band.
     Drifted,
     /// Predictions exist with no matching measured span (informational
-    /// emissions such as the dict `Auto` selection scores).
+    /// emissions).
     Unmeasured,
     /// Spans exist that no cost-model call site prices.
     Unpredicted,
@@ -381,9 +381,9 @@ mod tests {
 
     #[test]
     fn a_prediction_with_no_span_is_flagged_unmeasured() {
-        let rec = recording(vec![], vec![predict("dict", "auto-merge", 0, 9_000, 1)]);
+        let rec = recording(vec![], vec![predict("plan", "estimate", 0, 9_000, 1)]);
         let ledger = RunLedger::from_recording("t", 1, &rec, 4.0);
-        let row = ledger.row("dict", "auto-merge").unwrap();
+        let row = ledger.row("plan", "estimate").unwrap();
         assert_eq!(row.status, Conformance::Unmeasured);
         assert_eq!(row.span_count, 0);
         assert_eq!(row.predicted_ns, 9_000);

@@ -3,7 +3,7 @@
 //! Trace-backed cost-model conformance for the hpa workspace.
 //!
 //! The workspace's analytic cost model is load-bearing: it drives the
-//! simulator's clock, the dict `Auto` backend selection, and the
+//! simulator's clock, the workflow planner's prices, and the
 //! work-stealing grain heuristics. This crate closes the loop between
 //! what that model *predicts* and what traced runs *measure*:
 //!
@@ -13,8 +13,8 @@
 //!   exported as `results/LEDGER_*.json` plus readable text.
 //! * [`calib`] — fits per-phase scale constants from measured ledgers
 //!   (least squares through the origin), reports drift against the
-//!   hard-coded constants, and flags drift that would flip an `Auto`
-//!   selection (dict backend, assignment kernel).
+//!   hard-coded constants, and flags a model ranking the measurements
+//!   contradict (assignment kernel).
 //! * [`gate`] — compares freshly generated `BENCH_*.json` artifacts
 //!   against committed baselines under explicit noise tolerances; CI
 //!   runs it as the perf-regression gate.

@@ -2,12 +2,10 @@
 //!
 //! Measures the word-count, document-frequency-merge, and vocabulary-
 //! lookup phases under real execution for every dictionary backend at
-//! P ∈ {1, 4, max} threads (deduplicated), and checks the `DictKind::Auto`
-//! selector against the measurements: the backend it resolves for each
-//! phase must never be measurably slower than the best candidate beyond a
-//! noise tolerance. Before any timing, the bin asserts that every backend
-//! (and `Auto`) produces a bit-identical TF/IDF model — term ids, df
-//! counts, and weight bits — so the numbers isolate the data structure.
+//! P ∈ {1, 4, max} threads (deduplicated). Before any timing, the bin
+//! asserts that every backend produces a bit-identical TF/IDF model —
+//! term ids, df counts, and weight bits — so the numbers isolate the
+//! data structure.
 //!
 //! Emits `BENCH_dict_arena.json` into the output directory (the CI
 //! bench-smoke artifact) alongside the usual CSV report.
@@ -15,19 +13,17 @@
 use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;
 use hpa_corpus::{Corpus, Tokenizer};
-use hpa_dict::{AnyDict, DictKind, DictPhase, Dictionary};
+use hpa_dict::{AnyDict, DictKind, Dictionary};
 use hpa_exec::Exec;
 use hpa_metrics::{ExperimentReport, Stopwatch, Table};
 use hpa_tfidf::{TfIdf, TfIdfConfig};
 
 const REPEATS: usize = 5;
-/// Noise tolerance for the "Auto never picks a measured-slower backend"
-/// check: the pick must be within this factor of the fastest candidate.
-const AUTO_TOLERANCE: f64 = 1.25;
-
+/// Row label of the document-frequency merge phase.
+const MERGE_LABEL: &str = "df-merge";
 /// `(label, kind)` arms measured in every phase. `map`/`u-map` are the
 /// paper's Figure 4 arms; `hash` and `arena` are the growable hash table
-/// and the interned open-addressing table the Auto selector chooses from.
+/// and the interned open-addressing table.
 const ARMS: [(&str, DictKind); 4] = [
     ("map", DictKind::BTree),
     ("u-map", DictKind::PAPER_PRESIZE),
@@ -167,25 +163,23 @@ fn time_lookup(kind: DictKind, words: &[String], rounds: usize) -> f64 {
 }
 
 struct PhaseRow {
-    phase: DictPhase,
     label: &'static str,
     threads: usize,
     /// Times in ARMS order.
     times: [f64; ARMS.len()],
-    auto_pick: DictKind,
 }
 
 fn arm_index(kind: DictKind) -> usize {
     ARMS.iter()
         .position(|&(_, k)| k == kind)
-        .expect("auto candidates are all measured")
+        .expect("kind is a measured arm")
 }
 
 fn main() {
     let cfg = BenchConfig::from_env();
     let mut report = ExperimentReport::new(
         "ablation_dict_arena",
-        "dictionary backends per phase: map vs u-map vs hash vs arena, with the Auto selector checked against the measurements",
+        "dictionary backends per phase: map vs u-map vs hash vs arena",
         "real execution; min of repeats",
         &cfg.scale_label(),
     );
@@ -195,12 +189,7 @@ fn main() {
     // Correctness first: a timing table comparing diverging backends
     // would be meaningless.
     let reference = op(DictKind::BTree).fit(&Exec::sequential(), &corpus);
-    for kind in [
-        DictKind::PAPER_PRESIZE,
-        DictKind::Hash,
-        DictKind::Arena,
-        DictKind::Auto,
-    ] {
+    for kind in [DictKind::PAPER_PRESIZE, DictKind::Hash, DictKind::Arena] {
         assert_bit_identical(&reference, kind, &corpus);
     }
     eprintln!("bit-identity: all backends match the tree reference exactly");
@@ -231,23 +220,18 @@ fn main() {
             );
         }
         rows.push(PhaseRow {
-            phase: DictPhase::WordCount,
             label: "input+wc",
             threads: t,
             times: wc,
-            auto_pick: DictKind::Auto.resolve(DictPhase::WordCount, t),
         });
         rows.push(PhaseRow {
-            phase: DictPhase::Merge,
-            label: "df-merge",
+            label: MERGE_LABEL,
             threads: t,
             times: merge,
-            auto_pick: DictKind::Auto.resolve(DictPhase::Merge, t),
         });
     }
     // Lookup traffic is per-probe work; measure once and reuse across
-    // thread counts (the Auto pick may still vary with P through the
-    // contention term, so the check below re-resolves per P).
+    // thread counts.
     let mut lookup = [0.0; ARMS.len()];
     for (i, &(label, kind)) in ARMS.iter().enumerate() {
         lookup[i] = time_lookup(kind, &words, lookup_rounds);
@@ -259,42 +243,21 @@ fn main() {
     }
     for &t in &thread_counts {
         rows.push(PhaseRow {
-            phase: DictPhase::Lookup,
             label: "vocab-lookup",
             threads: t,
             times: lookup,
-            auto_pick: DictKind::Auto.resolve(DictPhase::Lookup, t),
         });
     }
 
-    // Acceptance check 1: the arena's cached-hash fold beats the
+    // Acceptance check: the arena's cached-hash fold beats the
     // re-hashing fold of the growable hash table on the merge phase.
-    for row in rows.iter().filter(|r| r.phase == DictPhase::Merge) {
+    for row in rows.iter().filter(|r| r.label == MERGE_LABEL) {
         let arena = row.times[arm_index(DictKind::Arena)];
         let hash = row.times[arm_index(DictKind::Hash)];
         assert!(
             arena < hash,
             "P={}: arena merge {arena:.6}s not faster than hash merge {hash:.6}s",
             row.threads
-        );
-    }
-
-    // Acceptance check 2: for every phase and thread count, the backend
-    // Auto resolves is within tolerance of the fastest measured candidate
-    // (candidates = the kinds the selector actually scores).
-    let candidates = [DictKind::BTree, DictKind::Hash, DictKind::Arena];
-    for row in &rows {
-        let best = candidates
-            .iter()
-            .map(|&k| row.times[arm_index(k)])
-            .fold(f64::INFINITY, f64::min);
-        let picked = row.times[arm_index(row.auto_pick)];
-        assert!(
-            picked <= best * AUTO_TOLERANCE,
-            "{} P={}: Auto picked {:?} at {picked:.6}s but the best candidate ran {best:.6}s",
-            row.label,
-            row.threads,
-            row.auto_pick
         );
     }
 
@@ -324,7 +287,6 @@ fn main() {
 
     let mut headers = vec!["phase", "threads"];
     headers.extend(ARMS.iter().map(|&(l, _)| l));
-    headers.push("auto pick");
     let mut table = Table::new(
         "Dictionary backend per phase (seconds, min of repeats)",
         &headers,
@@ -332,7 +294,6 @@ fn main() {
     for row in &rows {
         let mut cells = vec![row.label.to_string(), row.threads.to_string()];
         cells.extend(row.times.iter().map(|t| format!("{t:.5}")));
-        cells.push(row.auto_pick.label().to_string());
         table.row(&cells);
     }
     report.add_table(table);
@@ -378,7 +339,6 @@ fn render_json(
         w.f64_field_display("scale", cfg.scale);
         w.u64_field("seed", cfg.seed);
         w.u64_array_field("threads", thread_counts.iter().map(|&t| t as u64));
-        w.f64_field_display("auto_tolerance", AUTO_TOLERANCE);
         w.u64_field("arena_merge_probe_steps", probe_steps);
         w.u64_field("arena_merge_rehashes", rehashes);
         w.u64_field("arena_merge_arena_bytes", arena_bytes);
@@ -390,7 +350,6 @@ fn render_json(
                     for (j, &(label, _)) in ARMS.iter().enumerate() {
                         w.f64_field(&format!("{label}_s"), row.times[j], 6);
                     }
-                    w.str_field("auto_pick", row.auto_pick.label());
                 });
             }
         });

@@ -1,23 +1,17 @@
 //! Ablation — scenario matrix: corpus shape × assignment kernel ×
-//! instruction-level dispatch × thread count.
+//! thread count.
 //!
-//! ROADMAP item 5's raw-speed floor is only credible if the wide
-//! kernels win where the paper's operator analysis says they should —
-//! and nowhere silently change results. This bin sweeps four corpus
-//! shapes that stress different parts of the assignment loop
-//! (skewed vocabulary, tiny documents, huge documents, many clusters)
-//! through the {naive, blocked+pruned} × {scalar, wide} arm grid at
+//! Sweeps four corpus shapes that stress different parts of the
+//! assignment loop (skewed vocabulary, tiny documents, huge documents,
+//! many clusters) through the {naive, blocked+pruned} kernel arms at
 //! each requested thread count, asserting every arm bit-identical to
-//! the scalar naive reference *before* any timing is reported.
+//! the naive reference *before* any timing is reported.
 //!
-//! The headline metric, `best_speedup_vs_scalar_p4`, is the largest
-//! assignment-phase speedup of the (blocked+pruned, wide) arm over the
-//! (naive, scalar) baseline across scenarios at P=4 (falling back to
-//! the highest measured thread count when 4 is not in the grid) — the
-//! "whole raw-speed stack on vs off" number the perf gate watches.
-//!
-//! Multi-threaded runs use the pool with `ShardAffinity::Pinned`, so
-//! the chunk→worker pinning path is exercised under real load.
+//! The headline metric, `best_speedup_vs_naive_p4`, is the largest
+//! assignment-phase speedup of the blocked+pruned arm over the naive
+//! baseline across scenarios at P=4 (falling back to the highest
+//! measured thread count when 4 is not in the grid) — the number the
+//! perf gate watches.
 //!
 //! Emits `BENCH_scenario_matrix.json` into the output directory.
 
@@ -25,10 +19,9 @@ use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;
 use hpa_corpus::CorpusSpec;
 use hpa_dict::DictKind;
-use hpa_exec::{Exec, ShardAffinity};
+use hpa_exec::Exec;
 use hpa_kmeans::{AssignKernel, KMeans, KMeansConfig, KMeansModel};
 use hpa_metrics::{ExperimentReport, Stopwatch, Table};
-use hpa_sparse::KernelDispatch;
 use hpa_tfidf::{TfIdf, TfIdfConfig};
 
 /// One corpus shape of the matrix, with the cluster count that makes it
@@ -40,7 +33,7 @@ struct Scenario {
 }
 
 /// Corpus shapes, pre-scale. Document counts are kept modest: the
-/// matrix runs |scenarios| × |threads| × 4 fits.
+/// matrix runs |scenarios| × |threads| × 2 fits.
 fn scenarios(scale: f64) -> Vec<Scenario> {
     let spec = |name: &str, docs, vocab, zipf, words, sigma| {
         CorpusSpec {
@@ -60,7 +53,7 @@ fn scenarios(scale: f64) -> Vec<Scenario> {
             label: "skewed-vocab",
             k: 8,
         },
-        // Dispatch overhead per document dominates: nnz ~ a dozen.
+        // Per-document overhead dominates: nnz ~ a dozen.
         Scenario {
             spec: spec("tiny-docs", 20_000, 60_000, 1.1, 25, 0.4),
             label: "tiny-docs",
@@ -83,37 +76,23 @@ fn scenarios(scale: f64) -> Vec<Scenario> {
 
 /// The kernel-variant arms. The first is the reference every other arm
 /// must match bit-for-bit.
-const ARMS: [(AssignKernel, KernelDispatch); 4] = [
-    (AssignKernel::Naive, KernelDispatch::Scalar),
-    (AssignKernel::Naive, KernelDispatch::Wide),
-    (AssignKernel::BlockedPruned, KernelDispatch::Scalar),
-    (AssignKernel::BlockedPruned, KernelDispatch::Wide),
-];
+const ARMS: [AssignKernel; 2] = [AssignKernel::Naive, AssignKernel::BlockedPruned];
 
 struct Row {
     scenario: &'static str,
     threads: usize,
     kernel: AssignKernel,
-    dispatch: KernelDispatch,
     wall_s: f64,
     assign_s: f64,
     model: KMeansModel,
-}
-
-fn dispatch_label(d: KernelDispatch) -> &'static str {
-    match d {
-        KernelDispatch::Scalar => "scalar",
-        KernelDispatch::Wide => "wide",
-        KernelDispatch::Auto => "auto",
-    }
 }
 
 fn main() {
     let cfg = BenchConfig::from_env();
     let mut report = ExperimentReport::new(
         "ablation_scenario_matrix",
-        "corpus shape x assignment kernel x instruction dispatch x threads",
-        "real execution (pinned pool for P>1); assignment phase timed from trace spans",
+        "corpus shape x assignment kernel x threads",
+        "real execution; assignment phase timed from trace spans",
         &cfg.scale_label(),
     );
 
@@ -135,12 +114,8 @@ fn main() {
         let _ = hpa_trace::take(); // discard staging spans
 
         for &threads in &cfg.threads {
-            let exec = if threads <= 1 {
-                Exec::sequential()
-            } else {
-                Exec::pool(threads).with_affinity(ShardAffinity::Pinned)
-            };
-            for (kernel, dispatch) in ARMS {
+            let exec = Exec::pool(threads);
+            for kernel in ARMS {
                 // Fixed iteration budget so every arm runs the identical
                 // Lloyd sequence (see ablation_assign for the rationale).
                 let km = KMeans::new(KMeansConfig {
@@ -149,7 +124,6 @@ fn main() {
                     tol: -1.0,
                     seed: cfg.seed,
                     kernel,
-                    dispatch,
                     ..Default::default()
                 });
                 // Warm-up fit: allocator and cache state must not favour
@@ -171,7 +145,6 @@ fn main() {
                     scenario: sc.label,
                     threads,
                     kernel,
-                    dispatch,
                     wall_s,
                     assign_s,
                     model: fitted,
@@ -181,66 +154,50 @@ fn main() {
     }
 
     // Bit-identity before any timing is reported: every arm must match
-    // the (naive, scalar) reference of its (scenario, threads) cell,
-    // and every cell must match its own P=min reference — the numbers
-    // below are only comparable because the computations are equal.
-    for row in &rows {
-        let reference = rows
-            .iter()
+    // the naive reference of its (scenario, threads) cell — the
+    // numbers below are only comparable because the computations are
+    // equal.
+    let reference_of = |row: &Row| -> &Row {
+        rows.iter()
             .find(|r| {
                 r.scenario == row.scenario
                     && r.threads == row.threads
                     && r.kernel == AssignKernel::Naive
-                    && r.dispatch == KernelDispatch::Scalar
             })
-            .expect("every cell has a scalar naive reference");
+            .expect("every cell has a naive reference")
+    };
+    for row in &rows {
+        let reference = reference_of(row);
         assert_eq!(
             reference.model.assignments,
             row.model.assignments,
-            "{}@P{} {}/{} diverged from scalar naive",
+            "{}@P{} {} diverged from naive",
             row.scenario,
             row.threads,
             row.kernel.label(),
-            dispatch_label(row.dispatch),
         );
         assert_eq!(
             reference.model.inertia.to_bits(),
             row.model.inertia.to_bits(),
-            "{}@P{} {}/{} inertia diverged",
+            "{}@P{} {} inertia diverged",
             row.scenario,
             row.threads,
             row.kernel.label(),
-            dispatch_label(row.dispatch),
         );
     }
     let bit_identical = true; // the asserts above abort otherwise
 
-    // Headline: best (blocked+pruned, wide) over (naive, scalar) at the
-    // headline thread count.
+    // Headline: best blocked+pruned over naive at the headline thread
+    // count.
     let headline_threads = if cfg.threads.contains(&4) {
         4
     } else {
         cfg.threads.iter().copied().max().unwrap_or(1)
     };
-    let speedup_of = |row: &Row| -> f64 {
-        let base = rows
-            .iter()
-            .find(|r| {
-                r.scenario == row.scenario
-                    && r.threads == row.threads
-                    && r.kernel == AssignKernel::Naive
-                    && r.dispatch == KernelDispatch::Scalar
-            })
-            .expect("reference exists");
-        base.assign_s / row.assign_s.max(1e-12)
-    };
+    let speedup_of = |row: &Row| -> f64 { reference_of(row).assign_s / row.assign_s.max(1e-12) };
     let best = rows
         .iter()
-        .filter(|r| {
-            r.threads == headline_threads
-                && r.kernel == AssignKernel::BlockedPruned
-                && r.dispatch == KernelDispatch::Wide
-        })
+        .filter(|r| r.threads == headline_threads && r.kernel == AssignKernel::BlockedPruned)
         .map(|r| (r.scenario, speedup_of(r)))
         .fold(
             ("none", 0.0_f64),
@@ -255,16 +212,13 @@ fn main() {
 
     let mut table = Table::new(
         "scenario matrix: assignment-phase time by kernel arm",
-        &[
-            "scenario", "P", "kernel", "dispatch", "wall s", "assign s", "speedup",
-        ],
+        &["scenario", "P", "kernel", "wall s", "assign s", "speedup"],
     );
     for row in &rows {
         table.row(&[
             row.scenario.to_string(),
             row.threads.to_string(),
             row.kernel.label().to_string(),
-            dispatch_label(row.dispatch).to_string(),
             format!("{:.4}", row.wall_s),
             format!("{:.4}", row.assign_s),
             format!("{:.2}x", speedup_of(row)),
@@ -272,7 +226,7 @@ fn main() {
     }
     report.add_table(table);
     report.note(&format!(
-        "headline: {:.2}x assign speedup (blocked+pruned/wide vs naive/scalar) on '{}' at P={}",
+        "headline: {:.2}x assign speedup (blocked+pruned vs naive) on '{}' at P={}",
         best.1, best.0, headline_threads
     ));
     report.note("identical clusterings in all arms (asserted bit-exact before timing)");
@@ -285,17 +239,16 @@ fn main() {
         w.bool_field("bit_identical", bit_identical);
         w.u64_field("headline_threads", headline_threads as u64);
         w.str_field("headline_scenario", best.0);
-        w.f64_field("best_speedup_vs_scalar_p4", best.1, 4);
+        w.f64_field("best_speedup_vs_naive_p4", best.1, 4);
         w.array_field("rows", |w| {
             for row in &rows {
                 w.object_elem(|w| {
                     w.str_field("scenario", row.scenario);
                     w.u64_field("threads", row.threads as u64);
                     w.str_field("kernel", row.kernel.label());
-                    w.str_field("dispatch", dispatch_label(row.dispatch));
                     w.f64_field("wall_s", row.wall_s, 6);
                     w.f64_field("assign_s", row.assign_s, 6);
-                    w.f64_field("speedup_vs_scalar", speedup_of(row), 4);
+                    w.f64_field("speedup_vs_naive", speedup_of(row), 4);
                     w.u64_field("iterations", row.model.iterations as u64);
                     w.u64_field("docs_pruned", row.model.assign_stats.docs_pruned);
                     w.u64_field("k", row.model.centroids.len() as u64);

@@ -30,8 +30,7 @@
 //!   site with literal `(cat, name)` arguments must have a span opened
 //!   with the same two literals somewhere in the same file, so the run
 //!   ledger (`hpa-audit`) can join the prediction to a measurement. Calls
-//!   with a non-literal name are flagged unless the file is allowlisted
-//!   as intentionally span-free (advisory predictions).
+//!   with a non-literal name are flagged: they cannot be span-matched.
 //! * **R6 ordering-audit** — every non-`Relaxed` atomic ordering
 //!   (`Acquire`/`Release`/`AcqRel`/`SeqCst`) must carry an `ORDERING:`
 //!   justification comment, placed like R1's `SAFETY:` marker. This is
@@ -72,7 +71,6 @@ const RELAXED_FILE_ALLOWLIST: &[&str] = &[
     "crates/metrics/src/alloc.rs", // heap counters; racy-max documented
     "crates/trace/src/lib.rs",     // enabled flag + tid allocator
     "crates/dict/src/sharded.rs",  // per-shard stat counters
-    "crates/dict/src/arena.rs",    // prefetch-issued stat counter
     "crates/check/src/sched.rs",   // ObjCell ids, guarded by the scheduler lock
     "crates/check/src/sync.rs",    // shim edge-classification matches, not accesses
     "crates/core/src/lib.rs",      // discrete-run id allocator (uniqueness only)
@@ -82,14 +80,6 @@ const RELAXED_FILE_ALLOWLIST: &[&str] = &[
 /// every ordering while *classifying* the caller's argument, and its two
 /// real accesses are model-internal snapshots documented in-file).
 const ORDERING_FILE_ALLOWLIST: &[&str] = &["crates/check/src/sync.rs"];
-
-/// Files allowed to call `hpa_trace::predict` with a non-literal name
-/// (R5): advisory predictions that are not paired with a span by design.
-const PREDICT_DYNAMIC_ALLOWLIST: &[&str] = &[
-    // auto_pick logs the scores of *candidate* backends; only the chosen
-    // backend's phase gets a span, under its own literal name.
-    "crates/dict/src/costmodel.rs",
-];
 
 // ---- needle construction ------------------------------------------------
 // The needles are assembled at runtime so this file's own source never
@@ -380,7 +370,6 @@ fn scan_predict_conformance(rel: &str, lines: &[&str], in_test: &[bool]) -> Vec<
         }
     }
 
-    let dynamic_ok = PREDICT_DYNAMIC_ALLOWLIST.contains(&rel);
     let mut findings = Vec::new();
     let mut from = 0;
     while let Some(pos) = text[from..].find(&needle) {
@@ -405,18 +394,16 @@ fn scan_predict_conformance(rel: &str, lines: &[&str], in_test: &[bool]) -> Vec<
                 });
             }
             Some(_) => {}
-            None if !dynamic_ok => {
+            None => {
                 findings.push(Finding {
                     file: rel.to_string(),
                     line: line_idx + 1,
                     rule: "R5 span-predict",
                     message: "prediction with a non-literal (cat, name) cannot \
-                              be statically span-matched; use literals or \
-                              allowlist the file as advisory-only"
+                              be statically span-matched; use literals"
                         .to_string(),
                 });
             }
-            None => {}
         }
     }
     findings
@@ -788,14 +775,12 @@ mod tests {
     }
 
     #[test]
-    fn r5_flags_dynamic_names_unless_allowlisted() {
+    fn r5_flags_dynamic_names() {
         let pred = predict_call();
         let dynamic = format!("{pred}\"dict\", name, 1.0);\n");
         let findings = scan_contents("crates/dict/src/x.rs", &dynamic);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("non-literal"));
-        // The advisory-prediction allowlist suppresses it.
-        assert!(scan_contents("crates/dict/src/costmodel.rs", &dynamic).is_empty());
     }
 
     #[test]

@@ -9,13 +9,6 @@ use hpa_tfidf::{TfIdf, TfIdfConfig, TfIdfModel};
 
 /// TF/IDF as a workflow stage: corpus in, TF/IDF model out. Records the
 /// `input+wc` and `transform` phases.
-///
-/// Under [`hpa_dict::DictKind::Auto`] each phase resolves its own
-/// backend from the dictionary cost model and the executor's thread
-/// count: the per-document counters at `input+wc` time, the
-/// document-frequency dictionaries at merge time, and the vocabulary
-/// index at lookup time. The resolved picks are emitted as trace
-/// instants (`dict-wc`, `dict-merge`, `dict-lookup`) when tracing is on.
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfOp {
     inner: TfIdf,
@@ -39,11 +32,8 @@ impl Operator<&Corpus> for TfIdfOp {
 
     fn run(&self, ctx: &mut OperatorCtx<'_>, corpus: &Corpus) -> Result<TfIdfModel, WorkflowError> {
         let counts = ctx.timed("input+wc", |exec| self.inner.count_words(exec, corpus));
-        hpa_trace::instant("dict-wc", counts.dict_kind.label());
-        hpa_trace::instant("dict-merge", counts.df_kind.label());
         let model = ctx.timed("transform", |exec| {
             let vocab = self.inner.build_vocab(exec, &counts);
-            hpa_trace::instant("dict-lookup", vocab.kind().label());
             self.inner.transform(exec, &counts, &vocab)
         });
         Ok(model)
@@ -103,35 +93,6 @@ mod tests {
         assert_eq!(model.vectors.len(), corpus.len());
         let report = timer.finish();
         assert_eq!(report.labels(), vec!["input+wc", "transform"]);
-    }
-
-    #[test]
-    fn auto_records_its_per_phase_picks_in_the_trace() {
-        hpa_trace::enable();
-        let exec = Exec::pool(2);
-        let mut timer = PhaseTimer::new();
-        let mut ctx = OperatorCtx {
-            exec: &exec,
-            timer: &mut timer,
-        };
-        let corpus = hpa_corpus::CorpusSpec::mix().scaled(0.001).generate(1);
-        TfIdfOp::new(TfIdfConfig {
-            dict_kind: hpa_dict::DictKind::Auto,
-            charge_input_io: false,
-            ..Default::default()
-        })
-        .run(&mut ctx, &corpus)
-        .unwrap();
-        let rec = hpa_trace::take();
-        // The trace buffer is global, so concurrent tests may add picks of
-        // their own; every pick must still be a concrete (resolved) kind.
-        for cat in ["dict-wc", "dict-merge", "dict-lookup"] {
-            let picks: Vec<_> = rec.events.iter().filter(|e| e.cat == cat).collect();
-            assert!(!picks.is_empty(), "at least one {cat} pick");
-            for p in &picks {
-                assert_ne!(p.name, "auto", "{cat} must resolve to a concrete kind");
-            }
-        }
     }
 
     #[test]

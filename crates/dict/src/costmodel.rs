@@ -90,7 +90,6 @@ impl DictKind {
                 cpu_ns: 30.0,
                 mem_bytes: 0.0,
             },
-            DictKind::Auto => DictKind::Arena.creation_cost(),
         }
     }
 
@@ -136,7 +135,6 @@ impl DictKind {
                 cpu_ns: 30.0 + 0.5 * arena_stall_ns(len),
                 mem_bytes: 80.0,
             },
-            DictKind::Auto => DictKind::Arena.insert_cost(len),
         }
     }
 
@@ -163,7 +161,6 @@ impl DictKind {
                 cpu_ns: 18.0 + 0.5 * arena_stall_ns(len),
                 mem_bytes: 32.0,
             },
-            DictKind::Auto => DictKind::Arena.increment_cost(len),
         }
     }
 
@@ -195,7 +192,6 @@ impl DictKind {
                 cpu_ns: 20.0 + arena_stall_ns(len),
                 mem_bytes: 48.0,
             },
-            DictKind::Auto => DictKind::Arena.lookup_cost(len),
         }
     }
 
@@ -228,7 +224,6 @@ impl DictKind {
                 cpu_ns: 8.0,
                 mem_bytes: 32.0,
             },
-            DictKind::Auto => DictKind::Arena.iter_step_cost(len),
         }
     }
 
@@ -263,7 +258,6 @@ impl DictKind {
                 cpu_ns: 18.0 + 10.0 * lg(len),
                 mem_bytes: 48.0,
             },
-            DictKind::Auto => DictKind::Arena.sorted_iter_cost(len),
         }
     }
 
@@ -287,7 +281,6 @@ impl DictKind {
                 cpu_ns: 12.0 + 0.5 * arena_stall_ns(len),
                 mem_bytes: 32.0,
             },
-            DictKind::Auto => DictKind::Arena.merge_step_cost(len),
         }
     }
 
@@ -313,129 +306,8 @@ impl DictKind {
                     (len as u64 * 8 / 7).next_power_of_two().max(8) * 24 + string_bytes
                 }
             }
-            DictKind::Auto => DictKind::Arena.resident_bytes(len, string_bytes),
         }
     }
-
-    /// Resolve an [`DictKind::Auto`] configuration to the concrete kind
-    /// the cost model prefers for `phase` at this `threads` count;
-    /// concrete kinds resolve to themselves. This is the per-phase
-    /// selection hook `hpa-core`'s workflow exercises: the same `Auto`
-    /// configuration may answer differently for the word-count, merge,
-    /// and lookup phases, and differently again as the thread count
-    /// shifts the weight of memory traffic.
-    pub fn resolve(self, phase: DictPhase, threads: usize) -> DictKind {
-        match self {
-            DictKind::Auto => auto_pick(phase, threads),
-            k => k,
-        }
-    }
-}
-
-/// The three dictionary-bound workflow phases an [`DictKind::Auto`]
-/// configuration chooses a backend for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DictPhase {
-    /// Per-document term counting ("input+wc"): create one small
-    /// dictionary per document, insert/increment per token.
-    WordCount,
-    /// Merging chunk-local document-frequency dictionaries into the
-    /// corpus-wide one (the word-count phase's serial tail).
-    Merge,
-    /// Read-only vocabulary-index lookups (transform phase).
-    Lookup,
-}
-
-/// Representative workload sizes behind [`auto_pick`]'s scores, from the
-/// calibrated *Mix* corpus (see `hpa-tfidf`'s `cost` module): ~150-entry
-/// per-document dictionaries built from ~400 tokens, a corpus-wide
-/// dictionary at vocabulary scale.
-const AUTO_DOC_DICT_LEN: usize = 150;
-const AUTO_DOC_TOKENS: f64 = 400.0;
-const AUTO_DOC_DISTINCT: f64 = 180.0;
-const AUTO_GLOBAL_DICT_LEN: usize = 150_000;
-const AUTO_VOCAB_LEN: usize = 185_000;
-
-/// Memory-traffic weight in ns/byte as threads contend for shared
-/// bandwidth: free on one thread, growing linearly — the mechanism that
-/// made the paper's u-map transform stop scaling. This is the model's
-/// explicit bytes-touched × ns/B bandwidth term: every auto-pick score
-/// is `cpu_ns + mem_bytes * contended_ns_per_byte(threads)`, and the
-/// calibration audit (`audit::calib::rescored_pick`) rescales only the
-/// CPU component by the fitted alpha while holding this term fixed, so
-/// bandwidth pressure stays priced even when CPU constants drift.
-pub fn contended_ns_per_byte(threads: usize) -> f64 {
-    0.004 * threads.saturating_sub(1) as f64
-}
-
-/// The backends [`auto_pick`] scores against each other. The pre-sized
-/// table is not a candidate: `Auto` exists to avoid exactly the
-/// footprint it buys.
-pub const AUTO_CANDIDATES: [DictKind; 3] = [DictKind::BTree, DictKind::Hash, DictKind::Arena];
-
-/// The decomposed (CPU, memory-traffic) cost of running `phase`'s
-/// representative workload on backend `kind` — the quantity
-/// [`auto_pick`] collapses into a scalar score. Exposed separately so a
-/// calibration pass can re-weight the CPU component against measured
-/// ledgers and check whether the drift would flip the selection.
-pub fn phase_op_cost(kind: DictKind, phase: DictPhase) -> OpCost {
-    let sum = |a: OpCost, scale: f64, b: OpCost| OpCost {
-        cpu_ns: a.cpu_ns + scale * b.cpu_ns,
-        mem_bytes: a.mem_bytes + scale * b.mem_bytes,
-    };
-    match phase {
-        DictPhase::WordCount => {
-            let hits = AUTO_DOC_TOKENS - AUTO_DOC_DISTINCT;
-            let acc = sum(
-                kind.creation_cost(),
-                AUTO_DOC_DISTINCT,
-                kind.insert_cost(AUTO_DOC_DICT_LEN),
-            );
-            sum(acc, hits, kind.increment_cost(AUTO_DOC_DICT_LEN))
-        }
-        DictPhase::Merge => kind.merge_step_cost(AUTO_GLOBAL_DICT_LEN),
-        DictPhase::Lookup => kind.lookup_cost(AUTO_VOCAB_LEN),
-    }
-}
-
-/// Every candidate's decomposed phase cost, in [`AUTO_CANDIDATES`]
-/// order. The scalar score `auto_pick` minimises is
-/// `cpu_ns + mem_bytes * contended_ns_per_byte(threads)`; returning the
-/// components lets callers rescore under recalibrated constants.
-pub fn auto_scores(phase: DictPhase, threads: usize) -> Vec<(DictKind, OpCost, f64)> {
-    let bw = contended_ns_per_byte(threads);
-    AUTO_CANDIDATES
-        .iter()
-        .map(|&k| {
-            let c = phase_op_cost(k, phase);
-            (k, c, c.cpu_ns + c.mem_bytes * bw)
-        })
-        .collect()
-}
-
-/// Pick the cheapest backend for `phase` at `threads` from the analytic
-/// model, scoring CPU plus bandwidth-weighted memory traffic over the
-/// candidate set {map, u-map, arena}. When tracing is enabled the
-/// winning score is emitted as a cost-model prediction so the run
-/// ledger records what the selection believed.
-pub fn auto_pick(phase: DictPhase, threads: usize) -> DictKind {
-    let scores = auto_scores(phase, threads);
-    let (mut best, _, mut best_score) = scores[0];
-    for &(k, _, s) in &scores[1..] {
-        if s < best_score {
-            best = k;
-            best_score = s;
-        }
-    }
-    if hpa_trace::is_enabled() {
-        let name = match phase {
-            DictPhase::WordCount => "auto-wordcount",
-            DictPhase::Merge => "auto-merge",
-            DictPhase::Lookup => "auto-lookup",
-        };
-        hpa_trace::predict("dict", name, best_score as u64);
-    }
-    best
 }
 
 #[cfg(test)]
@@ -552,42 +424,6 @@ mod tests {
             DictKind::Arena.lookup_cost(185_000).mem_bytes
                 < DictKind::Hash.lookup_cost(185_000).mem_bytes
         );
-    }
-
-    #[test]
-    fn auto_resolves_per_phase_and_concrete_kinds_resolve_to_themselves() {
-        for threads in [1, 4, 16] {
-            for phase in [DictPhase::WordCount, DictPhase::Merge, DictPhase::Lookup] {
-                let pick = DictKind::Auto.resolve(phase, threads);
-                assert!(
-                    !matches!(pick, DictKind::Auto | DictKind::HashPresized(_)),
-                    "Auto must resolve to a concrete, un-pre-sized kind, got {pick:?}"
-                );
-                assert_eq!(DictKind::BTree.resolve(phase, threads), DictKind::BTree);
-                assert_eq!(
-                    DictKind::PAPER_PRESIZE.resolve(phase, threads),
-                    DictKind::PAPER_PRESIZE
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_never_picks_a_higher_scoring_candidate() {
-        // The pick must be the argmin of the same scores the model
-        // exposes publicly — spot-check Merge, where the cached-hash
-        // advantage is largest.
-        for threads in [1, 4, 16] {
-            let pick = auto_pick(DictPhase::Merge, threads);
-            let bw = contended_ns_per_byte(threads);
-            let score = |k: DictKind| {
-                let c = k.merge_step_cost(150_000);
-                c.cpu_ns + c.mem_bytes * bw
-            };
-            for other in [DictKind::BTree, DictKind::Hash, DictKind::Arena] {
-                assert!(score(pick) <= score(other), "{pick:?} vs {other:?}");
-            }
-        }
     }
 
     #[test]

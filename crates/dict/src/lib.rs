@@ -26,7 +26,7 @@ mod mem;
 pub mod sharded;
 
 pub use arena::{ArenaDict, ArenaStats};
-pub use costmodel::{DictPhase, OpCost};
+pub use costmodel::OpCost;
 pub use mem::{arena_heap_bytes, btree_heap_bytes, hash_heap_bytes};
 pub use sharded::ShardedDict;
 
@@ -290,13 +290,16 @@ pub enum DictKind {
     /// Arena-interned open-addressing table ([`ArenaDict`]) — this
     /// repo's third Figure 4 arm.
     Arena,
-    /// Pick the backend per workflow phase and thread count from the
-    /// cost model (see [`DictKind::resolve`]). Instantiating an
-    /// unresolved `Auto` yields an [`ArenaDict`].
-    Auto,
 }
 
 impl DictKind {
+    /// Synonym for [`DictKind::Arena`]. `Auto` used to run a per-phase
+    /// cost-model selector, which picked the arena in every phase at
+    /// every thread count (EXPERIMENTS.md, "tried and removed"); the
+    /// spelling stays for configurations and `--dict auto`.
+    #[allow(non_upper_case_globals)]
+    pub const Auto: DictKind = DictKind::Arena;
+
     /// The paper's pre-sized configuration.
     pub const PAPER_PRESIZE: DictKind = DictKind::HashPresized(4096);
 
@@ -306,7 +309,7 @@ impl DictKind {
             DictKind::BTree => AnyDict::BTree(BTreeDict::new()),
             DictKind::Hash => AnyDict::Hash(HashDict::new()),
             DictKind::HashPresized(n) => AnyDict::Hash(HashDict::with_presize(*n)),
-            DictKind::Arena | DictKind::Auto => AnyDict::Arena(ArenaDict::new()),
+            DictKind::Arena => AnyDict::Arena(ArenaDict::new()),
         }
     }
 
@@ -316,17 +319,15 @@ impl DictKind {
             DictKind::BTree => "map",
             DictKind::Hash | DictKind::HashPresized(_) => "u-map",
             DictKind::Arena => "arena",
-            DictKind::Auto => "auto",
         }
     }
 
     /// The kind a corpus-wide (never per-document) structure of this
     /// configuration uses: the pre-sized table degrades to the plain
-    /// hash table, and an unresolved `Auto` falls back to the arena.
+    /// hash table.
     pub fn global_kind(&self) -> DictKind {
         match self {
             DictKind::HashPresized(_) => DictKind::Hash,
-            DictKind::Auto => DictKind::Arena,
             k => *k,
         }
     }
@@ -335,7 +336,7 @@ impl DictKind {
     /// callers profit from computing the hash once per token and passing
     /// it through [`Dictionary::add_hashed`].
     pub fn uses_cached_hash(&self) -> bool {
-        matches!(self, DictKind::Arena | DictKind::Auto)
+        matches!(self, DictKind::Arena)
     }
 }
 
@@ -537,12 +538,11 @@ mod tests {
             DictKind::HashPresized(4096)
         );
         assert_eq!("arena".parse::<DictKind>().unwrap(), DictKind::Arena);
-        assert_eq!("auto".parse::<DictKind>().unwrap(), DictKind::Auto);
+        assert_eq!("auto".parse::<DictKind>().unwrap(), DictKind::Arena);
         assert!("bogus".parse::<DictKind>().is_err());
         assert_eq!(DictKind::BTree.label(), "map");
         assert_eq!(DictKind::Hash.label(), "u-map");
         assert_eq!(DictKind::Arena.label(), "arena");
-        assert_eq!(DictKind::Auto.label(), "auto");
     }
 
     #[test]
@@ -556,10 +556,8 @@ mod tests {
     #[test]
     fn global_kind_and_cached_hash_flags() {
         assert_eq!(DictKind::PAPER_PRESIZE.global_kind(), DictKind::Hash);
-        assert_eq!(DictKind::Auto.global_kind(), DictKind::Arena);
         assert_eq!(DictKind::BTree.global_kind(), DictKind::BTree);
         assert!(DictKind::Arena.uses_cached_hash());
-        assert!(DictKind::Auto.uses_cached_hash());
         assert!(!DictKind::Hash.uses_cached_hash());
         assert!(!DictKind::BTree.uses_cached_hash());
     }

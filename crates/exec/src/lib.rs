@@ -38,27 +38,10 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Chunk→worker placement policy of the pool-backed parallel loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardAffinity {
-    /// All chunk tasks go through the shared injector; any worker takes
-    /// any chunk (the paper's Cilk-style default).
-    #[default]
-    None,
-    /// Chunk `i` is pinned to worker `i % threads`'s inbox, so across
-    /// iterations the same worker revisits the same shard of the data
-    /// (warm caches). Idle workers still steal pinned work on
-    /// imbalance — placement is a preference, never a constraint.
-    Pinned,
-}
-
 /// The execution context every operator runs against.
 #[derive(Clone)]
 pub struct Exec {
     mode: Mode,
-    /// Chunk placement policy for pool-backed loops (ignored by the
-    /// sequential and simulated modes, whose chunk order is fixed).
-    affinity: ShardAffinity,
     /// Real-time epoch, used by `now()` outside simulation.
     epoch: Instant,
 }
@@ -85,7 +68,6 @@ impl Exec {
     pub fn sequential() -> Self {
         Exec {
             mode: Mode::Sequential,
-            affinity: ShardAffinity::None,
             epoch: Instant::now(),
         }
     }
@@ -97,7 +79,6 @@ impl Exec {
         }
         Exec {
             mode: Mode::Pool(Arc::new(WorkStealingPool::new(threads))),
-            affinity: ShardAffinity::None,
             epoch: Instant::now(),
         }
     }
@@ -120,24 +101,8 @@ impl Exec {
                 cost_mode,
                 state: Mutex::new(SimState::default()),
             })),
-            affinity: ShardAffinity::None,
             epoch: Instant::now(),
         }
-    }
-
-    /// Same executor with the given chunk→worker placement policy.
-    /// Only pool-backed loops are affected; sequential and simulated
-    /// executors run chunks in a fixed order regardless, so the knob is
-    /// carried but inert (results are identical either way — placement
-    /// never changes what a chunk computes).
-    pub fn with_affinity(mut self, affinity: ShardAffinity) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
-    /// The active chunk→worker placement policy.
-    pub fn affinity(&self) -> ShardAffinity {
-        self.affinity
     }
 
     /// The degree of parallelism this executor provides (virtual cores in
@@ -249,13 +214,7 @@ impl Exec {
                     .into_iter()
                     .map(|r| Box::new(move || body(r)) as Box<dyn FnOnce() + Send + '_>)
                     .collect();
-                match self.affinity {
-                    // Tasks are built in range order, so pinning task i
-                    // to worker i % threads gives every worker the same
-                    // shard of 0..n batch after batch.
-                    ShardAffinity::Pinned => pool.run_batch_pinned(tasks),
-                    ShardAffinity::None => pool.run_batch(tasks),
-                }
+                pool.run_batch(tasks);
             }
             Mode::Sim(s) => {
                 let mut times = Vec::with_capacity(ranges.len());
@@ -685,39 +644,6 @@ mod tests {
             TaskCost::default(),
         );
         assert_eq!(r, None);
-    }
-
-    #[test]
-    fn pinned_affinity_visits_each_index_once_in_all_modes() {
-        for exec in all_execs() {
-            let exec = exec.with_affinity(ShardAffinity::Pinned);
-            assert_eq!(exec.affinity(), ShardAffinity::Pinned);
-            let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-            exec.par_for(hits.len(), 16, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} in {exec:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn affinity_does_not_change_fold_reduce_results() {
-        let plain = Exec::pool(3);
-        let pinned = Exec::pool(3).with_affinity(ShardAffinity::Pinned);
-        for exec in [&plain, &pinned] {
-            let total = exec.par_fold_reduce(
-                1000,
-                37,
-                || 0u64,
-                |acc, i| acc + i as u64,
-                |a, b| a + b,
-                |_| TaskCost::default(),
-                TaskCost::default(),
-            );
-            assert_eq!(total, Some((0..1000u64).sum()), "{exec:?}");
-        }
     }
 
     #[test]

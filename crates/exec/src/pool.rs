@@ -80,11 +80,7 @@ impl Latch {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Source {
     Local,
-    /// The worker's own pinned inbox (shard-affinity home hit).
-    Home,
     Injector,
-    /// A sibling's pinned inbox — affinity was broken to fix imbalance.
-    AffinitySteal,
     Stolen,
 }
 
@@ -100,10 +96,8 @@ enum Source {
 struct Stats {
     tasks: Counter,
     local_pops: Counter,
-    home_hits: Counter,
     injector_pops: Counter,
     steals: Counter,
-    affinity_steals: Counter,
     park_ns: Counter,
     track: tracked::Track,
 }
@@ -115,27 +109,16 @@ pub struct WorkerStats {
     pub tasks: u64,
     /// Tasks popped from the worker's own deque.
     pub local_pops: u64,
-    /// Pinned tasks taken from the worker's own inbox (shard-affinity
-    /// home hits).
-    pub home_hits: u64,
     /// Tasks taken from the global injector.
     pub injector_pops: u64,
     /// Tasks stolen from sibling workers' deques.
     pub steals: u64,
-    /// Pinned tasks stolen from sibling workers' inboxes (affinity
-    /// broken to fix imbalance).
-    pub affinity_steals: u64,
     /// Total nanoseconds spent parked (idle).
     pub park_ns: u64,
 }
 
 struct Shared {
     injector: Injector<Task>,
-    /// One pinned-task inbox per worker: `run_batch_pinned` routes each
-    /// task to its home worker's inbox; siblings steal from here only
-    /// after their own deque, inbox, and the global injector are all
-    /// empty — i.e. only on imbalance.
-    inboxes: Vec<Injector<Task>>,
     stealers: Vec<Stealer<Task>>,
     stats: Vec<Stats>,
     shutdown: AtomicBool,
@@ -146,38 +129,21 @@ struct Shared {
 
 impl Shared {
     /// Find a task: local deque first (when on a worker), then the
-    /// worker's own pinned inbox, then the global injector, then steal
-    /// from sibling inboxes, then sibling deques. Reports where it came
-    /// from. `local` carries the worker index so home-vs-stolen inbox
-    /// hits are attributed; the helping submitter passes `None` and
-    /// takes the shared sources only.
-    fn find_task(&self, local: Option<(usize, &Deque<Task>)>) -> Option<(Task, Source)> {
-        if let Some((me, local)) = local {
+    /// global injector, then steal from sibling deques. Reports where
+    /// it came from. The helping submitter passes `None` and takes the
+    /// shared sources only.
+    fn find_task(&self, local: Option<&Deque<Task>>) -> Option<(Task, Source)> {
+        if let Some(local) = local {
             if let Some(t) = local.pop() {
                 return Some((t, Source::Local));
             }
-            // Pinned work for *this* worker beats the global injector:
-            // affinity only pays off if the home worker prefers it.
-            if let Some(t) = self.inboxes[me].steal() {
-                return Some((t, Source::Home));
-            }
         }
         let taken = match local {
-            Some((_, l)) => self.injector.steal_batch_and_pop(l),
+            Some(l) => self.injector.steal_batch_and_pop(l),
             None => self.injector.steal(),
         };
         if let Some(t) = taken {
             return Some((t, Source::Injector));
-        }
-        // Nothing unpinned anywhere: break affinity rather than idle.
-        let me = local.map(|(i, _)| i);
-        for (j, inbox) in self.inboxes.iter().enumerate() {
-            if Some(j) == me {
-                continue;
-            }
-            if let Some(t) = inbox.steal() {
-                return Some((t, Source::AffinitySteal));
-            }
         }
         for s in &self.stealers {
             if let Some(t) = s.steal() {
@@ -208,7 +174,6 @@ impl WorkStealingPool {
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
-            inboxes: (0..threads).map(|_| Injector::new()).collect(),
             stealers,
             stats: (0..threads).map(|_| Stats::default()).collect(),
             shutdown: AtomicBool::new(false),
@@ -246,10 +211,8 @@ impl WorkStealingPool {
             .map(|s| WorkerStats {
                 tasks: s.tasks.get(),
                 local_pops: s.local_pops.get(),
-                home_hits: s.home_hits.get(),
                 injector_pops: s.injector_pops.get(),
                 steals: s.steals.get(),
-                affinity_steals: s.affinity_steals.get(),
                 park_ns: s.park_ns.get(),
             })
             .collect()
@@ -263,24 +226,6 @@ impl WorkStealingPool {
     /// When called from inside a pool worker, the batch runs inline
     /// sequentially (see module docs on the nesting policy).
     pub fn run_batch<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        self.run_batch_impl(tasks, false);
-    }
-
-    /// Like [`WorkStealingPool::run_batch`], but task `i` is pinned to
-    /// worker `i % threads`'s inbox instead of the shared injector —
-    /// chunk→worker shard affinity. A batch of consecutive chunk tasks
-    /// therefore lands the same chunk index on the same worker every
-    /// iteration, so per-worker caches revisit the same shard of the
-    /// data. Pinning is a *preference*, not a guarantee: idle siblings
-    /// steal from foreign inboxes once every unpinned source is empty
-    /// (see [`Shared::find_task`]), so no task is ever lost or delayed
-    /// behind a busy home worker; completion semantics are identical to
-    /// `run_batch`.
-    pub fn run_batch_pinned<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        self.run_batch_impl(tasks, true);
-    }
-
-    fn run_batch_impl<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>, pinned: bool) {
         if tasks.is_empty() {
             return;
         }
@@ -293,7 +238,7 @@ impl WorkStealingPool {
 
         let _batch_span = hpa_trace::span!("pool", "batch", tasks.len() as u64);
         let latch = Arc::new(Latch::new(tasks.len()));
-        for (i, task) in tasks.into_iter().enumerate() {
+        for task in tasks {
             // SAFETY: lifetime erasure. The closure (and everything it
             // borrows) outlives its execution because this function does
             // not return until the latch — decremented exactly once per
@@ -310,11 +255,7 @@ impl WorkStealingPool {
                 }
                 latch.count_down();
             });
-            if pinned {
-                self.shared.inboxes[i % self.threads].push(wrapped);
-            } else {
-                self.shared.injector.push(wrapped);
-            }
+            self.shared.injector.push(wrapped);
         }
         self.shared.wake_all();
 
@@ -369,14 +310,12 @@ fn worker_loop(shared: Arc<Shared>, local: Deque<Task>, index: usize) {
     // Last counter values emitted to the trace, to skip no-op samples.
     let mut emitted_tasks = 0u64;
     loop {
-        if let Some((task, source)) = shared.find_task(Some((index, &local))) {
+        if let Some((task, source)) = shared.find_task(Some(&local)) {
             stats.track.on_write();
             match source {
                 Source::Local => stats.local_pops.add(1),
-                Source::Home => stats.home_hits.add(1),
                 Source::Injector => stats.injector_pops.add(1),
                 Source::Stolen => stats.steals.add(1),
-                Source::AffinitySteal => stats.affinity_steals.add(1),
             }
             // Bump `tasks` *before* running the task, at the same point as
             // the source counter: the task's closure ends with the batch
@@ -386,7 +325,7 @@ fn worker_loop(shared: Arc<Shared>, local: Deque<Task>, index: usize) {
             stats.tasks.add(1);
             {
                 let mut span = hpa_trace::span!("pool", "task");
-                if matches!(source, Source::Stolen | Source::AffinitySteal) {
+                if source == Source::Stolen {
                     span.set_arg(1); // mark stolen tasks in the trace
                 }
                 task();
@@ -404,10 +343,8 @@ fn worker_loop(shared: Arc<Shared>, local: Deque<Task>, index: usize) {
             emitted_tasks = stats.tasks.get();
             hpa_trace::counter("pool", "tasks", emitted_tasks);
             hpa_trace::counter("pool", "local-pops", stats.local_pops.get());
-            hpa_trace::counter("pool", "home-hits", stats.home_hits.get());
             hpa_trace::counter("pool", "injector-pops", stats.injector_pops.get());
             hpa_trace::counter("pool", "steals", stats.steals.get());
-            hpa_trace::counter("pool", "steal-vs-home", stats.affinity_steals.get());
         }
         let parked = Instant::now();
         {
@@ -591,88 +528,7 @@ mod tests {
         // The submitter helps, so workers execute at most the total.
         assert!(executed <= 200);
         for s in &stats {
-            assert_eq!(
-                s.tasks,
-                s.local_pops + s.home_hits + s.injector_pops + s.steals + s.affinity_steals
-            );
+            assert_eq!(s.tasks, s.local_pops + s.injector_pops + s.steals);
         }
-    }
-
-    #[test]
-    fn pinned_batch_runs_every_task_exactly_once() {
-        let pool = WorkStealingPool::new(4);
-        for _round in 0..5 {
-            let counter = AtomicU64::new(0);
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..97)
-                .map(|i| {
-                    let counter = &counter;
-                    Box::new(move || {
-                        counter.fetch_add(i + 1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.run_batch_pinned(tasks);
-            assert_eq!(counter.load(Ordering::Relaxed), (1..=97).sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn pinned_batch_can_borrow_and_propagates_panics() {
-        let pool = WorkStealingPool::new(2);
-        let data: Vec<u64> = (0..32).collect();
-        let out: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..32)
-            .map(|i| {
-                let data = &data;
-                let out = &out;
-                Box::new(move || out[i].store(data[i] * 3, Ordering::Relaxed))
-                    as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        pool.run_batch_pinned(tasks);
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.load(Ordering::Relaxed), (i as u64) * 3);
-        }
-
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_batch_pinned(vec![Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send>]);
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn pinned_batches_record_home_hits_and_preserve_the_invariant() {
-        let pool = WorkStealingPool::new(4);
-        for _ in 0..20 {
-            let c = AtomicU64::new(0);
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..200)
-                .map(|_| {
-                    let c = &c;
-                    Box::new(move || {
-                        // Enough work that the woken workers reach their
-                        // inboxes before the submitter drains everything.
-                        let mut x = 1u64;
-                        for _ in 0..2_000 {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        }
-                        std::hint::black_box(x);
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.run_batch_pinned(tasks);
-            assert_eq!(c.load(Ordering::Relaxed), 200);
-        }
-        let stats = pool.worker_stats();
-        for s in &stats {
-            assert_eq!(
-                s.tasks,
-                s.local_pops + s.home_hits + s.injector_pops + s.steals + s.affinity_steals
-            );
-        }
-        // 4000 pinned tasks over 20 rounds: the home workers must have
-        // serviced their own inboxes at least once.
-        let home: u64 = stats.iter().map(|s| s.home_hits).sum();
-        assert!(home > 0, "no home hits across 20 pinned batches: {stats:?}");
     }
 }

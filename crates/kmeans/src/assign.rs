@@ -52,9 +52,7 @@
 //!
 //! [`squared_distance_to_centroid`]: hpa_sparse::squared_distance_to_centroid
 
-use hpa_sparse::{
-    squared_distance_to_centroid_dispatch, CentroidBlock, DenseVec, ResolvedKernel, SparseVec,
-};
+use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
 
 /// Which distance kernel the assignment phase runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -232,7 +230,6 @@ struct DocOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assign_chunk(
     kernel: AssignKernel,
-    dispatch: ResolvedKernel,
     vectors: &[SparseVec],
     range: std::ops::Range<usize>,
     centroids: &[DenseVec],
@@ -247,8 +244,8 @@ pub(crate) fn assign_chunk(
     for (local, i) in range.enumerate() {
         let x = &vectors[i];
         let outcome = match kernel {
-            AssignKernel::Naive => assign_doc_naive(x, centroids, norms, dispatch),
-            AssignKernel::Blocked => assign_doc_blocked(x, block, &mut state.dist, dispatch),
+            AssignKernel::Naive => assign_doc_naive(x, centroids, norms),
+            AssignKernel::Blocked => assign_doc_blocked(x, block, &mut state.dist),
             AssignKernel::BlockedPruned => {
                 let prior = state.assign[local] as usize;
                 assign_doc_pruned(
@@ -259,7 +256,6 @@ pub(crate) fn assign_chunk(
                     &mut state.ub[local],
                     &mut state.lb[local],
                     &mut state.dist,
-                    dispatch,
                 )
             }
         };
@@ -278,16 +274,11 @@ pub(crate) fn assign_chunk(
 
 /// The original per-centroid kernel: lowest index wins distance ties
 /// (strict `<` while scanning in centroid order).
-fn assign_doc_naive(
-    x: &SparseVec,
-    centroids: &[DenseVec],
-    norms: &[f64],
-    dispatch: ResolvedKernel,
-) -> DocOutcome {
+fn assign_doc_naive(x: &SparseVec, centroids: &[DenseVec], norms: &[f64]) -> DocOutcome {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (c, centroid) in centroids.iter().enumerate() {
-        let d = squared_distance_to_centroid_dispatch(x, centroid, norms[c], dispatch);
+        let d = squared_distance_to_centroid(x, centroid, norms[c]);
         if d < best_d {
             best_d = d;
             best = c;
@@ -302,13 +293,8 @@ fn assign_doc_naive(
 
 /// Blocked full sweep: identical argmin scan over bit-identical
 /// distances.
-fn assign_doc_blocked(
-    x: &SparseVec,
-    block: &CentroidBlock,
-    dist: &mut [f64],
-    dispatch: ResolvedKernel,
-) -> DocOutcome {
-    block.distances_into_dispatch(x, dist, dispatch);
+fn assign_doc_blocked(x: &SparseVec, block: &CentroidBlock, dist: &mut [f64]) -> DocOutcome {
+    block.distances_into(x, dist);
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (c, &d) in dist.iter().enumerate() {
@@ -328,7 +314,6 @@ fn assign_doc_blocked(
 /// exact distance to the currently-assigned centroid (the inertia trace
 /// needs it); skips the `k−1` rival distances when the bounds prove the
 /// assignment cannot change.
-#[allow(clippy::too_many_arguments)]
 fn assign_doc_pruned(
     x: &SparseVec,
     block: &CentroidBlock,
@@ -337,7 +322,6 @@ fn assign_doc_pruned(
     ub: &mut f64,
     lb: &mut f64,
     dist: &mut [f64],
-    dispatch: ResolvedKernel,
 ) -> DocOutcome {
     // Carry the bounds across the centroid movement since the last
     // iteration, with slack against floating-point drift.
@@ -345,7 +329,7 @@ fn assign_doc_pruned(
     *lb = (*lb - movement.max_excluding(prior)) * (1.0 - BOUND_SLACK);
 
     // Tighten: the exact current distance to the assigned centroid.
-    let d_prior = block.distance_to_dispatch(x, prior, dispatch);
+    let d_prior = block.distance_to(x, prior);
     *ub = d_prior.sqrt();
     if *ub < *lb {
         // Every rival is strictly farther: assignment (and, a fortiori,
@@ -358,7 +342,7 @@ fn assign_doc_pruned(
     }
 
     // Full sweep; reset both bounds to exact values.
-    block.distances_into_dispatch(x, dist, dispatch);
+    block.distances_into(x, dist);
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     let mut second_d = f64::INFINITY;

@@ -9,7 +9,7 @@
 //! near 2.5x, exactly the contrast the paper reports.
 
 use hpa_exec::TaskCost;
-use hpa_sparse::{ResolvedKernel, SparseVec};
+use hpa_sparse::SparseVec;
 use std::ops::Range;
 
 /// Distance kernel: per (document non-zero, cluster) pair — one multiply-
@@ -51,42 +51,12 @@ const REDUCE_NS_PER_ELEM: f64 = 3.0;
 /// movement metric: slightly heavier than the merge RMW).
 const RECOMPUTE_NS_PER_ELEM: f64 = 3.2;
 
-/// CPU-time factor of the wide (8-wide unrolled) distance kernels
-/// relative to scalar: wider unrolling retires more independent
-/// multiply-adds per cycle. Deliberately applied to the *CPU* term only —
-/// the wide arms gather exactly the same bytes, so `mem_bytes` is
-/// unchanged and the simulator's `max(cpu, mem/bandwidth)` roofline
-/// becomes the binding memory-bandwidth term sooner for the wide arm.
-/// That asymmetry is the §16 bandwidth model: past the roofline, a
-/// faster kernel buys nothing, which is what measured wide-vs-scalar
-/// deltas on bandwidth-saturated thread counts show.
-const WIDE_DISTANCE_CPU_FACTOR: f64 = 0.75;
-
-/// Multiplier on the distance-kernel CPU term under a resolved dispatch.
-pub fn distance_cpu_factor(kernel: ResolvedKernel) -> f64 {
-    match kernel {
-        ResolvedKernel::Scalar => 1.0,
-        ResolvedKernel::Wide => WIDE_DISTANCE_CPU_FACTOR,
-    }
-}
-
 /// Cost of assigning the documents of `range` and accumulating their
 /// partial sums.
 pub fn assign_chunk_cost(vectors: &[SparseVec], range: Range<usize>, k: usize) -> TaskCost {
-    assign_chunk_cost_dispatch(vectors, range, k, ResolvedKernel::Scalar)
-}
-
-/// [`assign_chunk_cost`] under a resolved dispatch: the distance-kernel
-/// CPU term scales by [`distance_cpu_factor`], bytes touched do not.
-pub fn assign_chunk_cost_dispatch(
-    vectors: &[SparseVec],
-    range: Range<usize>,
-    k: usize,
-    kernel: ResolvedKernel,
-) -> TaskCost {
     let nnz: u64 = range.clone().map(|i| vectors[i].nnz() as u64).sum();
     let docs = range.len() as u64;
-    let cpu = nnz as f64 * k as f64 * ASSIGN_NS_PER_NNZ_CLUSTER * distance_cpu_factor(kernel)
+    let cpu = nnz as f64 * k as f64 * ASSIGN_NS_PER_NNZ_CLUSTER
         + nnz as f64 * ACCUM_NS_PER_NNZ
         + docs as f64 * ASSIGN_NS_PER_DOC;
     let mem = nnz as f64 * k as f64 * ASSIGN_BYTES_PER_NNZ_CLUSTER + nnz as f64 * 24.0;
@@ -101,23 +71,11 @@ pub fn assign_chunk_cost_dispatch(
 /// (term-major) kernel: same multiply-add count as the naive kernel,
 /// one gather stream instead of `k`.
 pub fn assign_chunk_cost_blocked(vectors: &[SparseVec], range: Range<usize>, k: usize) -> TaskCost {
-    assign_chunk_cost_blocked_dispatch(vectors, range, k, ResolvedKernel::Scalar)
-}
-
-/// [`assign_chunk_cost_blocked`] under a resolved dispatch (CPU-only
-/// discount, see [`distance_cpu_factor`]).
-pub fn assign_chunk_cost_blocked_dispatch(
-    vectors: &[SparseVec],
-    range: Range<usize>,
-    k: usize,
-    kernel: ResolvedKernel,
-) -> TaskCost {
     let nnz: u64 = range.clone().map(|i| vectors[i].nnz() as u64).sum();
     let docs = range.len() as u64;
-    let cpu =
-        nnz as f64 * k as f64 * BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER * distance_cpu_factor(kernel)
-            + nnz as f64 * ACCUM_NS_PER_NNZ
-            + docs as f64 * ASSIGN_NS_PER_DOC;
+    let cpu = nnz as f64 * k as f64 * BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER
+        + nnz as f64 * ACCUM_NS_PER_NNZ
+        + docs as f64 * ASSIGN_NS_PER_DOC;
     let mem = nnz as f64 * k as f64 * BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER + nnz as f64 * 24.0;
     TaskCost {
         cpu_ns: cpu as u64,
@@ -133,21 +91,9 @@ pub fn assign_chunk_cost_blocked_dispatch(
 /// scheduling stays honest about how much work pruning actually
 /// removes.
 pub fn assign_cost_pruned(nnz_full: u64, nnz_pruned: u64, docs: u64, k: usize) -> TaskCost {
-    assign_cost_pruned_dispatch(nnz_full, nnz_pruned, docs, k, ResolvedKernel::Scalar)
-}
-
-/// [`assign_cost_pruned`] under a resolved dispatch (CPU-only discount,
-/// see [`distance_cpu_factor`]).
-pub fn assign_cost_pruned_dispatch(
-    nnz_full: u64,
-    nnz_pruned: u64,
-    docs: u64,
-    k: usize,
-    kernel: ResolvedKernel,
-) -> TaskCost {
     let nnz = (nnz_full + nnz_pruned) as f64;
     let distance_nnz = nnz_full as f64 * k as f64 + nnz_pruned as f64;
-    let cpu = distance_nnz * BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER * distance_cpu_factor(kernel)
+    let cpu = distance_nnz * BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER
         + nnz * ACCUM_NS_PER_NNZ
         + docs as f64 * (ASSIGN_NS_PER_DOC + PRUNE_NS_PER_DOC);
     let mem = distance_nnz * BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER + nnz * 24.0;
@@ -244,33 +190,6 @@ mod tests {
         let large = reduce_cost(8, 100_000);
         assert_eq!(large.cpu_ns, small.cpu_ns * 100);
         assert!(recompute_cost(8, 1000).cpu_ns > reduce_cost(8, 1000).cpu_ns);
-    }
-
-    #[test]
-    fn wide_dispatch_discounts_cpu_but_not_bytes() {
-        let v = docs(10, 50);
-        for (scalar, wide) in [
-            (
-                assign_chunk_cost_dispatch(&v, 0..10, 8, ResolvedKernel::Scalar),
-                assign_chunk_cost_dispatch(&v, 0..10, 8, ResolvedKernel::Wide),
-            ),
-            (
-                assign_chunk_cost_blocked_dispatch(&v, 0..10, 8, ResolvedKernel::Scalar),
-                assign_chunk_cost_blocked_dispatch(&v, 0..10, 8, ResolvedKernel::Wide),
-            ),
-            (
-                assign_cost_pruned_dispatch(400, 100, 10, 8, ResolvedKernel::Scalar),
-                assign_cost_pruned_dispatch(400, 100, 10, 8, ResolvedKernel::Wide),
-            ),
-        ] {
-            assert!(wide.cpu_ns < scalar.cpu_ns, "wide must be cheaper on CPU");
-            assert_eq!(wide.mem_bytes, scalar.mem_bytes, "bytes touched identical");
-        }
-        // The scalar dispatch arm is exactly the legacy entry point.
-        assert_eq!(
-            assign_chunk_cost(&v, 0..10, 8),
-            assign_chunk_cost_dispatch(&v, 0..10, 8, ResolvedKernel::Scalar)
-        );
     }
 
     #[test]

@@ -40,10 +40,7 @@ pub use assign::{AssignKernel, AssignStats};
 
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
-use hpa_sparse::{
-    squared_distance_to_centroid, CentroidBlock, DenseVec, KernelDispatch, ResolvedKernel,
-    SparseVec,
-};
+use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
 
 /// Cluster-initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,13 +76,6 @@ pub struct KMeansConfig {
     /// Which assignment kernel runs the document→centroid distance loop
     /// (see [`assign`]); all three arms produce bit-identical results.
     pub kernel: AssignKernel,
-    /// Instruction-level dispatch of the inner distance/accumulate
-    /// kernels (orthogonal to [`KMeansConfig::kernel`], which picks the
-    /// *algorithmic* arm): `Scalar` is the paper-fidelity default,
-    /// `Wide` selects the 8-wide unrolled variants, `Auto` detects at
-    /// run time. Every dispatch produces bit-identical results — the
-    /// wide arms keep per-accumulator floating-point operation order.
-    pub dispatch: KernelDispatch,
 }
 
 impl Default for KMeansConfig {
@@ -99,7 +89,6 @@ impl Default for KMeansConfig {
             grain: 0,
             recycle_buffers: true,
             kernel: AssignKernel::default(),
-            dispatch: KernelDispatch::default(),
         }
     }
 }
@@ -155,11 +144,9 @@ impl Partial {
     }
 
     /// Fold `other` into `self` without consuming either allocation.
-    /// The dense axpy dispatches like the distance kernels (elementwise
-    /// adds over disjoint slots, so every dispatch is bit-identical).
-    fn merge_in_place(&mut self, other: &Partial, dispatch: ResolvedKernel) {
+    fn merge_in_place(&mut self, other: &Partial) {
         for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            a.add_dispatch(b, dispatch);
+            a.add(b);
         }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -251,9 +238,6 @@ impl KMeans {
             cfg.kernel,
             AssignKernel::Blocked | AssignKernel::BlockedPruned
         );
-        // Resolve the instruction-level dispatch once (Auto probes the
-        // host here, not per document).
-        let dispatch = cfg.dispatch.resolve();
         let mut block = CentroidBlock::new();
         let mut movement = assign::Movement::default();
         movement.reset(k);
@@ -309,12 +293,10 @@ impl KMeans {
                     for ci in chunk_idx_range.clone() {
                         let range = ranges_ref[ci].clone();
                         total += match kernel {
-                            AssignKernel::Naive => {
-                                cost::assign_chunk_cost_dispatch(vectors, range, k, dispatch)
+                            AssignKernel::Naive => cost::assign_chunk_cost(vectors, range, k),
+                            AssignKernel::Blocked => {
+                                cost::assign_chunk_cost_blocked(vectors, range, k)
                             }
-                            AssignKernel::Blocked => cost::assign_chunk_cost_blocked_dispatch(
-                                vectors, range, k, dispatch,
-                            ),
                             AssignKernel::BlockedPruned => {
                                 // Predict per-document skips from the
                                 // pre-assignment bounds (conservative:
@@ -336,9 +318,7 @@ impl KMeans {
                                         nnz_full += nnz;
                                     }
                                 }
-                                cost::assign_cost_pruned_dispatch(
-                                    nnz_full, nnz_pruned, docs, k, dispatch,
-                                )
+                                cost::assign_cost_pruned(nnz_full, nnz_pruned, docs, k)
                             }
                         };
                     }
@@ -363,7 +343,6 @@ impl KMeans {
                             let mut state = chunk_slots_ref[ci].lock();
                             assign::assign_chunk(
                                 kernel,
-                                dispatch,
                                 vectors,
                                 ranges_ref[ci].clone(),
                                 centroids_ref,
@@ -372,7 +351,7 @@ impl KMeans {
                                 movement_ref,
                                 &mut state,
                                 |i, best, best_d| {
-                                    acc.sums[best].add_sparse_dispatch(&vectors[i], dispatch);
+                                    acc.sums[best].add_sparse(&vectors[i]);
                                     acc.counts[best] += 1;
                                     acc.cost += best_d;
                                 },
@@ -429,7 +408,7 @@ impl KMeans {
                                 let i = pair_lhs_ref[pi];
                                 let mut a = partials_ref[i].lock();
                                 let b = partials_ref[i + stride].lock();
-                                a.merge_in_place(&b, dispatch);
+                                a.merge_in_place(&b);
                             }
                         },
                         |pair_range| {
@@ -607,39 +586,6 @@ mod tests {
             for (c, centroid) in model.centroids.iter().enumerate() {
                 let dc = squared_distance_to_centroid(x, centroid, norms[c]);
                 assert!(da <= dc + 1e-9, "doc assigned to {a} but {c} is closer");
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_variants_give_bit_identical_models() {
-        let (data, dim) = clustered_data();
-        for kernel in [
-            AssignKernel::Naive,
-            AssignKernel::Blocked,
-            AssignKernel::BlockedPruned,
-        ] {
-            let mut base = cfg(3);
-            base.kernel = kernel;
-            let reference = KMeans::new(base).fit(&Exec::sequential(), &data, dim);
-            for dispatch in [KernelDispatch::Wide, KernelDispatch::Auto] {
-                let mut c = base;
-                c.dispatch = dispatch;
-                let other = KMeans::new(c).fit(&Exec::sequential(), &data, dim);
-                assert_eq!(
-                    reference.assignments, other.assignments,
-                    "{kernel:?}/{dispatch:?}"
-                );
-                assert_eq!(reference.inertia.to_bits(), other.inertia.to_bits());
-                assert_eq!(reference.iterations, other.iterations);
-                for (a, b) in reference.centroids.iter().zip(&other.centroids) {
-                    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-                // Same answer when the wide dispatch runs on the pool.
-                let pooled = KMeans::new(c).fit(&Exec::pool(3), &data, dim);
-                assert_eq!(reference.assignments, pooled.assignments);
             }
         }
     }

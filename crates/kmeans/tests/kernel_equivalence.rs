@@ -6,10 +6,10 @@
 //! the fast kernel be the default without perturbing any simulated or
 //! measured result.
 
-use hpa_exec::{CostMode, Exec, MachineModel, ShardAffinity};
+use hpa_exec::{CostMode, Exec, MachineModel};
 use hpa_kmeans::{AssignKernel, KMeans, KMeansConfig, KMeansModel};
 use hpa_rng::SplitMix64;
-use hpa_sparse::{KernelDispatch, SparseVec};
+use hpa_sparse::SparseVec;
 
 const KERNELS: [AssignKernel; 3] = [
     AssignKernel::Naive,
@@ -27,6 +27,16 @@ fn cfg(k: usize, kernel: AssignKernel) -> KMeansConfig {
         kernel,
         ..Default::default()
     }
+}
+
+/// The executor axis: sequential, the real pool, and the simulated
+/// machine.
+fn execs() -> [Exec; 3] {
+    [
+        Exec::sequential(),
+        Exec::pool(4),
+        Exec::simulated_with(8, MachineModel::default(), CostMode::Analytic),
+    ]
 }
 
 fn fit(vectors: &[SparseVec], dim: usize, k: usize, kernel: AssignKernel) -> KMeansModel {
@@ -135,13 +145,15 @@ fn kernels_agree_on_degenerate_shapes() {
     ];
     for (idx, (vectors, dim, k)) in shapes.iter().enumerate() {
         let reference = fit(vectors, *dim, *k, AssignKernel::Naive);
-        for kernel in [AssignKernel::Blocked, AssignKernel::BlockedPruned] {
-            let other = fit(vectors, *dim, *k, kernel);
-            assert_identical(
-                &reference,
-                &other,
-                &format!("shape {idx} {}", kernel.label()),
-            );
+        for kernel in KERNELS {
+            for exec in execs() {
+                let model = KMeans::new(cfg(*k, kernel)).fit(&exec, vectors, *dim);
+                assert_identical(
+                    &reference,
+                    &model,
+                    &format!("shape {idx} {}", kernel.label()),
+                );
+            }
         }
     }
 }
@@ -165,77 +177,11 @@ fn ties_break_to_lowest_index_in_every_kernel() {
 fn kernels_agree_across_executors() {
     let mut rng = SplitMix64::seed_from_u64(99);
     let vectors = corpus(&mut rng, 90, 50, 10);
-    let execs = [
-        Exec::sequential(),
-        Exec::pool(4),
-        Exec::simulated_with(8, MachineModel::default(), CostMode::Analytic),
-    ];
     let reference = fit(&vectors, 50, 6, AssignKernel::Naive);
     for kernel in KERNELS {
-        for exec in &execs {
-            let model = KMeans::new(cfg(6, kernel)).fit(exec, &vectors, 50);
+        for exec in execs() {
+            let model = KMeans::new(cfg(6, kernel)).fit(&exec, &vectors, 50);
             assert_identical(&reference, &model, kernel.label());
-        }
-    }
-}
-
-#[test]
-fn dispatch_variants_agree_across_kernels_shapes_and_executors() {
-    // The full S3 grid: every (assign kernel × instruction dispatch)
-    // arm, on every degenerate shape and a randomized corpus, under the
-    // sequential executor, the real pool (both affinity modes), and the
-    // simulated machine — all bit-identical to scalar naive sequential.
-    let mut rng = SplitMix64::seed_from_u64(0x51D);
-    let mut shapes: Vec<(Vec<SparseVec>, usize, usize)> = vec![
-        // All-empty documents: the wide gather loop runs zero lanes.
-        (vec![SparseVec::new(); 5], 4, 2),
-        // dim rides through the remainder path (nnz % 8 != 0 per doc).
-        (corpus(&mut rng, 40, 23, 11), 23, 5),
-        // k = 1: the k-accumulator sweep has a single live lane.
-        (corpus(&mut rng, 30, 16, 6), 16, 1),
-        // k > n with singleton documents.
-        (
-            (0..3)
-                .map(|i| SparseVec::from_pairs(vec![(i, 2.0)]))
-                .collect(),
-            3,
-            9,
-        ),
-        // k = 9: one past the 8-wide block boundary.
-        (corpus(&mut rng, 80, 40, 9), 40, 9),
-    ];
-    // Randomized medium corpus exercising pruning across iterations.
-    shapes.push((corpus(&mut rng, 120, 64, 14), 64, 8));
-
-    let make_execs = || {
-        vec![
-            Exec::sequential(),
-            Exec::pool(4),
-            Exec::pool(4).with_affinity(ShardAffinity::Pinned),
-            Exec::simulated_with(8, MachineModel::default(), CostMode::Analytic),
-        ]
-    };
-    for (idx, (vectors, dim, k)) in shapes.iter().enumerate() {
-        let reference = fit(vectors, *dim, *k, AssignKernel::Naive);
-        for kernel in KERNELS {
-            for dispatch in [
-                KernelDispatch::Scalar,
-                KernelDispatch::Wide,
-                KernelDispatch::Auto,
-            ] {
-                for exec in make_execs() {
-                    let model = KMeans::new(KMeansConfig {
-                        dispatch,
-                        ..cfg(*k, kernel)
-                    })
-                    .fit(&exec, vectors, *dim);
-                    assert_identical(
-                        &reference,
-                        &model,
-                        &format!("shape {idx} {}/{}", kernel.label(), dispatch.label()),
-                    );
-                }
-            }
         }
     }
 }

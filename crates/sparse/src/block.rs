@@ -22,12 +22,7 @@
 //! kernel-equivalence test suites in `hpa-kmeans` assert this end to
 //! end.
 
-use crate::{DenseVec, ResolvedKernel, SparseVec};
-
-/// How many terms ahead [`CentroidBlock::distance_to_wide`] touch-reads
-/// its strided gather stream. Sized to cover typical L2 miss latency at
-/// one gather per term without running past short documents' ends.
-pub const GATHER_LOOKAHEAD: usize = 8;
+use crate::{DenseVec, SparseVec};
 
 /// `k` dense centroids stored term-major (`data[t * k + c]`), with the
 /// per-centroid squared norms the distance expansion needs.
@@ -120,50 +115,6 @@ impl CentroidBlock {
         }
     }
 
-    /// [`CentroidBlock::dots_into`] with the across-centroid unroll
-    /// widened from 4 to 8. The unroll still runs across the `k`
-    /// *independent* accumulators — each accumulator sees its
-    /// multiply-adds in term order — so the result is bit-identical to
-    /// both [`CentroidBlock::dots_into`] and [`SparseVec::dot_dense`];
-    /// only the instruction-level parallelism offered to the
-    /// auto-vectorizer changes.
-    pub fn dots_into_wide(&self, x: &SparseVec, out: &mut [f64]) {
-        assert_eq!(out.len(), self.k, "output length must equal k");
-        out.fill(0.0);
-        let k = self.k;
-        for (t, w) in x.iter() {
-            let t = t as usize;
-            if t >= self.dim {
-                continue;
-            }
-            let row = &self.data[t * k..t * k + k];
-            let (row8, row_tail) = row.split_at(k & !7);
-            let (out8, out_tail) = out.split_at_mut(k & !7);
-            for (o, r) in out8.chunks_exact_mut(8).zip(row8.chunks_exact(8)) {
-                o[0] += w * r[0];
-                o[1] += w * r[1];
-                o[2] += w * r[2];
-                o[3] += w * r[3];
-                o[4] += w * r[4];
-                o[5] += w * r[5];
-                o[6] += w * r[6];
-                o[7] += w * r[7];
-            }
-            for (o, r) in out_tail.iter_mut().zip(row_tail) {
-                *o += w * r;
-            }
-        }
-    }
-
-    /// [`CentroidBlock::dots_into`] under a [`ResolvedKernel`].
-    #[inline]
-    pub fn dots_into_dispatch(&self, x: &SparseVec, out: &mut [f64], kernel: ResolvedKernel) {
-        match kernel {
-            ResolvedKernel::Scalar => self.dots_into(x, out),
-            ResolvedKernel::Wide => self.dots_into_wide(x, out),
-        }
-    }
-
     /// Squared Euclidean distances from `x` to all `k` centroids via the
     /// expansion `|x|^2 - 2 x·c + |c|^2`, clamped at zero. Bit-identical
     /// per centroid to [`squared_distance_to_centroid`].
@@ -171,16 +122,6 @@ impl CentroidBlock {
     /// [`squared_distance_to_centroid`]: crate::squared_distance_to_centroid
     pub fn distances_into(&self, x: &SparseVec, out: &mut [f64]) {
         self.dots_into(x, out);
-        let xn = x.norm_sq();
-        for (d, &cn) in out.iter_mut().zip(&self.norms) {
-            *d = (xn - 2.0 * *d + cn).max(0.0);
-        }
-    }
-
-    /// [`CentroidBlock::distances_into`] under a [`ResolvedKernel`]:
-    /// the dot sweep dispatches, the distance expansion is shared.
-    pub fn distances_into_dispatch(&self, x: &SparseVec, out: &mut [f64], kernel: ResolvedKernel) {
-        self.dots_into_dispatch(x, out, kernel);
         let xn = x.norm_sq();
         for (d, &cn) in out.iter_mut().zip(&self.norms) {
             *d = (xn - 2.0 * *d + cn).max(0.0);
@@ -202,47 +143,6 @@ impl CentroidBlock {
             cross += w * self.data[t * k + c];
         }
         (x.norm_sq() - 2.0 * cross + self.norms[c]).max(0.0)
-    }
-
-    /// [`CentroidBlock::distance_to`] with software look-ahead on the
-    /// strided gather: the stride-`k` access pattern defeats the
-    /// hardware prefetcher for large `k`, so the wide variant issues a
-    /// demand load [`GATHER_LOOKAHEAD`] terms ahead of the accumulator
-    /// (a plain read through [`std::hint::black_box`] — safe Rust's
-    /// prefetch). The extra read has no result dependence, and the
-    /// accumulated sum's op order is unchanged, so the value is
-    /// bit-identical to [`CentroidBlock::distance_to`].
-    pub fn distance_to_wide(&self, x: &SparseVec, c: usize) -> f64 {
-        assert!(c < self.k, "centroid index {c} out of range");
-        let k = self.k;
-        let terms = x.terms();
-        let weights = x.weights();
-        let mut cross = 0.0;
-        for i in 0..terms.len() {
-            if let Some(&tp) = terms.get(i + GATHER_LOOKAHEAD) {
-                let tp = tp as usize;
-                if tp < self.dim {
-                    // Touch-read the future gather target so the line is
-                    // in flight by the time the accumulator needs it.
-                    std::hint::black_box(self.data[tp * k + c]);
-                }
-            }
-            let t = terms[i] as usize;
-            if t >= self.dim {
-                continue;
-            }
-            cross += weights[i] * self.data[t * k + c];
-        }
-        (x.norm_sq() - 2.0 * cross + self.norms[c]).max(0.0)
-    }
-
-    /// [`CentroidBlock::distance_to`] under a [`ResolvedKernel`].
-    #[inline]
-    pub fn distance_to_dispatch(&self, x: &SparseVec, c: usize, kernel: ResolvedKernel) -> f64 {
-        match kernel {
-            ResolvedKernel::Scalar => self.distance_to(x, c),
-            ResolvedKernel::Wide => self.distance_to_wide(x, c),
-        }
     }
 
     /// Approximate heap footprint in bytes.
@@ -302,55 +202,6 @@ mod tests {
                 let reference = squared_distance_to_centroid(&x, centroid, centroid.norm_sq());
                 assert_eq!(out[c].to_bits(), reference.to_bits());
                 assert_eq!(block.distance_to(&x, c).to_bits(), reference.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn wide_kernels_are_bit_identical_to_scalar() {
-        // Sweep k across both unroll widths' residues and nnz across
-        // the gather look-ahead boundary.
-        for k in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
-            let cs = centroids(k, 60);
-            let block = CentroidBlock::from_centroids(&cs);
-            for nnz in [0usize, 1, 5, 8, 9, 20] {
-                let pairs: Vec<(u32, f64)> = (0..nnz)
-                    .map(|i| (i as u32 * 4 + 1, (i as f64 * 0.71).sin() + 0.01))
-                    .collect();
-                let x = doc(&pairs);
-                let mut scalar = vec![0.0; k];
-                let mut wide = vec![0.0; k];
-                block.dots_into(&x, &mut scalar);
-                block.dots_into_wide(&x, &mut wide);
-                for c in 0..k {
-                    assert_eq!(
-                        scalar[c].to_bits(),
-                        wide[c].to_bits(),
-                        "k={k} nnz={nnz} c={c}"
-                    );
-                }
-                block.distances_into(&x, &mut scalar);
-                block.distances_into_dispatch(&x, &mut wide, ResolvedKernel::Wide);
-                for c in 0..k {
-                    assert_eq!(
-                        scalar[c].to_bits(),
-                        wide[c].to_bits(),
-                        "k={k} nnz={nnz} c={c}"
-                    );
-                    assert_eq!(
-                        block.distance_to(&x, c).to_bits(),
-                        block.distance_to_wide(&x, c).to_bits(),
-                        "k={k} nnz={nnz} c={c}"
-                    );
-                    assert_eq!(
-                        block
-                            .distance_to_dispatch(&x, c, ResolvedKernel::Scalar)
-                            .to_bits(),
-                        block
-                            .distance_to_dispatch(&x, c, ResolvedKernel::Wide)
-                            .to_bits(),
-                    );
-                }
             }
         }
     }

@@ -6,7 +6,7 @@
 //! for reuse: `reset` clears without releasing capacity, so per-iteration
 //! accumulators recycle their allocation (the paper's §3.1 optimization).
 
-use crate::{ResolvedKernel, SparseVec};
+use crate::SparseVec;
 
 /// A dense `f64` vector indexed by term id.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -62,82 +62,11 @@ impl DenseVec {
         }
     }
 
-    /// [`DenseVec::add_sparse`] unrolled 8-wide — the centroid-update
-    /// scatter kernel. Term ids are strictly increasing, so the eight
-    /// adds of a chunk land in eight distinct slots; each slot receives
-    /// exactly the add the scalar loop would give it, so the result is
-    /// bit-identical.
-    pub fn add_sparse_wide(&mut self, s: &SparseVec) {
-        let terms = s.terms();
-        let weights = s.weights();
-        let wide = terms.len() & !7;
-        for (tc, wc) in terms[..wide]
-            .chunks_exact(8)
-            .zip(weights[..wide].chunks_exact(8))
-        {
-            debug_assert!((tc[7] as usize) < self.data.len(), "term out of bounds");
-            self.data[tc[0] as usize] += wc[0];
-            self.data[tc[1] as usize] += wc[1];
-            self.data[tc[2] as usize] += wc[2];
-            self.data[tc[3] as usize] += wc[3];
-            self.data[tc[4] as usize] += wc[4];
-            self.data[tc[5] as usize] += wc[5];
-            self.data[tc[6] as usize] += wc[6];
-            self.data[tc[7] as usize] += wc[7];
-        }
-        for (t, w) in terms[wide..].iter().zip(&weights[wide..]) {
-            debug_assert!((*t as usize) < self.data.len(), "term {t} out of bounds");
-            self.data[*t as usize] += w;
-        }
-    }
-
-    /// [`DenseVec::add_sparse`] under a [`ResolvedKernel`].
-    #[inline]
-    pub fn add_sparse_dispatch(&mut self, s: &SparseVec, kernel: ResolvedKernel) {
-        match kernel {
-            ResolvedKernel::Scalar => self.add_sparse(s),
-            ResolvedKernel::Wide => self.add_sparse_wide(s),
-        }
-    }
-
     /// `self += other`, elementwise; dimensions must match.
     pub fn add(&mut self, other: &DenseVec) {
         assert_eq!(self.len(), other.len(), "dimension mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// [`DenseVec::add`] unrolled 8-wide — the partial-sum reduction
-    /// axpy. Elementwise adds touch disjoint slots, so unrolling cannot
-    /// change any slot's single add: bit-identical to [`DenseVec::add`].
-    pub fn add_wide(&mut self, other: &DenseVec) {
-        assert_eq!(self.len(), other.len(), "dimension mismatch");
-        let wide = self.data.len() & !7;
-        for (a, b) in self.data[..wide]
-            .chunks_exact_mut(8)
-            .zip(other.data[..wide].chunks_exact(8))
-        {
-            a[0] += b[0];
-            a[1] += b[1];
-            a[2] += b[2];
-            a[3] += b[3];
-            a[4] += b[4];
-            a[5] += b[5];
-            a[6] += b[6];
-            a[7] += b[7];
-        }
-        for (a, b) in self.data[wide..].iter_mut().zip(&other.data[wide..]) {
-            *a += b;
-        }
-    }
-
-    /// [`DenseVec::add`] under a [`ResolvedKernel`].
-    #[inline]
-    pub fn add_dispatch(&mut self, other: &DenseVec, kernel: ResolvedKernel) {
-        match kernel {
-            ResolvedKernel::Scalar => self.add(other),
-            ResolvedKernel::Wide => self.add_wide(other),
         }
     }
 
@@ -226,36 +155,6 @@ mod tests {
     fn add_rejects_mismatched_dims() {
         let mut a = DenseVec::zeros(2);
         a.add(&DenseVec::zeros(3));
-    }
-
-    #[test]
-    fn wide_add_variants_are_bit_identical_to_scalar() {
-        for n in 0..20usize {
-            let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos() * 1e-5).collect();
-            let other: Vec<f64> = (0..n).map(|i| (i as f64 * 1.13).sin() + 0.2).collect();
-            let mut a = DenseVec::from_vec(base.clone());
-            let mut b = DenseVec::from_vec(base.clone());
-            a.add(&DenseVec::from_vec(other.clone()));
-            b.add_wide(&DenseVec::from_vec(other.clone()));
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
-            }
-            let mut c = DenseVec::from_vec(base.clone());
-            c.add_dispatch(&DenseVec::from_vec(other.clone()), ResolvedKernel::Wide);
-            assert_eq!(b, c);
-
-            let pairs: Vec<(u32, f64)> = (0..n)
-                .map(|i| (i as u32, (i as f64).tan() * 1e-3))
-                .collect();
-            let s = SparseVec::from_pairs(pairs);
-            let mut d = DenseVec::from_vec(base.clone());
-            let mut e = DenseVec::from_vec(base.clone());
-            d.add_sparse(&s);
-            e.add_sparse_dispatch(&s, ResolvedKernel::Wide);
-            for (x, y) in d.as_slice().iter().zip(e.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
-            }
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the optimization that separates the paper's implementation from the
 //! WEKA-style dense baseline.
 
-use crate::{DenseVec, ResolvedKernel, SparseVec};
+use crate::{DenseVec, SparseVec};
 
 /// Squared Euclidean distance from sparse `x` to dense centroid `c`, given
 /// the precomputed `|c|^2`. Touches only `x.nnz()` centroid components.
@@ -15,20 +15,6 @@ pub fn squared_distance_to_centroid(x: &SparseVec, c: &DenseVec, c_norm_sq: f64)
     let cross = x.dot_dense(c.as_slice());
     // Clamp: floating-point cancellation can drive tiny distances slightly
     // negative, which would poison sqrt and argmin comparisons downstream.
-    (x.norm_sq() - 2.0 * cross + c_norm_sq).max(0.0)
-}
-
-/// [`squared_distance_to_centroid`] under a [`ResolvedKernel`]: the dot
-/// product dispatches (the wide arm keeps term-order adds, so the result
-/// stays bit-identical), the expansion is shared.
-#[inline]
-pub fn squared_distance_to_centroid_dispatch(
-    x: &SparseVec,
-    c: &DenseVec,
-    c_norm_sq: f64,
-    kernel: ResolvedKernel,
-) -> f64 {
-    let cross = x.dot_dense_dispatch(c.as_slice(), kernel);
     (x.norm_sq() - 2.0 * cross + c_norm_sq).max(0.0)
 }
 

@@ -16,16 +16,12 @@ pub mod block;
 pub mod dense;
 pub mod distance;
 pub mod fnv;
-pub mod kernel;
 pub mod recycle;
 
 pub use block::CentroidBlock;
 pub use dense::DenseVec;
-pub use distance::{
-    cosine_similarity, squared_distance_to_centroid, squared_distance_to_centroid_dispatch,
-};
+pub use distance::{cosine_similarity, squared_distance_to_centroid};
 pub use fnv::{fnv1a, fnv1a_str};
-pub use kernel::{KernelDispatch, ResolvedKernel};
 pub use recycle::BufferPool;
 
 /// Term identifier. `u32` keeps pairs at 12 bytes + padding; vocabularies
@@ -146,57 +142,6 @@ impl SparseVec {
         sum
     }
 
-    /// [`SparseVec::dot_dense`] with the loop structure rewritten for
-    /// the auto-vectorizer: the in-range prefix is found once (term ids
-    /// ascend, so out-of-range terms form a suffix), killing the
-    /// per-element `Option` branch, and the body is unrolled 8-wide.
-    /// The eight products of each chunk are independent, but the adds
-    /// into the single accumulator stay in term order — the sum is
-    /// never reassociated, so the result is bit-identical to
-    /// [`SparseVec::dot_dense`] (asserted in this file's tests and the
-    /// kernel-equivalence suite).
-    pub fn dot_dense_wide(&self, dense: &[f64]) -> f64 {
-        let in_range = self.terms.partition_point(|&t| (t as usize) < dense.len());
-        let terms = &self.terms[..in_range];
-        let weights = &self.weights[..in_range];
-        let wide = in_range & !7;
-        let mut sum = 0.0;
-        for (tc, wc) in terms[..wide]
-            .chunks_exact(8)
-            .zip(weights[..wide].chunks_exact(8))
-        {
-            let p0 = wc[0] * dense[tc[0] as usize];
-            let p1 = wc[1] * dense[tc[1] as usize];
-            let p2 = wc[2] * dense[tc[2] as usize];
-            let p3 = wc[3] * dense[tc[3] as usize];
-            let p4 = wc[4] * dense[tc[4] as usize];
-            let p5 = wc[5] * dense[tc[5] as usize];
-            let p6 = wc[6] * dense[tc[6] as usize];
-            let p7 = wc[7] * dense[tc[7] as usize];
-            sum += p0;
-            sum += p1;
-            sum += p2;
-            sum += p3;
-            sum += p4;
-            sum += p5;
-            sum += p6;
-            sum += p7;
-        }
-        for (t, w) in terms[wide..].iter().zip(&weights[wide..]) {
-            sum += w * dense[*t as usize];
-        }
-        sum
-    }
-
-    /// [`SparseVec::dot_dense`] under a [`ResolvedKernel`].
-    #[inline]
-    pub fn dot_dense_dispatch(&self, dense: &[f64], kernel: ResolvedKernel) -> f64 {
-        match kernel {
-            ResolvedKernel::Scalar => self.dot_dense(dense),
-            ResolvedKernel::Wide => self.dot_dense_wide(dense),
-        }
-    }
-
     /// Sum of squared weights.
     pub fn norm_sq(&self) -> f64 {
         self.weights.iter().map(|w| w * w).sum()
@@ -234,45 +179,6 @@ impl SparseVec {
         }
         for (t, w) in self.iter() {
             acc[t as usize] += w;
-        }
-    }
-
-    /// [`SparseVec::add_into_dense`] unrolled 8-wide. Term ids are
-    /// strictly increasing, so every chunk scatters into eight
-    /// *distinct* accumulator slots — each slot receives exactly the
-    /// add it would receive from the scalar loop, making the result
-    /// bit-identical regardless of unrolling.
-    pub fn add_into_dense_wide(&self, acc: &mut Vec<f64>) {
-        if let Some(&max_t) = self.terms.last() {
-            if acc.len() <= max_t as usize {
-                acc.resize(max_t as usize + 1, 0.0);
-            }
-        }
-        let wide = self.terms.len() & !7;
-        for (tc, wc) in self.terms[..wide]
-            .chunks_exact(8)
-            .zip(self.weights[..wide].chunks_exact(8))
-        {
-            acc[tc[0] as usize] += wc[0];
-            acc[tc[1] as usize] += wc[1];
-            acc[tc[2] as usize] += wc[2];
-            acc[tc[3] as usize] += wc[3];
-            acc[tc[4] as usize] += wc[4];
-            acc[tc[5] as usize] += wc[5];
-            acc[tc[6] as usize] += wc[6];
-            acc[tc[7] as usize] += wc[7];
-        }
-        for (t, w) in self.terms[wide..].iter().zip(&self.weights[wide..]) {
-            acc[*t as usize] += w;
-        }
-    }
-
-    /// [`SparseVec::add_into_dense`] under a [`ResolvedKernel`].
-    #[inline]
-    pub fn add_into_dense_dispatch(&self, acc: &mut Vec<f64>, kernel: ResolvedKernel) {
-        match kernel {
-            ResolvedKernel::Scalar => self.add_into_dense(acc),
-            ResolvedKernel::Wide => self.add_into_dense_wide(acc),
         }
     }
 
@@ -361,49 +267,6 @@ mod tests {
     fn heap_bytes_counts_both_arrays() {
         let a = v(&[(1, 1.0), (2, 2.0)]);
         assert!(a.heap_bytes() >= 2 * (4 + 8));
-    }
-
-    #[test]
-    fn wide_dot_dense_is_bit_identical_to_scalar() {
-        // Cover every unroll residue (nnz mod 8) plus out-of-range
-        // suffixes, with weights that make reassociation detectable.
-        for nnz in 0..20usize {
-            let pairs: Vec<(u32, f64)> = (0..nnz)
-                .map(|i| (i as u32 * 3, 0.1 + (i as f64) * 1e-3 + (i as f64).sin()))
-                .collect();
-            let s = SparseVec::from_sorted(pairs);
-            for dim in [0usize, 1, 7, 30, 100] {
-                let dense: Vec<f64> = (0..dim).map(|i| ((i * 7 + 1) as f64).ln()).collect();
-                let scalar = s.dot_dense(&dense);
-                let wide = s.dot_dense_wide(&dense);
-                assert_eq!(scalar.to_bits(), wide.to_bits(), "nnz={nnz} dim={dim}");
-                assert_eq!(
-                    s.dot_dense_dispatch(&dense, ResolvedKernel::Wide).to_bits(),
-                    scalar.to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wide_add_into_dense_is_bit_identical_to_scalar() {
-        for nnz in 0..20usize {
-            let pairs: Vec<(u32, f64)> = (0..nnz)
-                .map(|i| (i as u32 * 5 + 2, (i as f64).cos() * 1e-7 + 0.3))
-                .collect();
-            let s = SparseVec::from_sorted(pairs);
-            let mut a = vec![0.25; 4];
-            let mut b = a.clone();
-            s.add_into_dense(&mut a);
-            s.add_into_dense_wide(&mut b);
-            assert_eq!(a.len(), b.len(), "nnz={nnz}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "nnz={nnz}");
-            }
-            let mut c = vec![0.25; 4];
-            s.add_into_dense_dispatch(&mut c, ResolvedKernel::Scalar);
-            assert_eq!(a, c);
-        }
     }
 
     #[test]

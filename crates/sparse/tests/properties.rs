@@ -5,9 +5,7 @@
 //! crate is unavailable in offline builds (see workspace Cargo.toml).
 #![cfg(feature = "proptest")]
 
-use hpa_sparse::{
-    cosine_similarity, squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec,
-};
+use hpa_sparse::{cosine_similarity, squared_distance_to_centroid, DenseVec, SparseVec};
 use proptest::prelude::*;
 
 const DIM: u32 = 64;
@@ -106,47 +104,5 @@ proptest! {
             let got = acc.get(i).copied().unwrap_or(0.0);
             prop_assert!((got - m).abs() < 1e-12);
         }
-    }
-
-    // Wide-kernel laws: the 8-lane unrolled variants must be *bit*
-    // identical to the scalar loops on arbitrary input, not merely
-    // close — the dispatch knob may never perturb a figure. The
-    // always-on mirror of these (plus adversarial magnitude regimes)
-    // is tests/dispatch_equivalence.rs.
-
-    #[test]
-    fn dot_dense_wide_bitwise_matches_scalar(a in arb_pairs(),
-                                             d in prop::collection::vec(-100.0..100.0f64, DIM as usize)) {
-        let s = SparseVec::from_pairs(a);
-        prop_assert_eq!(s.dot_dense(&d).to_bits(), s.dot_dense_wide(&d).to_bits());
-    }
-
-    #[test]
-    fn add_into_dense_wide_bitwise_matches_scalar(a in arb_pairs(),
-                                                  d in prop::collection::vec(-100.0..100.0f64, DIM as usize)) {
-        let s = SparseVec::from_pairs(a);
-        let mut scalar = d.clone();
-        let mut wide = d;
-        s.add_into_dense(&mut scalar);
-        s.add_into_dense_wide(&mut wide);
-        let sb: Vec<u64> = scalar.iter().map(|x| x.to_bits()).collect();
-        let wb: Vec<u64> = wide.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(sb, wb);
-    }
-
-    #[test]
-    fn centroid_block_wide_dots_bitwise_match(a in arb_pairs(),
-                                              rows in prop::collection::vec(
-                                                  prop::collection::vec(-50.0..50.0f64, DIM as usize), 1..12)) {
-        let centroids: Vec<DenseVec> = rows.into_iter().map(DenseVec::from_vec).collect();
-        let block = CentroidBlock::from_centroids(&centroids);
-        let x = SparseVec::from_pairs(a);
-        let mut scalar = vec![0.0; centroids.len()];
-        let mut wide = vec![0.0; centroids.len()];
-        block.dots_into(&x, &mut scalar);
-        block.dots_into_wide(&x, &mut wide);
-        let sb: Vec<u64> = scalar.iter().map(|x| x.to_bits()).collect();
-        let wb: Vec<u64> = wide.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(sb, wb);
     }
 }

@@ -51,20 +51,6 @@ impl MatrixStats {
     }
 }
 
-/// The thread-contended memory-bandwidth share of a phase cost, in
-/// nanoseconds: `mem_bytes × contended_ns_per_byte(threads)` — the same
-/// bytes-touched × ns/B term the dictionary auto-picks score with
-/// (`hpa_dict::costmodel::contended_ns_per_byte`), exposed at TF/IDF
-/// phase granularity so the scenario-matrix harness and tests can
-/// decompose a predicted phase time into CPU vs bandwidth shares. The
-/// execution simulator prices the same `mem_bytes` through its roofline
-/// (`MachineModel::{core_,}mem_bandwidth`); this helper is the linear
-/// contention view of that traffic, calibrated so the audit alphas
-/// (`audit::calib`) stay near 1 while leaving it fixed.
-pub fn contended_mem_ns(cost: &TaskCost, threads: usize) -> f64 {
-    cost.mem_bytes as f64 * hpa_dict::costmodel::contended_ns_per_byte(threads)
-}
-
 /// Estimated bytes per token (word + separator) in the synthetic corpora.
 pub const BYTES_PER_TOKEN: f64 = 7.3;
 /// Estimated fraction of a document's tokens that are distinct.
@@ -73,31 +59,23 @@ pub const DISTINCT_FRACTION: f64 = 0.45;
 pub const TOKENIZE_NS_PER_BYTE: f64 = 0.8;
 
 /// Cost of the input + word-count work for the documents of `range`.
-/// `kind` backs the per-document counters, `df_kind` the chunk-local
-/// document-frequency dictionary — under `DictKind::Auto` the two phases
-/// may resolve to different backends.
+/// `kind` backs both the per-document counters and the chunk-local
+/// document-frequency dictionary.
 pub fn wc_chunk_cost(
     kind: DictKind,
-    df_kind: DictKind,
     docs: &[Document],
     range: Range<usize>,
     charge_io: bool,
 ) -> TaskCost {
     let bytes: u64 = range.clone().map(|i| docs[i].text.len() as u64).sum();
     let files = range.len() as u64;
-    wc_cost_estimate(kind, df_kind, bytes, files, charge_io)
+    wc_cost_estimate(kind, bytes, files, charge_io)
 }
 
 /// [`wc_chunk_cost`] from byte/file counts alone — the planner's
 /// pre-run variant (the range-based function delegates here, so the
 /// node estimate and the charged chunk costs share one formula).
-pub fn wc_cost_estimate(
-    kind: DictKind,
-    df_kind: DictKind,
-    bytes: u64,
-    files: u64,
-    charge_io: bool,
-) -> TaskCost {
+pub fn wc_cost_estimate(kind: DictKind, bytes: u64, files: u64, charge_io: bool) -> TaskCost {
     let tokens = bytes as f64 / BYTES_PER_TOKEN;
     let distinct = tokens * DISTINCT_FRACTION;
     let hits = tokens - distinct;
@@ -116,7 +94,7 @@ pub fn wc_cost_estimate(
     // Document-frequency updates: one per distinct token, into a
     // chunk-local dictionary that grows toward vocabulary scale. The
     // global structure is never the pre-sized per-document kind.
-    let df_up = df_kind.global_kind().increment_cost(50_000);
+    let df_up = kind.global_kind().increment_cost(50_000);
 
     let cpu = bytes as f64 * (TOKENIZE_NS_PER_BYTE + READ_CPU_NS_PER_BYTE)
         + files as f64 * create.cpu_ns
@@ -137,16 +115,15 @@ pub fn wc_cost_estimate(
 }
 
 /// Cost of merging one chunk-local document-frequency dictionary into the
-/// global one (the serial tail of the word-count phase). `df_kind` is the
-/// kind backing the document-frequency dictionaries themselves.
-pub fn df_merge_cost(df_kind: DictKind, num_docs: usize, threads: usize) -> TaskCost {
+/// global one (the serial tail of the word-count phase).
+pub fn df_merge_cost(kind: DictKind, num_docs: usize, threads: usize) -> TaskCost {
     // Each partial holds roughly the vocabulary observed in its share of
     // the documents; merging folds each entry in once. The arena folds by
     // cached hash (no re-hash of the source key); the standard structures
     // re-hash or re-compare every key, which `merge_step_cost` prices.
     let tokens_per_chunk = num_docs as f64 / threads.max(1) as f64 * 400.0;
     let entries = (tokens_per_chunk * 0.25).min(300_000.0);
-    let up = df_kind.global_kind().merge_step_cost(150_000);
+    let up = kind.global_kind().merge_step_cost(150_000);
     TaskCost {
         cpu_ns: (entries * up.cpu_ns) as u64,
         mem_bytes: (entries * up.mem_bytes) as u64,
@@ -155,11 +132,11 @@ pub fn df_merge_cost(df_kind: DictKind, num_docs: usize, threads: usize) -> Task
 }
 
 /// Cost of building the vocabulary: one sorted walk over the global
-/// document-frequency dictionary (`df_kind`) plus one insert per word
-/// into the lookup index (`index_kind`).
-pub fn vocab_build_cost(df_kind: DictKind, index_kind: DictKind, vocab_len: usize) -> TaskCost {
-    let walk = df_kind.global_kind().sorted_iter_cost(vocab_len);
-    let insert = index_kind.global_kind().insert_cost(vocab_len);
+/// document-frequency dictionary plus one insert per word into the
+/// lookup index, both of `kind`.
+pub fn vocab_build_cost(kind: DictKind, vocab_len: usize) -> TaskCost {
+    let walk = kind.global_kind().sorted_iter_cost(vocab_len);
+    let insert = kind.global_kind().insert_cost(vocab_len);
     let per_word = walk.cpu_ns + insert.cpu_ns + 30.0; // +30ns string copy
     let per_word_mem = walk.mem_bytes + insert.mem_bytes + 24.0;
     TaskCost {
@@ -174,11 +151,10 @@ pub fn vocab_build_cost(df_kind: DictKind, index_kind: DictKind, vocab_len: usiz
 /// per-document dictionary, one lookup in the vocabulary index, the
 /// score computation, and a numeric sort of the resulting id/weight
 /// pairs (trivial for the tree, whose walk already yields id order).
-/// `iter_kind` backs the per-document counters being walked; `lookup_kind`
-/// backs the vocabulary index being probed.
+/// `kind` backs both the per-document counters being walked and the
+/// vocabulary index being probed.
 pub fn transform_chunk_cost(
-    iter_kind: DictKind,
-    lookup_kind: DictKind,
+    kind: DictKind,
     per_doc: &[crate::DocTermCounts],
     vocab_len: usize,
     range: Range<usize>,
@@ -186,14 +162,14 @@ pub fn transform_chunk_cost(
     let mut cpu = 0.0;
     let mut mem = 0.0;
     // The vocabulary index is the global (never pre-sized) structure.
-    let lookup = lookup_kind.global_kind().lookup_cost(vocab_len);
+    let lookup = kind.global_kind().lookup_cost(vocab_len);
     for i in range {
         let k = per_doc[i].counts.len();
-        let iter = iter_kind.iter_step_cost(k);
+        let iter = kind.iter_step_cost(k);
         // Numeric pair sort: the tree yields ids pre-sorted (branch-
         // predictable ~3 ns/elem verification), hash kinds pay a real
         // sort of ~12·log2(k) ns/elem.
-        let sort = match iter_kind {
+        let sort = match kind {
             DictKind::BTree => 3.0,
             _ => 12.0 * (k.max(2) as f64).log2(),
         };
@@ -213,17 +189,11 @@ pub fn transform_chunk_cost(
 /// pre-run variant. Prices every document at the average distinct-term
 /// count `nnz / docs`; for a uniform corpus it matches the range-based
 /// function, and the per-term arithmetic is the same either way.
-pub fn transform_cost_estimate(
-    iter_kind: DictKind,
-    lookup_kind: DictKind,
-    docs: u64,
-    nnz: u64,
-    vocab_len: usize,
-) -> TaskCost {
+pub fn transform_cost_estimate(kind: DictKind, docs: u64, nnz: u64, vocab_len: usize) -> TaskCost {
     let avg = nnz.checked_div(docs).unwrap_or(0) as usize;
-    let lookup = lookup_kind.global_kind().lookup_cost(vocab_len);
-    let iter = iter_kind.iter_step_cost(avg);
-    let sort = match iter_kind {
+    let lookup = kind.global_kind().lookup_cost(vocab_len);
+    let iter = kind.iter_step_cost(avg);
+    let sort = match kind {
         DictKind::BTree => 3.0,
         _ => 12.0 * (avg.max(2) as f64).log2(),
     };
@@ -560,14 +530,8 @@ mod tests {
     fn wc_cost_scales_with_bytes() {
         let c = sample_corpus();
         let docs = c.documents();
-        let half = wc_chunk_cost(
-            DictKind::BTree,
-            DictKind::BTree,
-            docs,
-            0..docs.len() / 2,
-            true,
-        );
-        let full = wc_chunk_cost(DictKind::BTree, DictKind::BTree, docs, 0..docs.len(), true);
+        let half = wc_chunk_cost(DictKind::BTree, docs, 0..docs.len() / 2, true);
+        let full = wc_chunk_cost(DictKind::BTree, docs, 0..docs.len(), true);
         assert!(full.cpu_ns > half.cpu_ns);
         assert_eq!(full.io_ops, docs.len() as u64);
         assert_eq!(full.io_read_bytes, c.total_bytes());
@@ -576,13 +540,7 @@ mod tests {
     #[test]
     fn wc_without_io_charge_has_no_io() {
         let c = sample_corpus();
-        let cost = wc_chunk_cost(
-            DictKind::Hash,
-            DictKind::Hash,
-            c.documents(),
-            0..c.len(),
-            false,
-        );
+        let cost = wc_chunk_cost(DictKind::Hash, c.documents(), 0..c.len(), false);
         assert_eq!(cost.io_read_bytes, 0);
         assert_eq!(cost.io_ops, 0);
         assert!(cost.cpu_ns > 0);
@@ -594,20 +552,8 @@ mod tests {
         // is the 4K-pre-sized table, whose creation cost and cold sparse
         // array dominate the insert-heavy phase.
         let c = sample_corpus();
-        let map = wc_chunk_cost(
-            DictKind::BTree,
-            DictKind::BTree,
-            c.documents(),
-            0..c.len(),
-            false,
-        );
-        let umap = wc_chunk_cost(
-            DictKind::PAPER_PRESIZE,
-            DictKind::PAPER_PRESIZE,
-            c.documents(),
-            0..c.len(),
-            false,
-        );
+        let map = wc_chunk_cost(DictKind::BTree, c.documents(), 0..c.len(), false);
+        let umap = wc_chunk_cost(DictKind::PAPER_PRESIZE, c.documents(), 0..c.len(), false);
         assert!(
             umap.cpu_ns > map.cpu_ns,
             "umap {} map {}",
@@ -628,20 +574,8 @@ mod tests {
         });
         let counts = op.count_words(&exec, &c);
         let v = 185_000;
-        let map = transform_chunk_cost(
-            DictKind::BTree,
-            DictKind::BTree,
-            &counts.per_doc,
-            v,
-            0..c.len(),
-        );
-        let umap = transform_chunk_cost(
-            DictKind::Hash,
-            DictKind::Hash,
-            &counts.per_doc,
-            v,
-            0..c.len(),
-        );
+        let map = transform_chunk_cost(DictKind::BTree, &counts.per_doc, v, 0..c.len());
+        let umap = transform_chunk_cost(DictKind::Hash, &counts.per_doc, v, 0..c.len());
         assert!(
             umap.cpu_ns < map.cpu_ns,
             "umap cpu {} map cpu {}",
@@ -659,8 +593,7 @@ mod tests {
     #[test]
     fn arena_merge_is_cheaper_than_rehashing_merges() {
         // The cached-hash fold skips the per-key re-hash (hash kinds) and
-        // the per-key comparison descent (tree); unresolved Auto prices
-        // like the arena it degrades to.
+        // the per-key comparison descent (tree).
         let arena = df_merge_cost(DictKind::Arena, 20_000, 4);
         let hash = df_merge_cost(DictKind::Hash, 20_000, 4);
         let btree = df_merge_cost(DictKind::BTree, 20_000, 4);
@@ -676,7 +609,6 @@ mod tests {
             arena.cpu_ns,
             btree.cpu_ns
         );
-        assert_eq!(df_merge_cost(DictKind::Auto, 20_000, 4), arena);
     }
 
     #[test]
@@ -828,12 +760,9 @@ mod tests {
     #[test]
     fn transform_estimate_tracks_nnz_and_vanishes_on_empty_input() {
         let kind = DictKind::BTree;
-        assert_eq!(
-            transform_cost_estimate(kind, kind, 0, 0, 0),
-            TaskCost::default()
-        );
-        let small = transform_cost_estimate(kind, kind, 100, 5_000, 20_000);
-        let large = transform_cost_estimate(kind, kind, 100, 50_000, 20_000);
+        assert_eq!(transform_cost_estimate(kind, 0, 0, 0), TaskCost::default());
+        let small = transform_cost_estimate(kind, 100, 5_000, 20_000);
+        let large = transform_cost_estimate(kind, 100, 50_000, 20_000);
         assert!(large.cpu_ns > small.cpu_ns * 5);
         assert!(large.mem_bytes > small.mem_bytes * 5);
     }
@@ -849,47 +778,6 @@ mod tests {
         assert_eq!(m.nnz_of_rows(50), 500);
         assert_eq!(m.nnz_of_rows(0), 0);
         assert_eq!(MatrixStats::default().nnz_of_rows(10), 0);
-    }
-
-    #[test]
-    fn bandwidth_term_scales_with_threads_and_punishes_heavy_traffic() {
-        // Single thread: bandwidth is free (the paper's u-map transform
-        // wins at P=1). Contention grows linearly with threads, and the
-        // traffic-heavy hash transform pays more of it than the tree —
-        // the mechanism that stalled the u-map workflow's scaling.
-        let c = sample_corpus();
-        let exec = hpa_exec::Exec::sequential();
-        let op = crate::TfIdf::new(crate::TfIdfConfig {
-            dict_kind: DictKind::BTree,
-            grain: 0,
-            charge_input_io: false,
-            ..Default::default()
-        });
-        let counts = op.count_words(&exec, &c);
-        let v = 185_000;
-        let map = transform_chunk_cost(
-            DictKind::BTree,
-            DictKind::BTree,
-            &counts.per_doc,
-            v,
-            0..c.len(),
-        );
-        let umap = transform_chunk_cost(
-            DictKind::Hash,
-            DictKind::Hash,
-            &counts.per_doc,
-            v,
-            0..c.len(),
-        );
-        assert_eq!(contended_mem_ns(&map, 1), 0.0, "no contention at P=1");
-        assert!(contended_mem_ns(&umap, 16) > contended_mem_ns(&umap, 4));
-        assert!(
-            contended_mem_ns(&umap, 16) > contended_mem_ns(&map, 16),
-            "heavier traffic must pay a larger bandwidth term"
-        );
-        // Decomposition: the term is exactly bytes × ns/B.
-        let bw = hpa_dict::costmodel::contended_ns_per_byte(16);
-        assert_eq!(contended_mem_ns(&umap, 16), umap.mem_bytes as f64 * bw);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use vocab::Vocab;
 use hpa_arff::{parse_data_line, ArffError, ArffHeader, ArffReader, ArffWriter};
 use hpa_colfmt::{encode_chunk, ColFmtError, ColReader, ColWriter};
 use hpa_corpus::{Corpus, Tokenizer};
-use hpa_dict::{hash_word, AnyDict, DictKind, DictPhase, Dictionary};
+use hpa_dict::{hash_word, AnyDict, DictKind, Dictionary};
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_io::{ByteCounter, Sequencer};
@@ -88,13 +88,9 @@ pub struct WordCounts {
     pub df: AnyDict,
     /// Total bytes of text processed.
     pub bytes: u64,
-    /// Dictionary kind the per-document counts were built with (already
-    /// resolved — never [`DictKind::Auto`]).
+    /// Dictionary kind the per-document counts and the document-
+    /// frequency dictionary were built with.
     pub dict_kind: DictKind,
-    /// Dictionary kind the document-frequency dictionaries were built
-    /// with (already resolved). Under `Auto` this may differ from
-    /// [`WordCounts::dict_kind`]: the selector is per phase.
-    pub df_kind: DictKind,
 }
 
 impl WordCounts {
@@ -129,7 +125,7 @@ impl WordCounts {
         // document), so charge it as a plain structure of its kind.
         total
             + self
-                .df_kind
+                .dict_kind
                 .global_kind()
                 .resident_bytes(self.df.len(), df_strings)
     }
@@ -162,22 +158,12 @@ impl TfIdf {
 
     /// Phase 1: parallel tokenize + count. ("input+wc" in the figures.)
     ///
-    /// Under [`DictKind::Auto`] the per-document counters and the
-    /// chunk-local document-frequency dictionaries resolve independently
-    /// (the per-phase cost model may pick different backends for the
-    /// insert-heavy and merge-heavy roles). When either resolved kind
-    /// caches hashes, each token is hashed exactly once and the value is
-    /// handed to both dictionaries' `*_hashed` entry points.
+    /// When the configured kind caches hashes, each token is hashed
+    /// exactly once and the value is handed to both the per-document and
+    /// the document-frequency dictionary's `*_hashed` entry points.
     pub fn count_words(&self, exec: &Exec, corpus: &Corpus) -> WordCounts {
         let _span = hpa_trace::span!("tfidf", "count-words", corpus.len() as u64);
-        let kind = self
-            .config
-            .dict_kind
-            .resolve(DictPhase::WordCount, exec.threads());
-        let df_kind = self
-            .config
-            .dict_kind
-            .resolve(DictPhase::Merge, exec.threads());
+        let kind = self.config.dict_kind;
         let n = corpus.len();
         let docs = corpus.documents();
         let slots: Vec<Mutex<Option<DocTermCounts>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -191,24 +177,24 @@ impl TfIdf {
             n.div_ceil(exec.threads())
         };
         let charge_io = self.config.charge_input_io;
-        let hash_once = kind.uses_cached_hash() || df_kind.uses_cached_hash();
+        let hash_once = kind.uses_cached_hash();
         if hpa_trace::is_enabled() {
             // Price the fold region plus the tree-reduce merge tail with
             // the same cost closures the simulator consumes, so the
             // conformance ledger checks exactly what analytic runs use.
             let fold_ns = exec.predict_region_ns(n, df_grain, |range| {
-                cost::wc_chunk_cost(kind, df_kind, docs, range, charge_io)
+                cost::wc_chunk_cost(kind, docs, range, charge_io)
             });
             let merge_ns = exec.predict_tree_reduce_ns(
                 exec.chunks_for(n, df_grain),
-                cost::df_merge_cost(df_kind, n, exec.threads()),
+                cost::df_merge_cost(kind, n, exec.threads()),
             );
             hpa_trace::predict("tfidf", "count-words", fold_ns + merge_ns);
         }
         let df = exec.par_fold_reduce(
             n,
             df_grain,
-            || df_kind.new_dict(),
+            || kind.new_dict(),
             |mut df_local: AnyDict, i| {
                 let doc = &docs[i];
                 let mut counts = kind.new_dict();
@@ -240,10 +226,10 @@ impl TfIdf {
                 a.merge_from(&b);
                 a
             },
-            |range| cost::wc_chunk_cost(kind, df_kind, docs, range, charge_io),
-            cost::df_merge_cost(df_kind, n, exec.threads()),
+            |range| cost::wc_chunk_cost(kind, docs, range, charge_io),
+            cost::df_merge_cost(kind, n, exec.threads()),
         );
-        let df = df.unwrap_or_else(|| df_kind.new_dict());
+        let df = df.unwrap_or_else(|| kind.new_dict());
 
         let per_doc: Vec<DocTermCounts> = slots
             .into_iter()
@@ -254,7 +240,6 @@ impl TfIdf {
             df,
             bytes: corpus.total_bytes(),
             dict_kind: kind,
-            df_kind,
         }
     }
 
@@ -264,18 +249,14 @@ impl TfIdf {
     /// hash table).
     pub fn build_vocab(&self, exec: &Exec, counts: &WordCounts) -> Vocab {
         let _span = hpa_trace::span!("tfidf", "build-vocab", counts.df.len() as u64);
-        let index_kind = self
-            .config
-            .dict_kind
-            .resolve(DictPhase::Lookup, exec.threads());
         let max_df = (self.config.max_df_fraction * counts.num_docs() as f64).ceil() as u64;
         let min_df = self.config.min_df.max(1) as u64;
-        let cost = cost::vocab_build_cost(counts.df_kind, index_kind, counts.df.len());
+        let cost = cost::vocab_build_cost(self.config.dict_kind, counts.df.len());
         if hpa_trace::is_enabled() {
             hpa_trace::predict("tfidf", "build-vocab", exec.predict_serial_ns(&cost));
         }
         exec.serial(cost, || {
-            Vocab::from_df_dict_pruned(index_kind, &counts.df, min_df, max_df)
+            Vocab::from_df_dict_pruned(self.config.dict_kind, &counts.df, min_df, max_df)
         })
     }
 
@@ -285,16 +266,12 @@ impl TfIdf {
         let _span = hpa_trace::span!("tfidf", "transform", counts.num_docs() as u64);
         let n = counts.num_docs();
         let num_docs = n;
-        // Cost the walk with the kind the counts were actually built with
-        // and the lookups with the kind backing the vocabulary index —
-        // under `Auto` the two need not match the configured kind.
-        let iter_kind = counts.dict_kind;
-        let lookup_kind = vocab.kind();
+        let kind = counts.dict_kind;
         let slots: Vec<Mutex<Option<SparseVec>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let per_doc = &counts.per_doc;
         if hpa_trace::is_enabled() {
             let ns = exec.predict_region_ns(n, self.config.grain, |range| {
-                cost::transform_chunk_cost(iter_kind, lookup_kind, per_doc, vocab.len(), range)
+                cost::transform_chunk_cost(kind, per_doc, vocab.len(), range)
             });
             hpa_trace::predict("tfidf", "transform", ns);
         }
@@ -317,7 +294,7 @@ impl TfIdf {
                 v.normalize();
                 *slots[i].lock() = Some(v);
             },
-            |range| cost::transform_chunk_cost(iter_kind, lookup_kind, per_doc, vocab.len(), range),
+            |range| cost::transform_chunk_cost(kind, per_doc, vocab.len(), range),
         );
         let vectors = slots
             .into_iter()
@@ -962,12 +939,7 @@ mod tests {
 
     #[test]
     fn word_counts_match_hand_computation() {
-        for kind in [
-            DictKind::BTree,
-            DictKind::Hash,
-            DictKind::Arena,
-            DictKind::Auto,
-        ] {
+        for kind in [DictKind::BTree, DictKind::Hash, DictKind::Arena] {
             let exec = Exec::sequential();
             let counts = op(kind).count_words(&exec, &corpus());
             assert_eq!(counts.num_docs(), 3);
@@ -1039,12 +1011,7 @@ mod tests {
         // into the output at all.
         let exec = Exec::sequential();
         let reference = op(DictKind::BTree).fit(&exec, &corpus());
-        for kind in [
-            DictKind::Hash,
-            DictKind::PAPER_PRESIZE,
-            DictKind::Arena,
-            DictKind::Auto,
-        ] {
+        for kind in [DictKind::Hash, DictKind::PAPER_PRESIZE, DictKind::Arena] {
             let other = op(kind).fit(&exec, &corpus());
             assert_eq!(reference.vocab.len(), other.vocab.len(), "{kind:?}");
             for id in 0..reference.vocab.len() as u32 {
@@ -1059,28 +1026,53 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_every_phase_to_a_concrete_kind() {
-        let exec = Exec::pool(2);
-        let o = op(DictKind::Auto);
-        let counts = o.count_words(&exec, &corpus());
-        assert_ne!(counts.dict_kind, DictKind::Auto);
-        assert_ne!(counts.df_kind, DictKind::Auto);
-        let vocab = o.build_vocab(&exec, &counts);
-        assert_ne!(vocab.kind(), DictKind::Auto);
-        // The resolved kinds follow the published selector.
-        assert_eq!(
-            counts.dict_kind,
-            DictKind::Auto.resolve(DictPhase::WordCount, 2)
-        );
-        assert_eq!(counts.df_kind, DictKind::Auto.resolve(DictPhase::Merge, 2));
-        // And the model itself is usable end to end.
-        let model = o.transform(&exec, &counts, &vocab);
-        assert_eq!(model.vectors.len(), 3);
+    fn auto_is_a_synonym_for_arena() {
+        // Everything the three phases produce, in comparable form.
+        let snapshot = |kind: DictKind, exec: &Exec| {
+            let entries = |d: &AnyDict| {
+                let mut out = Vec::new();
+                d.for_each_sorted(&mut |w, v| out.push((w.to_string(), v)));
+                out
+            };
+            let o = op(kind);
+            let counts = o.count_words(exec, &corpus());
+            let vocab = o.build_vocab(exec, &counts);
+            let model = o.transform(exec, &counts, &vocab);
+            let per_doc: Vec<_> = counts
+                .per_doc
+                .iter()
+                .map(|d| (d.total_terms, entries(&d.counts)))
+                .collect();
+            let terms: Vec<_> = (0..vocab.len() as u32)
+                .map(|id| (vocab.word(id).to_string(), vocab.df(id)))
+                .collect();
+            let vectors: Vec<_> = model
+                .vectors
+                .iter()
+                .map(|v| {
+                    let bits: Vec<u64> = v.weights().iter().map(|w| w.to_bits()).collect();
+                    (v.terms().to_vec(), bits)
+                })
+                .collect();
+            (
+                counts.dict_kind,
+                entries(&counts.df),
+                per_doc,
+                terms,
+                vectors,
+            )
+        };
+        for exec in [Exec::sequential(), Exec::pool(3)] {
+            assert_eq!(
+                snapshot(DictKind::Auto, &exec),
+                snapshot(DictKind::Arena, &exec)
+            );
+        }
     }
 
     #[test]
     fn results_identical_across_executors() {
-        for kind in [DictKind::BTree, DictKind::Arena, DictKind::Auto] {
+        for kind in [DictKind::BTree, DictKind::Arena] {
             let seq = op(kind).fit(&Exec::sequential(), &corpus());
             for exec in [
                 Exec::pool(3),

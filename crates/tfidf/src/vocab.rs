@@ -31,8 +31,7 @@ impl Vocab {
         let mut words: Vec<Box<str>> = Vec::with_capacity(df.len());
         let mut dfs: Vec<u32> = Vec::with_capacity(df.len());
         // The global index is never per-document, so a pre-sized kind
-        // degrades to the plain hash table (and an unresolved `Auto` to
-        // the arena) here.
+        // degrades to the plain hash table here.
         let index_kind = kind.global_kind();
         let mut index = index_kind.new_dict();
         df.for_each_sorted(&mut |word, count| {
@@ -137,13 +136,6 @@ mod tests {
     fn presized_kind_degrades_to_plain_hash() {
         let v = Vocab::from_df_dict(DictKind::HashPresized(4096), &df_dict());
         assert_eq!(v.kind(), DictKind::Hash);
-    }
-
-    #[test]
-    fn unresolved_auto_degrades_to_arena() {
-        let v = Vocab::from_df_dict(DictKind::Auto, &df_dict());
-        assert_eq!(v.kind(), DictKind::Arena);
-        assert_eq!(v.lookup("apple"), Some((0, 7)));
     }
 
     #[test]

@@ -48,7 +48,8 @@ fn print_usage() {
 USAGE:
   hpa generate --preset mix|nsf --scale F --seed N --out DIR
   hpa cluster  --input DIR [--k N] [--threads N] [--strategy fused|discrete]
-               [--dict map|u-map|u-map-presized] [--real-threads] [--out FILE]
+               [--dict map|u-map|u-map-presized|arena|auto] [--real-threads]
+               [--out FILE]
   hpa tfidf    --input DIR [--dict ...] [--threads N] --out FILE.arff
   hpa train    --input DIR [--k N] [--threads N] --model FILE
   hpa predict  --input DIR --model FILE [--threads N] [--out FILE]
@@ -79,10 +80,19 @@ impl Flags {
                 .map_err(|_| format!("bad value for {name}: '{v}'")),
         }
     }
+
+    /// A count flag (`--k`, `--threads`): zero is rejected here so it
+    /// never reaches the library's positivity asserts.
+    fn parse_count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.parse(name, default)? {
+            0 => Err(format!("{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
 }
 
 fn make_exec(flags: &Flags) -> Result<Exec, String> {
-    let threads: usize = flags.parse("--threads", 8)?;
+    let threads = flags.parse_count("--threads", 8)?;
     Ok(if flags.has("--real-threads") {
         Exec::pool(threads)
     } else {
@@ -132,9 +142,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let flags = Flags(args.to_vec());
+    let k = flags.parse_count("--k", 8)?;
     let exec = make_exec(&flags)?;
     let corpus = load_input(&flags, &exec)?;
-    let k: usize = flags.parse("--k", 8)?;
     let builder = WorkflowBuilder::new()
         .tfidf(TfIdfConfig {
             dict_kind: dict_kind(&flags)?,
@@ -178,9 +188,9 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
     let flags = Flags(args.to_vec());
+    let k = flags.parse_count("--k", 8)?;
     let exec = make_exec(&flags)?;
     let corpus = load_input(&flags, &exec)?;
-    let k: usize = flags.parse("--k", 8)?;
     let model_path = flags
         .get("--model")
         .ok_or_else(|| "--model FILE is required".to_string())?;

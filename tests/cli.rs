@@ -119,6 +119,82 @@ fn full_cli_round_trip() {
     }
 }
 
+/// Generate a small corpus through the CLI; returns its directory and
+/// document count.
+fn generate_corpus(tag: &str) -> (PathBuf, usize) {
+    let dir = tmp(tag);
+    let out = hpa()
+        .args([
+            "generate", "--preset", "mix", "--scale", "0.0005", "--seed", "3",
+        ])
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("run hpa generate");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let n = std::fs::read_dir(&dir).unwrap().count();
+    (dir, n)
+}
+
+#[test]
+fn zero_counts_fail_cleanly_instead_of_panicking() {
+    let (corpus_dir, _) = generate_corpus("zero_counts");
+    let model_path = tmp("zero_counts_model.txt");
+    let cases: [&[&str]; 4] = [
+        &["cluster", "--k", "0"],
+        &["train", "--k", "0"],
+        &["cluster", "--threads", "0"],
+        &["cluster", "--threads", "0", "--real-threads"],
+    ];
+    for args in cases {
+        let out = hpa()
+            .args(args)
+            .arg("--input")
+            .arg(&corpus_dir)
+            .arg("--model")
+            .arg(&model_path)
+            .output()
+            .expect("run hpa");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&corpus_dir).ok();
+}
+
+#[test]
+fn k_larger_than_document_count_still_clusters_every_document() {
+    let (corpus_dir, n_files) = generate_corpus("big_k");
+    let k = n_files + 5;
+    let out = hpa()
+        .args(["cluster", "--threads", "2", "--k", &k.to_string()])
+        .arg("--input")
+        .arg(&corpus_dir)
+        .output()
+        .expect("run hpa cluster");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let assignments = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(assignments.lines().count(), n_files);
+    for line in assignments.lines() {
+        let (_, cluster) = line.rsplit_once(',').expect("doc,cluster");
+        let c: usize = cluster.parse().expect("numeric cluster id");
+        assert!(c < n_files, "k is clamped to the document count: {line}");
+    }
+    std::fs::remove_dir_all(&corpus_dir).ok();
+}
+
 #[test]
 fn unknown_command_fails_with_message() {
     let out = hpa().arg("frobnicate").output().expect("run hpa");

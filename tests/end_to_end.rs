@@ -37,7 +37,6 @@ fn discrete_equals_fused_for_every_dictionary_kind() {
         DictKind::Hash,
         DictKind::PAPER_PRESIZE,
         DictKind::Arena,
-        DictKind::Auto,
     ] {
         let fused = builder(kind).fused().run(&corpus, &exec).unwrap();
         let discrete = builder(kind).discrete().run(&corpus, &exec).unwrap();
@@ -60,12 +59,7 @@ fn dictionary_kind_never_changes_the_answer() {
         .fused()
         .run(&corpus, &exec)
         .unwrap();
-    for kind in [
-        DictKind::Hash,
-        DictKind::PAPER_PRESIZE,
-        DictKind::Arena,
-        DictKind::Auto,
-    ] {
+    for kind in [DictKind::Hash, DictKind::PAPER_PRESIZE, DictKind::Arena] {
         let other = builder(kind).fused().run(&corpus, &exec).unwrap();
         assert_eq!(reference.assignments, other.assignments, "{kind:?}");
         assert_eq!(reference.dim, other.dim);
