@@ -426,13 +426,13 @@ mod tests {
                 span("kmeans", "assign", 0, 100, 1),
                 span("kmeans", "assign", 10, 200, 2),
                 span("kmeans", "assign", 20, 300, 1),
-                span("kmeans", "merge", 30, 50, 2),
+                span("kmeans", "update", 30, 50, 2),
             ],
             vec![
                 predict("kmeans", "assign", 0, 90, 2),
                 predict("kmeans", "assign", 5, 180, 1),
                 predict("kmeans", "assign", 15, 310, 2),
-                predict("kmeans", "merge", 25, 60, 1),
+                predict("kmeans", "update", 25, 60, 1),
             ],
         );
         let ledger = RunLedger::from_recording("t", 2, &rec, 4.0);
@@ -442,9 +442,9 @@ mod tests {
         assert_eq!(assign.measured_ns, 600);
         assert_eq!(assign.predicted_ns, 580);
         assert_eq!(assign.status, Conformance::Ok);
-        let merge = ledger.row("kmeans", "merge").unwrap();
-        assert_eq!(merge.span_count, 1);
-        assert_eq!(merge.predict_count, 1);
+        let update = ledger.row("kmeans", "update").unwrap();
+        assert_eq!(update.span_count, 1);
+        assert_eq!(update.predict_count, 1);
         // Row totals across the ledger conserve every record.
         let spans: u64 = ledger.rows.iter().map(|r| r.span_count).sum();
         let predicts: u64 = ledger.rows.iter().map(|r| r.predict_count).sum();

@@ -299,9 +299,9 @@ impl Exec {
     /// accumulator created by `identity`; partial accumulators are then
     /// combined by a pairwise **tree reduction** (parallel rounds, like
     /// Cilk reducer merges). The tree's critical path — `log2(partials)`
-    /// rounds of `reduce_cost` — is the per-iteration serial fraction
-    /// that limits K-means scalability on the smaller *Mix* data set in
-    /// the paper's Figure 1, so the simulator charges it faithfully.
+    /// rounds of `reduce_cost` — is a serial fraction (the one the paper
+    /// names for K-means on the smaller *Mix* data set in its Figure 1),
+    /// so the simulator charges it faithfully.
     #[allow(clippy::too_many_arguments)]
     pub fn par_fold_reduce<T, ID, F, R2, C>(
         &self,

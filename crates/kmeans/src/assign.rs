@@ -52,6 +52,7 @@
 //!
 //! [`squared_distance_to_centroid`]: hpa_sparse::squared_distance_to_centroid
 
+use hpa_exec::sync::Mutex;
 use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
 
 /// Which distance kernel the assignment phase runs.
@@ -134,39 +135,40 @@ pub(crate) struct ChunkState<'a> {
     pub ub: &'a mut [f64],
     /// Lower bounds on the root-distance to the nearest rival centroid.
     pub lb: &'a mut [f64],
+    /// Squared distance of each document to its assigned centroid — with
+    /// `assign`, all the centroid update needs from this loop.
+    pub best_d: &'a mut [f64],
     /// Distance scratch (`k` wide), recycled across iterations.
     pub dist: Vec<f64>,
     /// Counters for the current iteration (reset each pass).
     pub iter_stats: AssignStats,
 }
 
-/// Split the per-document arrays into per-chunk disjoint views along
-/// `ranges` (which must be consecutive and cover `0..n`).
+/// Split the per-document arrays into per-chunk disjoint views of
+/// `grain` documents each (the last may be shorter), one lock per view.
 pub(crate) fn chunk_states<'a>(
-    mut assign: &'a mut [u32],
-    mut ub: &'a mut [f64],
-    mut lb: &'a mut [f64],
-    ranges: &[std::ops::Range<usize>],
+    assign: &'a mut [u32],
+    ub: &'a mut [f64],
+    lb: &'a mut [f64],
+    best_d: &'a mut [f64],
+    grain: usize,
     k: usize,
-) -> Vec<ChunkState<'a>> {
-    let mut out = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        let (a_head, a_tail) = assign.split_at_mut(r.len());
-        let (u_head, u_tail) = ub.split_at_mut(r.len());
-        let (l_head, l_tail) = lb.split_at_mut(r.len());
-        assign = a_tail;
-        ub = u_tail;
-        lb = l_tail;
-        out.push(ChunkState {
-            assign: a_head,
-            ub: u_head,
-            lb: l_head,
-            dist: vec![0.0; k],
-            iter_stats: AssignStats::default(),
-        });
-    }
-    assert!(assign.is_empty(), "ranges must cover all documents");
-    out
+) -> Vec<Mutex<ChunkState<'a>>> {
+    let bounds = ub.chunks_mut(grain).zip(lb.chunks_mut(grain));
+    let outputs = assign.chunks_mut(grain).zip(best_d.chunks_mut(grain));
+    outputs
+        .zip(bounds)
+        .map(|((assign, best_d), (ub, lb))| {
+            Mutex::new(ChunkState {
+                assign,
+                ub,
+                lb,
+                best_d,
+                dist: vec![0.0; k],
+                iter_stats: AssignStats::default(),
+            })
+        })
+        .collect()
 }
 
 /// Per-centroid movement state carried between Lloyd iterations.
@@ -224,9 +226,9 @@ struct DocOutcome {
 }
 
 /// Assign the documents of one chunk with the selected kernel, writing
-/// assignments/bounds through `state` and folding per-document results
-/// into `fold` (centroid sums + cost). `centroids`/`norms` serve the
-/// naive arm; `block` serves the blocked arms.
+/// assignments, distances and bounds through `state`.
+/// `centroids`/`norms` serve the naive arm; `block` serves the blocked
+/// arms.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assign_chunk(
     kernel: AssignKernel,
@@ -237,7 +239,6 @@ pub(crate) fn assign_chunk(
     block: &CentroidBlock,
     movement: &Movement,
     state: &mut ChunkState<'_>,
-    mut fold: impl FnMut(usize, usize, f64),
 ) {
     let k = centroids.len();
     state.iter_stats = AssignStats::default();
@@ -260,6 +261,7 @@ pub(crate) fn assign_chunk(
             }
         };
         state.assign[local] = outcome.best as u32;
+        state.best_d[local] = outcome.best_d;
         state.iter_stats.docs += 1;
         if outcome.pruned {
             state.iter_stats.docs_pruned += 1;
@@ -268,7 +270,6 @@ pub(crate) fn assign_chunk(
         } else {
             state.iter_stats.distances_computed += k as u64;
         }
-        fold(i, outcome.best, outcome.best_d);
     }
 }
 
@@ -376,45 +377,9 @@ pub(crate) fn predicts_prune(ub: f64, lb: f64, prior: usize, movement: &Movement
     ub < lb
 }
 
-/// Precompute the pairwise tree-merge pairing schedule for `m` partials:
-/// one entry per round, `(stride, left-hand indices)`. Depends only on
-/// `m`, so it is computed once per `fit` and recycled across iterations
-/// instead of allocating a fresh pairing vector per round per iteration.
-pub(crate) fn merge_schedule(m: usize) -> Vec<(usize, Vec<usize>)> {
-    let mut rounds = Vec::new();
-    let mut stride = 1;
-    while stride < m {
-        let lhs: Vec<usize> = (0..m)
-            .step_by(stride * 2)
-            .filter(|i| i + stride < m)
-            .collect();
-        rounds.push((stride, lhs));
-        stride *= 2;
-    }
-    rounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_schedule_matches_loop_shape() {
-        // Mirrors the inline computation the schedule replaced.
-        for m in 0..20 {
-            let mut stride = 1;
-            let mut expected = Vec::new();
-            while stride < m {
-                let lhs: Vec<usize> = (0..m)
-                    .step_by(stride * 2)
-                    .filter(|i| i + stride < m)
-                    .collect();
-                expected.push((stride, lhs));
-                stride *= 2;
-            }
-            assert_eq!(merge_schedule(m), expected, "m={m}");
-        }
-    }
 
     #[test]
     fn movement_tracks_max_and_second() {
@@ -436,13 +401,13 @@ mod tests {
         let mut a = vec![0u32; 10];
         let mut u = vec![0.0; 10];
         let mut l = vec![0.0; 10];
-        let ranges = hpa_exec::chunk_ranges(10, 4);
-        let states = chunk_states(&mut a, &mut u, &mut l, &ranges, 3);
+        let mut d = vec![0.0; 10];
+        let states = chunk_states(&mut a, &mut u, &mut l, &mut d, 4, 3);
         assert_eq!(states.len(), 3);
-        let total: usize = states.iter().map(|s| s.assign.len()).sum();
+        let total: usize = states.iter().map(|s| s.lock().assign.len()).sum();
         assert_eq!(total, 10);
         for s in &states {
-            assert_eq!(s.dist.len(), 3);
+            assert_eq!(s.lock().dist.len(), 3);
         }
     }
 

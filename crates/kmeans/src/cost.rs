@@ -1,16 +1,16 @@
 //! Analytic cost annotations for the K-means phases.
 //!
-//! Per Lloyd iteration the operator runs one parallel assignment loop
-//! over documents and one serial centroid recompute; the simulator needs
-//! their costs to reproduce Figure 1. The parallel work scales with
-//! `documents × nnz × k`; the serial work scales with `k × dim` — the
-//! ratio of the two is what makes the small-vocabulary-per-document *NSF*
-//! corpus scale to ~8x while the vocabulary-heavy *Mix* corpus saturates
-//! near 2.5x, exactly the contrast the paper reports.
+//! Per Lloyd iteration the operator runs a parallel block rebuild over
+//! term slabs, a parallel assignment loop over documents, a serial O(n)
+//! regrouping by cluster and a parallel update over clusters; the
+//! simulator needs their costs to reproduce Figure 1. Assignment scales
+//! with `documents × nnz × k`; rebuild and update sweep `k × dim` once
+//! each, in up to `dim / SLAB_TERMS` and `k` tasks. The paper's operator
+//! merged and recomputed those arrays serially, which held its *Mix*
+//! curve near 2.5x; this one does not (see EXPERIMENTS.md).
 
+use crate::AssignKernel;
 use hpa_exec::TaskCost;
-use hpa_sparse::SparseVec;
-use std::ops::Range;
 
 /// Distance kernel: per (document non-zero, cluster) pair — one multiply-
 /// add against the dense centroid plus the gather.
@@ -18,7 +18,7 @@ const ASSIGN_NS_PER_NNZ_CLUSTER: f64 = 1.6;
 /// Fixed per-document overhead of the assignment loop (argmin bookkeeping,
 /// norm lookups, assignment store).
 const ASSIGN_NS_PER_DOC: f64 = 45.0;
-/// Accumulating one non-zero into the local centroid sums.
+/// Accumulating one non-zero of a member into its cluster's sum.
 const ACCUM_NS_PER_NNZ: f64 = 2.2;
 /// Bytes touched per (nnz, cluster) distance step. Zipfian term reuse
 /// keeps the hot head of each centroid cache-resident, so only a small
@@ -41,115 +41,81 @@ const PRUNE_NS_PER_DOC: f64 = 14.0;
 /// `k × dim` element (sequential write + strided read).
 const BLOCK_REBUILD_NS_PER_ELEM: f64 = 0.8;
 
-/// Merging one partial centroid-sum set into another (one tree-reduction
-/// pair merge), per `k × dim` element: a read-modify-write over two
-/// large arrays — cache-miss bound, ~3 ns/element on the modelled
-/// memory system (calibrated so Figure 1's Mix/NSF speedup split lands
-/// on the paper's 2.5x/8x contrast under the default machine model).
-const REDUCE_NS_PER_ELEM: f64 = 3.0;
-/// Recomputing centroids from sums (serial), per element (divide +
-/// movement metric: slightly heavier than the merge RMW).
-const RECOMPUTE_NS_PER_ELEM: f64 = 3.2;
+/// Turning a cluster's sum into its centroid, per element of the one
+/// fused pass (multiply, movement metric, norm, store, clear).
+const UPDATE_NS_PER_ELEM: f64 = 3.2;
+/// Regrouping one document by cluster: two passes over its assignment,
+/// one add into the inertia.
+const MEMBERSHIP_NS_PER_DOC: f64 = 4.0;
 
-/// Cost of assigning the documents of `range` and accumulating their
-/// partial sums.
-pub fn assign_chunk_cost(vectors: &[SparseVec], range: Range<usize>, k: usize) -> TaskCost {
-    let nnz: u64 = range.clone().map(|i| vectors[i].nnz() as u64).sum();
-    let docs = range.len() as u64;
-    let cpu = nnz as f64 * k as f64 * ASSIGN_NS_PER_NNZ_CLUSTER
-        + nnz as f64 * ACCUM_NS_PER_NNZ
-        + docs as f64 * ASSIGN_NS_PER_DOC;
-    let mem = nnz as f64 * k as f64 * ASSIGN_BYTES_PER_NNZ_CLUSTER + nnz as f64 * 24.0;
-    TaskCost {
-        cpu_ns: cpu as u64,
-        mem_bytes: mem as u64,
-        ..Default::default()
-    }
-}
-
-/// Cost of assigning the documents of `range` with the blocked
-/// (term-major) kernel: same multiply-add count as the naive kernel,
-/// one gather stream instead of `k`.
-pub fn assign_chunk_cost_blocked(vectors: &[SparseVec], range: Range<usize>, k: usize) -> TaskCost {
-    let nnz: u64 = range.clone().map(|i| vectors[i].nnz() as u64).sum();
-    let docs = range.len() as u64;
-    let cpu = nnz as f64 * k as f64 * BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER
-        + nnz as f64 * ACCUM_NS_PER_NNZ
-        + docs as f64 * ASSIGN_NS_PER_DOC;
-    let mem = nnz as f64 * k as f64 * BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER + nnz as f64 * 24.0;
-    TaskCost {
-        cpu_ns: cpu as u64,
-        mem_bytes: mem as u64,
-        ..Default::default()
-    }
-}
-
-/// Cost of the blocked+pruned kernel over one chunk, split by the
-/// *predicted* outcome per document: full-sweep documents pay all `k`
-/// distances, pruned documents pay exactly one (the exact distance to
+/// Cost of assigning `docs` documents with `kernel`, split by the
+/// *predicted* outcome per document: the `nnz_full` non-zeros of
+/// full-sweep documents pay all `k` distances, the `nnz_pruned` of
+/// documents the bounds let skip pay exactly one (the exact distance to
 /// the assigned centroid that the inertia trace needs) — so `exec`
 /// scheduling stays honest about how much work pruning actually
-/// removes.
-pub fn assign_cost_pruned(nnz_full: u64, nnz_pruned: u64, docs: u64, k: usize) -> TaskCost {
+/// removes. Only the pruned kernel ever predicts a skip.
+pub fn assign_cost(
+    kernel: AssignKernel,
+    nnz_full: u64,
+    nnz_pruned: u64,
+    docs: u64,
+    k: usize,
+) -> TaskCost {
+    let blocked = (
+        BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER,
+        BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER,
+    );
+    let ((ns, bytes), doc_ns) = match kernel {
+        AssignKernel::Naive => (
+            (ASSIGN_NS_PER_NNZ_CLUSTER, ASSIGN_BYTES_PER_NNZ_CLUSTER),
+            ASSIGN_NS_PER_DOC,
+        ),
+        AssignKernel::Blocked => (blocked, ASSIGN_NS_PER_DOC),
+        AssignKernel::BlockedPruned => (blocked, ASSIGN_NS_PER_DOC + PRUNE_NS_PER_DOC),
+    };
     let nnz = (nnz_full + nnz_pruned) as f64;
     let distance_nnz = nnz_full as f64 * k as f64 + nnz_pruned as f64;
-    let cpu = distance_nnz * BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER
-        + nnz * ACCUM_NS_PER_NNZ
-        + docs as f64 * (ASSIGN_NS_PER_DOC + PRUNE_NS_PER_DOC);
-    let mem = distance_nnz * BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER + nnz * 24.0;
-    TaskCost {
-        cpu_ns: cpu as u64,
-        mem_bytes: mem as u64,
-        ..Default::default()
-    }
+    let cpu = distance_nnz * ns + docs as f64 * doc_ns;
+    let mem = distance_nnz * bytes + nnz * 12.0;
+    TaskCost::cpu_mem(cpu as u64, mem as u64)
 }
 
-/// Cost of re-transposing the centroids into the term-major block
-/// (serial, once per iteration for the blocked kernels).
-pub fn block_rebuild_cost(k: usize, dim: usize) -> TaskCost {
-    let elems = (k * dim) as f64;
-    TaskCost {
-        cpu_ns: (elems * BLOCK_REBUILD_NS_PER_ELEM) as u64,
-        mem_bytes: (elems * 16.0) as u64,
-        ..Default::default()
-    }
+/// Cost of transposing `terms` terms of `k` centroids into the
+/// term-major block — charged per slab of the parallel rebuild.
+pub fn block_rebuild_cost(k: usize, terms: usize) -> TaskCost {
+    let elems = (k * terms) as f64;
+    let cpu = elems * BLOCK_REBUILD_NS_PER_ELEM;
+    TaskCost::cpu_mem(cpu as u64, (elems * 16.0) as u64)
 }
 
-/// Cost of merging one partial into the running sums (`k × dim`
-/// elements, serial).
-pub fn reduce_cost(k: usize, dim: usize) -> TaskCost {
-    let elems = (k * dim) as f64;
-    TaskCost {
-        cpu_ns: (elems * REDUCE_NS_PER_ELEM) as u64,
-        mem_bytes: (elems * 8.0) as u64,
-        ..Default::default()
-    }
+/// Cost of the serial regrouping of `docs` documents into `k` clusters.
+pub fn membership_cost(docs: u64, k: usize) -> TaskCost {
+    let cpu = docs as f64 * MEMBERSHIP_NS_PER_DOC + k as f64;
+    TaskCost::cpu_mem(cpu as u64, docs * 28)
 }
 
-/// Cost of the serial centroid recompute (divide sums by counts, compute
-/// movement).
-pub fn recompute_cost(k: usize, dim: usize) -> TaskCost {
-    let elems = (k * dim) as f64;
-    TaskCost {
-        cpu_ns: (elems * RECOMPUTE_NS_PER_ELEM) as u64,
-        mem_bytes: (elems * 12.0) as u64,
-        ..Default::default()
-    }
+/// Cost of recomputing one non-empty cluster whose members hold
+/// `member_nnz` non-zeros: they are added into a cache-resident sum, and
+/// one fused pass over `dim` elements rewrites the centroid.
+pub fn update_cost(member_nnz: u64, dim: usize) -> TaskCost {
+    let cpu = member_nnz as f64 * ACCUM_NS_PER_NNZ + dim as f64 * UPDATE_NS_PER_ELEM;
+    TaskCost::cpu_mem(cpu as u64, member_nnz * 12 + dim as u64 * 16)
 }
 
 /// Pre-run estimate of a whole Lloyd run, for the workflow planner's
-/// K-means node: seed init plus `iters` iterations of the blocked
-/// assignment kernel (full sweep — pruning savings are not assumed
-/// up front), the per-iteration block rebuild, one tree-reduce merge,
-/// and the serial centroid recompute. Built from the same per-phase
-/// cost functions the operator charges at run time.
+/// K-means node: seed init plus `iters` iterations of the block rebuild,
+/// the blocked assignment kernel (full sweep — pruning savings are not
+/// assumed up front), the regrouping, and the update of `k` non-empty
+/// clusters. Built from the same per-phase cost functions the operator
+/// charges at run time.
 pub fn lloyd_estimate(docs: u64, nnz: u64, dim: usize, k: usize, iters: usize) -> TaskCost {
     let mut total = init_cost(k, dim);
     for _ in 0..iters {
-        total += assign_cost_pruned(nnz, 0, docs, k);
         total += block_rebuild_cost(k, dim);
-        total += reduce_cost(k, dim);
-        total += recompute_cost(k, dim);
+        total += assign_cost(AssignKernel::BlockedPruned, nnz, 0, docs, k);
+        total += membership_cost(docs, k);
+        total += update_cost(nnz, k * dim);
     }
     total
 }
@@ -157,45 +123,46 @@ pub fn lloyd_estimate(docs: u64, nnz: u64, dim: usize, k: usize, iters: usize) -
 /// Cost of materializing the seed centroids.
 pub fn init_cost(k: usize, dim: usize) -> TaskCost {
     let elems = (k * dim) as f64;
-    TaskCost {
-        cpu_ns: (elems * 0.5) as u64,
-        mem_bytes: (elems * 8.0) as u64,
-        ..Default::default()
-    }
+    TaskCost::cpu_mem((elems * 0.5) as u64, (elems * 8.0) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn docs(n: usize, nnz: usize) -> Vec<SparseVec> {
-        (0..n)
-            .map(|_| SparseVec::from_pairs((0..nnz as u32).map(|t| (t, 1.0)).collect()))
-            .collect()
-    }
-
     #[test]
     fn assign_cost_scales_with_nnz_and_k() {
-        let v = docs(10, 50);
-        let k4 = assign_chunk_cost(&v, 0..10, 4);
-        let k8 = assign_chunk_cost(&v, 0..10, 8);
+        // Documents of 50 non-zeros each.
+        let naive = |docs: u64, k| assign_cost(AssignKernel::Naive, docs * 50, 0, docs, k);
+        let (k4, k8) = (naive(10, 4), naive(10, 8));
         assert!(k8.cpu_ns > (k4.cpu_ns as f64 * 1.6) as u64);
-        let half = assign_chunk_cost(&v, 0..5, 8);
+        let half = naive(5, 8);
         assert!((k8.cpu_ns as f64 / half.cpu_ns as f64 - 2.0).abs() < 0.05);
+        // A predicted skip pays one distance, not k.
+        let pruned = |skip| assign_cost(AssignKernel::BlockedPruned, 500 - skip, skip, 10, 8);
+        assert!(pruned(400).cpu_ns < pruned(0).cpu_ns / 2);
     }
 
     #[test]
-    fn serial_costs_scale_with_k_dim() {
-        let small = reduce_cost(8, 1000);
-        let large = reduce_cost(8, 100_000);
-        assert_eq!(large.cpu_ns, small.cpu_ns * 100);
-        assert!(recompute_cost(8, 1000).cpu_ns > reduce_cost(8, 1000).cpu_ns);
+    fn rebuild_and_update_costs_are_linear_in_what_they_sweep() {
+        let slab = block_rebuild_cost(10, 64);
+        let whole = block_rebuild_cost(10, 64 * 100);
+        assert_eq!(whole.cpu_ns, slab.cpu_ns * 100);
+        assert_eq!(whole.mem_bytes, slab.mem_bytes * 100);
+        // The update follows the members' non-zeros, plus one pass over
+        // the centroid, whatever `k` is.
+        let base = update_cost(0, 1000).cpu_ns;
+        assert_eq!(update_cost(0, 100_000).cpu_ns, base * 100);
+        assert_eq!(
+            update_cost(5000, 1000).cpu_ns - base,
+            (5000.0 * ACCUM_NS_PER_NNZ) as u64
+        );
+        assert!(membership_cost(2000, 8).cpu_ns > membership_cost(1000, 8).cpu_ns);
     }
 
     #[test]
     fn empty_range_is_free() {
-        let v = docs(4, 3);
-        let c = assign_chunk_cost(&v, 2..2, 8);
+        let c = assign_cost(AssignKernel::Naive, 0, 0, 0, 8);
         assert_eq!(c.cpu_ns, 0);
         assert_eq!(c.mem_bytes, 0);
     }
@@ -204,10 +171,10 @@ mod tests {
     fn lloyd_estimate_composes_the_per_phase_costs() {
         let (docs, nnz, dim, k) = (1000u64, 50_000u64, 40_000usize, 8usize);
         let one = lloyd_estimate(docs, nnz, dim, k, 1);
-        let per_iter = assign_cost_pruned(nnz, 0, docs, k).cpu_ns
-            + block_rebuild_cost(k, dim).cpu_ns
-            + reduce_cost(k, dim).cpu_ns
-            + recompute_cost(k, dim).cpu_ns;
+        let per_iter = block_rebuild_cost(k, dim).cpu_ns
+            + assign_cost(AssignKernel::BlockedPruned, nnz, 0, docs, k).cpu_ns
+            + membership_cost(docs, k).cpu_ns
+            + update_cost(nnz, k * dim).cpu_ns;
         assert_eq!(one.cpu_ns, init_cost(k, dim).cpu_ns + per_iter);
         let ten = lloyd_estimate(docs, nnz, dim, k, 10);
         assert_eq!(ten.cpu_ns, init_cost(k, dim).cpu_ns + 10 * per_iter);
@@ -215,18 +182,20 @@ mod tests {
     }
 
     #[test]
-    fn mix_has_higher_serial_fraction_than_nsf() {
-        // The structural driver of Figure 1: serial (k x vocab) work per
-        // iteration relative to parallel (docs x nnz x k) work is ~4x
-        // larger for Mix than for NSF Abstracts.
+    fn mix_sweeps_more_centroid_per_unit_of_assignment_than_nsf() {
+        // What is left of Figure 1's structural driver: the `k × dim`
+        // sweeps of rebuild and update, relative to the `docs × nnz × k`
+        // assignment work, are ~3x larger for Mix than for NSF Abstracts.
+        // They run in parallel, so they do not cap the curve, but their
+        // tasks are fewer and coarser than assignment's.
         let k = 8;
-        let serial_mix = reduce_cost(k, 184_743).cpu_ns + recompute_cost(k, 184_743).cpu_ns;
-        let serial_nsf = reduce_cost(k, 267_914).cpu_ns + recompute_cost(k, 267_914).cpu_ns;
-        // Approximate parallel work with equal nnz per doc.
-        let par_mix = 23_432.0 * 150.0 * k as f64 * ASSIGN_NS_PER_NNZ_CLUSTER;
-        let par_nsf = 101_483.0 * 150.0 * k as f64 * ASSIGN_NS_PER_NNZ_CLUSTER;
-        let frac_mix = serial_mix as f64 / par_mix;
-        let frac_nsf = serial_nsf as f64 / par_nsf;
+        let sweeps =
+            |dim| (block_rebuild_cost(k, dim).cpu_ns + update_cost(0, k * dim).cpu_ns) as f64;
+        // Approximate the assignment work with equal nnz per doc.
+        let pruned = AssignKernel::BlockedPruned;
+        let assign = |docs: u64| assign_cost(pruned, docs * 150, 0, docs, k).cpu_ns as f64;
+        let frac_mix = sweeps(184_743) / assign(23_432);
+        let frac_nsf = sweeps(267_914) / assign(101_483);
         assert!(
             frac_mix > 2.5 * frac_nsf,
             "mix {frac_mix:.4} vs nsf {frac_nsf:.4}"

@@ -22,11 +22,12 @@
 //! the naive kernel, which stays available via
 //! [`KMeansConfig::kernel`] as the ablation baseline.
 //!
-//! All document loops run on the [`Exec`] substrate with one partial
-//! accumulator per worker (mirroring Cilk reducers); the per-iteration
-//! pairwise tree merge of those partials — `log2(P)` rounds over dense
-//! `k x vocabulary` arrays — is the serial fraction that limits
-//! scalability on the vocabulary-heavy *Mix* data set in Figure 1.
+//! Every phase of an iteration runs on the [`Exec`] substrate: the
+//! block is rebuilt in parallel over term slabs, documents are assigned
+//! in parallel over chunks, and — after a serial O(n) regrouping by
+//! cluster — each centroid is recomputed by the one task that owns it.
+//! No `k x vocabulary` array is kept per worker or merged, so the model
+//! is bit-identical at every thread count and grain.
 //!
 //! [`baseline::SimpleKMeans`] reproduces the WEKA comparator: dense,
 //! single-threaded, allocation-happy.
@@ -35,12 +36,20 @@ pub mod assign;
 pub mod baseline;
 pub mod cost;
 pub mod init;
+mod update;
 
 pub use assign::{AssignKernel, AssignStats};
 
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
+use hpa_sparse::block::SLAB_TERMS;
 use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
+use std::ops::Range;
+
+/// Update tasks per thread: enough for stealing to even out unequal
+/// clusters, few enough that the tasks' sum buffers stay a small
+/// fraction of the centroids.
+const UPDATE_TASKS_PER_THREAD: usize = 4;
 
 /// Cluster-initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,45 +125,6 @@ pub struct KMeansModel {
     pub assign_stats: AssignStats,
 }
 
-/// Partial accumulation state of one parallel chunk.
-struct Partial {
-    sums: Vec<DenseVec>,
-    counts: Vec<u64>,
-    cost: f64,
-}
-
-impl Partial {
-    fn new(k: usize, dim: usize) -> Self {
-        Partial {
-            sums: (0..k).map(|_| DenseVec::zeros(dim)).collect(),
-            counts: vec![0; k],
-            cost: 0.0,
-        }
-    }
-
-    /// Zero in place, keeping every allocation — the recycling path.
-    fn reset(&mut self, k: usize, dim: usize) {
-        self.sums.resize_with(k, DenseVec::default);
-        for s in &mut self.sums {
-            s.reset(dim);
-        }
-        self.counts.clear();
-        self.counts.resize(k, 0);
-        self.cost = 0.0;
-    }
-
-    /// Fold `other` into `self` without consuming either allocation.
-    fn merge_in_place(&mut self, other: &Partial) {
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            a.add(b);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.cost += other.cost;
-    }
-}
-
 /// The K-means operator.
 #[derive(Debug, Clone, Default)]
 pub struct KMeans {
@@ -204,8 +174,11 @@ impl KMeans {
                 })
                 .collect()
         });
+        // `|c|^2` per centroid; from here on the update keeps them current.
+        let mut norms: Vec<f64> = centroids.iter().map(|c| c.norm_sq()).collect();
 
         let mut assignments = vec![0u32; n];
+        let mut best_d = vec![0.0f64; n];
         // Hamerly bounds (root-distance space), carried across
         // iterations by the pruned kernel. `ub = ∞, lb = 0` forces a
         // full sweep the first time a document is seen.
@@ -217,110 +190,110 @@ impl KMeans {
         let mut trace: Vec<f64> = Vec::with_capacity(cfg.max_iters);
         let mut total_stats = AssignStats::default();
 
-        // Recycled across iterations: centroid norms, the per-chunk
-        // partial accumulators (k dense vectors each!), the term-major
-        // centroid block, the movement deltas, and the recompute
-        // scratch. With recycling off, every iteration allocates the
-        // norms/partials afresh — the pessimization the §3.1 ablation
-        // measures.
-        let mut norms: Vec<f64> = Vec::new();
         let grain = if cfg.grain > 0 {
             cfg.grain
         } else {
             n.div_ceil(exec.threads())
         };
         let ranges = hpa_exec::chunk_ranges(n, grain);
-        let mut partials: Vec<Mutex<Partial>> = Vec::new();
-        // Pairwise-merge pairing schedule: depends only on the chunk
-        // count, so compute it once instead of per round per iteration.
-        let merge_rounds = assign::merge_schedule(ranges.len());
-        let use_block = matches!(
-            cfg.kernel,
-            AssignKernel::Blocked | AssignKernel::BlockedPruned
-        );
+        let update_grain = k.div_ceil(exec.threads() * UPDATE_TASKS_PER_THREAD);
+        let new_sums = || -> Vec<Mutex<DenseVec>> {
+            (0..k.div_ceil(update_grain))
+                .map(|_| Mutex::new(DenseVec::zeros(dim)))
+                .collect()
+        };
+        let use_block = cfg.kernel != AssignKernel::Naive;
+        // Recycled across iterations: the term-major block, the norms,
+        // the update tasks' sum buffers, the member lists and the
+        // movement deltas. With recycling off the first four are
+        // allocated afresh every iteration — the pessimization the §3.1
+        // ablation measures.
         let mut block = CentroidBlock::new();
+        let mut sums = new_sums();
+        let mut membership = update::Membership::new(n, k);
+        let mut moved = vec![0.0f64; k];
         let mut movement = assign::Movement::default();
         movement.reset(k);
 
         {
             // Chunk ranges are disjoint, so every parallel task owns its
-            // chunk's slices of the assignment/bound arrays outright:
-            // one lock per chunk per iteration, none per document.
-            let chunk_slots: Vec<Mutex<assign::ChunkState<'_>>> =
-                assign::chunk_states(&mut assignments, &mut bound_ub, &mut bound_lb, &ranges, k)
-                    .into_iter()
-                    .map(Mutex::new)
-                    .collect();
+            // chunk's slices of the per-document arrays outright: one
+            // lock per chunk per iteration, none per document.
+            let chunk_slots = assign::chunk_states(
+                &mut assignments,
+                &mut bound_ub,
+                &mut bound_lb,
+                &mut best_d,
+                grain,
+                k,
+            );
 
             for iter in 0..cfg.max_iters {
                 iterations = iter + 1;
                 let _iter_span = hpa_trace::span!("kmeans", "iter", iter as u64);
-                if use_block {
-                    // Re-transpose the centroids into the term-major
-                    // block (also refreshes the norms it carries).
-                    exec.serial(cost::block_rebuild_cost(k, dim), || {
-                        block.rebuild(&centroids)
-                    });
-                } else if cfg.recycle_buffers {
-                    norms.clear();
-                    norms.extend(centroids.iter().map(|c| c.norm_sq()));
-                } else {
-                    norms = centroids.iter().map(|c| c.norm_sq()).collect();
+                if !cfg.recycle_buffers {
+                    block = CentroidBlock::new();
+                    sums = new_sums();
+                    membership = update::Membership::new(n, k);
+                    norms = norms.clone();
                 }
-                if cfg.recycle_buffers && partials.len() == ranges.len() {
-                    for p in &partials {
-                        p.lock().reset(k, dim);
-                    }
-                } else {
-                    partials = ranges
-                        .iter()
-                        .map(|_| Mutex::new(Partial::new(k, dim)))
-                        .collect();
-                }
-                let norms_ref = &norms;
-                let centroids_ref = &centroids;
-                let partials_ref = &partials;
-                let ranges_ref = &ranges;
-                let chunk_slots_ref = &chunk_slots;
-                let block_ref = &block;
-                let movement_ref = &movement;
-                let kernel = cfg.kernel;
 
-                // --- Parallel assignment + per-chunk partial centroid
-                // sums, through the selected kernel.
-                let assign_cost = |chunk_idx_range: std::ops::Range<usize>| {
+                // --- Parallel re-transpose of the centroids into the
+                // term-major block, one slab of terms per lock.
+                if use_block {
+                    let rebuild_cost = |slabs: Range<usize>| {
+                        let terms = (slabs.end * SLAB_TERMS).min(dim) - slabs.start * SLAB_TERMS;
+                        cost::block_rebuild_cost(k, terms)
+                    };
+                    if hpa_trace::is_enabled() {
+                        let slabs = dim.div_ceil(SLAB_TERMS);
+                        hpa_trace::predict(
+                            "kmeans",
+                            "rebuild",
+                            exec.predict_region_ns(slabs, 0, rebuild_cost),
+                        );
+                    }
+                    let _rebuild_span = hpa_trace::span!("kmeans", "rebuild", iter as u64);
+                    let slabs: Vec<Mutex<&mut [f64]>> =
+                        block.begin_rebuild(dim, &norms).map(Mutex::new).collect();
+                    exec.par_chunks(
+                        slabs.len(),
+                        0,
+                        |slab_range| {
+                            for index in slab_range {
+                                CentroidBlock::fill_slab(
+                                    &mut slabs[index].lock(),
+                                    index,
+                                    &centroids,
+                                );
+                            }
+                        },
+                        rebuild_cost,
+                    );
+                }
+
+                // --- Parallel assignment through the selected kernel,
+                // costed by the skips the pre-assignment bounds predict
+                // (conservative: the kernel can only skip more).
+                let assign_cost = |chunks: Range<usize>| {
                     let mut total = TaskCost::default();
-                    for ci in chunk_idx_range.clone() {
-                        let range = ranges_ref[ci].clone();
-                        total += match kernel {
-                            AssignKernel::Naive => cost::assign_chunk_cost(vectors, range, k),
-                            AssignKernel::Blocked => {
-                                cost::assign_chunk_cost_blocked(vectors, range, k)
-                            }
-                            AssignKernel::BlockedPruned => {
-                                // Predict per-document skips from the
-                                // pre-assignment bounds (conservative:
-                                // the kernel can only skip more).
-                                let state = chunk_slots_ref[ci].lock();
-                                let docs = range.len() as u64;
-                                let mut nnz_full = 0u64;
-                                let mut nnz_pruned = 0u64;
-                                for (local, i) in range.enumerate() {
-                                    let nnz = vectors[i].nnz() as u64;
-                                    if assign::predicts_prune(
-                                        state.ub[local],
-                                        state.lb[local],
-                                        state.assign[local] as usize,
-                                        movement_ref,
-                                    ) {
-                                        nnz_pruned += nnz;
-                                    } else {
-                                        nnz_full += nnz;
-                                    }
-                                }
-                                cost::assign_cost_pruned(nnz_full, nnz_pruned, docs, k)
-                            }
-                        };
+                    for ci in chunks {
+                        let state = chunk_slots[ci].lock();
+                        let (mut nnz_all, mut nnz_pruned) = (0u64, 0u64);
+                        for (local, i) in ranges[ci].clone().enumerate() {
+                            let skips = cfg.kernel == AssignKernel::BlockedPruned
+                                && assign::predicts_prune(
+                                    state.ub[local],
+                                    state.lb[local],
+                                    state.assign[local] as usize,
+                                    &movement,
+                                );
+                            let nnz = vectors[i].nnz() as u64;
+                            nnz_all += nnz;
+                            nnz_pruned += nnz * u64::from(skips);
+                        }
+                        let (nnz_full, docs) = (nnz_all - nnz_pruned, ranges[ci].len() as u64);
+                        total += cost::assign_cost(cfg.kernel, nnz_full, nnz_pruned, docs, k);
                     }
                     total
                 };
@@ -339,22 +312,15 @@ impl KMeans {
                     1,
                     |chunk_idx_range| {
                         for ci in chunk_idx_range {
-                            let mut acc = partials_ref[ci].lock();
-                            let mut state = chunk_slots_ref[ci].lock();
                             assign::assign_chunk(
-                                kernel,
+                                cfg.kernel,
                                 vectors,
-                                ranges_ref[ci].clone(),
-                                centroids_ref,
-                                norms_ref,
-                                block_ref,
-                                movement_ref,
-                                &mut state,
-                                |i, best, best_d| {
-                                    acc.sums[best].add_sparse(&vectors[i]);
-                                    acc.counts[best] += 1;
-                                    acc.cost += best_d;
-                                },
+                                ranges[ci].clone(),
+                                &centroids,
+                                &norms,
+                                &block,
+                                &movement,
+                                &mut chunk_slots[ci].lock(),
                             );
                         }
                     },
@@ -377,94 +343,70 @@ impl KMeans {
                 );
                 hpa_trace::counter("kmeans", "distances_pruned", iter_stats.distances_pruned);
 
-                // --- Parallel in-place tree merge of the partials
-                // (pairwise rounds, like Cilk reducer merges), leaving
-                // the total in partials[0]. Allocation-free: the pairing
-                // schedule is precomputed.
-                if hpa_trace::is_enabled() {
-                    let ns: u64 = merge_rounds
-                        .iter()
-                        .map(|(_, pair_lhs)| {
-                            exec.predict_region_ns(pair_lhs.len(), 1, |pair_range| {
-                                let mut total = TaskCost::default();
-                                for _ in pair_range {
-                                    total += cost::reduce_cost(k, dim);
-                                }
-                                total
-                            })
-                        })
-                        .sum();
-                    hpa_trace::predict("kmeans", "merge", ns);
-                }
-                let merge_span = hpa_trace::span!("kmeans", "merge", iter as u64);
-                for (stride, pair_lhs) in &merge_rounds {
-                    let stride = *stride;
-                    let pair_lhs_ref = pair_lhs;
-                    exec.par_chunks(
-                        pair_lhs.len(),
-                        1,
-                        |pair_range| {
-                            for pi in pair_range {
-                                let i = pair_lhs_ref[pi];
-                                let mut a = partials_ref[i].lock();
-                                let b = partials_ref[i + stride].lock();
-                                a.merge_in_place(&b);
-                            }
-                        },
-                        |pair_range| {
-                            let mut total = TaskCost::default();
-                            for _ in pair_range {
-                                total += cost::reduce_cost(k, dim);
-                            }
-                            total
-                        },
-                    );
-                }
-                drop(merge_span);
-                let partial = partials[0].lock();
-
-                // --- Serial centroid recompute; records per-centroid
-                // movement deltas for the next iteration's bounds.
+                // --- Owner-computes update: regroup the documents by
+                // cluster (serial, O(n)), then one task per run of
+                // clusters recomputes its centroids, norms and movement.
+                let _update_span = hpa_trace::span!("kmeans", "update", iter as u64);
+                let regroup_cost = cost::membership_cost(n as u64, k);
+                inertia = exec.serial(regroup_cost, || membership.regroup(&chunk_slots));
+                trace.push(inertia);
+                let update_cost = |clusters: Range<usize>| {
+                    let mut total = TaskCost::default();
+                    for members in clusters.map(|c| membership.of(c)) {
+                        if !members.is_empty() {
+                            let nnz = members.iter().map(|&i| vectors[i as usize].nnz() as u64);
+                            total += cost::update_cost(nnz.sum(), dim);
+                        }
+                    }
+                    total
+                };
                 if hpa_trace::is_enabled() {
                     hpa_trace::predict(
                         "kmeans",
-                        "recompute",
-                        exec.predict_serial_ns(&cost::recompute_cost(k, dim)),
+                        "update",
+                        exec.predict_serial_ns(&regroup_cost)
+                            + exec.predict_region_ns(k, update_grain, update_cost),
                     );
                 }
-                let _recompute_span = hpa_trace::span!("kmeans", "recompute", iter as u64);
-                let new_inertia = partial.cost;
-                let max_movement = {
-                    let centroids = &mut centroids;
-                    let movement = &mut movement;
-                    exec.serial(cost::recompute_cost(k, dim), move || {
-                        movement.reset(k);
-                        let mut max_move: f64 = 0.0;
-                        #[allow(clippy::needless_range_loop)] // c indexes three parallel arrays
-                        for c in 0..k {
-                            if partial.counts[c] == 0 {
-                                // Empty cluster: keep its previous centroid
-                                // (the paper's operator does not re-seed
-                                // mid-run); its movement delta stays zero.
-                                continue;
-                            }
-                            let mut fresh = partial.sums[c].clone();
-                            fresh.scale(1.0 / partial.counts[c] as f64);
-                            let moved = centroids[c].squared_distance(&fresh);
-                            movement.record(c, moved);
-                            max_move = max_move.max(moved);
-                            if cfg.recycle_buffers {
-                                centroids[c].copy_from(&fresh);
-                            } else {
-                                centroids[c] = fresh;
+                let cells: Vec<_> = centroids
+                    .iter_mut()
+                    .zip(norms.iter_mut().zip(moved.iter_mut()))
+                    .map(Mutex::new)
+                    .collect();
+                exec.par_chunks(
+                    k,
+                    update_grain,
+                    |clusters| {
+                        let mut sum = sums[clusters.start / update_grain].lock();
+                        for c in clusters {
+                            let mut cell = cells[c].lock();
+                            let (centroid, (norm, moved)) = &mut *cell;
+                            let members = membership.of(c);
+                            // An empty cluster keeps its centroid (the
+                            // paper's operator does not re-seed mid-run)
+                            // and has not moved.
+                            **moved = 0.0;
+                            if !members.is_empty() {
+                                for &i in members {
+                                    sum.add_sparse(&vectors[i as usize]);
+                                }
+                                let mean = 1.0 / members.len() as f64;
+                                (**moved, **norm) = centroid.replace_with_scaled(&mut sum, mean);
                             }
                         }
-                        max_move
-                    })
-                };
+                    },
+                    update_cost,
+                );
+                drop(cells);
 
-                inertia = new_inertia;
-                trace.push(inertia);
+                // Movement deltas for the next iteration's bounds, in
+                // cluster order.
+                movement.reset(k);
+                let mut max_movement: f64 = 0.0;
+                for (c, &d_sq) in moved.iter().enumerate() {
+                    movement.record(c, d_sq);
+                    max_movement = max_movement.max(d_sq);
+                }
                 if max_movement <= cfg.tol {
                     converged = true;
                     break;
@@ -522,7 +464,6 @@ mod tests {
             k,
             max_iters: 50,
             seed: 7,
-            grain: 8,
             ..Default::default()
         }
     }
@@ -560,7 +501,8 @@ mod tests {
             let other = KMeans::new(cfg(3)).fit(&exec, &data, dim);
             assert_eq!(reference.assignments, other.assignments, "under {exec:?}");
             assert_eq!(reference.iterations, other.iterations);
-            assert!((reference.inertia - other.inertia).abs() < 1e-12);
+            assert_eq!(reference.inertia.to_bits(), other.inertia.to_bits());
+            assert_eq!(reference.centroids, other.centroids, "under {exec:?}");
         }
     }
 

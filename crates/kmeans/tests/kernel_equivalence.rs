@@ -187,6 +187,39 @@ fn kernels_agree_across_executors() {
 }
 
 #[test]
+fn model_does_not_depend_on_thread_count_or_grain() {
+    // Every cluster's sum is formed by one task in document order, so
+    // not only the assignments but every bit of the model is fixed by
+    // the input alone.
+    let mut rng = SplitMix64::seed_from_u64(0x0117);
+    let vectors = corpus(&mut rng, 320, 90, 14);
+    for kernel in KERNELS {
+        let fit_on = |exec: &Exec, grain: usize| {
+            KMeans::new(KMeansConfig {
+                grain,
+                ..cfg(7, kernel)
+            })
+            .fit(exec, &vectors, 90)
+        };
+        let reference = fit_on(&Exec::sequential(), 0);
+        assert!(reference.iterations > 2, "{}", kernel.label());
+        for exec in [
+            Exec::sequential(),
+            Exec::pool(2),
+            Exec::pool(3),
+            Exec::simulated(4, MachineModel::default()),
+        ] {
+            for grain in [0, 7, 64] {
+                let model = fit_on(&exec, grain);
+                let label = format!("{} {exec:?} grain {grain}", kernel.label());
+                assert_identical(&reference, &model, &label);
+                assert_eq!(reference.assign_stats, model.assign_stats, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
 fn pruning_actually_prunes_and_accounts_exactly() {
     let mut rng = SplitMix64::seed_from_u64(0xBEEF);
     let vectors = corpus(&mut rng, 150, 60, 10);

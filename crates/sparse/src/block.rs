@@ -23,6 +23,11 @@
 //! end.
 
 use crate::{DenseVec, SparseVec};
+use std::slice::ChunksMut;
+
+/// Terms per slab of the tiled rebuild: `64 × k` doubles, 64 KB at
+/// `k = 128`.
+pub const SLAB_TERMS: usize = 64;
 
 /// `k` dense centroids stored term-major (`data[t * k + c]`), with the
 /// per-centroid squared norms the distance expansion needs.
@@ -56,16 +61,42 @@ impl CentroidBlock {
     /// Re-transpose `centroids` into the block, reusing the allocation.
     /// All centroids must share one dimensionality.
     pub fn rebuild(&mut self, centroids: &[DenseVec]) {
-        self.k = centroids.len();
-        self.dim = centroids.first().map_or(0, |c| c.len());
-        self.data.clear();
-        self.data.resize(self.dim * self.k, 0.0);
+        let dim = centroids.first().map_or(0, |c| c.len());
+        for centroid in centroids {
+            assert_eq!(centroid.len(), dim, "centroid dimension mismatch");
+        }
+        let norms: Vec<f64> = centroids.iter().map(|c| c.norm_sq()).collect();
+        for (index, slab) in self.begin_rebuild(dim, &norms).enumerate() {
+            Self::fill_slab(slab, index, centroids);
+        }
+    }
+
+    /// First half of a rebuild the caller parallelises: size the block
+    /// for `norms.len()` centroids of `dim` terms, install their squared
+    /// `norms`, and hand out the term slabs ([`SLAB_TERMS`] terms × `k`
+    /// each, the last one shorter) for [`fill_slab`](Self::fill_slab).
+    /// Only a growing block is zero-filled: the slabs get overwritten.
+    pub fn begin_rebuild(&mut self, dim: usize, norms: &[f64]) -> ChunksMut<'_, f64> {
+        self.k = norms.len();
+        self.dim = dim;
         self.norms.clear();
-        self.norms.extend(centroids.iter().map(|c| c.norm_sq()));
+        self.norms.extend_from_slice(norms);
+        self.data.resize(dim * self.k, 0.0);
+        self.data.chunks_mut((SLAB_TERMS * self.k).max(1))
+    }
+
+    /// Transpose terms `index * SLAB_TERMS ..` of `centroids` into their
+    /// slab. A slab is small enough to stay in cache while every
+    /// centroid scatters its run of terms into it, so each line of the
+    /// block goes to memory once per rebuild.
+    pub fn fill_slab(slab: &mut [f64], index: usize, centroids: &[DenseVec]) {
+        let k = centroids.len();
+        let first = index * SLAB_TERMS;
+        let terms = slab.len() / k;
         for (c, centroid) in centroids.iter().enumerate() {
-            assert_eq!(centroid.len(), self.dim, "centroid dimension mismatch");
-            for (t, &w) in centroid.as_slice().iter().enumerate() {
-                self.data[t * self.k + c] = w;
+            let run = &centroid.as_slice()[first..first + terms];
+            for (row, &w) in slab.chunks_exact_mut(k).zip(run) {
+                row[c] = w;
             }
         }
     }
@@ -229,6 +260,41 @@ mod tests {
         assert_eq!(block.norms().len(), 4);
         let expected: Vec<f64> = centroids(4, 50).iter().map(|c| c.norm_sq()).collect();
         assert_eq!(block.norms(), expected.as_slice());
+    }
+
+    #[test]
+    fn tiled_rebuild_matches_elementwise_transpose_bitwise() {
+        for k in [1, 3, 8, 11, 128] {
+            for dim in [
+                1,
+                SLAB_TERMS - 1,
+                SLAB_TERMS,
+                SLAB_TERMS + 1,
+                3 * SLAB_TERMS + 7,
+            ] {
+                let cs = centroids(k, dim);
+                let norms: Vec<f64> = cs.iter().map(|c| c.norm_sq()).collect();
+                // Recycled from another shape, slabs filled last to first.
+                let mut by_slab = CentroidBlock::from_centroids(&centroids(5, 300));
+                let slabs: Vec<&mut [f64]> = by_slab.begin_rebuild(dim, &norms).collect();
+                assert_eq!(slabs.len(), dim.div_ceil(SLAB_TERMS));
+                for (index, slab) in slabs.into_iter().enumerate().rev() {
+                    CentroidBlock::fill_slab(slab, index, &cs);
+                }
+                let whole = CentroidBlock::from_centroids(&cs);
+                for block in [&by_slab, &whole] {
+                    assert_eq!((block.k(), block.dim()), (k, dim));
+                    assert_eq!(block.data.len(), k * dim);
+                    for (c, centroid) in cs.iter().enumerate() {
+                        assert_eq!(block.norms()[c].to_bits(), norms[c].to_bits());
+                        for (t, w) in centroid.as_slice().iter().enumerate() {
+                            let got = block.data[t * k + c];
+                            assert_eq!(got.to_bits(), w.to_bits(), "k={k} dim={dim} c={c} t={t}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,31 @@ impl DenseVec {
         self.data.extend_from_slice(&other.data);
     }
 
+    /// The centroid update in one pass: `self` becomes `sum * factor` and
+    /// `sum` all zeros, ready for its next use. Returns the squared
+    /// distance `self` moved by and its new squared norm, bit-identical to
+    /// `scale` on a copy of `sum`, then `squared_distance`, `copy_from`
+    /// and `norm_sq`.
+    pub fn replace_with_scaled(&mut self, sum: &mut DenseVec, factor: f64) -> (f64, f64) {
+        assert_eq!(self.len(), sum.len(), "dimension mismatch");
+        // `Iterator::sum`'s own zero, so that an empty vector agrees too.
+        let mut squares: f64 = std::iter::empty::<f64>().sum();
+        let moved = self
+            .data
+            .iter_mut()
+            .zip(&mut sum.data)
+            .map(|(old, s)| {
+                let fresh = *s * factor;
+                let step = *old - fresh;
+                squares += fresh * fresh;
+                *old = fresh;
+                *s = 0.0;
+                step * step
+            })
+            .sum();
+        (moved, squares)
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()
@@ -174,6 +199,38 @@ mod tests {
         assert_eq!(a.len(), 32);
         assert_eq!(a.as_slice().as_ptr(), ptr);
         assert_eq!(a.as_slice()[0], 1.0);
+    }
+
+    #[test]
+    fn fused_update_matches_the_separate_passes_bitwise() {
+        for dim in [0, 1, 7, 64, 1000] {
+            let wave = |i: usize, a: f64| ((i * 37 % 101) as f64 - 50.0) * a;
+            let sum = DenseVec::from_vec((0..dim).map(|i| wave(i, 0.731)).collect());
+            let old = DenseVec::from_vec((0..dim).map(|i| wave(i + 13, 0.0193)).collect());
+            let factor = 1.0 / 37.0;
+
+            let mut fresh = sum.clone();
+            fresh.scale(factor);
+            let moved = old.squared_distance(&fresh);
+            let mut separate = old.clone();
+            separate.copy_from(&fresh);
+
+            let (mut fused, mut buffer) = (old.clone(), sum.clone());
+            let (fused_moved, fused_norm) = fused.replace_with_scaled(&mut buffer, factor);
+            assert_eq!(fused_moved.to_bits(), moved.to_bits(), "dim={dim}");
+            assert_eq!(
+                fused_norm.to_bits(),
+                separate.norm_sq().to_bits(),
+                "dim={dim}"
+            );
+            let bits = |v: &DenseVec| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused), bits(&separate), "dim={dim}");
+            assert_eq!(
+                buffer,
+                DenseVec::zeros(dim),
+                "sum buffer is ready for reuse"
+            );
+        }
     }
 
     #[test]
