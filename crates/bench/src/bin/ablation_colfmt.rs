@@ -63,7 +63,6 @@ fn main() {
     );
 
     let corpus = cfg.nsf();
-    cfg.trace_input_staging(&corpus);
     let tfidf_config = TfIdfConfig {
         dict_kind: DictKind::BTree,
         grain: 0,

@@ -19,7 +19,7 @@
 
 use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;
-use hpa_core::{DiscreteIo, PlanSpace, Transport, Workflow, WorkflowBuilder};
+use hpa_core::{PlanSpace, Transport, WorkflowBuilder};
 use hpa_dict::DictKind;
 use hpa_kmeans::KMeansConfig;
 use hpa_metrics::{ExperimentReport, Table};
@@ -57,7 +57,6 @@ fn main() {
     );
 
     let corpus = cfg.nsf();
-    cfg.trace_input_staging(&corpus);
     let tfidf_config = TfIdfConfig {
         dict_kind: DictKind::BTree,
         grain: 0,
@@ -76,19 +75,8 @@ fn main() {
             .tfidf(tfidf_config)
             .kmeans(kmeans_config)
     };
-    let forced = |t: Transport| -> Workflow {
-        match t {
-            Transport::Fused => base().fused(),
-            Transport::Pipelined(format) => base()
-                .intermediate_format(format)
-                .discrete_io(DiscreteIo::Pipelined)
-                .discrete(),
-            Transport::Materialized(format) => base()
-                .intermediate_format(format)
-                .discrete_io(DiscreteIo::Serial)
-                .discrete(),
-        }
-    };
+    // A forced plan is a plan space of one.
+    let forced = |t: Transport| base().plan_space(PlanSpace::only([t])).planned();
 
     // ---- Forced arms: every plan the planner could pick -------------
     let arms: Vec<Arm> = Transport::ALL

@@ -34,7 +34,6 @@ fn main() {
     );
 
     let corpus = cfg.nsf();
-    cfg.trace_input_staging(&corpus);
     let threads: Vec<usize> = cfg
         .threads
         .iter()

@@ -210,41 +210,6 @@ impl BenchConfig {
             .generate(self.seed)
     }
 
-    /// When tracing, stage `corpus` once through the real on-disk
-    /// read-ahead input path, so the trace gets the `readahead` tracks
-    /// (per-file read spans, queue-depth and bytes-read counters) even
-    /// for benches whose measured phases consume an in-memory corpus.
-    /// No-op when tracing is off; never affects the benchmark numbers.
-    pub fn trace_input_staging(&self, corpus: &Corpus) {
-        if !hpa_trace::is_enabled() {
-            return;
-        }
-        let stage = || -> std::io::Result<u64> {
-            let dir = std::env::temp_dir().join(format!(
-                "hpa_trace_stage_{}_{}",
-                std::process::id(),
-                corpus.name.replace(' ', "_")
-            ));
-            hpa_corpus::disk::write_corpus(corpus, &dir)?;
-            let paths = hpa_corpus::disk::list_documents(&dir)?;
-            let _span = hpa_trace::span!("readahead", "stage-corpus", paths.len() as u64);
-            let mut bytes = 0u64;
-            for (path, text) in hpa_io::ReadAhead::new(paths, 8) {
-                match text {
-                    Ok(t) => bytes += t.len() as u64,
-                    Err(e) => {
-                        eprintln!("warning: staging read of {} failed: {e}", path.display())
-                    }
-                }
-            }
-            std::fs::remove_dir_all(&dir).ok();
-            Ok(bytes)
-        };
-        if let Err(e) = stage() {
-            eprintln!("warning: traced input staging failed: {e}");
-        }
-    }
-
     /// Print the report and write its CSVs to the output directory.
     /// When tracing is on (`--trace` / `HPA_TRACE`), also flushes the
     /// Chrome-trace JSON and prints the span summary.

@@ -1,7 +1,7 @@
 //! Shim synchronization types, API-compatible with `hpa_exec::sync` and
 //! the `std::sync::atomic` types the substrate uses.
 //!
-//! Every operation first asks [`crate::sched::current`] whether the
+//! Every operation first asks `crate::sched::current` whether the
 //! calling thread belongs to an active model run. Inside a run, the
 //! operation routes through the cooperative scheduler (becoming a
 //! scheduling point the explorer can branch on); outside a run, it

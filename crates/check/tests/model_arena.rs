@@ -1,103 +1,15 @@
-//! Model-check suite for concurrent sharded-**arena** merge scheduling —
-//! the parallel merge the word-count phase's serial tail turns into when
-//! the dictionaries are sharded and arena-backed.
+//! Model-check suite for the arena dictionary's shared-read path.
 //!
 //! The arena's lazily built sorted index lives in a `OnceLock`, so a
-//! shared `ShardedDict` of arenas must stay safe when several threads
-//! trigger `for_each_sorted` (index initialization races) while others
-//! `get` through the cached-hash path. The per-shard merge scheduling is
-//! exercised the way `ops.rs` would drive it: workers each own one
-//! target shard, scattered from the same set of source dictionaries.
+//! shared `ArenaDict` must stay safe when several threads trigger
+//! `for_each_sorted` at once (index initialization races).
 //!
 //! Run with `cargo test -p hpa-check --features model-check`.
 #![cfg(feature = "model-check")]
 
 use hpa_check as check;
-use hpa_check::sync::Mutex;
-use hpa_dict::{hash_word, DictKind, Dictionary, ShardedDict};
+use hpa_dict::{DictKind, Dictionary};
 use std::sync::Arc;
-
-/// Workers merge disjoint shards of the same source concurrently: shard
-/// `s` of the target only ever meets shard `s` of a source, so per-shard
-/// merges need no ordering between them. Every interleaving must yield
-/// the exact sums and exact absorbed statistics.
-#[test]
-fn per_shard_arena_merges_commute() {
-    let report = check::model_with(
-        check::CheckConfig {
-            max_interleavings: 30_000,
-            ..check::CheckConfig::default()
-        },
-        || {
-            let mut source = ShardedDict::new(DictKind::Arena, 2);
-            for w in ["alpha", "beta", "gamma", "delta"] {
-                source.add(w, 2);
-            }
-            let source = Arc::new(source);
-            // The target's shards scatter to one worker each, then gather.
-            let target = ShardedDict::new(DictKind::Arena, 2);
-            let shards: Vec<_> = target.into_shards().into_iter().map(Mutex::new).collect();
-            let shards = Arc::new(shards);
-            let workers: Vec<_> = (0..2)
-                .map(|s| {
-                    let source = Arc::clone(&source);
-                    let shards = Arc::clone(&shards);
-                    check::thread::spawn(move || {
-                        shards[s].lock().merge_from(source.shard(s));
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
-            }
-            let mut total = 0u64;
-            for shard in shards.iter() {
-                shard.lock().for_each(&mut |_, v| total += v);
-            }
-            assert_eq!(total, 8, "all four counts must land exactly once");
-        },
-    );
-    assert!(report.error.is_none(), "{report:?}");
-    assert!(report.locks.is_acyclic(), "{report:?}");
-    assert!(report.interleavings >= 2, "{report:?}");
-}
-
-/// Concurrent cached-hash readers against a shared arena-backed sharded
-/// dictionary: `get_hashed` routes by the same 64-bit hash the slots
-/// cache, and the per-shard lookup counters are relaxed atomics. No
-/// interleaving may lose a count or observe a wrong value.
-#[test]
-fn concurrent_hashed_lookups_are_exact() {
-    let report = check::model_with(
-        check::CheckConfig {
-            max_interleavings: 30_000,
-            ..check::CheckConfig::default()
-        },
-        || {
-            let mut d = ShardedDict::new(DictKind::Arena, 2);
-            d.add("alpha", 3);
-            d.add("beta", 5);
-            let d = Arc::new(d);
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    let d = Arc::clone(&d);
-                    check::thread::spawn(move || {
-                        assert_eq!(d.get_hashed(hash_word("alpha"), "alpha"), Some(3));
-                        assert_eq!(d.get_hashed(hash_word("beta"), "beta"), Some(5));
-                    })
-                })
-                .collect();
-            assert_eq!(d.get("beta"), Some(5));
-            for r in readers {
-                r.join().unwrap();
-            }
-            let lookups: u64 = d.shard_stats().iter().map(|(_, l)| l).sum();
-            assert_eq!(lookups, 5, "every lookup must be counted exactly once");
-        },
-    );
-    assert!(report.error.is_none(), "{report:?}");
-    assert!(report.locks.is_acyclic(), "{report:?}");
-}
 
 /// Racing sorted walks on one shared arena, racing the `OnceLock` index
 /// initialization (the lock itself is std, outside the shim schedule,

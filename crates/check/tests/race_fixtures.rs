@@ -211,23 +211,27 @@ fn sibling_write_read_without_an_edge_is_flagged() {
     assert!(err.message.contains("data race"), "{}", err.message);
 }
 
-/// The retrofitted substrate hooks under a modeled scatter/merge: two
-/// workers fill `ShardedDict`s, the parent merges after joining both.
-/// Every tracked access is ordered by the join edges — clean — and the
+/// The retrofitted substrate hooks under a modeled scatter/merge — the
+/// shape `count_words`' `par_fold_reduce` runs: two workers each fold
+/// partial arena dictionaries together (a tracked write on the worker's
+/// thread), the parent merges the results after joining both. Every
+/// tracked access is ordered by the join edges — clean — and the
 /// deque/channel suites assert the same for their structures.
 #[test]
-fn sharded_dict_scatter_merge_is_race_free() {
-    use hpa_dict::{DictKind, Dictionary, ShardedDict};
+fn arena_dict_scatter_merge_is_race_free() {
+    use hpa_dict::{DictKind, Dictionary};
     let report = check::model(|| {
         let mk = || {
-            let mut d = ShardedDict::new(DictKind::Arena, 2);
+            let mut d = DictKind::Arena.new_dict();
             d.add("alpha", 1);
-            d.add("beta", 2);
+            let mut partial = DictKind::Arena.new_dict();
+            partial.add("beta", 2);
+            d.merge_from(&partial);
             d
         };
         let h1 = check::thread::spawn(mk);
         let h2 = check::thread::spawn(mk);
-        let mut total = ShardedDict::new(DictKind::Arena, 2);
+        let mut total = DictKind::Arena.new_dict();
         let d1 = h1.join().unwrap();
         let d2 = h2.join().unwrap();
         total.merge_from(&d1);
@@ -235,5 +239,6 @@ fn sharded_dict_scatter_merge_is_race_free() {
         assert_eq!(total.get("alpha"), Some(2));
         assert_eq!(total.get("beta"), Some(4));
     });
+    assert!(report.error.is_none(), "{report:?}");
     assert!(report.locks.is_acyclic());
 }

@@ -154,7 +154,7 @@ impl<R: Read> ColReader<R> {
 /// payload within `bytes`. Only the fixed headers are touched — no
 /// payload is hashed or decoded — so this is the cheap serial prefix
 /// of the parallel read path; workers then call
-/// [`decode_chunk`](crate::decode_chunk) on disjoint slices.
+/// [`decode_chunk`] on disjoint slices.
 ///
 /// Validates chunk contiguity, the total row count, and that the file
 /// ends exactly after the last payload.

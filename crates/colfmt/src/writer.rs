@@ -4,7 +4,7 @@
 //! Two entry points feed the same stream: [`ColWriter::write_chunk`]
 //! encodes rows in place (the serial path), while
 //! [`ColWriter::write_raw_chunk`] appends a chunk block some worker
-//! already encoded with [`encode_chunk`](crate::encode_chunk) — the
+//! already encoded with [`encode_chunk`] — the
 //! drain half of the pipelined writer, where formatting runs chunk-
 //! parallel behind a `Sequencer` and only the ordered byte append is
 //! serial. Both produce identical bytes for identical rows, which the
@@ -72,7 +72,7 @@ impl<W: Write> ColWriter<W> {
     }
 
     /// Append a pre-encoded chunk block (header + payload, as produced
-    /// by [`encode_chunk`](crate::encode_chunk)).
+    /// by [`encode_chunk`]).
     ///
     /// # Panics
     /// Panics if the block's `doc_start` does not continue the stream —

@@ -20,10 +20,12 @@
 //!   `output`);
 //! * [`ops`] — the TF/IDF and K-means stages as operators;
 //! * [`WorkflowBuilder`] / [`Workflow`] — the composed TF/IDF → K-means
-//!   workflow with a [`Strategy`] switch between `Discrete`, `Fused`,
-//!   and `Planned` — the last builds the operator DAG (`hpa_plan`),
-//!   prices every transport assignment with the analytic cost models,
-//!   and executes the cheapest plan.
+//!   workflow. How the matrix crosses from one operator to the other is
+//!   one value, a [`PlanSpace`]: every run builds the operator DAG
+//!   (`hpa_plan`), prices each transport the space allows with the
+//!   analytic cost models, and executes the cheapest. `fused()` and
+//!   `discrete()` are spaces of one transport; `planned()` leaves the
+//!   choice open.
 
 pub mod operator;
 pub mod ops;
@@ -40,7 +42,7 @@ use hpa_corpus::Corpus;
 use hpa_exec::Exec;
 use hpa_kmeans::KMeansConfig;
 use hpa_metrics::{PhaseReport, PhaseTimer};
-use hpa_plan::{Dag, DagError, EdgeId, EdgeSpec, MatrixStats, OperatorSpec, Plan, PortType};
+use hpa_plan::{Dag, DagError, EdgeId, EdgeSpec, MatrixStats, OperatorSpec, PortType};
 use hpa_sparse::SparseVec;
 use hpa_tfidf::{TfIdfConfig, TfIdfModel};
 use std::path::PathBuf;
@@ -87,40 +89,7 @@ fn sample_heap() {
     }
 }
 
-/// Workflow composition strategy (the independent variable of Figure 3).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// One binary, in-memory hand-off ("merged" in the paper).
-    #[default]
-    Fused,
-    /// Separate operators communicating through an ARFF file in the given
-    /// directory (a fresh temporary directory when `None`).
-    Discrete {
-        /// Directory for the intermediate file.
-        dir: Option<PathBuf>,
-    },
-    /// Let the cost-based planner (`hpa_plan`) pick the transport for
-    /// every edge of the workflow DAG, within the builder's
-    /// [`PlanSpace`]. A chosen file transport lands in the given
-    /// directory (a fresh temporary directory when `None`).
-    Planned {
-        /// Directory for any intermediate file the plan materializes.
-        dir: Option<PathBuf>,
-    },
-}
-
-impl Strategy {
-    /// The intermediate directory this strategy names, if any.
-    fn dir(&self) -> Option<&PathBuf> {
-        match self {
-            Strategy::Fused => None,
-            Strategy::Discrete { dir } | Strategy::Planned { dir } => dir.as_ref(),
-        }
-    }
-}
-
-/// How the discrete strategy moves the intermediate through the ARFF
-/// file.
+/// How a discrete workflow moves the intermediate through its file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiscreteIo {
     /// Pipelined round-trip: row formatting runs chunk-parallel behind a
@@ -206,9 +175,8 @@ pub struct WorkflowOutcome {
     /// The serialized cluster-assignment output ("output" phase product).
     pub output: Vec<u8>,
     /// Transport label per DAG edge, in edge order (corpus hand-off,
-    /// matrix hand-off, clustering hand-off) — what the plan actually
-    /// executed, whether forced by the strategy or chosen by the
-    /// planner.
+    /// matrix hand-off, clustering hand-off) — what the run actually
+    /// executed.
     pub plan: Vec<&'static str>,
 }
 
@@ -240,7 +208,7 @@ impl WorkflowBuilder {
         self
     }
 
-    /// Set the discrete ARFF round-trip mode (default: pipelined).
+    /// Set the discrete round-trip schedule (default: pipelined).
     pub fn discrete_io(mut self, io: DiscreteIo) -> Self {
         self.discrete_io = io;
         self
@@ -255,38 +223,48 @@ impl WorkflowBuilder {
 
     /// Restrict the transports the planner may consider (default: every
     /// transport). Only meaningful for [`planned`](Self::planned)
-    /// workflows; forced strategies ignore it.
+    /// workflows; `fused` and `discrete` name their one transport
+    /// themselves.
     pub fn plan_space(mut self, space: PlanSpace) -> Self {
         self.plan_space = space;
         self
     }
 
-    fn build(self, strategy: Strategy) -> Workflow {
+    fn build(self, plan_space: PlanSpace, dir: Option<PathBuf>) -> Workflow {
         Workflow {
             tfidf: self.tfidf,
             kmeans: self.kmeans,
-            strategy,
-            discrete_io: self.discrete_io,
-            intermediate_format: self.intermediate_format,
-            plan_space: self.plan_space,
+            plan_space,
+            dir,
         }
+    }
+
+    /// The single transport the two discrete knobs name.
+    fn discrete_space(&self) -> PlanSpace {
+        let format = self.intermediate_format;
+        PlanSpace::only([match self.discrete_io {
+            DiscreteIo::Pipelined => Transport::Pipelined(format),
+            DiscreteIo::Serial => Transport::Materialized(format),
+        }])
     }
 
     /// Finish as a fused ("merged") workflow.
     pub fn fused(self) -> Workflow {
-        self.build(Strategy::Fused)
+        self.build(PlanSpace::only([Transport::Fused]), None)
     }
 
     /// Finish as a discrete workflow using a fresh temporary directory
-    /// for the intermediate ARFF file.
+    /// for the intermediate file.
     pub fn discrete(self) -> Workflow {
-        self.build(Strategy::Discrete { dir: None })
+        let space = self.discrete_space();
+        self.build(space, None)
     }
 
     /// Finish as a discrete workflow with an explicit intermediate
     /// directory.
     pub fn discrete_in(self, dir: PathBuf) -> Workflow {
-        self.build(Strategy::Discrete { dir: Some(dir) })
+        let space = self.discrete_space();
+        self.build(space, Some(dir))
     }
 
     /// Finish as a planner-driven workflow: the cost-based planner
@@ -294,13 +272,15 @@ impl WorkflowBuilder {
     /// [`PlanSpace`], using a fresh temporary directory for any
     /// intermediate it materializes.
     pub fn planned(self) -> Workflow {
-        self.build(Strategy::Planned { dir: None })
+        let space = self.plan_space.clone();
+        self.build(space, None)
     }
 
     /// Finish as a planner-driven workflow with an explicit directory
     /// for any materialized intermediate.
     pub fn planned_in(self, dir: PathBuf) -> Workflow {
-        self.build(Strategy::Planned { dir: Some(dir) })
+        let space = self.plan_space.clone();
+        self.build(space, Some(dir))
     }
 }
 
@@ -311,14 +291,13 @@ pub struct Workflow {
     pub tfidf: TfIdfConfig,
     /// K-means stage configuration.
     pub kmeans: KMeansConfig,
-    /// Composition strategy.
-    pub strategy: Strategy,
-    /// Intermediate round-trip schedule for the discrete strategy.
-    pub discrete_io: DiscreteIo,
-    /// On-disk encoding of the discrete intermediate.
-    pub intermediate_format: IntermediateFormat,
-    /// Transports the planner may consider under [`Strategy::Planned`].
+    /// Transports the matrix hand-off may take — the composition choice
+    /// (the independent variable of Figure 3). The planner runs the
+    /// cheapest; a space of one transport forces it.
     pub plan_space: PlanSpace,
+    /// Directory for any intermediate file the chosen transport
+    /// materializes (a fresh temporary directory when `None`).
+    pub dir: Option<PathBuf>,
 }
 
 /// Cost of the final "output" phase for `len` serialized bytes:
@@ -335,15 +314,6 @@ fn output_cost(len: usize) -> hpa_exec::TaskCost {
 }
 
 impl Workflow {
-    /// The transport [`Strategy::Discrete`] forces onto the matrix
-    /// edge, from the builder's two discrete knobs.
-    fn discrete_transport(&self) -> Transport {
-        match self.discrete_io {
-            DiscreteIo::Pipelined => Transport::Pipelined(self.intermediate_format),
-            DiscreteIo::Serial => Transport::Materialized(self.intermediate_format),
-        }
-    }
-
     /// The workflow's operator DAG: source → tfidf → kmeans → output,
     /// with per-phase cost closures over the same analytic models the
     /// execution simulator charges. Only the matrix edge is open to
@@ -412,26 +382,6 @@ impl Workflow {
         (dag, matrix_edge)
     }
 
-    /// Resolve the plan this run executes: the forced strategies map
-    /// straight onto [`Plan::forced`] (Figure 3's fixed configurations
-    /// bypass enumeration but share the pricing and execution path);
-    /// [`Strategy::Planned`] enumerates and picks the cheapest.
-    fn resolve_plan(&self, dag: &Dag, exec: &Exec) -> Result<Plan, DagError> {
-        match &self.strategy {
-            Strategy::Fused => Plan::forced(dag, exec, &[Transport::Fused; 3]),
-            Strategy::Discrete { .. } => Plan::forced(
-                dag,
-                exec,
-                &[
-                    Transport::Fused,
-                    self.discrete_transport(),
-                    Transport::Fused,
-                ],
-            ),
-            Strategy::Planned { .. } => hpa_plan::choose(dag, &self.plan_space, exec),
-        }
-    }
-
     /// Materialize the TF/IDF matrix to disk and read it back — the
     /// discrete workflow's extra cost, and the execution of any
     /// non-fused transport the planner picks. `pipelined` selects the
@@ -450,7 +400,7 @@ impl Workflow {
         // intermediate.
         let run_id = DISCRETE_RUN.fetch_add(1, Ordering::Relaxed);
         let file_name = format!("tfidf_{run_id}.{}", format.extension());
-        let (dir, owned_dir) = match self.strategy.dir() {
+        let (dir, owned_dir) = match &self.dir {
             Some(d) => (d.clone(), None),
             None => {
                 let sanitized: String = corpus
@@ -517,9 +467,9 @@ impl Workflow {
     }
 
     /// Run the workflow on `corpus` under `exec`: run TF/IDF, build the
-    /// operator DAG from the materialized matrix shape, resolve the
-    /// plan (forced or chosen), execute the matrix edge's transport,
-    /// then K-means and the output serialization.
+    /// operator DAG from the materialized matrix shape, let the planner
+    /// choose within the plan space, execute the matrix edge's
+    /// transport, then K-means and the output serialization.
     pub fn run(&self, corpus: &Corpus, exec: &Exec) -> Result<WorkflowOutcome, WorkflowError> {
         let _wf_span = hpa_trace::span!("workflow", "run", corpus.len() as u64);
         sample_heap();
@@ -539,7 +489,7 @@ impl Workflow {
         // statistics, not corpus-level guesses.
         let stats = MatrixStats::of(&model.vectors, model.vocab.len());
         let (dag, matrix_edge) = self.dag(corpus, stats);
-        let plan = self.resolve_plan(&dag, exec)?;
+        let plan = hpa_plan::choose(&dag, &self.plan_space, exec)?;
         if hpa_trace::is_enabled() {
             for label in plan.labels() {
                 hpa_trace::instant("plan/choose", label);

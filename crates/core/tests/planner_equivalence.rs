@@ -1,12 +1,14 @@
-//! Planner ↔ hand-wired equivalence: every plan the planner can emit
-//! must reproduce the corresponding forced `Strategy` run bit for bit.
+//! Builder lowering ↔ plan space equivalence: the builder's one `match`
+//! from `(DiscreteIo, IntermediateFormat)` to a `Transport` must name
+//! the transport it says it names.
 //!
-//! The planner only picks *how* the matrix crosses the tfidf → kmeans
-//! edge; the operators themselves are untouched. So for each of the
-//! five transports, a `Planned` workflow restricted to that single
-//! transport and the classic forced workflow (`fused()` / `discrete()`
-//! with the matching format and schedule knobs) must agree exactly —
-//! assignments, dimensionality, and inertia bits — on every executor.
+//! A workflow stores its hand-off as a `PlanSpace` and every run goes
+//! through the planner, so `fused()` / `discrete()` with the format and
+//! schedule knobs are plan spaces of one. For each of the five
+//! transports, the knob-built workflow and a `planned()` workflow whose
+//! space is exactly that transport must agree — plan labels,
+//! assignments, dimensionality, inertia bits, output bytes and phase
+//! labels — on every executor.
 
 use hpa_core::{DiscreteIo, PlanSpace, Transport, Workflow, WorkflowBuilder};
 use hpa_corpus::{Corpus, CorpusSpec};

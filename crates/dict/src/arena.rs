@@ -19,7 +19,8 @@
 //!    table linearly and inserts by cached hash; the destination compares
 //!    key bytes only when a probe actually collides.
 //! 3. **Hash-once pipelines** — callers that already hashed a token (to
-//!    route a [`crate::ShardedDict`] shard, say) pass it down through
+//!    feed both the per-document and the document-frequency dictionary,
+//!    as `count_words` does) pass it down through
 //!    [`crate::Dictionary::add_hashed`] instead of hashing again.
 //!
 //! `for_each_sorted` builds a sorted slot index lazily (invalidated by
@@ -36,10 +37,8 @@ use std::sync::OnceLock;
 const EMPTY: u32 = u32::MAX;
 
 /// Fibonacci multiplier (2^64 / φ): the slot index uses the *high* bits
-/// of `hash * FIB`, so it stays decorrelated from the shard router's
-/// `hash % shards` (which consumes the low bits — with power-of-two
-/// shard counts every key in a shard shares those, and indexing by them
-/// would cluster every probe sequence).
+/// of `hash * FIB` (multiply-shift hashing): they depend on every bit of
+/// the hash, where masking off the low bits would use only those.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[derive(Debug, Clone, Copy)]

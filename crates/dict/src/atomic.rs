@@ -1,18 +1,6 @@
-//! Atomic facade for the dictionary crate: `std::sync::atomic` by
-//! default, the `hpa_check` scheduling-point shims under
-//! `cfg(any(hpa_check, feature = "model-check"))`.
-//!
-//! `ShardedDict`'s per-shard statistics counters go through here so the
-//! model checker sees (and can reorder around) every counter access when
-//! the dictionary is exercised inside `hpa_check::model()`. Substrate
-//! modules must import atomics from this facade, never from `std::sync`
-//! directly — enforced by the `hpa-check` lint binary.
-
-#[cfg(any(hpa_check, feature = "model-check"))]
-pub use hpa_check::sync::atomic::{AtomicU64, AtomicUsize};
-pub use std::sync::atomic::Ordering;
-#[cfg(not(any(hpa_check, feature = "model-check")))]
-pub use std::sync::atomic::{AtomicU64, AtomicUsize};
+//! Model-check facade for the dictionary crate: the `hpa_check`
+//! race-detector hooks under
+//! `cfg(any(hpa_check, feature = "model-check"))`, inert stubs otherwise.
 
 /// Race-detector hook facade, mirroring `hpa_exec::sync::tracked`: real
 /// vector-clock trackers under model checking, inert stubs otherwise.

@@ -262,8 +262,8 @@ impl DictKind {
     }
 
     /// Cost of merging one entry of a source dictionary into a
-    /// destination of `len` entries (the serial tail of word counting
-    /// and the per-shard unit of parallel merging). The standard
+    /// destination of `len` entries (the serial tail of word
+    /// counting). The standard
     /// structures re-hash or re-compare the key from scratch and clone
     /// it when new; the arena inserts by the source's cached hash —
     /// key bytes are touched only on probe collision.

@@ -23,21 +23,18 @@ pub mod arena;
 pub mod atomic;
 pub mod costmodel;
 mod mem;
-pub mod sharded;
 
 pub use arena::{ArenaDict, ArenaStats};
 pub use costmodel::OpCost;
 pub use mem::{arena_heap_bytes, btree_heap_bytes, hash_heap_bytes};
-pub use sharded::ShardedDict;
 
 /// FNV-1a over the word's bytes — the one 64-bit hash the whole pipeline
-/// shares: [`ShardedDict`] routes shards off it (`hash % shards`) and
-/// [`ArenaDict`] derives its slot index from it (high bits of a
-/// Fibonacci multiply, so the two uses stay decorrelated). Stable across
-/// processes, unlike a seeded `DefaultHasher`, so shard assignment and
-/// probe order are deterministic. The fold itself is the workspace-shared
-/// [`hpa_sparse::fnv`] implementation (the same one the columnar format
-/// checksums with); this wrapper keeps the dictionary-facing name.
+/// shares: [`ArenaDict`] derives its slot index from it (high bits of a
+/// Fibonacci multiply). Stable across processes, unlike a seeded
+/// `DefaultHasher`, so probe order is deterministic. The fold itself is
+/// the workspace-shared [`hpa_sparse::fnv`] implementation (the same one
+/// the columnar format checksums with); this wrapper keeps the
+/// dictionary-facing name.
 #[inline]
 pub fn hash_word(word: &str) -> u64 {
     hpa_sparse::fnv1a_str(word)
@@ -51,9 +48,8 @@ pub trait Dictionary {
 
     /// [`Dictionary::add`] with `word`'s [`hash_word`] value already in
     /// hand — the hash-once pipeline's entry point. Structures that key
-    /// off that hash ([`ArenaDict`], [`ShardedDict`] routing) override
-    /// this to skip re-hashing; the standard structures ignore the hint
-    /// (their hashers differ).
+    /// off that hash ([`ArenaDict`]) override this to skip re-hashing;
+    /// the standard structures ignore the hint (their hashers differ).
     fn add_hashed(&mut self, hash: u64, word: &str, delta: u64) -> u64 {
         let _ = hash;
         self.add(word, delta)

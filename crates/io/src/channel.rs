@@ -1,8 +1,8 @@
 //! A bounded MPSC channel on `Mutex` + `Condvar`.
 //!
-//! Replaces `crossbeam::channel::bounded` for the read-ahead pipeline
-//! (offline builds cannot depend on crossbeam). One queue element is a
-//! whole file's contents, so throughput demands are in the thousands of
+//! Replaces `crossbeam::channel::bounded` for the pipelined intermediate
+//! writers (offline builds cannot depend on crossbeam). One queue element
+//! is a whole encoded chunk, so throughput demands are in the thousands of
 //! operations per second — far below where a lock-based queue becomes a
 //! bottleneck. Senders block while the queue is full, the receiver blocks
 //! while it is empty; dropping either side wakes and releases the other.

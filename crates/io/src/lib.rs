@@ -10,8 +10,6 @@
 //! * [`load_corpus_parallel`] — read a document directory with a parallel
 //!   loop, each file annotated with its I/O cost so the execution
 //!   simulator can apply its storage-device model;
-//! * [`ReadAhead`] — a background prefetcher that overlaps file reads
-//!   with the consumer's compute (bounded channel, one producer thread);
 //! * [`Sequencer`] — an order-restoring stage in front of the bounded
 //!   channel, so parallel producers feed a strictly ordered consumer
 //!   (the pipelined ARFF writer's drain thread);
@@ -21,11 +19,9 @@
 
 pub mod channel;
 pub mod counter;
-pub mod readahead;
 pub mod seq;
 
 pub use counter::ByteCounter;
-pub use readahead::ReadAhead;
 pub use seq::Sequencer;
 
 use hpa_exec::sync::Mutex;

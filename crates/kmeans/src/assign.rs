@@ -45,7 +45,7 @@
 //!    (it is needed for the inertia trace anyway), in the same
 //!    floating-point operation order as the naive kernel, so the cost
 //!    accumulation sequence is unchanged; and
-//! 2. the maintained bounds are deflated/inflated by [`BOUND_SLACK`]
+//! 2. the maintained bounds are deflated/inflated by `BOUND_SLACK`
 //!    at every update, so accumulated floating-point rounding in the
 //!    `sqrt`/add/subtract chain can never produce an unsound skip —
 //!    only a vanishingly rare spurious full scan.

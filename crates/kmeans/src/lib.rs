@@ -15,7 +15,7 @@
 //!
 //! On top of the paper's two, this reproduction restructures the hot
 //! distance kernel itself (see [`assign`]): a term-major
-//! [`CentroidBlock`](hpa_sparse::CentroidBlock) computes all `k`
+//! [`CentroidBlock`] computes all `k`
 //! distances in one sweep over each document's non-zeros, and exact
 //! Hamerly-style bounds skip the sweep entirely for documents whose
 //! assignment provably cannot change. Both arms are bit-identical to

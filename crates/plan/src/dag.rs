@@ -141,13 +141,6 @@ impl NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(usize);
 
-impl EdgeId {
-    /// Position in the DAG's edge list.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// What the planner may do with one edge: the transports it can choose
 /// from, and the shape statistics of the data crossing it (required to
 /// price any file transport).
@@ -261,9 +254,6 @@ pub enum DagError {
     /// An edge allows a file transport but carries no [`MatrixStats`]
     /// to price it with.
     Unpriceable(&'static str),
-    /// A forced plan supplied the wrong number of transports, or a
-    /// transport an edge does not allow.
-    ForcedMismatch(String),
 }
 
 impl std::fmt::Display for DagError {
@@ -297,7 +287,6 @@ impl std::fmt::Display for DagError {
                 f,
                 "edge out of {node} allows a file transport but has no matrix stats"
             ),
-            DagError::ForcedMismatch(msg) => write!(f, "forced plan mismatch: {msg}"),
         }
     }
 }

@@ -13,10 +13,10 @@
 //! simulator charges (`hpa_tfidf::cost`, via [`price::transport_cost_ns`])
 //! at the run's thread count, and picks the cheapest plan.
 //!
-//! Paper fidelity is preserved by [`Plan::forced`]: the classic
-//! `Strategy::{Fused, Discrete}` configurations are exactly forced
-//! single-transport plans, so Figure 3's serial-ARFF discrete workflow
-//! is still expressible — and still measured — unchanged.
+//! Paper fidelity needs no second path: a [`PlanSpace`] of one
+//! transport forces it, so Figure 3's fused and serial-ARFF discrete
+//! workflows are plan spaces of one — still expressible, and still
+//! measured, unchanged.
 
 pub mod dag;
 pub mod planner;

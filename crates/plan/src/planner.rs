@@ -17,8 +17,9 @@ use hpa_exec::Exec;
 /// A global restriction on the transports the planner may consider —
 /// intersected with each edge's own allowed set. Used to express
 /// scenarios ("discrete only": how would the planner lay out the
-/// workflow if fusion were off the table?) and by the equivalence
-/// tests to force the planner down every path it can emit.
+/// workflow if fusion were off the table?); a space of one transport
+/// forces it, which is how the paper's fixed configurations (Figure 3's
+/// fused and serial-ARFF discrete workflows) are expressed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanSpace {
     allowed: Vec<Transport>,
@@ -83,9 +84,6 @@ pub struct Plan {
     pub node_ns: u64,
     /// Predicted end-to-end time: node work plus every edge.
     pub total_ns: u64,
-    /// True when the plan was forced ([`Plan::forced`]) rather than
-    /// chosen by enumeration.
-    pub forced: bool,
 }
 
 impl Plan {
@@ -106,47 +104,6 @@ impl Plan {
     /// bench artifacts.
     pub fn labels(&self) -> Vec<&'static str> {
         self.choices.iter().map(|c| c.transport.label()).collect()
-    }
-
-    /// Build a plan by fiat: `transports[i]` is assigned to edge `i`.
-    /// This is how the classic `Strategy::{Fused, Discrete}` workflows
-    /// are expressed — the paper's fixed configurations bypass the
-    /// enumeration but flow through the same pricing and the same
-    /// execution path, so Figure 3's setup is untouched by the planner.
-    /// Errors if the count does not match the DAG's edges or an edge
-    /// does not allow its assigned transport.
-    pub fn forced(dag: &Dag, exec: &Exec, transports: &[Transport]) -> Result<Plan, DagError> {
-        dag.validate()?;
-        if transports.len() != dag.edge_count() {
-            return Err(DagError::ForcedMismatch(format!(
-                "{} transports for {} edges",
-                transports.len(),
-                dag.edge_count()
-            )));
-        }
-        let mut choices = Vec::with_capacity(transports.len());
-        for ((id, edge), &t) in dag.edges().zip(transports) {
-            if !edge.allowed().contains(&t) {
-                return Err(DagError::ForcedMismatch(format!(
-                    "edge #{} does not allow {}",
-                    id.index(),
-                    t.label()
-                )));
-            }
-            choices.push(EdgeChoice {
-                edge: id,
-                transport: t,
-                edge_ns: edge_cost(dag, id, t, exec),
-            });
-        }
-        let node_ns = dag.nodes_cost_ns(exec);
-        let edge_ns: u64 = choices.iter().map(|c| c.edge_ns).sum();
-        Ok(Plan {
-            choices,
-            node_ns,
-            total_ns: node_ns + edge_ns,
-            forced: true,
-        })
     }
 }
 
@@ -225,7 +182,6 @@ pub fn choose(dag: &Dag, space: &PlanSpace, exec: &Exec) -> Result<Plan, DagErro
             choices,
             node_ns,
             total_ns: node_ns + edge_ns,
-            forced: false,
         };
         let better = match &best {
             None => true,
@@ -302,7 +258,6 @@ mod tests {
         assert_eq!(plan.transport(matrix_edge), Some(Transport::Fused));
         assert_eq!(plan.edges_ns(), 0);
         assert_eq!(plan.total_ns, plan.node_ns);
-        assert!(!plan.forced);
     }
 
     #[test]
@@ -368,25 +323,6 @@ mod tests {
             choose(&dag, &space, &exec).unwrap_err(),
             DagError::EmptyTransportSet("a")
         );
-    }
-
-    #[test]
-    fn forced_plans_round_trip_and_validate() {
-        let (dag, matrix_edge) = workflow_dag();
-        let exec = hpa_exec::Exec::sequential();
-        let t = Transport::Materialized(IntermediateFormat::Arff);
-        let plan = Plan::forced(&dag, &exec, &[Transport::Fused, t, Transport::Fused]).unwrap();
-        assert!(plan.forced);
-        assert_eq!(plan.transport(matrix_edge), Some(t));
-        assert_eq!(plan.labels(), vec!["fused", "arff-serial", "fused"]);
-        // The forced plan's price equals the chosen plan's price for
-        // the same transports — same pricing path.
-        let chosen = choose(&dag, &PlanSpace::only([t]), &exec).unwrap();
-        assert_eq!(plan.total_ns, chosen.total_ns);
-        // Wrong arity and disallowed transports are rejected.
-        assert!(Plan::forced(&dag, &exec, &[Transport::Fused]).is_err());
-        let err = Plan::forced(&dag, &exec, &[t, Transport::Fused, Transport::Fused]).unwrap_err();
-        assert!(matches!(err, DagError::ForcedMismatch(_)), "{err}");
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Transport pricing: what one edge costs under each [`Transport`],
 //! from matrix shape statistics alone.
 //!
-//! Every formula here mirrors the `trace::predict` site of the code
-//! path the transport would execute (`hpa_tfidf::{write,read}_*`),
-//! using the same `hpa_tfidf::cost` estimators, the same chunk grains,
-//! and the same overlap rule (`serial prefix + max(parallel region,
-//! drain)`), evaluated through [`Exec::predict_serial_ns`] /
-//! [`Exec::predict_region_ns`] at the run's thread count. A plan's
-//! price is therefore the same number the audit ledger would see
-//! predicted if that plan ran — the planner and the conformance
-//! machinery cannot disagree by construction.
+//! A file transport is a write leg plus a read leg, and each leg is
+//! priced by exactly one function in `hpa_tfidf::cost` — the function
+//! the leg's own `trace::predict` site calls when it runs. A plan's
+//! price is therefore the same number the audit ledger sees predicted
+//! if that plan runs — the planner and the conformance machinery cannot
+//! disagree by construction (`crates/core/tests/transport_price.rs`
+//! checks it to the nanosecond).
 
 use crate::{IntermediateFormat, Transport};
 use hpa_exec::Exec;
@@ -19,87 +17,20 @@ use hpa_tfidf::cost::{self, MatrixStats};
 /// one edge via `transport`, on `exec`. Fused hand-offs are free — the
 /// consumer reads the producer's structure in place.
 pub fn transport_cost_ns(transport: Transport, m: &MatrixStats, exec: &Exec) -> u64 {
+    use IntermediateFormat::{Arff, Binary};
     match transport {
         Transport::Fused => 0,
-        Transport::Materialized(IntermediateFormat::Arff) => {
-            // write_arff + read_arff: both fully serial.
-            exec.predict_serial_ns(&cost::arff_write_estimate_stats(m))
-                + exec.predict_serial_ns(&cost::arff_read_cost_stats(m))
+        Transport::Materialized(Arff) => cost::arff_write_ns(m, exec) + cost::arff_read_ns(m, exec),
+        Transport::Pipelined(Arff) => {
+            cost::arff_write_overlapped_ns(m, exec) + cost::arff_read_parallel_ns(m, exec)
         }
-        Transport::Pipelined(IntermediateFormat::Arff) => {
-            arff_pipelined_write_ns(m, exec) + arff_pipelined_read_ns(m, exec)
+        Transport::Materialized(Binary) => {
+            cost::colfmt_write_ns(m, exec) + cost::colfmt_read_ns(m, exec)
         }
-        Transport::Materialized(IntermediateFormat::Binary) => {
-            // write_colfmt + read_colfmt: both fully serial.
-            exec.predict_serial_ns(&cost::colfmt_write_estimate_stats(m))
-                + exec.predict_serial_ns(&cost::colfmt_read_cost_stats(m))
-        }
-        Transport::Pipelined(IntermediateFormat::Binary) => {
-            colfmt_pipelined_write_ns(m, exec) + colfmt_pipelined_read_ns(m, exec)
+        Transport::Pipelined(Binary) => {
+            cost::colfmt_write_overlapped_ns(m, exec) + cost::colfmt_read_parallel_ns(m, exec)
         }
     }
-}
-
-/// Mirror of `write_arff_overlapped`'s prediction: serial header, then
-/// the parallel format region hides (or is hidden by) the ordered
-/// drain.
-fn arff_pipelined_write_ns(m: &MatrixStats, exec: &Exec) -> u64 {
-    let n = m.rows as usize;
-    let grain = n.div_ceil(exec.threads() * 4).max(1);
-    let header_ns = exec.predict_serial_ns(&cost::arff_header_cost(m.dim as usize));
-    let format_ns = exec.predict_region_ns(n, grain, |range| {
-        cost::arff_format_cost_for(range.len() as u64, m.nnz_of_rows(range.len() as u64))
-    });
-    let drain_ns =
-        exec.predict_serial_ns(&cost::arff_drain_cost(cost::arff_body_bytes(m.rows, m.nnz)));
-    header_ns + format_ns.max(drain_ns)
-}
-
-/// Mirror of `read_arff_parallel`'s prediction: serial header + slurp,
-/// then line-aligned chunks parse in parallel. Chunk count follows the
-/// reader's byte-target rule.
-fn arff_pipelined_read_ns(m: &MatrixStats, exec: &Exec) -> u64 {
-    let body = cost::arff_body_bytes(m.rows, m.nnz);
-    let header_ns = exec.predict_serial_ns(&cost::arff_header_cost(m.dim as usize));
-    let slurp_ns = exec.predict_serial_ns(&cost::arff_slurp_cost(body));
-    let target = ((body as usize) / (exec.threads() * 4).max(1)).max(16 * 1024);
-    let nchunks = (body as usize).div_ceil(target);
-    let parse_ns = exec.predict_region_ns(nchunks, 1, |chunks| {
-        let bytes = body * chunks.len() as u64 / nchunks.max(1) as u64;
-        cost::arff_parse_chunk_cost(bytes)
-    });
-    header_ns + slurp_ns + parse_ns
-}
-
-/// Mirror of `write_colfmt_overlapped`'s prediction: serial 32-byte
-/// header, chunk-parallel encode at the format's fixed chunk grain,
-/// overlapped with the ordered drain.
-fn colfmt_pipelined_write_ns(m: &MatrixStats, exec: &Exec) -> u64 {
-    let n = m.rows as usize;
-    let chunk_rows = hpa_colfmt::DEFAULT_CHUNK_ROWS;
-    let header_ns = exec.predict_serial_ns(&cost::colfmt_header_cost());
-    let encode_ns = exec.predict_region_ns(n, chunk_rows, |range| {
-        cost::colfmt_encode_cost_for(range.len() as u64, m.nnz_of_rows(range.len() as u64))
-    });
-    let body_bytes =
-        cost::colfmt_file_bytes_stats(m).saturating_sub(hpa_colfmt::FILE_HEADER_LEN as u64);
-    let drain_ns = exec.predict_serial_ns(&cost::colfmt_drain_cost(body_bytes));
-    header_ns + encode_ns.max(drain_ns)
-}
-
-/// Mirror of `read_colfmt_parallel`'s prediction: serial slurp + chunk
-/// table walk, then chunk-parallel checksum + decode.
-fn colfmt_pipelined_read_ns(m: &MatrixStats, exec: &Exec) -> u64 {
-    let file = cost::colfmt_file_bytes_stats(m);
-    let nchunks = (m.rows as usize).div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS);
-    let slurp_ns = exec.predict_serial_ns(&cost::colfmt_slurp_cost(file));
-    let index_ns = exec.predict_serial_ns(&cost::colfmt_index_cost(nchunks as u64));
-    let body = file.saturating_sub(hpa_colfmt::FILE_HEADER_LEN as u64);
-    let decode_ns = exec.predict_region_ns(nchunks, 1, |chunks| {
-        let bytes = body * chunks.len() as u64 / nchunks.max(1) as u64;
-        cost::colfmt_decode_chunk_cost(bytes)
-    });
-    slurp_ns + index_ns + decode_ns
 }
 
 #[cfg(test)]

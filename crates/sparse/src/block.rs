@@ -16,7 +16,7 @@
 //! [`SparseVec::dot_dense`] against that centroid — so
 //! [`CentroidBlock::distances_into`] and
 //! [`CentroidBlock::distance_to`] return values bit-identical to
-//! [`squared_distance_to_centroid`]. The 4-wide unrolling below runs
+//! [`crate::squared_distance_to_centroid`]. The 4-wide unrolling below runs
 //! *across* the `k` independent accumulators (for ILP), never within
 //! one sum, which is what preserves the op order per centroid. The
 //! kernel-equivalence test suites in `hpa-kmeans` assert this end to

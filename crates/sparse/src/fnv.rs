@@ -1,7 +1,7 @@
 //! FNV-1a 64-bit — the workspace's one shared byte hash.
 //!
 //! Two independent copies of this fold used to live in the tree: the
-//! dictionary's `hash_word` (shard routing + arena slot index) and the
+//! dictionary's `hash_word` (the arena slot index) and the
 //! columnar format's per-chunk payload checksum. Both fold the same
 //! offset basis and prime in the same order, so their digests were
 //! already byte-for-byte identical; this module is now the single
@@ -10,8 +10,8 @@
 //! on it or can cheaply).
 //!
 //! The digest is stable across processes and platforms — no per-process
-//! hasher seed — which the dictionary relies on for deterministic shard
-//! assignment and probe order, and the file format relies on for
+//! hasher seed — which the dictionary relies on for deterministic
+//! probe order, and the file format relies on for
 //! checksums that validate on a different machine than wrote them.
 
 /// FNV-1a 64-bit offset basis.
@@ -43,8 +43,8 @@ mod tests {
 
     /// The reference digests both original implementations produced
     /// (dict `hash_word` and colfmt `fnv1a` shared these exact values
-    /// before the dedupe); changing any of them is a wire-format and
-    /// shard-routing break.
+    /// before the dedupe); changing any of them is a wire-format
+    /// break.
     #[test]
     fn digests_match_both_original_implementations() {
         assert_eq!(fnv1a_str(""), 0xcbf29ce484222325);

@@ -10,7 +10,7 @@
 
 use hpa_corpus::Document;
 use hpa_dict::{DictKind, Dictionary as _};
-use hpa_exec::TaskCost;
+use hpa_exec::{Exec, TaskCost};
 use hpa_io::READ_CPU_NS_PER_BYTE;
 use std::ops::Range;
 
@@ -206,19 +206,12 @@ pub fn transform_cost_estimate(kind: DictKind, docs: u64, nnz: u64, vocab_len: u
     }
 }
 
-/// Cost of parsing an ARFF matrix of `rows` (already materialized; used
-/// for the "kmeans-input" phase of the discrete workflow). The file was
-/// written moments earlier, so it is read back from the page cache — the
-/// cost is float parsing (CPU) plus the memory traffic of the text and
-/// the materialized vectors, exactly the "parsing and data conversions"
+/// Cost of parsing an ARFF matrix shaped like `m` (the "kmeans-input"
+/// phase of the discrete workflow). The file was written moments
+/// earlier, so it is read back from the page cache — the cost is float
+/// parsing (CPU) plus the memory traffic of the text and the
+/// materialized vectors, exactly the "parsing and data conversions"
 /// overhead §1 of the paper attributes to discrete workflows.
-pub fn arff_read_cost(rows: &[hpa_sparse::SparseVec], dim: usize) -> TaskCost {
-    arff_read_cost_stats(&MatrixStats::of(rows, dim))
-}
-
-/// [`arff_read_cost`] from shape statistics alone — the planner's
-/// pre-materialization variant; the row-based function delegates here so
-/// the two can never drift.
 pub fn arff_read_cost_stats(m: &MatrixStats) -> TaskCost {
     // Text form: "{i w,...}" ~ 22 bytes per entry; header: one attribute
     // line (~25 bytes) per dimension.
@@ -233,7 +226,7 @@ pub fn arff_read_cost_stats(m: &MatrixStats) -> TaskCost {
 }
 
 /// Text bytes per sparse ARFF entry (`"{i w,...}"` ≈ 22 bytes/entry) —
-/// the same constant [`arff_read_cost`] uses, shared by the chunked
+/// the same constant [`arff_read_cost_stats`] uses, shared by the chunked
 /// format/parse estimates so the split phases sum to the serial model.
 pub const ARFF_BYTES_PER_ENTRY: u64 = 22;
 
@@ -248,16 +241,10 @@ pub const FORMAT_CPU_NS_PER_BYTE: f64 = 1.0;
 /// formatted buffers to the file (memcpy into the page cache).
 pub const DRAIN_CPU_NS_PER_BYTE: f64 = 0.2;
 
-/// Cost of formatting one chunk of sparse rows into an in-memory buffer
-/// (the parallel stage of the pipelined ARFF writer). Computable before
-/// the chunk runs: the byte volume is estimated from nnz.
-pub fn arff_format_chunk_cost(rows: &[hpa_sparse::SparseVec]) -> TaskCost {
-    let nnz: u64 = rows.iter().map(|r| r.nnz() as u64).sum();
-    arff_format_cost_for(rows.len() as u64, nnz)
-}
-
-/// [`arff_format_chunk_cost`] from row/nnz counts alone (the planner's
-/// variant; the row-based function delegates here).
+/// Cost of formatting one chunk of `rows` sparse rows carrying `nnz`
+/// entries into an in-memory buffer (the parallel stage of the pipelined
+/// ARFF writer). Computable before the chunk runs: the byte volume is
+/// estimated from nnz.
 pub fn arff_format_cost_for(rows: u64, nnz: u64) -> TaskCost {
     let bytes = arff_body_bytes(rows, nnz);
     TaskCost {
@@ -292,12 +279,6 @@ pub fn arff_drain_cost(bytes: u64) -> TaskCost {
 /// needs this up-front estimate instead: header + rows at the counter's
 /// write rate, byte volume estimated from nnz exactly as the chunked
 /// format/drain estimates do.
-pub fn arff_write_estimate(rows: &[hpa_sparse::SparseVec], dim: usize) -> TaskCost {
-    arff_write_estimate_stats(&MatrixStats::of(rows, dim))
-}
-
-/// [`arff_write_estimate`] from shape statistics alone (the planner's
-/// variant; the row-based function delegates here).
 pub fn arff_write_estimate_stats(m: &MatrixStats) -> TaskCost {
     let bytes = arff_body_bytes(m.rows, m.nnz) + m.dim * 25;
     TaskCost {
@@ -317,7 +298,8 @@ pub fn arff_header_cost(dim: usize) -> TaskCost {
 }
 
 /// Cost of slurping the data section into memory before chunked parsing
-/// (page-cache-warm copy, like [`arff_read_cost`]'s no-device assumption).
+/// (page-cache-warm copy, like [`arff_read_cost_stats`]'s no-device
+/// assumption).
 pub fn arff_slurp_cost(bytes: u64) -> TaskCost {
     TaskCost {
         cpu_ns: (bytes as f64 * READ_CPU_NS_PER_BYTE) as u64,
@@ -329,7 +311,7 @@ pub fn arff_slurp_cost(bytes: u64) -> TaskCost {
 /// Cost of parsing one line-aligned chunk of `bytes` of the data section
 /// (the parallel stage of the chunked ARFF reader). The entry estimate
 /// inverts [`ARFF_BYTES_PER_ENTRY`]; per-value parse cost matches
-/// [`arff_read_cost`].
+/// [`arff_read_cost_stats`].
 pub fn arff_parse_chunk_cost(bytes: u64) -> TaskCost {
     let nnz = bytes / ARFF_BYTES_PER_ENTRY;
     TaskCost {
@@ -371,31 +353,15 @@ pub const COLFMT_CHECKSUM_NS_PER_BYTE: f64 = 0.3;
 /// iostream-class float parse.
 pub const COLFMT_DECODE_NS_PER_ENTRY: f64 = 16.0;
 
-/// Encoded size of one chunk block (header + payload) for `rows`:
-/// 40-byte chunk header, ~1 varint byte per row length, and
-/// [`COLFMT_BYTES_PER_ENTRY`] per entry.
-pub fn colfmt_chunk_bytes(rows: &[hpa_sparse::SparseVec]) -> u64 {
-    let nnz: u64 = rows.iter().map(|r| r.nnz() as u64).sum();
-    colfmt_chunk_bytes_for(rows.len() as u64, nnz)
-}
-
-/// [`colfmt_chunk_bytes`] from row/nnz counts alone (the planner's
-/// variant; the row-based function delegates here).
+/// Encoded size of one chunk block (header + payload) of `rows` rows
+/// carrying `nnz` entries: 40-byte chunk header, ~1 varint byte per row
+/// length, and [`COLFMT_BYTES_PER_ENTRY`] per entry.
 pub fn colfmt_chunk_bytes_for(rows: u64, nnz: u64) -> u64 {
     hpa_colfmt::CHUNK_HEADER_LEN as u64 + rows + nnz * COLFMT_BYTES_PER_ENTRY
 }
 
-/// Estimated size of a whole colfmt file over `rows` at the default
-/// chunk grain.
-pub fn colfmt_file_bytes(rows: &[hpa_sparse::SparseVec]) -> u64 {
-    // `dim` does not matter to the binary format's size (fixed 32-byte
-    // header), so the stats carry 0 here.
-    colfmt_file_bytes_stats(&MatrixStats::of(rows, 0))
-}
-
-/// [`colfmt_file_bytes`] from shape statistics alone (the planner's
-/// variant; the row-based function delegates here). Ignores `dim`: the
-/// binary header is fixed-size.
+/// Estimated size of a whole colfmt file shaped like `m` at the default
+/// chunk grain. Ignores `dim`: the binary header is fixed-size.
 pub fn colfmt_file_bytes_stats(m: &MatrixStats) -> u64 {
     let chunks = (m.rows as usize).div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS) as u64;
     hpa_colfmt::FILE_HEADER_LEN as u64
@@ -405,15 +371,9 @@ pub fn colfmt_file_bytes_stats(m: &MatrixStats) -> u64 {
 }
 
 /// Pre-run estimate of the *serial* colfmt writer: the whole file at
-/// the serial write rate. Unlike [`arff_write_estimate`] there is no
-/// per-dimension term, because the binary header is 32 fixed bytes —
+/// the serial write rate. Unlike [`arff_write_estimate_stats`] there is
+/// no per-dimension term, because the binary header is 32 fixed bytes —
 /// ARFF spends ~25 text bytes per vocabulary word before the first row.
-pub fn colfmt_write_estimate(rows: &[hpa_sparse::SparseVec]) -> TaskCost {
-    colfmt_write_estimate_stats(&MatrixStats::of(rows, 0))
-}
-
-/// [`colfmt_write_estimate`] from shape statistics alone (the planner's
-/// variant; the row-based function delegates here).
 pub fn colfmt_write_estimate_stats(m: &MatrixStats) -> TaskCost {
     let bytes = colfmt_file_bytes_stats(m);
     TaskCost {
@@ -423,15 +383,9 @@ pub fn colfmt_write_estimate_stats(m: &MatrixStats) -> TaskCost {
     }
 }
 
-/// Cost of encoding one chunk of sparse rows into an in-memory block
-/// (the parallel stage of the pipelined binary writer).
-pub fn colfmt_encode_chunk_cost(rows: &[hpa_sparse::SparseVec]) -> TaskCost {
-    let nnz: u64 = rows.iter().map(|r| r.nnz() as u64).sum();
-    colfmt_encode_cost_for(rows.len() as u64, nnz)
-}
-
-/// [`colfmt_encode_chunk_cost`] from row/nnz counts alone (the planner's
-/// variant; the row-based function delegates here).
+/// Cost of encoding one chunk of `rows` sparse rows carrying `nnz`
+/// entries into an in-memory block (the parallel stage of the pipelined
+/// binary writer).
 pub fn colfmt_encode_cost_for(rows: u64, nnz: u64) -> TaskCost {
     let bytes = colfmt_chunk_bytes_for(rows, nnz);
     TaskCost {
@@ -498,15 +452,9 @@ pub fn colfmt_decode_chunk_cost(bytes: u64) -> TaskCost {
     }
 }
 
-/// Cost of the serial streaming binary read (rows already materialized,
-/// post-hoc like [`arff_read_cost`]): one read + checksum pass over the
-/// file bytes plus per-entry decode work.
-pub fn colfmt_read_cost(rows: &[hpa_sparse::SparseVec]) -> TaskCost {
-    colfmt_read_cost_stats(&MatrixStats::of(rows, 0))
-}
-
-/// [`colfmt_read_cost`] from shape statistics alone (the planner's
-/// variant; the row-based function delegates here).
+/// Cost of the serial streaming binary read of a matrix shaped like `m`:
+/// one read + checksum pass over the file bytes plus per-entry decode
+/// work.
 pub fn colfmt_read_cost_stats(m: &MatrixStats) -> TaskCost {
     let bytes = colfmt_file_bytes_stats(m);
     TaskCost {
@@ -517,6 +465,103 @@ pub fn colfmt_read_cost_stats(m: &MatrixStats) -> TaskCost {
     }
 }
 
+// ---- One price per transport leg --------------------------------------
+//
+// Each of the eight legs (`{arff, colfmt}` × `{serial, pipelined}` ×
+// `{write, read}`) is priced by exactly one function below. The leg's own
+// `hpa_trace::predict` site calls it, and `hpa_plan::price` sums a write
+// and a read of the same functions, so the number the planner decides on
+// is the number the audit ledger checks. Parallel regions are priced from
+// an even spread of nnz over rows ([`MatrixStats::nnz_of_rows`]) at the
+// grains the legs actually run.
+
+/// Rows per format task of the pipelined ARFF writer: a handful of
+/// chunks per worker keeps every thread busy, and the grain only shifts
+/// buffer sizes, never output bytes.
+pub fn arff_format_grain(rows: usize, threads: usize) -> usize {
+    rows.div_ceil(threads * 4).max(1)
+}
+
+/// Byte target of one parse task of the chunked ARFF reader over a data
+/// section of `body_bytes` (chunks are then extended to a line end).
+pub fn arff_parse_target(body_bytes: usize, threads: usize) -> usize {
+    (body_bytes / (threads * 4).max(1)).max(16 * 1024)
+}
+
+/// Predicted wall time (ns) of [`crate::write_arff`]: fully serial.
+pub fn arff_write_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    exec.predict_serial_ns(&arff_write_estimate_stats(m))
+}
+
+/// Predicted wall time (ns) of [`crate::read_arff`]: fully serial.
+pub fn arff_read_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    exec.predict_serial_ns(&arff_read_cost_stats(m))
+}
+
+/// Predicted wall time (ns) of [`crate::write_arff_overlapped`]: serial
+/// header, then the parallel format region hides (or is hidden by) the
+/// single ordered drain.
+pub fn arff_write_overlapped_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    let n = m.rows as usize;
+    let header_ns = exec.predict_serial_ns(&arff_header_cost(m.dim as usize));
+    let format_ns = exec.predict_region_ns(n, arff_format_grain(n, exec.threads()), |range| {
+        arff_format_cost_for(range.len() as u64, m.nnz_of_rows(range.len() as u64))
+    });
+    let drain_ns = exec.predict_serial_ns(&arff_drain_cost(arff_body_bytes(m.rows, m.nnz)));
+    header_ns + format_ns.max(drain_ns)
+}
+
+/// Predicted wall time (ns) of [`crate::read_arff_parallel`]: serial
+/// header + slurp, then line-aligned chunks parse in parallel.
+pub fn arff_read_parallel_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    let body = arff_body_bytes(m.rows, m.nnz);
+    let header_ns = exec.predict_serial_ns(&arff_header_cost(m.dim as usize));
+    let slurp_ns = exec.predict_serial_ns(&arff_slurp_cost(body));
+    let nchunks = (body as usize).div_ceil(arff_parse_target(body as usize, exec.threads()));
+    let parse_ns = exec.predict_region_ns(nchunks, 1, |chunks| {
+        arff_parse_chunk_cost(body * chunks.len() as u64 / nchunks.max(1) as u64)
+    });
+    header_ns + slurp_ns + parse_ns
+}
+
+/// Predicted wall time (ns) of [`crate::write_colfmt`]: fully serial.
+pub fn colfmt_write_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    exec.predict_serial_ns(&colfmt_write_estimate_stats(m))
+}
+
+/// Predicted wall time (ns) of [`crate::read_colfmt`]: fully serial.
+pub fn colfmt_read_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    exec.predict_serial_ns(&colfmt_read_cost_stats(m))
+}
+
+/// Predicted wall time (ns) of [`crate::write_colfmt_overlapped`]: serial
+/// 32-byte header, chunk-parallel encode at the format's fixed chunk
+/// grain, overlapped with the ordered drain.
+pub fn colfmt_write_overlapped_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    let header_ns = exec.predict_serial_ns(&colfmt_header_cost());
+    let encode_ns =
+        exec.predict_region_ns(m.rows as usize, hpa_colfmt::DEFAULT_CHUNK_ROWS, |range| {
+            colfmt_encode_cost_for(range.len() as u64, m.nnz_of_rows(range.len() as u64))
+        });
+    let body_bytes = colfmt_file_bytes_stats(m).saturating_sub(hpa_colfmt::FILE_HEADER_LEN as u64);
+    let drain_ns = exec.predict_serial_ns(&colfmt_drain_cost(body_bytes));
+    header_ns + encode_ns.max(drain_ns)
+}
+
+/// Predicted wall time (ns) of [`crate::read_colfmt_parallel`]: serial
+/// slurp + chunk table walk, then chunk-parallel checksum + decode.
+pub fn colfmt_read_parallel_ns(m: &MatrixStats, exec: &Exec) -> u64 {
+    let file = colfmt_file_bytes_stats(m);
+    let nchunks = (m.rows as usize).div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS);
+    let slurp_ns = exec.predict_serial_ns(&colfmt_slurp_cost(file));
+    let index_ns = exec.predict_serial_ns(&colfmt_index_cost(nchunks as u64));
+    let body = file.saturating_sub(hpa_colfmt::FILE_HEADER_LEN as u64);
+    let decode_ns = exec.predict_region_ns(nchunks, 1, |chunks| {
+        colfmt_decode_chunk_cost(body * chunks.len() as u64 / nchunks.max(1) as u64)
+    });
+    slurp_ns + index_ns + decode_ns
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,6 +569,12 @@ mod tests {
 
     fn sample_corpus() -> Corpus {
         CorpusSpec::mix().scaled(0.002).generate(1)
+    }
+
+    /// `(rows, nnz)` of a slice of materialized rows.
+    fn shape(rows: &[hpa_sparse::SparseVec]) -> (u64, u64) {
+        let m = MatrixStats::of(rows, 0);
+        (m.rows, m.nnz)
     }
 
     #[test]
@@ -639,17 +690,17 @@ mod tests {
         let rows: Vec<hpa_sparse::SparseVec> = (0..200)
             .map(|i| hpa_sparse::SparseVec::from_pairs(vec![(i, 1.5), (i + 300, 0.25)]))
             .collect();
-        let dim = 1000;
-        let aw = arff_write_estimate(&rows, dim);
-        let cw = colfmt_write_estimate(&rows);
+        let m = MatrixStats::of(&rows, 1000);
+        let aw = arff_write_estimate_stats(&m);
+        let cw = colfmt_write_estimate_stats(&m);
         assert!(
             cw.cpu_ns * 2 < aw.cpu_ns,
             "write {} vs {}",
             cw.cpu_ns,
             aw.cpu_ns
         );
-        let ar = arff_read_cost(&rows, dim);
-        let cr = colfmt_read_cost(&rows);
+        let ar = arff_read_cost_stats(&m);
+        let cr = colfmt_read_cost_stats(&m);
         assert!(
             cr.cpu_ns * 2 < ar.cpu_ns,
             "read {} vs {}",
@@ -663,12 +714,14 @@ mod tests {
         let rows: Vec<hpa_sparse::SparseVec> = (0..600)
             .map(|i| hpa_sparse::SparseVec::from_pairs(vec![(i, 1.5), (i + 700, 2.0)]))
             .collect();
-        let serial = colfmt_read_cost(&rows);
+        let m = MatrixStats::of(&rows, 0);
+        let serial = colfmt_read_cost_stats(&m);
         let chunks = rows.len().div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS);
-        let mut split = colfmt_slurp_cost(colfmt_file_bytes(&rows));
+        let mut split = colfmt_slurp_cost(colfmt_file_bytes_stats(&m));
         split += colfmt_index_cost(chunks as u64);
         for chunk in rows.chunks(hpa_colfmt::DEFAULT_CHUNK_ROWS) {
-            split += colfmt_decode_chunk_cost(colfmt_chunk_bytes(chunk));
+            let (n, nnz) = shape(chunk);
+            split += colfmt_decode_chunk_cost(colfmt_chunk_bytes_for(n, nnz));
         }
         let ratio = split.cpu_ns as f64 / serial.cpu_ns as f64;
         assert!(
@@ -684,12 +737,12 @@ mod tests {
         let rows: Vec<hpa_sparse::SparseVec> = (0..600)
             .map(|i| hpa_sparse::SparseVec::from_pairs(vec![(i, 1.5), (i + 700, 2.0)]))
             .collect();
-        let serial = colfmt_write_estimate(&rows);
+        let serial = colfmt_write_estimate_stats(&MatrixStats::of(&rows, 0));
         let mut split = colfmt_header_cost();
         for chunk in rows.chunks(hpa_colfmt::DEFAULT_CHUNK_ROWS) {
-            let bytes = colfmt_chunk_bytes(chunk);
-            split += colfmt_encode_chunk_cost(chunk);
-            split += colfmt_drain_cost(bytes);
+            let (n, nnz) = shape(chunk);
+            split += colfmt_encode_cost_for(n, nnz);
+            split += colfmt_drain_cost(colfmt_chunk_bytes_for(n, nnz));
         }
         let ratio = split.cpu_ns as f64 / serial.cpu_ns as f64;
         assert!(
@@ -706,9 +759,9 @@ mod tests {
             .map(|i| hpa_sparse::SparseVec::from_pairs(vec![(i, 1.5), (i + 50, 2.0)]))
             .collect();
         let dim = 100;
-        let serial = arff_read_cost(&rows, dim);
-        let nnz: u64 = rows.iter().map(|r| r.nnz() as u64).sum();
-        let data_bytes = nnz * ARFF_BYTES_PER_ENTRY;
+        let m = MatrixStats::of(&rows, dim);
+        let serial = arff_read_cost_stats(&m);
+        let data_bytes = m.nnz * ARFF_BYTES_PER_ENTRY;
         let mut split = arff_header_cost(dim);
         split += arff_parse_chunk_cost(data_bytes);
         let ratio = split.cpu_ns as f64 / serial.cpu_ns as f64;
@@ -721,40 +774,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_estimates_match_the_row_based_functions() {
-        // The planner prices transports from MatrixStats; the row-based
-        // cost functions delegate to the same stats formulas, so on
-        // identical shapes the two must agree exactly.
+    fn matrix_stats_of_counts_rows_nnz_and_dim() {
+        // `MatrixStats::of` is the one bridge from materialized rows to
+        // every estimator above.
         let rows: Vec<hpa_sparse::SparseVec> = (0..300)
             .map(|i| hpa_sparse::SparseVec::from_pairs(vec![(i, 1.5), (i + 400, 0.5)]))
             .collect();
-        let dim = 900;
-        let m = MatrixStats::of(&rows, dim);
-        assert_eq!(m.rows, 300);
-        assert_eq!(m.nnz, 600);
-        assert_eq!(arff_read_cost(&rows, dim), arff_read_cost_stats(&m));
-        assert_eq!(
-            arff_write_estimate(&rows, dim),
-            arff_write_estimate_stats(&m)
-        );
-        assert_eq!(
-            arff_format_chunk_cost(&rows),
-            arff_format_cost_for(m.rows, m.nnz)
-        );
-        assert_eq!(
-            colfmt_chunk_bytes(&rows),
-            colfmt_chunk_bytes_for(m.rows, m.nnz)
-        );
-        assert_eq!(colfmt_file_bytes(&rows), colfmt_file_bytes_stats(&m));
-        assert_eq!(
-            colfmt_write_estimate(&rows),
-            colfmt_write_estimate_stats(&m)
-        );
-        assert_eq!(
-            colfmt_encode_chunk_cost(&rows),
-            colfmt_encode_cost_for(m.rows, m.nnz)
-        );
-        assert_eq!(colfmt_read_cost(&rows), colfmt_read_cost_stats(&m));
+        let m = MatrixStats::of(&rows, 900);
+        assert_eq!((m.rows, m.nnz, m.dim), (300, 600, 900));
+        assert_eq!(MatrixStats::of(&[], 7).dim, 7);
     }
 
     #[test]
@@ -786,7 +814,7 @@ mod tests {
             hpa_sparse::SparseVec::from_pairs(vec![(0, 1.0), (5, 2.0)]),
             hpa_sparse::SparseVec::from_pairs(vec![(3, 1.0)]),
         ];
-        let cost = arff_read_cost(&rows, 10);
+        let cost = arff_read_cost_stats(&MatrixStats::of(&rows, 10));
         assert_eq!(cost.io_read_bytes, 0, "intermediate is page-cache warm");
         assert_eq!(cost.mem_bytes, (3 * 22 + 250) * 2 + 3 * 12);
         assert!(cost.cpu_ns > 0);

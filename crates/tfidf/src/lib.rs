@@ -26,6 +26,8 @@ pub mod vocab;
 
 pub use vocab::Vocab;
 
+use cost::MatrixStats;
+
 use hpa_arff::{parse_data_line, ArffError, ArffHeader, ArffReader, ArffWriter};
 use hpa_colfmt::{encode_chunk, ColFmtError, ColReader, ColWriter};
 use hpa_corpus::{Corpus, Tokenizer};
@@ -35,6 +37,7 @@ use hpa_exec::{Exec, TaskCost};
 use hpa_io::{ByteCounter, Sequencer};
 use hpa_sparse::SparseVec;
 use std::io::{BufRead, Read, Write};
+use std::ops::Range;
 
 /// Configuration of the TF/IDF operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -324,13 +327,28 @@ fn arff_header(model: &TfIdfModel) -> ArffHeader {
     )
 }
 
+/// Shape of a model's matrix, for a writer's up-front prediction.
+fn model_stats(model: &TfIdfModel) -> MatrixStats {
+    MatrixStats::of(&model.vectors, model.vocab.len())
+}
+
+/// Shape of a successful read when tracing is on. Readers learn the
+/// matrix only by reading it, so their predictions are emitted post-hoc,
+/// inside the span they price.
+fn traced_read_stats<E>(result: &Result<(Vec<SparseVec>, usize), E>) -> Option<MatrixStats> {
+    match result {
+        Ok((rows, dim)) if hpa_trace::is_enabled() => Some(MatrixStats::of(rows, *dim)),
+        _ => None,
+    }
+}
+
 /// Phase 2b ("tfidf-output"): write the model as a sparse ARFF file.
 /// Sequential by format design; charged to the simulated storage device.
 pub fn write_arff<W: Write>(exec: &Exec, model: &TfIdfModel, out: W) -> Result<W, ArffError> {
     let _span = hpa_trace::span!("tfidf", "write-arff", model.vectors.len() as u64);
     if hpa_trace::is_enabled() {
-        let est = cost::arff_write_estimate(&model.vectors, model.vocab.len());
-        hpa_trace::predict("tfidf", "write-arff", exec.predict_serial_ns(&est));
+        let ns = cost::arff_write_ns(&model_stats(model), exec);
+        hpa_trace::predict("tfidf", "write-arff", ns);
     }
     exec.serial_costed(|| {
         let mut writer = ArffWriter::new(ByteCounter::new(out));
@@ -353,6 +371,151 @@ pub fn write_arff<W: Write>(exec: &Exec, model: &TfIdfModel, out: W) -> Result<W
     })
 }
 
+/// A format's ordered sink, as the drain thread of
+/// [`write_chunks_overlapped`] sees it.
+trait ChunkSink: Send {
+    /// What a finished sink hands back (the caller's writer).
+    type Out: Send;
+    /// The format's error type.
+    type Error: Send;
+    /// Trace category of the protocol's spans and `queue-depth` counter.
+    const CAT: &'static str;
+    /// Name of the per-chunk encode span.
+    const ENCODE_SPAN: &'static str;
+    /// Append one encoded chunk; called in chunk order.
+    fn append(&mut self, block: &[u8]) -> Result<(), Self::Error>;
+    /// Bytes that reached the sink so far.
+    fn bytes(&self) -> u64;
+    /// Cost of the ordered drain of `bytes`.
+    fn drain_cost(bytes: u64) -> TaskCost;
+    /// Flush — and verify, where the format counts chunks — after the
+    /// last append. Only called when every append succeeded.
+    fn finish(self) -> Result<Self::Out, Self::Error>;
+}
+
+/// ARFF data rows are plain text appended behind the header.
+impl<W: Write + Send> ChunkSink for ByteCounter<W> {
+    type Out = W;
+    type Error = ArffError;
+    const CAT: &'static str = "arff";
+    const ENCODE_SPAN: &'static str = "format";
+    fn append(&mut self, block: &[u8]) -> Result<(), ArffError> {
+        Ok(self.write_all(block)?)
+    }
+    fn bytes(&self) -> u64 {
+        ByteCounter::bytes(self)
+    }
+    fn drain_cost(bytes: u64) -> TaskCost {
+        cost::arff_drain_cost(bytes)
+    }
+    fn finish(mut self) -> Result<W, ArffError> {
+        self.flush()?;
+        Ok(self.into_inner())
+    }
+}
+
+/// Colfmt chunk blocks are self-contained; the writer checks their order
+/// on append and their count on finish.
+impl<W: Write + Send> ChunkSink for ColWriter<ByteCounter<W>> {
+    type Out = W;
+    type Error = ColFmtError;
+    const CAT: &'static str = "colfmt";
+    const ENCODE_SPAN: &'static str = "write-chunk";
+    fn append(&mut self, block: &[u8]) -> Result<(), ColFmtError> {
+        self.write_raw_chunk(block).map_err(ColFmtError::Io)?;
+        hpa_trace::counter("colfmt", "bytes-written", self.sink().bytes());
+        Ok(())
+    }
+    fn bytes(&self) -> u64 {
+        self.sink().bytes()
+    }
+    fn drain_cost(bytes: u64) -> TaskCost {
+        cost::colfmt_drain_cost(bytes)
+    }
+    fn finish(self) -> Result<W, ColFmtError> {
+        // A clean drain of all chunks always satisfies `finish`'s count
+        // checks.
+        let counter = ColWriter::finish(self).map_err(ColFmtError::Io)?;
+        Ok(counter.into_inner())
+    }
+}
+
+/// The pipelined-write protocol both overlapped writers instantiate.
+/// `sink` has already taken the file header (a serial prefix the caller
+/// charged). `encode(range, buf)` renders rows `range` into the recycled
+/// buffer `buf`, chunk-parallel at `grain` rows per chunk, priced by
+/// `encode_cost`; a [`Sequencer`] over a bounded channel restores chunk
+/// order in front of one drain thread, which appends each chunk to the
+/// sink. Buffers cycle drain → free list → encoder, so allocation is
+/// bounded by channel capacity + in-flight chunks, not file size.
+///
+/// The first sink error ends the drain loop; dropping the receiver
+/// unblocks every encoder parked on the full channel, the remaining
+/// chunks are discarded, and the error is returned. Either way the drain
+/// is charged for the bytes that reached the sink.
+fn write_chunks_overlapped<S: ChunkSink>(
+    exec: &Exec,
+    rows: usize,
+    grain: usize,
+    sink: S,
+    encode: impl Fn(Range<usize>, Vec<u8>) -> Vec<u8> + Sync,
+    encode_cost: impl Fn(Range<usize>) -> TaskCost + Sync,
+) -> Result<S::Out, S::Error> {
+    let header_bytes = sink.bytes();
+    let mut outcome = None;
+    let (tx, rx) = hpa_io::channel::bounded::<Vec<u8>>(4);
+    let seq = Sequencer::new(tx);
+    let free: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        let (seq, free) = (&seq, &free);
+        let drain_handle = s.spawn(move || {
+            let mut sink = sink;
+            let mut failure = None;
+            while let Ok(block) = rx.recv() {
+                hpa_trace::counter(S::CAT, "queue-depth", rx.len() as u64);
+                let _sp = hpa_trace::span!(S::CAT, "drain", block.len() as u64);
+                if let Err(e) = sink.append(&block) {
+                    failure = Some(e);
+                    break;
+                }
+                let mut recycled = block;
+                recycled.clear();
+                free.lock().push(recycled);
+            }
+            drop(rx);
+            let bytes = sink.bytes();
+            let result = match failure {
+                Some(e) => Err(e),
+                None => sink.finish(),
+            };
+            (bytes, result)
+        });
+
+        exec.par_chunks_overlapped(
+            rows,
+            grain,
+            |range| {
+                let mut buf = free.lock().pop().unwrap_or_default();
+                buf.clear();
+                let _sp = hpa_trace::span!(S::CAT, S::ENCODE_SPAN, range.len() as u64);
+                let index = (range.start / grain) as u64;
+                // A failed drain disconnects the channel; the chunk is
+                // simply dropped and the error surfaces below.
+                let _ = seq.push(index, encode(range, buf));
+            },
+            encode_cost,
+            || {
+                seq.close();
+                let (bytes, result) = drain_handle.join().expect("drain thread never panics");
+                outcome = Some(result);
+                // The header was already charged by the serial prefix.
+                S::drain_cost(bytes - header_bytes)
+            },
+        );
+    });
+    outcome.expect("drain closure always runs")
+}
+
 /// Pipelined variant of [`write_arff`]: row *formatting* (the ftoa-heavy
 /// part) runs chunk-parallel into reusable buffers, while a dedicated
 /// drain thread copies the buffers to `out` in row order through an
@@ -372,6 +535,10 @@ pub fn write_arff_overlapped<W: Write + Send>(
     out: W,
 ) -> Result<W, ArffError> {
     let _span = hpa_trace::span!("tfidf", "write-arff-overlapped", model.vectors.len() as u64);
+    if hpa_trace::is_enabled() {
+        let ns = cost::arff_write_overlapped_ns(&model_stats(model), exec);
+        hpa_trace::predict("tfidf", "write-arff-overlapped", ns);
+    }
     // Header: a serial prefix, exactly as in `write_arff`.
     let counter = exec.serial_costed(|| {
         let mut writer = ArffWriter::new(ByteCounter::new(out));
@@ -384,101 +551,31 @@ pub fn write_arff_overlapped<W: Write + Send>(
     })?;
 
     let dim = model.vocab.len();
-    let n = model.vectors.len();
-    // A handful of rows per chunk keeps every worker busy; the exact
-    // grain only shifts buffer sizes, not output bytes.
-    let grain = n.div_ceil(exec.threads() * 4).max(1);
-
-    if hpa_trace::is_enabled() {
-        // Overlapped schedule: serial header, then the parallel format
-        // region hides (or is hidden by) the single ordered drain.
-        let header_ns = exec.predict_serial_ns(&cost::arff_header_cost(dim));
-        let format_ns = exec.predict_region_ns(n, grain, |range| {
-            cost::arff_format_chunk_cost(&model.vectors[range])
-        });
-        let nnz: u64 = model.vectors.iter().map(|v| v.nnz() as u64).sum();
-        let body_bytes = nnz * cost::ARFF_BYTES_PER_ENTRY + n as u64 * 3;
-        let drain_ns = exec.predict_serial_ns(&cost::arff_drain_cost(body_bytes));
-        hpa_trace::predict(
-            "tfidf",
-            "write-arff-overlapped",
-            header_ns + format_ns.max(drain_ns),
-        );
-    }
-
-    let mut outcome: Option<(ByteCounter<W>, Option<ArffError>)> = None;
-    let (tx, rx) = hpa_io::channel::bounded::<Vec<u8>>(4);
-    let seq = Sequencer::new(tx);
-    // Buffers cycle drain → free list → formatter, bounding allocation
-    // by channel capacity + in-flight chunks rather than file size.
-    let free: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-    let header_bytes = counter.bytes();
-    std::thread::scope(|s| {
-        let (seq, free) = (&seq, &free);
-        let drain_handle = s.spawn(move || {
-            let mut counter = counter;
-            let mut failure: Option<ArffError> = None;
-            while let Ok(buf) = rx.recv() {
-                hpa_trace::counter("arff", "queue-depth", rx.len() as u64);
-                let _sp = hpa_trace::span!("arff", "drain", buf.len() as u64);
-                if let Err(e) = counter.write_all(&buf) {
-                    // Dropping `rx` (by leaving the loop) unblocks any
-                    // formatter parked on the full channel.
-                    failure = Some(e.into());
-                    break;
-                }
-                let mut recycled = buf;
-                recycled.clear();
-                free.lock().push(recycled);
+    let rows = &model.vectors;
+    write_chunks_overlapped(
+        exec,
+        rows.len(),
+        cost::arff_format_grain(rows.len(), exec.threads()),
+        counter,
+        |range, buf| {
+            let mut w = ArffWriter::continuation(buf, dim);
+            for v in &rows[range] {
+                w.write_sparse_row(v).expect("Vec<u8> write is infallible");
             }
-            drop(rx);
-            if failure.is_none() {
-                if let Err(e) = counter.flush() {
-                    failure = Some(e.into());
-                }
-            }
-            (counter, failure)
-        });
-
-        exec.par_chunks_overlapped(
-            n,
-            grain,
-            |range| {
-                let mut buf = free.lock().pop().unwrap_or_default();
-                buf.clear();
-                let _sp = hpa_trace::span!("arff", "format", range.len() as u64);
-                let mut w = ArffWriter::continuation(buf, dim);
-                for v in &model.vectors[range.clone()] {
-                    w.write_sparse_row(v).expect("Vec<u8> write is infallible");
-                }
-                let buf = w.finish().expect("Vec<u8> flush is infallible");
-                // A failed drain disconnects the channel; the chunk's
-                // bytes are simply dropped and the error surfaces below.
-                let _ = seq.push((range.start / grain) as u64, buf);
-            },
-            |range| cost::arff_format_chunk_cost(&model.vectors[range]),
-            || {
-                seq.close();
-                let (counter, failure) = drain_handle.join().expect("drain thread never panics");
-                // The header was already charged by the serial prefix.
-                let cost = cost::arff_drain_cost(counter.bytes() - header_bytes);
-                outcome = Some((counter, failure));
-                cost
-            },
-        );
-    });
-
-    let (counter, failure) = outcome.expect("drain closure always runs");
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(counter.into_inner()),
-    }
+            w.finish().expect("Vec<u8> flush is infallible")
+        },
+        |range| {
+            let m = MatrixStats::of(&rows[range], dim);
+            cost::arff_format_cost_for(m.rows, m.nnz)
+        },
+    )
 }
 
 /// "kmeans-input": read a sparse matrix back from ARFF. Sequential, like
 /// the write. Returns the vectors and the attribute count (dimension).
 pub fn read_arff<R: BufRead>(exec: &Exec, input: R) -> Result<(Vec<SparseVec>, usize), ArffError> {
-    exec.serial_costed(|| {
+    let _span = hpa_trace::span!("tfidf", "read-arff", 0);
+    let result = exec.serial_costed(|| {
         let result = (|| {
             let mut reader = ArffReader::new(input)?;
             let dim = reader.header().dim();
@@ -486,11 +583,58 @@ pub fn read_arff<R: BufRead>(exec: &Exec, input: R) -> Result<(Vec<SparseVec>, u
             Ok((rows, dim))
         })();
         let cost = match &result {
-            Ok((rows, dim)) => cost::arff_read_cost(rows, *dim),
+            Ok((rows, dim)) => cost::arff_read_cost_stats(&MatrixStats::of(rows, *dim)),
             Err(_) => TaskCost::default(),
         };
         (result, cost)
-    })
+    });
+    if let Some(m) = traced_read_stats(&result) {
+        hpa_trace::predict("tfidf", "read-arff", cost::arff_read_ns(&m, exec));
+    }
+    result
+}
+
+/// The chunk-parallel read protocol both parallel readers instantiate:
+/// one slot per chunk, `decode(ci)` fills slot `ci` in parallel (priced
+/// by `cost`), and the slots concatenate in chunk order. When chunks
+/// fail, the earliest chunk's error wins — what a streaming reader,
+/// which stops at the first bad chunk, would report.
+fn read_chunks_parallel<E: Send>(
+    exec: &Exec,
+    nchunks: usize,
+    decode: impl Fn(usize) -> Result<Vec<SparseVec>, E> + Sync,
+    cost: impl Fn(Range<usize>) -> TaskCost + Sync,
+) -> Result<Vec<SparseVec>, E> {
+    let slots: Vec<Mutex<Option<Vec<SparseVec>>>> =
+        (0..nchunks).map(|_| Mutex::new(None)).collect();
+    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    exec.par_chunks(
+        nchunks,
+        1,
+        |chunks| {
+            for ci in chunks {
+                match decode(ci) {
+                    Ok(rows) => *slots[ci].lock() = Some(rows),
+                    Err(e) => {
+                        let mut slot = first_error.lock();
+                        let earlier = matches!(&*slot, Some((c, _)) if *c <= ci);
+                        if !earlier {
+                            *slot = Some((ci, e));
+                        }
+                    }
+                }
+            }
+        },
+        cost,
+    );
+    if let Some((_, e)) = first_error.into_inner() {
+        return Err(e);
+    }
+    let mut rows = Vec::new();
+    for slot in slots {
+        rows.extend(slot.into_inner().expect("chunk decoded"));
+    }
+    Ok(rows)
 }
 
 /// Chunked-parallel variant of [`read_arff`]: the header parses serially,
@@ -504,98 +648,71 @@ pub fn read_arff_parallel<R: BufRead>(
     input: R,
 ) -> Result<(Vec<SparseVec>, usize), ArffError> {
     let _span = hpa_trace::span!("tfidf", "read-arff-parallel", 0);
-    // Serial prefix 1: the header (tiny, order-dependent).
-    let (header, mut input, header_lines) =
-        exec.serial_costed(|| match ArffReader::new(input) {
-            Ok(reader) => {
-                let cost = cost::arff_header_cost(reader.header().dim());
-                (Ok(reader.into_parts()), cost)
-            }
-            Err(e) => (Err(e), TaskCost::default()),
+    let result = (|| {
+        // Serial prefix 1: the header (tiny, order-dependent).
+        let (header, mut input, header_lines) =
+            exec.serial_costed(|| match ArffReader::new(input) {
+                Ok(reader) => {
+                    let cost = cost::arff_header_cost(reader.header().dim());
+                    (Ok(reader.into_parts()), cost)
+                }
+                Err(e) => (Err(e), TaskCost::default()),
+            })?;
+        let dim = header.dim();
+
+        // Serial prefix 2: slurp the data section (a page-cache-warm copy
+        // — the file was written moments earlier by the same workflow).
+        let data = exec.serial_costed(|| {
+            let mut data = Vec::new();
+            let result = match input.read_to_end(&mut data) {
+                Ok(_) => Ok(data),
+                Err(e) => Err(ArffError::from(e)),
+            };
+            let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
+            (result, cost::arff_slurp_cost(bytes))
         })?;
-    let dim = header.dim();
 
-    // Serial prefix 2: slurp the data section (a page-cache-warm copy —
-    // the file was written moments earlier by the same workflow).
-    let data = exec.serial_costed(|| {
-        let mut data = Vec::new();
-        let result = match input.read_to_end(&mut data) {
-            Ok(_) => Ok(data),
-            Err(e) => Err(ArffError::from(e)),
-        };
-        let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-        (result, cost::arff_slurp_cost(bytes))
-    })?;
-
-    // Line-aligned chunk boundaries: each chunk ends just after a '\n'
-    // (or at EOF), so every line belongs to exactly one chunk.
-    let target = (data.len() / (exec.threads() * 4).max(1)).max(16 * 1024);
-    let mut bounds = vec![0usize];
-    let mut pos = 0;
-    while pos < data.len() {
-        let mut end = (pos + target).min(data.len());
-        while end < data.len() && data[end - 1] != b'\n' {
-            end += 1;
+        // Line-aligned chunk boundaries: each chunk ends just after a
+        // '\n' (or at EOF), so every line belongs to exactly one chunk.
+        let target = cost::arff_parse_target(data.len(), exec.threads());
+        let mut bounds = vec![0usize];
+        let mut pos = 0;
+        while pos < data.len() {
+            let mut end = (pos + target).min(data.len());
+            while end < data.len() && data[end - 1] != b'\n' {
+                end += 1;
+            }
+            bounds.push(end);
+            pos = end;
         }
-        bounds.push(end);
-        pos = end;
-    }
-    let nchunks = bounds.len() - 1;
 
-    if hpa_trace::is_enabled() {
-        // The span covers header + slurp + parallel parse; the byte
-        // volume is only known post-slurp, so the prediction lands here,
-        // inside the span it prices.
-        let ns = exec.predict_serial_ns(&cost::arff_header_cost(dim))
-            + exec.predict_serial_ns(&cost::arff_slurp_cost(data.len() as u64))
-            + exec.predict_region_ns(nchunks, 1, |chunks| {
-                let bytes: u64 = chunks.map(|ci| (bounds[ci + 1] - bounds[ci]) as u64).sum();
-                cost::arff_parse_chunk_cost(bytes)
-            });
-        hpa_trace::predict("tfidf", "read-arff-parallel", ns);
-    }
-
-    let slots: Vec<Mutex<Option<Vec<SparseVec>>>> =
-        (0..nchunks).map(|_| Mutex::new(None)).collect();
-    let first_error: Mutex<Option<ArffError>> = Mutex::new(None);
-    exec.par_chunks(
-        nchunks,
-        1,
-        |chunks| {
-            for ci in chunks {
+        let rows = read_chunks_parallel(
+            exec,
+            bounds.len() - 1,
+            |ci| {
                 let bytes = &data[bounds[ci]..bounds[ci + 1]];
                 let _sp = hpa_trace::span!("arff", "parse-chunk", bytes.len() as u64);
-                match parse_data_chunk(bytes, dim) {
-                    Ok(rows) => *slots[ci].lock() = Some(rows),
-                    Err((line_in_chunk, message)) => {
-                        // Absolute line number, computed lazily (only on
-                        // the error path): header lines + data lines in
-                        // earlier chunks + offset within this chunk.
-                        let preceding = data[..bounds[ci]].iter().filter(|&&b| b == b'\n').count();
-                        let line = header_lines + preceding + line_in_chunk;
-                        let mut slot = first_error.lock();
-                        let earlier =
-                            matches!(&*slot, Some(ArffError::Parse { line: l, .. }) if *l <= line);
-                        if !earlier {
-                            *slot = Some(ArffError::Parse { line, message });
-                        }
-                    }
-                }
-            }
-        },
-        |chunks| {
-            let bytes: u64 = chunks.map(|ci| (bounds[ci + 1] - bounds[ci]) as u64).sum();
-            cost::arff_parse_chunk_cost(bytes)
-        },
-    );
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
+                parse_data_chunk(bytes, dim).map_err(|(line_in_chunk, message)| {
+                    // Absolute line number, computed lazily (only on the
+                    // error path): header lines + data lines in earlier
+                    // chunks + offset within this chunk.
+                    let preceding = data[..bounds[ci]].iter().filter(|&&b| b == b'\n').count();
+                    let line = header_lines + preceding + line_in_chunk;
+                    ArffError::Parse { line, message }
+                })
+            },
+            |chunks| {
+                let bytes: u64 = chunks.map(|ci| (bounds[ci + 1] - bounds[ci]) as u64).sum();
+                cost::arff_parse_chunk_cost(bytes)
+            },
+        )?;
+        Ok((rows, dim))
+    })();
+    if let Some(m) = traced_read_stats(&result) {
+        let ns = cost::arff_read_parallel_ns(&m, exec);
+        hpa_trace::predict("tfidf", "read-arff-parallel", ns);
     }
-    let mut rows = Vec::new();
-    for slot in slots {
-        rows.extend(slot.into_inner().expect("chunk parsed"));
-    }
-    Ok((rows, dim))
+    result
 }
 
 /// Binary variant of [`write_arff`]: stream the model into the
@@ -606,8 +723,8 @@ pub fn read_arff_parallel<R: BufRead>(
 pub fn write_colfmt<W: Write>(exec: &Exec, model: &TfIdfModel, out: W) -> Result<W, ColFmtError> {
     let _span = hpa_trace::span!("tfidf", "write-colfmt", model.vectors.len() as u64);
     if hpa_trace::is_enabled() {
-        let est = cost::colfmt_write_estimate(&model.vectors);
-        hpa_trace::predict("tfidf", "write-colfmt", exec.predict_serial_ns(&est));
+        let ns = cost::colfmt_write_ns(&model_stats(model), exec);
+        hpa_trace::predict("tfidf", "write-colfmt", ns);
     }
     let chunk_rows = hpa_colfmt::DEFAULT_CHUNK_ROWS;
     exec.serial_costed(|| {
@@ -655,7 +772,11 @@ pub fn write_colfmt_overlapped<W: Write + Send>(
         "write-colfmt-overlapped",
         model.vectors.len() as u64
     );
-    let n = model.vectors.len();
+    if hpa_trace::is_enabled() {
+        let ns = cost::colfmt_write_overlapped_ns(&model_stats(model), exec);
+        hpa_trace::predict("tfidf", "write-colfmt-overlapped", ns);
+    }
+    let rows = &model.vectors;
     let dim = model.vocab.len();
     // Fixed grain: the chunk layout is part of the byte format, so it
     // must not depend on the executor (serial and pipelined writers
@@ -664,101 +785,31 @@ pub fn write_colfmt_overlapped<W: Write + Send>(
 
     // Serial prefix: the 32-byte file header.
     let writer = exec.serial_costed(|| {
-        match ColWriter::new(ByteCounter::new(out), n as u64, dim as u64, chunk_rows) {
+        match ColWriter::new(
+            ByteCounter::new(out),
+            rows.len() as u64,
+            dim as u64,
+            chunk_rows,
+        ) {
             Ok(w) => (Ok(w), cost::colfmt_header_cost()),
             Err(e) => (Err(ColFmtError::Io(e)), TaskCost::default()),
         }
     })?;
 
-    if hpa_trace::is_enabled() {
-        let header_ns = exec.predict_serial_ns(&cost::colfmt_header_cost());
-        let encode_ns = exec.predict_region_ns(n, chunk_rows, |range| {
-            cost::colfmt_encode_chunk_cost(&model.vectors[range])
-        });
-        let body_bytes: u64 = model
-            .vectors
-            .chunks(chunk_rows)
-            .map(cost::colfmt_chunk_bytes)
-            .sum();
-        let drain_ns = exec.predict_serial_ns(&cost::colfmt_drain_cost(body_bytes));
-        hpa_trace::predict(
-            "tfidf",
-            "write-colfmt-overlapped",
-            header_ns + encode_ns.max(drain_ns),
-        );
-    }
-
-    let header_bytes = writer.sink().bytes();
-    let mut outcome: Option<Result<ByteCounter<W>, ColFmtError>> = None;
-    let (tx, rx) = hpa_io::channel::bounded::<Vec<u8>>(4);
-    let seq = Sequencer::new(tx);
-    // Blocks cycle drain → free list → encoder, exactly like the ARFF
-    // pipeline: allocation is bounded by channel capacity + in-flight
-    // chunks, not file size.
-    let free: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        let (seq, free) = (&seq, &free);
-        let drain_handle = s.spawn(move || {
-            let mut w = writer;
-            let mut failure: Option<ColFmtError> = None;
-            while let Ok(block) = rx.recv() {
-                hpa_trace::counter("colfmt", "queue-depth", rx.len() as u64);
-                let _sp = hpa_trace::span!("colfmt", "drain", block.len() as u64);
-                if let Err(e) = w.write_raw_chunk(&block) {
-                    // Leaving the loop drops `rx`, unblocking encoders
-                    // parked on the full channel.
-                    failure = Some(ColFmtError::Io(e));
-                    break;
-                }
-                hpa_trace::counter("colfmt", "bytes-written", w.sink().bytes());
-                let mut recycled = block;
-                recycled.clear();
-                free.lock().push(recycled);
-            }
-            drop(rx);
-            let bytes = w.sink().bytes();
-            let result = match failure {
-                Some(e) => Err(e),
-                // `finish` verifies every promised chunk arrived and
-                // flushes; a clean drain of all chunks always satisfies
-                // its count checks.
-                None => w.finish().map_err(ColFmtError::Io),
-            };
-            (bytes, result)
-        });
-
-        exec.par_chunks_overlapped(
-            n,
-            chunk_rows,
-            |range| {
-                let mut block = free.lock().pop().unwrap_or_default();
-                block.clear();
-                let _sp = hpa_trace::span!("colfmt", "write-chunk", range.len() as u64);
-                encode_chunk(
-                    &model.vectors[range.clone()],
-                    range.start as u64,
-                    &mut block,
-                );
-                // A failed drain disconnects the channel; the block is
-                // simply dropped and the error surfaces below.
-                let _ = seq.push((range.start / chunk_rows) as u64, block);
-            },
-            |range| cost::colfmt_encode_chunk_cost(&model.vectors[range]),
-            || {
-                seq.close();
-                let (bytes, result) = drain_handle.join().expect("drain thread never panics");
-                // The header was already charged by the serial prefix.
-                let cost = cost::colfmt_drain_cost(bytes - header_bytes);
-                outcome = Some(result);
-                cost
-            },
-        );
-    });
-
-    match outcome.expect("drain closure always runs") {
-        Ok(counter) => Ok(counter.into_inner()),
-        Err(e) => Err(e),
-    }
+    write_chunks_overlapped(
+        exec,
+        rows.len(),
+        chunk_rows,
+        writer,
+        |range, mut block| {
+            encode_chunk(&rows[range.clone()], range.start as u64, &mut block);
+            block
+        },
+        |range| {
+            let m = MatrixStats::of(&rows[range], dim);
+            cost::colfmt_encode_cost_for(m.rows, m.nnz)
+        },
+    )
 }
 
 /// Binary variant of [`read_arff`]: stream the colfmt intermediate back
@@ -768,30 +819,26 @@ pub fn read_colfmt<R: Read>(exec: &Exec, input: R) -> Result<(Vec<SparseVec>, us
     let result = exec.serial_costed(|| {
         let result = (|| {
             let reader = ColReader::new(input)?;
-            let dim = usize::try_from(reader.header().dim).map_err(|_| {
-                ColFmtError::corrupt_header(format!(
-                    "dimension {} overflows usize",
-                    reader.header().dim
-                ))
-            })?;
+            let dim = colfmt_dim(reader.header().dim)?;
             let rows = reader.read_all()?;
             Ok((rows, dim))
         })();
         let cost = match &result {
-            Ok((rows, _)) => cost::colfmt_read_cost(rows),
+            Ok((rows, dim)) => cost::colfmt_read_cost_stats(&MatrixStats::of(rows, *dim)),
             Err(_) => TaskCost::default(),
         };
         (result, cost)
     });
-    if hpa_trace::is_enabled() {
-        if let Ok((rows, _)) = &result {
-            // Byte volume is only known post-hoc, so the prediction is
-            // emitted inside the span it prices.
-            let ns = exec.predict_serial_ns(&cost::colfmt_read_cost(rows));
-            hpa_trace::predict("tfidf", "read-colfmt", ns);
-        }
+    if let Some(m) = traced_read_stats(&result) {
+        hpa_trace::predict("tfidf", "read-colfmt", cost::colfmt_read_ns(&m, exec));
     }
     result
+}
+
+/// A colfmt header's dimension as a `usize`.
+fn colfmt_dim(dim: u64) -> Result<usize, ColFmtError> {
+    usize::try_from(dim)
+        .map_err(|_| ColFmtError::corrupt_header(format!("dimension {dim} overflows usize")))
 }
 
 /// Chunk-parallel variant of [`read_colfmt`], the binary sibling of
@@ -807,80 +854,49 @@ pub fn read_colfmt_parallel<R: Read>(
     mut input: R,
 ) -> Result<(Vec<SparseVec>, usize), ColFmtError> {
     let _span = hpa_trace::span!("tfidf", "read-colfmt-parallel", 0);
-    // Serial prefix 1: slurp the file.
-    let data = exec.serial_costed(|| {
-        let mut data = Vec::new();
-        let result = match input.read_to_end(&mut data) {
-            Ok(_) => Ok(data),
-            Err(e) => Err(ColFmtError::Io(e)),
-        };
-        let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-        (result, cost::colfmt_slurp_cost(bytes))
-    })?;
+    let result = (|| {
+        // Serial prefix 1: slurp the file.
+        let data = exec.serial_costed(|| {
+            let mut data = Vec::new();
+            let result = match input.read_to_end(&mut data) {
+                Ok(_) => Ok(data),
+                Err(e) => Err(ColFmtError::Io(e)),
+            };
+            let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
+            (result, cost::colfmt_slurp_cost(bytes))
+        })?;
 
-    // Serial prefix 2: the chunk table (headers only).
-    let (header, table) = exec.serial_costed(|| {
-        let result = hpa_colfmt::index_chunks(&data);
-        let chunks = result.as_ref().map(|(h, _)| h.chunks).unwrap_or(0);
-        (result, cost::colfmt_index_cost(chunks))
-    })?;
-    let dim = usize::try_from(header.dim).map_err(|_| {
-        ColFmtError::corrupt_header(format!("dimension {} overflows usize", header.dim))
-    })?;
-    let nchunks = table.len();
+        // Serial prefix 2: the chunk table (headers only).
+        let (header, table) = exec.serial_costed(|| {
+            let result = hpa_colfmt::index_chunks(&data);
+            let chunks = result.as_ref().map(|(h, _)| h.chunks).unwrap_or(0);
+            (result, cost::colfmt_index_cost(chunks))
+        })?;
+        let dim = colfmt_dim(header.dim)?;
 
-    if hpa_trace::is_enabled() {
-        let ns = exec.predict_serial_ns(&cost::colfmt_slurp_cost(data.len() as u64))
-            + exec.predict_serial_ns(&cost::colfmt_index_cost(header.chunks))
-            + exec.predict_region_ns(nchunks, 1, |chunks| {
+        let rows = read_chunks_parallel(
+            exec,
+            table.len(),
+            |ci| {
+                let (ch, range) = &table[ci];
+                let bytes = &data[range.clone()];
+                let _sp = hpa_trace::span!("colfmt", "read-chunk", bytes.len() as u64);
+                hpa_colfmt::decode_chunk(ch, bytes, header.dim, ci as u64)
+            },
+            |chunks| {
                 let bytes: u64 = chunks
                     .map(|ci| (hpa_colfmt::CHUNK_HEADER_LEN + table[ci].1.len()) as u64)
                     .sum();
                 cost::colfmt_decode_chunk_cost(bytes)
-            });
+            },
+        )?;
+        Ok((rows, dim))
+    })();
+    if let Some(m) = traced_read_stats(&result) {
+        let ns = cost::colfmt_read_parallel_ns(&m, exec);
         hpa_trace::predict("tfidf", "read-colfmt-parallel", ns);
     }
-
-    let slots: Vec<Mutex<Option<Vec<SparseVec>>>> =
-        (0..nchunks).map(|_| Mutex::new(None)).collect();
-    // Earliest-chunk-wins, so the reported corruption matches what the
-    // streaming reader (which stops at the first bad chunk) would say.
-    let first_error: Mutex<Option<(usize, ColFmtError)>> = Mutex::new(None);
-    exec.par_chunks(
-        nchunks,
-        1,
-        |chunks| {
-            for ci in chunks {
-                let (ch, range) = &table[ci];
-                let bytes = &data[range.clone()];
-                let _sp = hpa_trace::span!("colfmt", "read-chunk", bytes.len() as u64);
-                match hpa_colfmt::decode_chunk(ch, bytes, header.dim, ci as u64) {
-                    Ok(rows) => *slots[ci].lock() = Some(rows),
-                    Err(e) => {
-                        let mut slot = first_error.lock();
-                        let earlier = matches!(&*slot, Some((c, _)) if *c <= ci);
-                        if !earlier {
-                            *slot = Some((ci, e));
-                        }
-                    }
-                }
-            }
-        },
-        |chunks| {
-            let bytes: u64 = chunks
-                .map(|ci| (hpa_colfmt::CHUNK_HEADER_LEN + table[ci].1.len()) as u64)
-                .sum();
-            cost::colfmt_decode_chunk_cost(bytes)
-        },
-    );
-    if let Some((_, e)) = first_error.into_inner() {
-        return Err(e);
-    }
-    let mut rows = Vec::new();
-    for slot in slots {
-        rows.extend(slot.into_inner().expect("chunk decoded"));
-    }
-    Ok((rows, dim))
+    result
 }
 
 /// Parse one line-aligned chunk; errors carry the 1-based line offset
