@@ -1,7 +1,7 @@
 //! Ablation — cost-based fusion planner: does the planner's pick match
 //! the measured-best forced plan?
 //!
-//! The planner (`hpa_plan`) prices every transport the matrix edge
+//! The planner (`hpa_plan`) prices every transport the plan space
 //! allows and executes the cheapest. This bench measures all five
 //! forced plans (fused, plus the four file transports) across the
 //! thread grid, then runs the planner in two scenarios — the full
@@ -89,7 +89,7 @@ fn main() {
                 .map(|&threads| {
                     let exec = cfg.mode.exec(threads);
                     let out = forced(t).run(&corpus, &exec).expect("forced run");
-                    assert_eq!(out.plan[1], t.label(), "forced plan must report itself");
+                    assert_eq!(out.transport, t, "forced plan must report itself");
                     Run {
                         threads,
                         total_s: out.phases.total().as_secs_f64(),
@@ -122,11 +122,7 @@ fn main() {
                 .planned()
                 .run(&corpus, &exec)
                 .expect("planned run");
-            let pick = Transport::ALL
-                .into_iter()
-                .map(Transport::label)
-                .find(|l| *l == out.plan[1])
-                .expect("plan label names a transport");
+            let pick = out.transport.label();
             assert!(
                 *fused_allowed || pick != "fused",
                 "{scenario}: planner picked {pick}, outside its space"

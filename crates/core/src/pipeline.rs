@@ -7,15 +7,15 @@
 //! the K-means centroids — with a versioned plain-text serialization and
 //! a parallel nearest-centroid predictor.
 
-use crate::{ops, OperatorCtx, WorkflowError};
+use crate::{OperatorCtx, WorkflowError};
 use hpa_corpus::{Corpus, Tokenizer};
 use hpa_dict::{DictKind, Dictionary as _};
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
-use hpa_kmeans::KMeansConfig;
+use hpa_kmeans::{KMeans, KMeansConfig};
 use hpa_metrics::PhaseTimer;
 use hpa_sparse::{CentroidBlock, DenseVec, SparseVec};
-use hpa_tfidf::{TfIdfConfig, Vocab};
+use hpa_tfidf::{TfIdf, TfIdfConfig, Vocab};
 use std::io::{BufRead, Write};
 
 /// A fitted TF/IDF → K-means pipeline, ready to classify new documents.
@@ -63,15 +63,21 @@ impl TrainedPipeline {
         tfidf: TfIdfConfig,
         kmeans: KMeansConfig,
     ) -> Result<(Self, Vec<u32>), WorkflowError> {
-        use crate::operator::Operator as _;
         let mut timer = PhaseTimer::new();
         let mut ctx = OperatorCtx {
             exec,
             timer: &mut timer,
         };
-        let model = ops::TfIdfOp::new(tfidf).run(&mut ctx, corpus)?;
-        let fitted =
-            ops::KMeansOp::new(kmeans).run(&mut ctx, (&model.vectors, model.vocab.len()))?;
+        let tfidf = TfIdf::new(tfidf);
+        let counts = ctx.timed("input+wc", |exec| tfidf.count_words(exec, corpus));
+        let model = ctx.timed("transform", |exec| {
+            let vocab = tfidf.build_vocab(exec, &counts);
+            tfidf.transform(exec, &counts, &vocab)
+        });
+        drop(counts);
+        let fitted = ctx.timed("kmeans", |exec| {
+            KMeans::new(kmeans).fit(exec, &model.vectors, model.vocab.len())
+        });
         Ok((
             TrainedPipeline {
                 dict_kind: model.vocab.kind(),

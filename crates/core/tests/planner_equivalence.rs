@@ -6,7 +6,7 @@
 //! through the planner, so `fused()` / `discrete()` with the format and
 //! schedule knobs are plan spaces of one. For each of the five
 //! transports, the knob-built workflow and a `planned()` workflow whose
-//! space is exactly that transport must agree — plan labels,
+//! space is exactly that transport must agree — reported transport,
 //! assignments, dimensionality, inertia bits, output bytes and phase
 //! labels — on every executor.
 
@@ -38,8 +38,7 @@ fn builder() -> WorkflowBuilder {
         })
 }
 
-/// The classic forced workflow equivalent to transport `t` on the
-/// matrix edge.
+/// The classic forced workflow equivalent to transport `t`.
 fn forced(t: Transport) -> Workflow {
     match t {
         Transport::Fused => builder().fused(),
@@ -74,8 +73,8 @@ fn every_plannable_transport_matches_its_forced_strategy() {
                 .run(&corpus, &exec)
                 .unwrap();
             let label = t.label();
-            assert_eq!(planned.plan, vec!["fused", label, "fused"], "{label}");
-            assert_eq!(planned.plan, reference.plan, "{label}");
+            assert_eq!(planned.transport, t, "{label}");
+            assert_eq!(reference.transport, t, "{label}");
             assert_eq!(planned.assignments, reference.assignments, "{label}");
             assert_eq!(planned.dim, reference.dim, "{label}");
             assert_eq!(
@@ -102,11 +101,7 @@ fn unrestricted_planner_reproduces_one_of_the_forced_outcomes() {
     let corpus = corpus();
     for exec in execs() {
         let planned = builder().planned().run(&corpus, &exec).unwrap();
-        let pick = Transport::ALL
-            .into_iter()
-            .find(|t| t.label() == planned.plan[1])
-            .expect("plan label names a transport");
-        let reference = forced(pick).run(&corpus, &exec).unwrap();
+        let reference = forced(planned.transport).run(&corpus, &exec).unwrap();
         assert_eq!(planned.assignments, reference.assignments);
         assert_eq!(planned.dim, reference.dim);
         assert_eq!(planned.inertia.to_bits(), reference.inertia.to_bits());

@@ -1,16 +1,23 @@
-//! Planner price ≡ ledger prediction: for every file transport, the
-//! predictions its two legs emit when it runs sum to the `edge_ns` the
-//! planner decided on, to the nanosecond — so the audit ledger checks
-//! the number `hpa_plan::choose` actually used.
+//! What a traced run of each file transport records.
 //!
-//! Own integration-test binary: the trace buffers are process-global.
+//! Planner price ≡ ledger prediction: the predictions a transport's two
+//! legs emit when it runs sum to the price `hpa_plan::choose` decided
+//! on, to the nanosecond — so the audit ledger checks the number the
+//! planner actually used. And the `phase/*` spans are the phase report:
+//! every phase is opened by the one `OperatorCtx::timed`, so the spans
+//! in start order name exactly the phases the outcome lists.
+//!
+//! Own integration-test binary: the trace buffers are process-global,
+//! and [`traced_run`] serializes the tests inside it.
 
-use hpa_core::{IntermediateFormat, PlanSpace, Transport, WorkflowBuilder};
-use hpa_corpus::CorpusSpec;
+use hpa_core::{IntermediateFormat, PlanSpace, Transport, WorkflowBuilder, WorkflowOutcome};
+use hpa_corpus::{Corpus, CorpusSpec};
 use hpa_exec::Exec;
 use hpa_kmeans::KMeansConfig;
-use hpa_plan::{Dag, EdgeSpec, MatrixStats, OperatorSpec, PortType};
+use hpa_plan::MatrixStats;
 use hpa_tfidf::{TfIdf, TfIdfConfig};
+use hpa_trace::Recording;
+use std::sync::Mutex;
 
 /// The `tfidf/*` span names of a file transport's write and read legs.
 fn legs(t: Transport) -> [&'static str; 2] {
@@ -27,18 +34,33 @@ fn legs(t: Transport) -> [&'static str; 2] {
     }
 }
 
-/// What `hpa_plan::choose` prices a matrix edge shaped like `m` at when
-/// `t` is the only transport on the table.
-fn planned_edge_ns(t: Transport, m: MatrixStats, exec: &Exec) -> u64 {
-    let mut dag = Dag::new();
-    let tfidf = dag.add_node(OperatorSpec::new("tfidf").output(PortType::SparseMatrix));
-    let kmeans = dag.add_node(OperatorSpec::new("kmeans").input(PortType::SparseMatrix));
-    let edge = dag
-        .connect((tfidf, 0), (kmeans, 0), EdgeSpec::open(m))
+fn file_transports() -> impl Iterator<Item = Transport> {
+    Transport::ALL
+        .into_iter()
+        .filter(|t| *t != Transport::Fused)
+}
+
+/// Run `corpus` through transport `t` with tracing on and return what
+/// the run recorded, holding the process-global trace for its duration.
+fn traced_run(t: Transport, corpus: &Corpus, exec: &Exec) -> (WorkflowOutcome, Recording) {
+    static TRACE: Mutex<()> = Mutex::new(());
+    let _owner = TRACE.lock().unwrap_or_else(|e| e.into_inner());
+    hpa_trace::enable();
+    let out = WorkflowBuilder::new()
+        .tfidf(TfIdfConfig::default())
+        .kmeans(KMeansConfig {
+            k: 4,
+            max_iters: 2,
+            ..Default::default()
+        })
+        .plan_space(PlanSpace::only([t]))
+        .planned()
+        .run(corpus, exec)
         .unwrap();
-    let plan = hpa_plan::choose(&dag, &PlanSpace::only([t]), exec).unwrap();
-    assert_eq!(plan.transport(edge), Some(t));
-    plan.edges_ns()
+    hpa_trace::disable();
+    let rec = hpa_trace::take();
+    assert_eq!(out.transport, t);
+    (out, rec)
 }
 
 #[test]
@@ -47,33 +69,14 @@ fn leg_predictions_sum_to_the_planned_edge_price() {
     // rows, so an exact-chunk prediction and the planner's even spread
     // would differ.
     let corpus = CorpusSpec::nsf_abstracts().scaled(0.006).generate(7);
-    let tfidf = TfIdfConfig::default();
-    let kmeans = KMeansConfig {
-        k: 4,
-        max_iters: 2,
-        ..Default::default()
-    };
-    let model = TfIdf::new(tfidf).fit(&Exec::sequential(), &corpus);
+    let model = TfIdf::new(TfIdfConfig::default()).fit(&Exec::sequential(), &corpus);
     let stats = MatrixStats::of(&model.vectors, model.vocab.len());
     assert!(stats.rows as usize > 2 * hpa_colfmt::DEFAULT_CHUNK_ROWS);
 
     for exec in [Exec::sequential(), Exec::pool(2)] {
-        for t in Transport::ALL
-            .into_iter()
-            .filter(|t| *t != Transport::Fused)
-        {
+        for t in file_transports() {
             let label = t.label();
-            hpa_trace::enable();
-            let out = WorkflowBuilder::new()
-                .tfidf(tfidf)
-                .kmeans(kmeans)
-                .plan_space(PlanSpace::only([t]))
-                .planned()
-                .run(&corpus, &exec)
-                .unwrap();
-            hpa_trace::disable();
-            let rec = hpa_trace::take();
-            assert_eq!(out.plan[1], label);
+            let (_, rec) = traced_run(t, &corpus, &exec);
 
             let mut predicted = 0u64;
             for leg in legs(t) {
@@ -91,10 +94,41 @@ fn leg_predictions_sum_to_the_planned_edge_price() {
                 );
                 predicted += predictions[0];
             }
+            let planned = hpa_plan::choose(&PlanSpace::only([t]), &stats, &exec).unwrap();
+            assert_eq!(planned.transport, t);
             assert_eq!(
-                predicted,
-                planned_edge_ns(t, stats, &exec),
-                "{label}: write + read predictions vs the planner's edge_ns under {exec:?}"
+                predicted, planned.price_ns,
+                "{label}: write + read predictions vs the planner's price under {exec:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn phase_spans_are_the_phase_report_and_the_choice_is_traced_once() {
+    let corpus = CorpusSpec::mix().scaled(0.002).generate(5);
+    for exec in [Exec::sequential(), Exec::pool(2)] {
+        for t in file_transports() {
+            let label = t.label();
+            let (out, rec) = traced_run(t, &corpus, &exec);
+
+            // `take` sorts spans by start time.
+            let spans: Vec<&str> = rec.spans_in("phase").map(|s| s.name).collect();
+            assert_eq!(spans, out.phases.labels(), "{label} under {exec:?}");
+
+            let choices: Vec<&str> = rec
+                .events
+                .iter()
+                .filter(|e| e.cat == "plan/choose")
+                .map(|e| e.name)
+                .collect();
+            assert_eq!(choices, [label], "under {exec:?}");
+
+            // This binary does not install the counting allocator, so a
+            // heap sample could only be a misleading zero.
+            assert!(
+                rec.counters.iter().all(|c| c.cat != "mem"),
+                "{label}: heap sampled without an allocator under {exec:?}"
             );
         }
     }

@@ -115,11 +115,6 @@ impl Exec {
         }
     }
 
-    /// True when running under the simulator.
-    pub fn is_simulated(&self) -> bool {
-        matches!(self.mode, Mode::Sim(_))
-    }
-
     /// Elapsed time since this executor was created: *virtual* under the
     /// simulator, wall-clock otherwise. Phase timers diff this.
     pub fn now(&self) -> Duration {
@@ -650,7 +645,7 @@ mod tests {
     fn pool_of_one_degrades_to_sequential() {
         let exec = Exec::pool(1);
         assert_eq!(exec.threads(), 1);
-        assert!(!exec.is_simulated());
+        assert!(matches!(exec.mode, Mode::Sequential));
     }
 
     #[test]

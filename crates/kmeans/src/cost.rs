@@ -103,23 +103,6 @@ pub fn update_cost(member_nnz: u64, dim: usize) -> TaskCost {
     TaskCost::cpu_mem(cpu as u64, member_nnz * 12 + dim as u64 * 16)
 }
 
-/// Pre-run estimate of a whole Lloyd run, for the workflow planner's
-/// K-means node: seed init plus `iters` iterations of the block rebuild,
-/// the blocked assignment kernel (full sweep — pruning savings are not
-/// assumed up front), the regrouping, and the update of `k` non-empty
-/// clusters. Built from the same per-phase cost functions the operator
-/// charges at run time.
-pub fn lloyd_estimate(docs: u64, nnz: u64, dim: usize, k: usize, iters: usize) -> TaskCost {
-    let mut total = init_cost(k, dim);
-    for _ in 0..iters {
-        total += block_rebuild_cost(k, dim);
-        total += assign_cost(AssignKernel::BlockedPruned, nnz, 0, docs, k);
-        total += membership_cost(docs, k);
-        total += update_cost(nnz, k * dim);
-    }
-    total
-}
-
 /// Cost of materializing the seed centroids.
 pub fn init_cost(k: usize, dim: usize) -> TaskCost {
     let elems = (k * dim) as f64;
@@ -165,20 +148,6 @@ mod tests {
         let c = assign_cost(AssignKernel::Naive, 0, 0, 0, 8);
         assert_eq!(c.cpu_ns, 0);
         assert_eq!(c.mem_bytes, 0);
-    }
-
-    #[test]
-    fn lloyd_estimate_composes_the_per_phase_costs() {
-        let (docs, nnz, dim, k) = (1000u64, 50_000u64, 40_000usize, 8usize);
-        let one = lloyd_estimate(docs, nnz, dim, k, 1);
-        let per_iter = block_rebuild_cost(k, dim).cpu_ns
-            + assign_cost(AssignKernel::BlockedPruned, nnz, 0, docs, k).cpu_ns
-            + membership_cost(docs, k).cpu_ns
-            + update_cost(nnz, k * dim).cpu_ns;
-        assert_eq!(one.cpu_ns, init_cost(k, dim).cpu_ns + per_iter);
-        let ten = lloyd_estimate(docs, nnz, dim, k, 10);
-        assert_eq!(ten.cpu_ns, init_cost(k, dim).cpu_ns + 10 * per_iter);
-        assert_eq!(lloyd_estimate(docs, nnz, dim, k, 0), init_cost(k, dim));
     }
 
     #[test]

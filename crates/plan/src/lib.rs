@@ -1,30 +1,26 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! Workflow DAG and cost-based fusion planner.
+//! Cost-based transport choice.
 //!
 //! The paper's §3.3 finding is that *composition strategy* — fused
-//! vs. discrete — matters as much as the operators themselves. This
-//! crate turns that binary switch into a per-edge decision: operators
-//! declare typed input/output ports and per-phase cost closures
-//! ([`OperatorSpec`]), a [`Dag`] wires them together, and every edge
-//! carries a set of allowed [`Transport`]s. The planner
-//! ([`planner::choose`]) enumerates one transport per edge, prices each
-//! combination with the same analytic cost model the execution
-//! simulator charges (`hpa_tfidf::cost`, via [`price::transport_cost_ns`])
-//! at the run's thread count, and picks the cheapest plan.
+//! vs. discrete — matters as much as the operators themselves. The
+//! TF/IDF → K-means workflow has exactly one composition decision: how
+//! the matrix crosses from one operator to the other, a [`Transport`].
+//! [`choose`] prices every transport a [`PlanSpace`] allows with the
+//! same analytic cost model the execution simulator charges
+//! (`hpa_tfidf::cost`, via [`price::transport_cost_ns`]) at the run's
+//! thread count, and picks the cheapest.
 //!
 //! Paper fidelity needs no second path: a [`PlanSpace`] of one
 //! transport forces it, so Figure 3's fused and serial-ARFF discrete
 //! workflows are plan spaces of one — still expressible, and still
 //! measured, unchanged.
 
-pub mod dag;
 pub mod planner;
 pub mod price;
 
-pub use dag::{Dag, DagError, Edge, EdgeId, EdgeSpec, NodeId, OperatorSpec, PhaseCost, PortType};
 pub use hpa_tfidf::cost::MatrixStats;
-pub use planner::{choose, enumerate, EdgeChoice, Plan, PlanSpace};
+pub use planner::{choose, Choice, EmptyPlanSpace, PlanSpace};
 
 /// On-disk encoding of a materialized intermediate — the planner's
 /// format knob, orthogonal to the schedule choice a [`Transport`]
@@ -53,8 +49,8 @@ impl IntermediateFormat {
     }
 }
 
-/// How one DAG edge moves its intermediate from producer to consumer —
-/// the planner's decision variable, one per edge.
+/// How the TF/IDF matrix moves from its producer to K-means — the
+/// planner's one decision variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Transport {
     /// In-memory hand-off inside one binary ("merged" in the paper):
@@ -75,9 +71,8 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// Every transport, in deterministic enumeration order. Tie-breaks
-    /// in the planner resolve toward the earlier entry, so `Fused`
-    /// wins a dead heat.
+    /// Every transport, in the planner's candidate order. Tie-breaks
+    /// resolve toward the earlier entry, so `Fused` wins a dead heat.
     pub const ALL: [Transport; 5] = [
         Transport::Fused,
         Transport::Pipelined(IntermediateFormat::Binary),

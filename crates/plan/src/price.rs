@@ -1,21 +1,21 @@
-//! Transport pricing: what one edge costs under each [`Transport`],
-//! from matrix shape statistics alone.
+//! Transport pricing: what the matrix hand-off costs under each
+//! [`Transport`], from matrix shape statistics alone.
 //!
 //! A file transport is a write leg plus a read leg, and each leg is
 //! priced by exactly one function in `hpa_tfidf::cost` — the function
-//! the leg's own `trace::predict` site calls when it runs. A plan's
-//! price is therefore the same number the audit ledger sees predicted
-//! if that plan runs — the planner and the conformance machinery cannot
-//! disagree by construction (`crates/core/tests/transport_price.rs`
-//! checks it to the nanosecond).
+//! the leg's own `trace::predict` site calls when it runs. A
+//! transport's price is therefore the same number the audit ledger sees
+//! predicted if that transport runs — the planner and the conformance
+//! machinery cannot disagree by construction
+//! (`crates/core/tests/transport_price.rs` checks it to the nanosecond).
 
 use crate::{IntermediateFormat, Transport};
 use hpa_exec::Exec;
 use hpa_tfidf::cost::{self, MatrixStats};
 
-/// Predicted wall time (ns) of moving a matrix shaped like `m` across
-/// one edge via `transport`, on `exec`. Fused hand-offs are free — the
-/// consumer reads the producer's structure in place.
+/// Predicted wall time (ns) of moving a matrix shaped like `m` from
+/// TF/IDF to K-means via `transport`, on `exec`. Fused hand-offs are
+/// free — the consumer reads the producer's structure in place.
 pub fn transport_cost_ns(transport: Transport, m: &MatrixStats, exec: &Exec) -> u64 {
     use IntermediateFormat::{Arff, Binary};
     match transport {

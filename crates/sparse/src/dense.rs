@@ -3,8 +3,9 @@
 //! K-means centroids are means over many sparse documents, so they are
 //! effectively dense over the vocabulary. [`DenseVec`] is a thin wrapper
 //! over `Vec<f64>` with the operations the clustering kernel needs, built
-//! for reuse: `reset` clears without releasing capacity, so per-iteration
-//! accumulators recycle their allocation (the paper's §3.1 optimization).
+//! for reuse: `replace_with_scaled` leaves the sum buffer zeroed in place,
+//! so per-iteration accumulators recycle their allocation (the paper's
+//! §3.1 optimization).
 
 use crate::SparseVec;
 
@@ -45,13 +46,6 @@ impl DenseVec {
     /// Mutable raw slice.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Set every component to zero and (re)size to `dim`, keeping the
-    /// allocation when capacity suffices.
-    pub fn reset(&mut self, dim: usize) {
-        self.data.clear();
-        self.data.resize(dim, 0.0);
     }
 
     /// `self[t] += w` for each entry of `s`; `s` must fit the dimension.
@@ -144,17 +138,6 @@ impl From<Vec<f64>> for DenseVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zeros_and_reset_preserve_capacity() {
-        let mut d = DenseVec::zeros(100);
-        assert_eq!(d.len(), 100);
-        let ptr = d.as_slice().as_ptr();
-        d.reset(50);
-        assert_eq!(d.len(), 50);
-        assert_eq!(d.as_slice().as_ptr(), ptr, "allocation reused");
-        assert!(d.as_slice().iter().all(|&x| x == 0.0));
-    }
 
     #[test]
     fn add_sparse_accumulates() {

@@ -7,22 +7,17 @@
 //! has a few hundred non-zeros out of a vocabulary of hundreds of
 //! thousands. [`SparseVec`] stores sorted `(term_id, weight)` pairs;
 //! [`DenseVec`] is the dense accumulator used for centroids (centroids are
-//! means over many documents and are not sparse). [`recycle`] provides the
-//! paper's second optimization: reusing buffers across K-means iterations
-//! instead of allocating fresh ones ("we do not create new objects during
-//! the iterations").
+//! means over many documents and are not sparse).
 
 pub mod block;
 pub mod dense;
 pub mod distance;
 pub mod fnv;
-pub mod recycle;
 
 pub use block::CentroidBlock;
 pub use dense::DenseVec;
 pub use distance::{cosine_similarity, squared_distance_to_centroid};
 pub use fnv::{fnv1a, fnv1a_str};
-pub use recycle::BufferPool;
 
 /// Term identifier. `u32` keeps pairs at 12 bytes + padding; vocabularies
 /// in the paper peak below 300 K terms.

@@ -69,13 +69,6 @@ pub fn wc_chunk_cost(
 ) -> TaskCost {
     let bytes: u64 = range.clone().map(|i| docs[i].text.len() as u64).sum();
     let files = range.len() as u64;
-    wc_cost_estimate(kind, bytes, files, charge_io)
-}
-
-/// [`wc_chunk_cost`] from byte/file counts alone — the planner's
-/// pre-run variant (the range-based function delegates here, so the
-/// node estimate and the charged chunk costs share one formula).
-pub fn wc_cost_estimate(kind: DictKind, bytes: u64, files: u64, charge_io: bool) -> TaskCost {
     let tokens = bytes as f64 / BYTES_PER_TOKEN;
     let distinct = tokens * DISTINCT_FRACTION;
     let hits = tokens - distinct;
@@ -181,27 +174,6 @@ pub fn transform_chunk_cost(
     TaskCost {
         cpu_ns: cpu as u64,
         mem_bytes: mem as u64,
-        ..Default::default()
-    }
-}
-
-/// [`transform_chunk_cost`] from aggregate counts alone — the planner's
-/// pre-run variant. Prices every document at the average distinct-term
-/// count `nnz / docs`; for a uniform corpus it matches the range-based
-/// function, and the per-term arithmetic is the same either way.
-pub fn transform_cost_estimate(kind: DictKind, docs: u64, nnz: u64, vocab_len: usize) -> TaskCost {
-    let avg = nnz.checked_div(docs).unwrap_or(0) as usize;
-    let lookup = kind.global_kind().lookup_cost(vocab_len);
-    let iter = kind.iter_step_cost(avg);
-    let sort = match kind {
-        DictKind::BTree => 3.0,
-        _ => 12.0 * (avg.max(2) as f64).log2(),
-    };
-    let per_term = iter.cpu_ns + lookup.cpu_ns + sort + 35.0;
-    let per_term_mem = iter.mem_bytes + lookup.mem_bytes + 12.0;
-    TaskCost {
-        cpu_ns: (nnz as f64 * per_term + docs as f64 * 60.0) as u64,
-        mem_bytes: (nnz as f64 * per_term_mem) as u64,
         ..Default::default()
     }
 }
@@ -783,16 +755,6 @@ mod tests {
         let m = MatrixStats::of(&rows, 900);
         assert_eq!((m.rows, m.nnz, m.dim), (300, 600, 900));
         assert_eq!(MatrixStats::of(&[], 7).dim, 7);
-    }
-
-    #[test]
-    fn transform_estimate_tracks_nnz_and_vanishes_on_empty_input() {
-        let kind = DictKind::BTree;
-        assert_eq!(transform_cost_estimate(kind, 0, 0, 0), TaskCost::default());
-        let small = transform_cost_estimate(kind, 100, 5_000, 20_000);
-        let large = transform_cost_estimate(kind, 100, 50_000, 20_000);
-        assert!(large.cpu_ns > small.cpu_ns * 5);
-        assert!(large.mem_bytes > small.mem_bytes * 5);
     }
 
     #[test]

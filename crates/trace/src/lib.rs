@@ -4,8 +4,9 @@
 //!
 //! The paper's argument rests on *measured* per-phase times and
 //! self-relative speedups; coarse wall-clock phase timers cannot show
-//! where time goes inside a phase (work-stealing idle time, read-ahead
-//! stalls, shard-merge costs). This crate provides that visibility:
+//! where time goes inside a phase (work-stealing idle time, drain-thread
+//! stalls, per-iteration rebuild and update costs). This crate provides
+//! that visibility:
 //!
 //! * [`Span`] / [`span!`] — RAII spans recorded into per-thread buffers;
 //! * [`counter`] / [`instant`] — counter samples and point events;
@@ -51,7 +52,7 @@ use std::time::Instant;
 /// One completed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// Category ("pool", "readahead", "dict", "phase", ...).
+    /// Category ("pool", "tfidf", "kmeans", "phase", ...).
     pub cat: &'static str,
     /// Span name within the category.
     pub name: &'static str,
@@ -59,7 +60,7 @@ pub struct SpanRec {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Optional numeric argument (iteration index, shard id, bytes, ...).
+    /// Optional numeric argument (iteration index, chunk id, bytes, ...).
     pub arg: Option<u64>,
     /// Recording thread (registration order).
     pub tid: u32,
@@ -307,7 +308,7 @@ impl Span {
         Span::enter_with(cat, name, None)
     }
 
-    /// Start a span carrying a numeric argument (iteration index, shard
+    /// Start a span carrying a numeric argument (iteration index, chunk
     /// id, byte count...).
     #[inline]
     pub fn enter_with(cat: &'static str, name: &'static str, arg: Option<u64>) -> Span {

@@ -16,14 +16,14 @@
 //! * [`exec`] — work-stealing task pool and deterministic multicore simulator
 //! * [`corpus`] — synthetic corpora calibrated to the paper's data sets
 //! * [`dict`] — ordered-tree vs hash-table term dictionaries
-//! * [`sparse`] — sparse vector algebra with buffer recycling
+//! * [`sparse`] — sparse vector algebra and dense centroids
 //! * [`io`] — parallel input and the simulated storage device
 //! * [`arff`] — ARFF reader/writer (the discrete workflow's default wire format)
 //! * [`colfmt`] — chunk-aligned binary columnar intermediate (the fast wire format)
 //! * [`tfidf`] — the parallel TF/IDF operator
 //! * [`kmeans`] — the parallel sparse K-means operator and WEKA-style baseline
-//! * [`plan`] — the workflow DAG and cost-based fusion planner
-//! * [`workflow`] — the operator/workflow framework (discrete, fused, or planned)
+//! * [`plan`] — cost-based choice of the TF/IDF → K-means transport
+//! * [`workflow`] — the TF/IDF → K-means workflow (discrete, fused, or planned)
 //! * [`metrics`] — phase timing, heap accounting, result tables
 //! * [`rng`] — small deterministic PRNG (SplitMix64), no external deps
 //! * [`trace`] — opt-in span tracing with Chrome-trace (Perfetto) export
