@@ -2,9 +2,9 @@
 //! cost-model constants, and flag a model ranking the host contradicts.
 //!
 //! Flow:
-//! 1. Run the fused TF/IDF → K-means workflow on the *Mix* corpus with
-//!    the trace recorder on; every cost-model call site emits its
-//!    prediction next to the measured span.
+//! 1. Run the fused TF/IDF (`arena` arm) → K-means workflow on the *Mix*
+//!    corpus with the trace recorder on; every cost-model call site
+//!    emits its prediction next to the measured span.
 //! 2. Join the recording into a [`RunLedger`] (per-phase wall time,
 //!    percentiles, counters, predicted-vs-measured error ratios).
 //! 3. Fit one scale `alpha` per phase by least squares
@@ -51,7 +51,13 @@ fn main() {
     let _ = hpa_trace::take();
     let corpus = cfg.mix();
     let exec = cfg.mode.exec(threads);
+    // The arm `benchmark/` and `--dict arena` run, so that its cost
+    // closures — and the merge tail's own span — are what gets audited.
     let outcome = WorkflowBuilder::new()
+        .tfidf(TfIdfConfig {
+            dict_kind: DictKind::Auto,
+            ..Default::default()
+        })
         .fused()
         .run(&corpus, &exec)
         .expect("fused workflow run");

@@ -7,7 +7,7 @@
 //! executor observed.
 
 use hpa_bench::BenchConfig;
-use hpa_dict::{DictKind, Dictionary as _};
+use hpa_dict::DictKind;
 use hpa_metrics::{ExperimentReport, Table};
 use hpa_tfidf::{TfIdf, TfIdfConfig};
 
@@ -57,7 +57,7 @@ fn main() {
             format!("{secs:.3}"),
             parallelism,
         ]);
-        eprintln!("grain {grain}: {secs:.3}s ({} words)", counts.df.len());
+        eprintln!("grain {grain}: {secs:.3}s ({} words)", counts.num_terms());
     }
     report.add_table(table);
     report.note("too-fine grains pay spawn overhead; too-coarse grains lose load balance and stretch the reduction tree");

@@ -212,9 +212,9 @@ fn sibling_write_read_without_an_edge_is_flagged() {
 }
 
 /// The retrofitted substrate hooks under a modeled scatter/merge — the
-/// shape `count_words`' `par_fold_reduce` runs: two workers each fold
-/// partial arena dictionaries together (a tracked write on the worker's
-/// thread), the parent merges the results after joining both. Every
+/// shape `count_words` runs: two workers each build (and fold) arena
+/// interners on their own thread (a tracked write there), the parent
+/// merges the results after joining both. Every
 /// tracked access is ordered by the join edges — clean — and the
 /// deque/channel suites assert the same for their structures.
 #[test]

@@ -9,7 +9,7 @@
 
 use crate::{OperatorCtx, WorkflowError};
 use hpa_corpus::{Corpus, Tokenizer};
-use hpa_dict::{DictKind, Dictionary as _};
+use hpa_dict::{pack, DictKind, Dictionary as _};
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_kmeans::{KMeans, KMeansConfig};
@@ -89,24 +89,21 @@ impl TrainedPipeline {
         ))
     }
 
-    /// Vectorize one document with the *training* vocabulary and IDF.
+    /// Vectorize one document with the *training* vocabulary and IDF,
+    /// through the scoring function training used ([`Vocab::score`]).
     /// Unknown words are ignored (they have no trained weight).
     pub fn vectorize(&self, text: &str) -> SparseVec {
-        let mut tok = Tokenizer::new();
-        let mut counts = self.dict_kind.new_dict();
-        tok.for_each(text, |w| {
-            counts.add(w, 1);
-        });
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(counts.len());
-        counts.for_each(&mut |word, tf| {
-            if let Some((id, df)) = self.vocab.lookup(word) {
-                let idf = (self.num_docs as f64 / df as f64).ln();
-                pairs.push((id, tf as f64 * idf));
-            }
-        });
-        let mut v = SparseVec::from_pairs(pairs);
-        v.normalize();
-        v
+        let mut ids = Vec::new();
+        Tokenizer::new().for_each(text, |w| ids.extend(self.vocab.lookup(w).map(|(id, _)| id)));
+        ids.sort_unstable();
+        let mut keys: Vec<u64> = ids
+            .chunk_by(|a, b| a == b)
+            .map(|same| {
+                let tf = u32::try_from(same.len()).expect("a term frequency fits 32 bits");
+                pack(same[0], tf)
+            })
+            .collect();
+        self.vocab.score(&mut keys)
     }
 
     /// Assign each document of `corpus` to its nearest trained centroid
@@ -247,7 +244,7 @@ impl TrainedPipeline {
             last_word = Some(word.to_string());
             df_dict.insert(word, df);
         }
-        let vocab = Vocab::from_df_dict(dict_kind, &df_dict);
+        let vocab = Vocab::from_df_dict(dict_kind, &df_dict, num_docs);
 
         let (l, ch) = next("centroids header")?;
         let rest = ch
@@ -348,6 +345,44 @@ mod tests {
         let (pipeline, _, _) = train_small();
         let v = pipeline.vectorize("zzzznotaword qqqqalsonot");
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn vectorize_reproduces_the_training_vectors_bit_for_bit() {
+        let corpus = CorpusSpec::mix().scaled(0.002).generate(23);
+        for dict_kind in [DictKind::BTree, DictKind::Arena] {
+            let tfidf = TfIdfConfig {
+                dict_kind,
+                min_df: 2,
+                ..Default::default()
+            };
+            let exec = Exec::pool(2);
+            let model = TfIdf::new(tfidf).fit(&exec, &corpus);
+            let (pipeline, _) = TrainedPipeline::train(
+                &corpus,
+                &exec,
+                tfidf,
+                KMeansConfig {
+                    k: 2,
+                    max_iters: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let mut bytes = Vec::new();
+            pipeline.save(&mut bytes).unwrap();
+            let loaded = TrainedPipeline::load(std::io::Cursor::new(&bytes)).unwrap();
+            for (doc, trained) in corpus.documents().iter().zip(&model.vectors) {
+                for p in [&pipeline, &loaded] {
+                    let v = p.vectorize(&doc.text);
+                    assert_eq!(v.terms(), trained.terms(), "{dict_kind:?} {}", doc.name);
+                    let bits = |v: &SparseVec| -> Vec<u64> {
+                        v.weights().iter().map(|w| w.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&v), bits(trained), "{dict_kind:?} {}", doc.name);
+                }
+            }
+        }
     }
 
     #[test]

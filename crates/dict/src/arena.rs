@@ -1,66 +1,42 @@
-//! Arena-interned open-addressing dictionary — the third Figure 4 arm.
+//! Arena interner and dictionary — this repo's own Figure 4 arm.
 //!
-//! [`ArenaDict`] answers the allocation pattern both standard structures
-//! share: one heap allocation per unique key (`Box<str>`), a key re-hash
-//! on every operation, and key clones at merge time. Instead it keeps
+//! [`ArenaDict`] maps each distinct word to a **dense id in first-seen
+//! order** and to a `u64` value, without the allocation pattern both
+//! standard structures share (one `Box<str>` per unique key, a key
+//! re-hash on every operation). It keeps
 //!
 //! * an **append-only string arena** (`Vec<u8>`) holding every key's
-//!   bytes back to back, and
-//! * one flat, power-of-two slot table (`Vec<Slot>`) probed linearly,
-//!   with no tombstones (the dictionary never deletes), where each slot
-//!   stores `(cached_hash: u64, key offset: u32, key length: u32,
-//!   value: u64)` — 24 bytes, no pointers.
+//!   bytes back to back in id order, with one `u32` end offset per id,
+//! * one `u64` value per id, and
+//! * one flat, power-of-two slot table (`Vec<u64>`) probed linearly,
+//!   with no tombstones (the dictionary never deletes), where a slot is
+//!   `tag << 32 | id + 1` — 8 bytes, no pointers. The tag is the word's
+//!   [`hash_word`] folded to 32 bits: a probe rejects on
+//!   it before it reads key bytes, and growth re-places slots by it, so
+//!   neither touches the arena.
 //!
-//! The cached hash pays off three times:
-//!
-//! 1. **Rehash-free growth** — doubling the table re-places slots by
-//!    their cached hash; key bytes are never touched.
-//! 2. **Hash-once merges** — [`ArenaDict::merge_from`] walks the source
-//!    table linearly and inserts by cached hash; the destination compares
-//!    key bytes only when a probe actually collides.
-//! 3. **Hash-once pipelines** — callers that already hashed a token (to
-//!    feed both the per-document and the document-frequency dictionary,
-//!    as `count_words` does) pass it down through
-//!    [`crate::Dictionary::add_hashed`] instead of hashing again.
-//!
-//! `for_each_sorted` builds a sorted slot index lazily (invalidated by
-//! any insert) so `Vocab`'s ascending-word-order term-id assignment is
-//! preserved bit-identically; value updates leave the index valid.
-//! Everything is safe Rust — the crate-level `#![forbid(unsafe_code)]`
-//! applies here too.
+//! The id is what TF/IDF is built on (`hpa_tfidf`): [`ArenaDict::intern`]
+//! is the one hash probe a token costs, everything downstream — document
+//! frequencies, per-document runs, the vocabulary's rank permutation — is
+//! an array indexed by id. [`ArenaDict::merge_from`] folds another
+//! interner in and returns its ids' new values, which is how per-chunk
+//! vocabularies become one. The [`Dictionary`] operations are the same
+//! probe plus the value array; sorted iteration sorts ids by key bytes
+//! on each call ([`ArenaDict::sorted_ids`]). Everything is safe Rust —
+//! the crate-level `#![forbid(unsafe_code)]` applies here too.
 
 use crate::mem::arena_heap_bytes;
 use crate::{hash_word, Dictionary};
-use std::sync::OnceLock;
-
-/// Sentinel key length marking an empty slot (keys are capped far below).
-const EMPTY: u32 = u32::MAX;
 
 /// Fibonacci multiplier (2^64 / φ): the slot index uses the *high* bits
-/// of `hash * FIB` (multiply-shift hashing): they depend on every bit of
-/// the hash, where masking off the low bits would use only those.
+/// of `tag * FIB` (multiply-shift hashing): they depend on every bit of
+/// the tag, where masking off the low bits would use only those.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    hash: u64,
-    off: u32,
-    len: u32,
-    value: u64,
-}
-
-const EMPTY_SLOT: Slot = Slot {
-    hash: 0,
-    off: 0,
-    len: EMPTY,
-    value: 0,
-};
-
-impl Slot {
-    #[inline]
-    fn occupied(&self) -> bool {
-        self.len != EMPTY
-    }
+/// A word's 64-bit hash folded to the 32 bits a slot stores.
+#[inline]
+fn fold(hash: u64) -> u32 {
+    (hash ^ (hash >> 32)) as u32
 }
 
 /// Running operation counters (see [`ArenaDict::stats`]).
@@ -68,7 +44,7 @@ impl Slot {
 pub struct ArenaStats {
     /// Linear-probe steps taken past the home slot by mutating operations.
     pub probe_steps: u64,
-    /// Table growths (each re-places every slot by its cached hash).
+    /// Table growths (each re-places every slot by its stored tag).
     pub rehashes: u64,
     /// Bytes of key text interned in the arena.
     pub arena_bytes: u64,
@@ -76,19 +52,22 @@ pub struct ArenaStats {
     pub capacity: usize,
 }
 
-/// Open-addressing dictionary over an append-only string arena.
+/// Open-addressing interner over an append-only string arena.
 #[derive(Debug, Clone)]
 pub struct ArenaDict {
-    slots: Vec<Slot>,
-    arena: Vec<u8>,
-    len: usize,
-    /// `64 - log2(slots.len())`; the home slot is `(hash * FIB) >> shift`.
+    /// `tag << 32 | id + 1`, 0 when empty.
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`; the home slot is `(tag * FIB) >> shift`.
     shift: u32,
+    /// Key bytes back to back, in id order.
+    arena: Vec<u8>,
+    /// `ends[id]` is where key `id` ends in the arena; it starts where
+    /// the previous one ends.
+    ends: Vec<u32>,
+    /// Value by id; grows in step with `ends`.
+    values: Vec<u64>,
     probe_steps: u64,
     rehashes: u64,
-    /// Occupied slot indices in ascending key order, built on first
-    /// `for_each_sorted` and dropped by any insert or growth.
-    sorted: OnceLock<Vec<u32>>,
     /// Race-detector hook for the merge path (the only place an
     /// `ArenaDict` crosses threads in the scatter/merge pattern).
     track: crate::atomic::tracked::Track,
@@ -98,12 +77,12 @@ impl Default for ArenaDict {
     fn default() -> Self {
         ArenaDict {
             slots: Vec::new(),
-            arena: Vec::new(),
-            len: 0,
             shift: 0,
+            arena: Vec::new(),
+            ends: Vec::new(),
+            values: Vec::new(),
             probe_steps: 0,
             rehashes: 0,
-            sorted: OnceLock::new(),
             track: crate::atomic::tracked::Track::new("dict::arena::ArenaDict"),
         }
     }
@@ -121,17 +100,19 @@ impl ArenaDict {
         let mut d = ArenaDict::new();
         d.reserve_slots(entries);
         d.arena.reserve(key_bytes);
+        d.ends.reserve(entries);
+        d.values.reserve(entries);
         d
     }
 
-    /// Number of distinct keys.
+    /// Number of distinct keys — one more than the largest id.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// True when no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 
     /// Snapshot of the probe/rehash/arena counters.
@@ -144,33 +125,131 @@ impl ArenaDict {
         }
     }
 
+    /// The id of `word`, whose [`hash_word`] value is `hash`; a word not
+    /// seen before takes the next id and the value 0. This is the one
+    /// probe a token costs: the caller hashes it once and indexes its own
+    /// per-id arrays with the result.
     #[inline]
-    fn key_bytes(&self, s: &Slot) -> &[u8] {
-        &self.arena[s.off as usize..s.off as usize + s.len as usize]
+    pub fn intern(&mut self, hash: u64, word: &str) -> u32 {
+        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
+        self.intern_bytes(hash, word.as_bytes())
+    }
+
+    /// The id of `word` (with its [`hash_word`] value), if it was interned.
+    pub fn id_of(&self, hash: u64, word: &str) -> Option<u32> {
+        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
+        if self.is_empty() {
+            return None;
+        }
+        self.probe(fold(hash), word.as_bytes()).1
+    }
+
+    /// The word with the given id.
+    pub fn key(&self, id: u32) -> &str {
+        // Keys enter through `&str` parameters (or from another arena's
+        // keys) and the arena is append-only, so every key range is
+        // valid UTF-8.
+        std::str::from_utf8(self.key_bytes(id)).expect("arena keys are valid UTF-8")
+    }
+
+    /// The value of the word with the given id.
+    pub fn value(&self, id: u32) -> u64 {
+        self.values[id as usize]
+    }
+
+    /// Add `delta` to the value of the word with the given id.
+    #[inline]
+    pub fn add_at(&mut self, id: u32, delta: u64) {
+        self.values[id as usize] += delta;
+    }
+
+    /// True when `other` holds the same words under the same ids (the
+    /// values may differ) — two flat array compares.
+    pub fn same_keys(&self, other: &ArenaDict) -> bool {
+        self.ends == other.ends && self.arena == other.arena
+    }
+
+    /// Every id in ascending order of its key's bytes. UTF-8 byte order
+    /// equals `str` (scalar-value) order, so this is
+    /// `BTreeMap<Box<str>, _>` iteration order exactly. The sort compares
+    /// the keys' first eight bytes as one integer and reads the arena
+    /// only to break ties.
+    pub fn sorted_ids(&self) -> Vec<u32> {
+        let prefix = |key: &[u8]| {
+            let mut p = [0u8; 8];
+            let n = key.len().min(8);
+            p[..n].copy_from_slice(&key[..n]);
+            u64::from_be_bytes(p)
+        };
+        let mut keyed: Vec<(u64, u32)> = (0..self.len() as u32)
+            .map(|id| (prefix(self.key_bytes(id)), id))
+            .collect();
+        // A zero-padded prefix orders like the key itself wherever two
+        // prefixes differ; equal prefixes decide on the full keys.
+        keyed.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| self.key_bytes(a.1).cmp(self.key_bytes(b.1)))
+        });
+        keyed.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Fold `other` into this dictionary — values add, new words take
+    /// the next ids in `other`'s id order — and return, for each of
+    /// `other`'s ids, the id the same word has here.
+    pub fn merge_from(&mut self, other: &ArenaDict) -> Vec<u32> {
+        self.track.on_write();
+        other.track.on_read();
+        let map = (0..other.len() as u32)
+            .map(|id| {
+                let key = other.key_bytes(id);
+                let here = self.intern_bytes(hpa_sparse::fnv1a(key), key);
+                self.add_at(here, other.value(id));
+                here
+            })
+            .collect();
+        if hpa_trace::is_enabled() {
+            hpa_trace::counter("dict", "arena-bytes", self.arena.len() as u64);
+            hpa_trace::counter("dict", "probe-steps", self.probe_steps);
+            hpa_trace::counter("dict", "rehashes", self.rehashes);
+        }
+        map
     }
 
     #[inline]
-    fn home(&self, hash: u64) -> usize {
-        (hash.wrapping_mul(FIB) >> self.shift) as usize
+    fn key_bytes(&self, id: u32) -> &[u8] {
+        let start = match id.checked_sub(1) {
+            Some(prev) => self.ends[prev as usize],
+            None => 0,
+        };
+        &self.arena[start as usize..self.ends[id as usize] as usize]
     }
 
-    /// Linear probe for `key`: `(slot index, found, steps past home)`.
-    /// The table must have at least one empty slot (the load-factor
-    /// bound guarantees it), or the probe could not terminate.
     #[inline]
-    fn probe(&self, hash: u64, key: &[u8]) -> (usize, bool, u64) {
+    fn home(&self, tag: u32) -> usize {
+        ((tag as u64).wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// Linear probe for `key`: `(slot index, its id if found, steps past
+    /// home)`. The table must have at least one empty slot (the
+    /// load-factor bound guarantees it), or the probe could not
+    /// terminate.
+    #[inline]
+    fn probe(&self, tag: u32, key: &[u8]) -> (usize, Option<u32>, u64) {
         let mask = self.slots.len() - 1;
-        let mut idx = self.home(hash);
+        let mut idx = self.home(tag);
         let mut steps = 0u64;
         loop {
-            let s = &self.slots[idx];
-            if !s.occupied() {
-                return (idx, false, steps);
+            let slot = self.slots[idx];
+            if slot == 0 {
+                return (idx, None, steps);
             }
-            // Cheap rejections first: the key bytes are read only when
-            // the full 64-bit hash and the length both collide.
-            if s.hash == hash && s.len as usize == key.len() && self.key_bytes(s) == key {
-                return (idx, true, steps);
+            // Cheap rejection first: the key bytes are read only when
+            // the tags collide.
+            if (slot >> 32) as u32 == tag {
+                let id = slot as u32 - 1;
+                if self.key_bytes(id) == key {
+                    return (idx, Some(id), steps);
+                }
             }
             idx = (idx + 1) & mask;
             steps += 1;
@@ -178,7 +257,7 @@ impl ArenaDict {
     }
 
     /// Grow the slot table (if needed) to hold `want` entries within the
-    /// 7/8 load-factor bound, re-placing slots by cached hash.
+    /// 7/8 load-factor bound, re-placing slots by their stored tag.
     fn reserve_slots(&mut self, want: usize) {
         let mut cap = self.slots.len().max(8);
         while want * 8 > cap * 7 {
@@ -187,171 +266,73 @@ impl ArenaDict {
         if cap <= self.slots.len() {
             return;
         }
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
+        let old = std::mem::replace(&mut self.slots, vec![0; cap]);
         self.shift = 64 - cap.trailing_zeros();
         let mask = cap - 1;
-        for s in old.iter().filter(|s| s.occupied()) {
-            let mut idx = self.home(s.hash);
-            while self.slots[idx].occupied() {
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut idx = self.home((slot >> 32) as u32);
+            while self.slots[idx] != 0 {
                 idx = (idx + 1) & mask;
             }
-            self.slots[idx] = *s;
+            self.slots[idx] = slot;
         }
-        if !self.arena.is_empty() || self.len > 0 {
+        if !self.is_empty() {
             self.rehashes += 1;
         }
-        // Slot indices moved: the sorted index is stale.
-        self.sorted.take();
     }
 
-    /// Append `key` to the arena and return its offset.
-    fn intern(&mut self, key: &[u8]) -> u32 {
-        let off = self.arena.len();
-        assert!(
-            off + key.len() <= EMPTY as usize,
-            "arena exceeds the u32 offset space (4 GiB of key text)"
-        );
+    fn intern_bytes(&mut self, hash: u64, key: &[u8]) -> u32 {
+        self.reserve_slots(self.len() + 1);
+        let tag = fold(hash);
+        let (idx, found, steps) = self.probe(tag, key);
+        self.probe_steps += steps;
+        if let Some(id) = found {
+            return id;
+        }
+        // A slot holds `id + 1` in 32 bits and an end offset is a `u32`.
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("arena holds fewer than 2^32 - 1 keys");
+        let end = u32::try_from(self.arena.len() + key.len())
+            .expect("arena exceeds the u32 offset space (4 GiB of key text)");
         self.arena.extend_from_slice(key);
-        off as u32
-    }
-
-    /// `add` on raw key bytes with a caller-supplied hash — the merge
-    /// path enters here so source keys are never re-hashed (and never
-    /// UTF-8-revalidated).
-    fn add_bytes(&mut self, hash: u64, key: &[u8], delta: u64) -> u64 {
-        self.reserve_slots(self.len + 1);
-        let (idx, found, steps) = self.probe(hash, key);
-        self.probe_steps += steps;
-        if found {
-            self.slots[idx].value += delta;
-            self.slots[idx].value
-        } else {
-            let off = self.intern(key);
-            self.slots[idx] = Slot {
-                hash,
-                off,
-                len: key.len() as u32,
-                value: delta,
-            };
-            self.len += 1;
-            self.sorted.take();
-            delta
-        }
-    }
-
-    fn insert_bytes(&mut self, hash: u64, key: &[u8], value: u64) {
-        self.reserve_slots(self.len + 1);
-        let (idx, found, steps) = self.probe(hash, key);
-        self.probe_steps += steps;
-        if found {
-            self.slots[idx].value = value;
-        } else {
-            let off = self.intern(key);
-            self.slots[idx] = Slot {
-                hash,
-                off,
-                len: key.len() as u32,
-                value,
-            };
-            self.len += 1;
-            self.sorted.take();
-        }
-    }
-
-    fn get_bytes(&self, hash: u64, key: &[u8]) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let (idx, found, _) = self.probe(hash, key);
-        found.then(|| self.slots[idx].value)
-    }
-
-    fn key_str(&self, s: &Slot) -> &str {
-        // Keys enter through `&str` parameters and the arena is append-
-        // only, so every recorded (offset, len) range is valid UTF-8.
-        std::str::from_utf8(self.key_bytes(s)).expect("arena keys are valid UTF-8")
-    }
-
-    fn sorted_index(&self) -> &[u32] {
-        self.sorted.get_or_init(|| {
-            let mut idx: Vec<u32> = (0..self.slots.len() as u32)
-                .filter(|&i| self.slots[i as usize].occupied())
-                .collect();
-            // UTF-8 byte order equals `str` (scalar-value) order, so this
-            // matches `BTreeMap<Box<str>, _>` iteration order exactly.
-            idx.sort_unstable_by(|&a, &b| {
-                self.key_bytes(&self.slots[a as usize])
-                    .cmp(self.key_bytes(&self.slots[b as usize]))
-            });
-            idx
-        })
-    }
-
-    /// Merge by cached hash: walk `other`'s slots linearly, reserve the
-    /// worst-case capacity once (no incremental growth mid-merge), and
-    /// insert each entry with its stored hash — key bytes are compared
-    /// only on probe collision and copied only for genuinely new keys.
-    pub fn merge_from(&mut self, other: &ArenaDict) {
-        self.track.on_write();
-        other.track.on_read();
-        if other.len == 0 {
-            return;
-        }
-        self.reserve_slots(self.len + other.len);
-        self.arena.reserve(other.arena.len());
-        for s in other.slots.iter().filter(|s| s.occupied()) {
-            self.add_bytes(s.hash, other.key_bytes(s), s.value);
-        }
-        if hpa_trace::is_enabled() {
-            hpa_trace::counter("dict", "arena-bytes", self.arena.len() as u64);
-            hpa_trace::counter("dict", "probe-steps", self.probe_steps);
-            hpa_trace::counter("dict", "rehashes", self.rehashes);
-        }
+        self.ends.push(end);
+        self.values.push(0);
+        self.slots[idx] = (tag as u64) << 32 | (id as u64 + 1);
+        id
     }
 }
 
 impl Dictionary for ArenaDict {
     fn add(&mut self, word: &str, delta: u64) -> u64 {
-        self.add_bytes(hash_word(word), word.as_bytes(), delta)
-    }
-
-    fn add_hashed(&mut self, hash: u64, word: &str, delta: u64) -> u64 {
-        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
-        self.add_bytes(hash, word.as_bytes(), delta)
+        let id = self.intern(hash_word(word), word);
+        self.add_at(id, delta);
+        self.value(id)
     }
 
     fn insert(&mut self, word: &str, value: u64) {
-        self.insert_bytes(hash_word(word), word.as_bytes(), value);
-    }
-
-    fn insert_hashed(&mut self, hash: u64, word: &str, value: u64) {
-        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
-        self.insert_bytes(hash, word.as_bytes(), value);
+        let id = self.intern(hash_word(word), word);
+        self.values[id as usize] = value;
     }
 
     fn get(&self, word: &str) -> Option<u64> {
-        self.get_bytes(hash_word(word), word.as_bytes())
-    }
-
-    fn get_hashed(&self, hash: u64, word: &str) -> Option<u64> {
-        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
-        self.get_bytes(hash, word.as_bytes())
+        self.id_of(hash_word(word), word).map(|id| self.value(id))
     }
 
     fn len(&self) -> usize {
-        self.len
+        ArenaDict::len(self)
     }
 
     fn for_each_sorted(&self, f: &mut dyn FnMut(&str, u64)) {
-        for &i in self.sorted_index() {
-            let s = &self.slots[i as usize];
-            f(self.key_str(s), s.value);
+        for id in self.sorted_ids() {
+            f(self.key(id), self.value(id));
         }
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&str, u64)) {
-        for s in self.slots.iter().filter(|s| s.occupied()) {
-            f(self.key_str(s), s.value);
+        for id in 0..self.len() as u32 {
+            f(self.key(id), self.value(id));
         }
     }
 
@@ -363,7 +344,7 @@ impl Dictionary for ArenaDict {
         arena_heap_bytes(
             self.slots.len() as u64,
             self.arena.capacity() as u64,
-            self.sorted.get().map_or(0, |v| v.len()) as u64,
+            self.ends.capacity().max(self.values.capacity()) as u64,
         )
     }
 }
@@ -429,7 +410,7 @@ mod tests {
         let mut order = Vec::new();
         d.for_each_sorted(&mut |w, _| order.push(w.to_string()));
         assert_eq!(order, ["a", "b"]);
-        // Value updates must not disturb the cached index…
+        // Value updates must not disturb the order…
         d.add("a", 5);
         d.insert("b", 9);
         let mut pairs = Vec::new();
@@ -468,10 +449,69 @@ mod tests {
     fn hashed_entry_points_match_plain_ones() {
         let mut d = ArenaDict::new();
         let h = hash_word("token");
-        assert_eq!(d.add_hashed(h, "token", 2), 2);
-        assert_eq!(d.get_hashed(h, "token"), Some(2));
-        d.insert_hashed(h, "token", 11);
-        assert_eq!(d.get("token"), Some(11));
+        assert_eq!(d.id_of(h, "token"), None);
+        let id = d.intern(h, "token");
+        assert_eq!(d.get("token"), Some(0), "a new word starts at 0");
+        d.add_at(id, 2);
+        assert_eq!(d.add("token", 9), 11);
+        assert_eq!(d.intern(h, "token"), id, "interning is idempotent");
+        assert_eq!(d.id_of(h, "token"), Some(id));
+        assert_eq!((d.key(id), d.value(id)), ("token", 11));
+    }
+
+    #[test]
+    fn ids_are_dense_in_first_seen_order() {
+        let mut d = ArenaDict::new();
+        for (i, w) in ["pear", "apple", "pear", "", "zebra", "apple"]
+            .iter()
+            .enumerate()
+        {
+            let id = d.intern(hash_word(w), w);
+            assert_eq!(id, [0, 1, 0, 2, 3, 1][i]);
+        }
+        assert_eq!(d.len(), 4);
+        assert_eq!(d.sorted_ids(), [2, 1, 0, 3]);
+        let mut storage_order = Vec::new();
+        d.for_each(&mut |w, _| storage_order.push(w.to_string()));
+        assert_eq!(storage_order, ["pear", "apple", "", "zebra"]);
+    }
+
+    #[test]
+    fn sorted_ids_break_prefix_ties_on_the_full_key() {
+        // Equal first eight bytes, keys that end inside the prefix, and
+        // zero bytes that look like its padding.
+        let words = [
+            "abcdefghz",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefg",
+            "ab\0",
+            "ab",
+            "ab\0\0c",
+            "b",
+            "",
+        ];
+        let mut d = ArenaDict::new();
+        for w in words {
+            d.add(w, 1);
+        }
+        let got: Vec<&str> = d.sorted_ids().into_iter().map(|id| d.key(id)).collect();
+        let mut expect = words.to_vec();
+        expect.sort_unstable();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn merge_maps_the_other_sides_ids() {
+        let mut a = ArenaDict::new();
+        a.add("x", 1);
+        a.add("y", 2);
+        let mut b = ArenaDict::new();
+        b.add("z", 5);
+        b.add("x", 7);
+        assert_eq!(a.merge_from(&b), [2, 0]);
+        assert_eq!((a.key(2), a.value(2), a.value(0)), ("z", 5, 8));
+        assert!(a.merge_from(&ArenaDict::new()).is_empty());
     }
 
     #[test]
@@ -501,7 +541,7 @@ mod tests {
         for i in 0..2000 {
             let w = format!("word{i}");
             let _ = d.get(&w);
-            let _ = d.get_hashed(hash_word(&w), &w);
+            let _ = d.id_of(hash_word(&w), &w);
         }
         assert_eq!(d.stats(), before, "lookups through &self write nothing");
     }
@@ -524,7 +564,10 @@ mod tests {
         let stats = d.stats();
         assert_eq!(
             d.heap_bytes(),
-            stats.capacity as u64 * 24 + d.arena.capacity() as u64
+            stats.capacity as u64 * 8
+                + d.arena.capacity() as u64
+                + d.ends.capacity() as u64 * 4
+                + d.values.capacity() as u64 * 8
         );
     }
 }

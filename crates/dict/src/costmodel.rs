@@ -53,9 +53,10 @@ fn tlb_stall_ns(len: usize) -> f64 {
 const COLD_SPARSE_ARRAY_NS: f64 = 120.0;
 
 /// CPU stall from cache/TLB misses touching an arena table of `len`
-/// entries (~32 B of slot + key text per entry — the whole structure is
-/// two flat allocations, so its working set is a fraction of the chained
-/// table's 120 B/entry and the stall saturates later and lower.
+/// entries (~32 B of slot, offset, value and key text per entry — the
+/// whole structure is four flat allocations, so its working set is a
+/// fraction of the chained table's 120 B/entry and the stall saturates
+/// later and lower.
 fn arena_stall_ns(len: usize) -> f64 {
     70.0 * ((len as f64 * 32.0) / 4.0e6).min(1.0)
 }
@@ -84,8 +85,10 @@ impl DictKind {
                     mem_bytes: bucket_bytes,
                 }
             }
-            // Two empty `Vec`s; the slot table is allocated lazily on
-            // the first insert (charged to that insert's growth share).
+            // Empty `Vec`s; the slot table is allocated lazily on the
+            // first insert (charged to that insert's growth share).
+            // TF/IDF creates one per chunk of documents, never one per
+            // document.
             DictKind::Arena => OpCost {
                 cpu_ns: 30.0,
                 mem_bytes: 0.0,
@@ -127,8 +130,8 @@ impl DictKind {
                 }
             }
             // Arena: hash + short linear probe + append to the arena; no
-            // per-key allocation. Growth is a flat 24 B/slot memcpy by
-            // cached hash (key bytes untouched), amortized into the
+            // per-key allocation. Growth re-places 8 B slots by their
+            // stored tag (key bytes untouched), amortized into the
             // constant. Half the arena stall: inserts touch the tail of
             // the arena, which is still cache-warm.
             DictKind::Arena => OpCost {
@@ -156,7 +159,8 @@ impl DictKind {
                 cpu_ns: 35.0 + COLD_SPARSE_ARRAY_NS + 0.5 * tlb_stall_ns(len),
                 mem_bytes: self.hash_touch_bytes(len) + 64.0,
             },
-            // One hash, one (usually first-probe) 24 B slot touch.
+            // One hash, one (usually first-probe) 8 B slot touch, the
+            // key compare, the id-indexed value: TF/IDF's intern.
             DictKind::Arena => OpCost {
                 cpu_ns: 18.0 + 0.5 * arena_stall_ns(len),
                 mem_bytes: 32.0,
@@ -217,9 +221,8 @@ impl DictKind {
                     mem_bytes: 70.0 + ((*cap as f64 * 8.0) / len.max(1) as f64).min(400.0),
                 }
             }
-            // Dense linear scan over the slot table (7/8 max load keeps
-            // the skipped-empty overhead small); key text only when the
-            // consumer reads it.
+            // Dense scan of the per-id arrays in id order; key text
+            // only when the consumer reads it.
             DictKind::Arena => OpCost {
                 cpu_ns: 8.0,
                 mem_bytes: 32.0,
@@ -251,11 +254,11 @@ impl DictKind {
                 cpu_ns: 25.0 + 18.0 * lg(len), // sort comparisons
                 mem_bytes: 90.0,
             },
-            // Sorts a 4 B/entry slot index (comparisons still touch key
-            // bytes, but no `(String, value)` pairs are materialized)
-            // and the index is cached until the next insert.
+            // Sorts `(first eight key bytes, id)` pairs as integers;
+            // comparisons touch key bytes only on prefix ties and no
+            // `(String, value)` pairs are materialized.
             DictKind::Arena => OpCost {
-                cpu_ns: 18.0 + 10.0 * lg(len),
+                cpu_ns: 10.0 + 4.5 * lg(len),
                 mem_bytes: 48.0,
             },
         }
@@ -265,8 +268,8 @@ impl DictKind {
     /// destination of `len` entries (the serial tail of word
     /// counting). The standard
     /// structures re-hash or re-compare the key from scratch and clone
-    /// it when new; the arena inserts by the source's cached hash —
-    /// key bytes are touched only on probe collision.
+    /// it when new; the arena re-hashes it, probes flat 8 B slots and
+    /// appends new key bytes to one array.
     pub fn merge_step_cost(&self, len: usize) -> OpCost {
         match self {
             DictKind::BTree => self.increment_cost(len),
@@ -298,12 +301,15 @@ impl DictKind {
                 (*cap).max(len) as u64 * 8 + len as u64 * 56 + string_bytes
             }
             // Our own structure models as itself: a power-of-two table
-            // of 24 B slots at ≤ 7/8 load plus the raw key text.
+            // of 8 B slots at ≤ 7/8 load, 12 B of offset and value per
+            // entry, and the raw key text.
             DictKind::Arena => {
                 if len == 0 {
                     0
                 } else {
-                    (len as u64 * 8 / 7).next_power_of_two().max(8) * 24 + string_bytes
+                    (len as u64 * 8 / 7).next_power_of_two().max(8) * 8
+                        + len as u64 * 12
+                        + string_bytes
                 }
             }
         }
@@ -409,7 +415,7 @@ mod tests {
         let doc = 150;
         assert!(DictKind::Arena.insert_cost(doc).cpu_ns < DictKind::BTree.insert_cost(doc).cpu_ns);
         assert!(DictKind::Arena.insert_cost(doc).cpu_ns < DictKind::Hash.insert_cost(doc).cpu_ns);
-        // Merging by cached hash undercuts both re-hashing structures.
+        // Merging into flat slots undercuts both node-based structures.
         let global = 150_000;
         assert!(
             DictKind::Arena.merge_step_cost(global).cpu_ns
@@ -430,7 +436,10 @@ mod tests {
     fn arena_resident_bytes_are_flat_table_plus_text() {
         assert_eq!(DictKind::Arena.resident_bytes(0, 0), 0);
         // 150 entries -> next_pow2(171) = 256 slots.
-        assert_eq!(DictKind::Arena.resident_bytes(150, 1200), 256 * 24 + 1200);
+        assert_eq!(
+            DictKind::Arena.resident_bytes(150, 1200),
+            256 * 8 + 150 * 12 + 1200
+        );
         assert!(
             DictKind::Arena.resident_bytes(150, 1200) < DictKind::BTree.resident_bytes(150, 1200)
         );

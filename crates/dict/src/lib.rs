@@ -29,8 +29,9 @@ pub use costmodel::OpCost;
 pub use mem::{arena_heap_bytes, btree_heap_bytes, hash_heap_bytes};
 
 /// FNV-1a over the word's bytes — the one 64-bit hash the whole pipeline
-/// shares: [`ArenaDict`] derives its slot index from it (high bits of a
-/// Fibonacci multiply). Stable across processes, unlike a seeded
+/// shares: [`ArenaDict`] derives its slot tag and index from it, and
+/// [`ArenaDict::intern`] takes it from the caller so a token is hashed
+/// once. Stable across processes, unlike a seeded
 /// `DefaultHasher`, so probe order is deterministic. The fold itself is
 /// the workspace-shared [`hpa_sparse::fnv`] implementation (the same one
 /// the columnar format checksums with); this wrapper keeps the
@@ -46,34 +47,11 @@ pub trait Dictionary {
     /// Returns the new value.
     fn add(&mut self, word: &str, delta: u64) -> u64;
 
-    /// [`Dictionary::add`] with `word`'s [`hash_word`] value already in
-    /// hand — the hash-once pipeline's entry point. Structures that key
-    /// off that hash ([`ArenaDict`]) override this to skip re-hashing;
-    /// the standard structures ignore the hint (their hashers differ).
-    fn add_hashed(&mut self, hash: u64, word: &str, delta: u64) -> u64 {
-        let _ = hash;
-        self.add(word, delta)
-    }
-
     /// Overwrite `word`'s value.
     fn insert(&mut self, word: &str, value: u64);
 
-    /// [`Dictionary::insert`] with a pre-computed [`hash_word`] value
-    /// (see [`Dictionary::add_hashed`]).
-    fn insert_hashed(&mut self, hash: u64, word: &str, value: u64) {
-        let _ = hash;
-        self.insert(word, value);
-    }
-
     /// Current value of `word`, if present.
     fn get(&self, word: &str) -> Option<u64>;
-
-    /// [`Dictionary::get`] with a pre-computed [`hash_word`] value (see
-    /// [`Dictionary::add_hashed`]).
-    fn get_hashed(&self, hash: u64, word: &str) -> Option<u64> {
-        let _ = hash;
-        self.get(word)
-    }
 
     /// Number of distinct words.
     fn len(&self) -> usize;
@@ -283,8 +261,10 @@ pub enum DictKind {
     /// Hash table pre-sized to hold this many items (the paper pre-sizes
     /// to 4 K "to minimize resizing overhead").
     HashPresized(usize),
-    /// Arena-interned open-addressing table ([`ArenaDict`]) — this
-    /// repo's third Figure 4 arm.
+    /// Arena interner ([`ArenaDict`]) — this repo's third Figure 4 arm.
+    /// TF/IDF runs it as one interner per chunk of documents with flat
+    /// `(id, tf)` runs, never as a dictionary per document: `map` and
+    /// `u-map` are the paper's per-document arms.
     Arena,
 }
 
@@ -326,13 +306,6 @@ impl DictKind {
             DictKind::HashPresized(_) => DictKind::Hash,
             k => *k,
         }
-    }
-
-    /// True when dictionaries of this kind key off [`hash_word`], so
-    /// callers profit from computing the hash once per token and passing
-    /// it through [`Dictionary::add_hashed`].
-    pub fn uses_cached_hash(&self) -> bool {
-        matches!(self, DictKind::Arena)
     }
 }
 
@@ -381,20 +354,11 @@ impl Dictionary for AnyDict {
     fn add(&mut self, word: &str, delta: u64) -> u64 {
         dispatch!(self, d => d.add(word, delta))
     }
-    fn add_hashed(&mut self, hash: u64, word: &str, delta: u64) -> u64 {
-        dispatch!(self, d => d.add_hashed(hash, word, delta))
-    }
     fn insert(&mut self, word: &str, value: u64) {
         dispatch!(self, d => d.insert(word, value))
     }
-    fn insert_hashed(&mut self, hash: u64, word: &str, value: u64) {
-        dispatch!(self, d => d.insert_hashed(hash, word, value))
-    }
     fn get(&self, word: &str) -> Option<u64> {
         dispatch!(self, d => d.get(word))
-    }
-    fn get_hashed(&self, hash: u64, word: &str) -> Option<u64> {
-        dispatch!(self, d => d.get_hashed(hash, word))
     }
     fn len(&self) -> usize {
         dispatch!(self, d => d.len())
@@ -409,8 +373,9 @@ impl Dictionary for AnyDict {
         match (self, other) {
             (AnyDict::BTree(a), AnyDict::BTree(b)) => a.merge_from(b),
             (AnyDict::Hash(a), AnyDict::Hash(b)) => a.merge_from(b),
-            // Same-kind arena merges reuse the source's cached hashes.
-            (AnyDict::Arena(a), AnyDict::Arena(b)) => a.merge_from(b),
+            (AnyDict::Arena(a), AnyDict::Arena(b)) => {
+                a.merge_from(b);
+            }
             // Mixed merges sum through the generic interface.
             (a, b) => b.for_each_sorted(&mut |w, v| {
                 a.add(w, v);
@@ -550,25 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn global_kind_and_cached_hash_flags() {
+    fn global_kind_degrades_only_the_presized_table() {
         assert_eq!(DictKind::PAPER_PRESIZE.global_kind(), DictKind::Hash);
         assert_eq!(DictKind::BTree.global_kind(), DictKind::BTree);
-        assert!(DictKind::Arena.uses_cached_hash());
-        assert!(!DictKind::Hash.uses_cached_hash());
-        assert!(!DictKind::BTree.uses_cached_hash());
-    }
-
-    #[test]
-    fn hashed_defaults_ignore_the_hint_consistently() {
-        // The default-method path (standard structures) must behave the
-        // same whether or not a hash hint is supplied.
-        for mut d in [DictKind::BTree.new_dict(), DictKind::Hash.new_dict()] {
-            let h = hash_word("w");
-            assert_eq!(d.add_hashed(h, "w", 2), 2);
-            d.insert_hashed(h, "w", 5);
-            assert_eq!(d.get_hashed(h, "w"), Some(5));
-            assert_eq!(d.get("w"), Some(5));
-        }
+        assert_eq!(DictKind::Arena.global_kind(), DictKind::Arena);
     }
 
     #[test]

@@ -61,14 +61,13 @@ fn string_round_up(len: u64, string_bytes: u64) -> u64 {
     string_bytes + len * (STRING_QUANTUM / 2)
 }
 
-/// Heap bytes of an `ArenaDict`: `slot_capacity` 24-byte slots
-/// (`hash: u64`, `offset: u32`, `len: u32`, `value: u64`), the string
-/// arena's capacity, and 4 bytes per entry of the lazily built sorted
-/// index (`index_len` is 0 until `for_each_sorted` runs). Unlike the
+/// Heap bytes of an `ArenaDict`: `slot_capacity` 8-byte slots (hash
+/// tag + id), the string arena's capacity, and 12 bytes per reserved
+/// entry (a `u32` key end offset and the `u64` value). Unlike the
 /// standard structures this is exact, not an estimate: there is no
 /// per-key allocation to approximate.
-pub fn arena_heap_bytes(slot_capacity: u64, arena_capacity: u64, index_len: u64) -> u64 {
-    slot_capacity * 24 + arena_capacity + index_len * 4
+pub fn arena_heap_bytes(slot_capacity: u64, arena_capacity: u64, entry_capacity: u64) -> u64 {
+    slot_capacity * 8 + arena_capacity + entry_capacity * 12
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! proptest-gated `tests/model.rs` shrinks counterexamples when the
 //! `proptest` feature is available.
 
-use hpa_dict::{hash_word, AnyDict, DictKind, Dictionary};
+use hpa_dict::{AnyDict, DictKind, Dictionary};
 use hpa_rng::SplitMix64;
 use std::collections::BTreeMap;
 
@@ -63,20 +63,16 @@ fn random_workloads_agree_across_all_backends() {
                     let expected = model.get(&w).copied();
                     for dict in &dicts {
                         assert_eq!(dict.get(&w), expected, "get({w})");
-                        assert_eq!(
-                            dict.get_hashed(hash_word(&w), &w),
-                            expected,
-                            "get_hashed({w})"
-                        );
                     }
                 }
                 _ => {
-                    // Hashed insert path: must land on the same entry.
+                    // Two adds in a row must land on the same entry.
                     let d = rng.gen_index(3) as u64 + 1;
-                    let expected = model.get(&w).copied().unwrap_or(0) + d;
+                    let expected = model.get(&w).copied().unwrap_or(0) + 2 * d;
                     model.insert(w.clone(), expected);
                     for dict in &mut dicts {
-                        assert_eq!(dict.add_hashed(hash_word(&w), &w, d), expected);
+                        dict.add(&w, d);
+                        assert_eq!(dict.add(&w, d), expected);
                     }
                 }
             }
@@ -124,7 +120,7 @@ fn merge_from_agrees_across_all_backends() {
 #[test]
 fn arena_sorted_order_is_insertion_order_independent() {
     // The same key set inserted in two different orders must iterate
-    // identically — the sorted index must not leak arena layout.
+    // identically — the sorted walk must not leak id order.
     let mut rng = SplitMix64::seed_from_u64(7);
     let mut words: Vec<String> = (0..200).map(|_| word(&mut rng)).collect();
     let mut forward = DictKind::Arena.new_dict();

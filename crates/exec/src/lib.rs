@@ -290,6 +290,38 @@ impl Exec {
         }
     }
 
+    /// Parallel map over chunk ranges of `0..n`: `body(range)` runs once
+    /// per chunk — same chunks, same `cost` annotation as
+    /// [`Exec::par_chunks`] — and the chunks' products come back in chunk
+    /// order. One slot per *chunk*: the shape for loops whose tasks each
+    /// build a block of the output (a chunk's documents, rows, runs).
+    pub fn par_map_chunks<T, B, C>(&self, n: usize, grain: usize, body: B, cost: C) -> Vec<T>
+    where
+        T: Send,
+        B: Fn(Range<usize>) -> T + Sync,
+        C: Fn(Range<usize>) -> TaskCost + Sync,
+    {
+        if n == 0 {
+            return Vec::new();
+        }
+        let grain = self.effective_grain(n, grain);
+        let slots: Vec<Mutex<Option<T>>> =
+            (0..n.div_ceil(grain)).map(|_| Mutex::new(None)).collect();
+        self.par_chunks(
+            n,
+            grain,
+            |range| {
+                let chunk = range.start / grain;
+                *slots[chunk].lock() = Some(body(range));
+            },
+            cost,
+        );
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every chunk ran"))
+            .collect()
+    }
+
     /// Parallel fold/reduce over `0..n`: each chunk folds into a local
     /// accumulator created by `identity`; partial accumulators are then
     /// combined by a pairwise **tree reduction** (parallel rounds, like
@@ -315,41 +347,7 @@ impl Exec {
         R2: Fn(T, T) -> T + Sync,
         C: Fn(Range<usize>) -> TaskCost + Sync,
     {
-        if n == 0 {
-            return None;
-        }
-        let ranges = chunk_ranges(n, self.effective_grain(n, grain));
-        let slots: Vec<Mutex<Option<T>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-        {
-            let slots = &slots;
-            let ranges = &ranges;
-            let identity = &identity;
-            let fold = &fold;
-            self.par_chunks(
-                ranges.len(),
-                1,
-                move |chunk_idx_range| {
-                    for ci in chunk_idx_range {
-                        let mut acc = identity();
-                        for i in ranges[ci].clone() {
-                            acc = fold(acc, i);
-                        }
-                        *slots[ci].lock() = Some(acc);
-                    }
-                },
-                |chunk_idx_range| {
-                    let mut total = TaskCost::default();
-                    for ci in chunk_idx_range {
-                        total += cost(ranges[ci].clone());
-                    }
-                    total
-                },
-            );
-        }
-        let partials: Vec<T> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("chunk produced a partial"))
-            .collect();
+        let partials = self.par_map_chunks(n, grain, |range| range.fold(identity(), &fold), cost);
         self.par_tree_reduce(partials, reduce, reduce_cost)
     }
 

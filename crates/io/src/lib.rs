@@ -8,8 +8,8 @@
 //! crate provides those pieces:
 //!
 //! * [`load_corpus_parallel`] — read a document directory with a parallel
-//!   loop, each file annotated with its I/O cost so the execution
-//!   simulator can apply its storage-device model;
+//!   loop ([`map_files_parallel`]), each file annotated with its I/O cost
+//!   so the execution simulator can apply its storage-device model;
 //! * [`Sequencer`] — an order-restoring stage in front of the bounded
 //!   channel, so parallel producers feed a strictly ordered consumer
 //!   (the pipelined ARFF writer's drain thread);
@@ -48,15 +48,18 @@ pub fn read_file_costed(path: &Path) -> io::Result<(String, TaskCost)> {
     Ok((text, cost))
 }
 
-/// Read every file of `paths` in parallel under `exec`, invoking
-/// `consume(index, text)` for each. File sizes are collected up front so
-/// chunk costs are declared before the loop runs.
+/// Read every file of `paths` in parallel under `exec` and hand each
+/// one's text — the `String` the read produced, not a copy — to
+/// `make(index, text)`; the products come back in path order, collected
+/// per chunk of the loop. File sizes are collected up front so chunk
+/// costs are declared before the loop runs.
 ///
 /// Returns the first I/O error encountered, if any (all files are still
 /// attempted).
-pub fn for_each_file_parallel<F>(exec: &Exec, paths: &[PathBuf], consume: F) -> io::Result<()>
+pub fn map_files_parallel<T, F>(exec: &Exec, paths: &[PathBuf], make: F) -> io::Result<Vec<T>>
 where
-    F: Fn(usize, &str) + Sync,
+    T: Send,
+    F: Fn(usize, String) -> T + Sync,
 {
     // Sizes for cost annotation; unreadable files get size 0 and surface
     // their error from the read below.
@@ -65,17 +68,20 @@ where
         .map(|p| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0))
         .collect();
     let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
-    exec.par_for_costed(
+    let chunks = exec.par_map_chunks(
         paths.len(),
         0,
-        |i| match std::fs::read_to_string(&paths[i]) {
-            Ok(text) => consume(i, &text),
-            Err(e) => {
-                let mut slot = first_error.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
+        |range| {
+            let mut made = Vec::with_capacity(range.len());
+            for i in range {
+                match std::fs::read_to_string(&paths[i]) {
+                    Ok(text) => made.push(make(i, text)),
+                    Err(e) => {
+                        first_error.lock().get_or_insert(e);
+                    }
                 }
             }
+            made
         },
         |range| {
             let bytes: u64 = range.clone().map(|i| sizes[i]).sum();
@@ -88,34 +94,25 @@ where
             }
         },
     );
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if let Some(e) = first_error.into_inner() {
+        return Err(e);
     }
+    Ok(chunks.into_iter().flatten().collect())
 }
 
 /// Load a corpus directory (written by `hpa_corpus::disk::write_corpus`)
 /// using a parallel read loop.
 pub fn load_corpus_parallel(exec: &Exec, name: &str, dir: &Path) -> io::Result<hpa_corpus::Corpus> {
     let paths = hpa_corpus::disk::list_documents(dir)?;
-    let slots: Vec<Mutex<Option<hpa_corpus::Document>>> =
-        paths.iter().map(|_| Mutex::new(None)).collect();
-    for_each_file_parallel(exec, &paths, |i, text| {
-        let file_name = paths[i]
+    let docs = map_files_parallel(exec, &paths, |i, text| hpa_corpus::Document {
+        id: i as u32,
+        name: paths[i]
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or("unnamed.txt")
-            .to_string();
-        *slots[i].lock() = Some(hpa_corpus::Document {
-            id: i as u32,
-            name: file_name,
-            text: text.to_string(),
-        });
+            .to_string(),
+        text,
     })?;
-    let docs = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("document read"))
-        .collect();
     Ok(hpa_corpus::Corpus::from_documents(name, docs))
 }
 
@@ -158,7 +155,7 @@ mod tests {
             let loaded = load_corpus_parallel(&exec, "Mix", &dir).unwrap();
             assert_eq!(loaded.len(), corpus.len());
             for (a, b) in corpus.documents().iter().zip(loaded.documents()) {
-                assert_eq!(a.text, b.text, "doc {} under {exec:?}", a.id);
+                assert_eq!(a, b, "doc {} under {exec:?}", a.id);
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -188,15 +185,15 @@ mod tests {
     #[test]
     fn missing_file_surfaces_error() {
         let exec = Exec::sequential();
-        let err =
-            for_each_file_parallel(&exec, &[PathBuf::from("/nonexistent/file.txt")], |_, _| {})
-                .unwrap_err();
+        let err = map_files_parallel(&exec, &[PathBuf::from("/nonexistent/file.txt")], |_, _| {})
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]
     fn empty_path_list_is_ok() {
         let exec = Exec::sequential();
-        assert!(for_each_file_parallel(&exec, &[], |_, _| panic!()).is_ok());
+        let made = map_files_parallel(&exec, &[], |_, _| -> u8 { panic!() });
+        assert!(made.unwrap().is_empty());
     }
 }

@@ -58,19 +58,29 @@ impl SparseVec {
     /// Build from pairs already sorted by strictly increasing term id.
     ///
     /// # Panics
-    /// Panics (debug and release) if the ids are not strictly increasing —
-    /// violating the invariant silently would corrupt every dot product.
+    /// Like [`SparseVec::from_sorted_parts`].
     pub fn from_sorted(pairs: Vec<(TermId, f64)>) -> Self {
-        for w in pairs.windows(2) {
+        let (terms, weights) = pairs.into_iter().unzip();
+        SparseVec::from_sorted_parts(terms, weights)
+    }
+
+    /// Build from the two parallel arrays themselves — no copy — with
+    /// `terms` strictly increasing.
+    ///
+    /// # Panics
+    /// Panics (debug and release) if the arrays differ in length or the
+    /// ids are not strictly increasing — violating the invariant silently
+    /// would corrupt every dot product.
+    pub fn from_sorted_parts(terms: Vec<TermId>, weights: Vec<f64>) -> Self {
+        assert_eq!(terms.len(), weights.len(), "one weight per term id");
+        for w in terms.windows(2) {
             assert!(
-                w[0].0 < w[1].0,
+                w[0] < w[1],
                 "term ids must be strictly increasing: {} !< {}",
-                w[0].0,
-                w[1].0
+                w[0],
+                w[1]
             );
         }
-        let terms = pairs.iter().map(|p| p.0).collect();
-        let weights = pairs.iter().map(|p| p.1).collect();
         SparseVec { terms, weights }
     }
 
@@ -209,6 +219,17 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn from_sorted_rejects_duplicates() {
         SparseVec::from_sorted(vec![(1, 1.0), (1, 2.0)]);
+    }
+
+    #[test]
+    fn from_sorted_parts_takes_the_arrays_and_checks_them() {
+        let s = SparseVec::from_sorted_parts(vec![1, 4, 9], vec![0.5, 0.0, 2.0]);
+        assert_eq!(s, v(&[(1, 0.5), (4, 0.0), (9, 2.0)]));
+        assert!(SparseVec::from_sorted_parts(Vec::new(), Vec::new()).is_empty());
+        for (terms, weights) in [(vec![2, 1], vec![1.0, 1.0]), (vec![1, 2], vec![1.0])] {
+            let bad = std::panic::catch_unwind(|| SparseVec::from_sorted_parts(terms, weights));
+            assert!(bad.is_err(), "unsorted ids and ragged arrays are rejected");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! corpora) so costs are deterministic and computable before a chunk runs.
 
 use hpa_corpus::Document;
-use hpa_dict::{DictKind, Dictionary as _};
+use hpa_dict::DictKind;
 use hpa_exec::{Exec, TaskCost};
 use hpa_io::READ_CPU_NS_PER_BYTE;
 use std::ops::Range;
@@ -58,9 +58,19 @@ pub const DISTINCT_FRACTION: f64 = 0.45;
 /// Tokenizer CPU cost per input byte (scan + classify).
 pub const TOKENIZE_NS_PER_BYTE: f64 = 0.8;
 
+/// CPU cost of appending one `(id, tf)` entry to a run and stamping the
+/// id's scratch — what a term's first hit in a document adds to its
+/// intern on the interned arm.
+pub const RUN_APPEND_NS: f64 = 6.0;
+/// CPU cost per term of the interned transform outside its sort: the
+/// remap load, the `tf · idf` multiply and the two array pushes.
+pub const REMAP_SCALE_NS: f64 = 8.0;
+
 /// Cost of the input + word-count work for the documents of `range`.
-/// `kind` backs both the per-document counters and the chunk-local
-/// document-frequency dictionary.
+/// For the paper's arms `kind` backs both the per-document counters and
+/// the chunk-local document-frequency dictionary; the interned arm pays
+/// one intern per token and one run append per distinct term of a
+/// document, and creates nothing per document.
 pub fn wc_chunk_cost(
     kind: DictKind,
     docs: &[Document],
@@ -73,30 +83,43 @@ pub fn wc_chunk_cost(
     let distinct = tokens * DISTINCT_FRACTION;
     let hits = tokens - distinct;
 
-    // Per-document dictionary: created once per document, then every
-    // distinct token inserts once and the rest increment. Average per-doc
-    // dictionary size ~ distinct/files.
-    let avg_doc_dict = if files > 0 {
-        (distinct / files as f64) as usize
+    let (cpu, mem) = if kind == DictKind::Arena {
+        // Every token probes the chunk's interner, which grows toward
+        // vocabulary scale; nearly all of them hit.
+        let intern = kind.increment_cost(50_000);
+        (
+            bytes as f64 * (TOKENIZE_NS_PER_BYTE + READ_CPU_NS_PER_BYTE)
+                + tokens * intern.cpu_ns
+                + distinct * RUN_APPEND_NS,
+            bytes as f64 + tokens * intern.mem_bytes + distinct * 8.0,
+        )
     } else {
-        0
+        // Per-document dictionary: created once per document, then every
+        // distinct token inserts once and the rest increment. Average
+        // per-doc dictionary size ~ distinct/files.
+        let avg_doc_dict = if files > 0 {
+            (distinct / files as f64) as usize
+        } else {
+            0
+        };
+        let create = kind.creation_cost();
+        let insert = kind.insert_cost(avg_doc_dict);
+        let incr = kind.increment_cost(avg_doc_dict);
+        // Document-frequency updates: one per distinct token, into a
+        // chunk-local dictionary that grows toward vocabulary scale. The
+        // global structure is never the pre-sized per-document kind.
+        let df_up = kind.global_kind().increment_cost(50_000);
+        (
+            bytes as f64 * (TOKENIZE_NS_PER_BYTE + READ_CPU_NS_PER_BYTE)
+                + files as f64 * create.cpu_ns
+                + distinct * (insert.cpu_ns + df_up.cpu_ns)
+                + hits * incr.cpu_ns,
+            bytes as f64
+                + files as f64 * create.mem_bytes
+                + distinct * (insert.mem_bytes + df_up.mem_bytes)
+                + hits * incr.mem_bytes,
+        )
     };
-    let create = kind.creation_cost();
-    let insert = kind.insert_cost(avg_doc_dict);
-    let incr = kind.increment_cost(avg_doc_dict);
-    // Document-frequency updates: one per distinct token, into a
-    // chunk-local dictionary that grows toward vocabulary scale. The
-    // global structure is never the pre-sized per-document kind.
-    let df_up = kind.global_kind().increment_cost(50_000);
-
-    let cpu = bytes as f64 * (TOKENIZE_NS_PER_BYTE + READ_CPU_NS_PER_BYTE)
-        + files as f64 * create.cpu_ns
-        + distinct * (insert.cpu_ns + df_up.cpu_ns)
-        + hits * incr.cpu_ns;
-    let mem = bytes as f64
-        + files as f64 * create.mem_bytes
-        + distinct * (insert.mem_bytes + df_up.mem_bytes)
-        + hits * incr.mem_bytes;
 
     TaskCost {
         cpu_ns: cpu as u64,
@@ -107,15 +130,23 @@ pub fn wc_chunk_cost(
     }
 }
 
-/// Cost of merging one chunk-local document-frequency dictionary into the
-/// global one (the serial tail of the word-count phase).
-pub fn df_merge_cost(kind: DictKind, num_docs: usize, threads: usize) -> TaskCost {
-    // Each partial holds roughly the vocabulary observed in its share of
-    // the documents; merging folds each entry in once. The arena folds by
-    // cached hash (no re-hash of the source key); the standard structures
-    // re-hash or re-compare every key, which `merge_step_cost` prices.
+/// A-priori estimate of the entries one chunk-local document-frequency
+/// dictionary holds when `num_docs` documents are split over `threads`
+/// chunks: roughly the vocabulary observed in its share of the documents.
+pub fn df_partial_entries(num_docs: usize, threads: usize) -> f64 {
     let tokens_per_chunk = num_docs as f64 / threads.max(1) as f64 * 400.0;
-    let entries = (tokens_per_chunk * 0.25).min(300_000.0);
+    (tokens_per_chunk * 0.25).min(300_000.0)
+}
+
+/// Cost of merging `entries` entries of chunk-local document-frequency
+/// structures into the global one (the serial tail of the word-count
+/// phase); merging folds each entry in once. The paper's arms pay it per
+/// pair of a tree reduction with [`df_partial_entries`] entries; the
+/// interned arm folds its chunks' interners serially and passes the
+/// number of terms they held.
+pub fn df_merge_cost(kind: DictKind, entries: f64) -> TaskCost {
+    // The standard structures re-hash or re-compare every key; the arena
+    // re-hashes it and probes flat slots. `merge_step_cost` prices both.
     let up = kind.global_kind().merge_step_cost(150_000);
     TaskCost {
         cpu_ns: (entries * up.cpu_ns) as u64,
@@ -124,14 +155,21 @@ pub fn df_merge_cost(kind: DictKind, num_docs: usize, threads: usize) -> TaskCos
     }
 }
 
-/// Cost of building the vocabulary: one sorted walk over the global
-/// document-frequency dictionary plus one insert per word into the
-/// lookup index, both of `kind`.
+/// Cost of building a vocabulary of `vocab_len` words. The paper's arms:
+/// one sorted walk over the global document-frequency dictionary plus
+/// one insert per word into the lookup index, both of `kind`. The
+/// interned arm: a sort of the ids by key, then per word a copy, a rank
+/// store and a logarithm — no index to fill.
 pub fn vocab_build_cost(kind: DictKind, vocab_len: usize) -> TaskCost {
     let walk = kind.global_kind().sorted_iter_cost(vocab_len);
-    let insert = kind.global_kind().insert_cost(vocab_len);
-    let per_word = walk.cpu_ns + insert.cpu_ns + 30.0; // +30ns string copy
-    let per_word_mem = walk.mem_bytes + insert.mem_bytes + 24.0;
+    let (insert_ns, insert_mem) = if kind == DictKind::Arena {
+        (0.0, 0.0)
+    } else {
+        let insert = kind.global_kind().insert_cost(vocab_len);
+        (insert.cpu_ns, insert.mem_bytes)
+    };
+    let per_word = walk.cpu_ns + insert_ns + 30.0; // +30ns string copy
+    let per_word_mem = walk.mem_bytes + insert_mem + 24.0;
     TaskCost {
         cpu_ns: (vocab_len as f64 * per_word) as u64,
         mem_bytes: (vocab_len as f64 * per_word_mem) as u64,
@@ -139,16 +177,17 @@ pub fn vocab_build_cost(kind: DictKind, vocab_len: usize) -> TaskCost {
     }
 }
 
-/// Cost of transforming the documents of `range` into TF·IDF vectors:
-/// per distinct term, one storage-order iteration step over the
-/// per-document dictionary, one lookup in the vocabulary index, the
-/// score computation, and a numeric sort of the resulting id/weight
-/// pairs (trivial for the tree, whose walk already yields id order).
+/// Cost of transforming the documents of `range` into TF·IDF vectors.
+/// The paper's arms, per distinct term: one storage-order iteration step
+/// over the per-document dictionary, one lookup in the vocabulary index,
+/// the score computation, and a numeric sort of the resulting id/weight
+/// pairs (trivial for the tree, whose walk already yields id order) —
 /// `kind` backs both the per-document counters being walked and the
-/// vocabulary index being probed.
+/// vocabulary index being probed. The interned arm, per distinct term:
+/// a remap load, its share of an integer sort, and the scale.
 pub fn transform_chunk_cost(
     kind: DictKind,
-    per_doc: &[crate::DocTermCounts],
+    counts: &crate::WordCounts,
     vocab_len: usize,
     range: Range<usize>,
 ) -> TaskCost {
@@ -157,17 +196,26 @@ pub fn transform_chunk_cost(
     // The vocabulary index is the global (never pre-sized) structure.
     let lookup = kind.global_kind().lookup_cost(vocab_len);
     for i in range {
-        let k = per_doc[i].counts.len();
-        let iter = kind.iter_step_cost(k);
-        // Numeric pair sort: the tree yields ids pre-sorted (branch-
-        // predictable ~3 ns/elem verification), hash kinds pay a real
-        // sort of ~12·log2(k) ns/elem.
-        let sort = match kind {
-            DictKind::BTree => 3.0,
-            _ => 12.0 * (k.max(2) as f64).log2(),
+        let k = counts.distinct_terms(i);
+        let lg_k = (k.max(2) as f64).log2();
+        let (per_term, per_term_mem) = if kind == DictKind::Arena {
+            // An integer sort costs ~2 ns per key and level. 8 B run
+            // entry in, 4 B remap load, 12 B of vector out.
+            (2.0 * lg_k + REMAP_SCALE_NS, 24.0)
+        } else {
+            let iter = kind.iter_step_cost(k);
+            // Numeric pair sort: the tree yields ids pre-sorted (branch-
+            // predictable ~3 ns/elem verification), hash kinds pay a real
+            // sort of ~12·log2(k) ns/elem.
+            let sort = match kind {
+                DictKind::BTree => 3.0,
+                _ => 12.0 * lg_k,
+            };
+            (
+                iter.cpu_ns + lookup.cpu_ns + sort + 35.0, // +score+push
+                iter.mem_bytes + lookup.mem_bytes + 12.0,
+            )
         };
-        let per_term = iter.cpu_ns + lookup.cpu_ns + sort + 35.0; // +score+push
-        let per_term_mem = iter.mem_bytes + lookup.mem_bytes + 12.0;
         cpu += k as f64 * per_term + 60.0; // +normalize pass etc.
         mem += k as f64 * per_term_mem;
     }
@@ -597,8 +645,8 @@ mod tests {
         });
         let counts = op.count_words(&exec, &c);
         let v = 185_000;
-        let map = transform_chunk_cost(DictKind::BTree, &counts.per_doc, v, 0..c.len());
-        let umap = transform_chunk_cost(DictKind::Hash, &counts.per_doc, v, 0..c.len());
+        let map = transform_chunk_cost(DictKind::BTree, &counts, v, 0..c.len());
+        let umap = transform_chunk_cost(DictKind::Hash, &counts, v, 0..c.len());
         assert!(
             umap.cpu_ns < map.cpu_ns,
             "umap cpu {} map cpu {}",
@@ -615,11 +663,12 @@ mod tests {
 
     #[test]
     fn arena_merge_is_cheaper_than_rehashing_merges() {
-        // The cached-hash fold skips the per-key re-hash (hash kinds) and
-        // the per-key comparison descent (tree).
-        let arena = df_merge_cost(DictKind::Arena, 20_000, 4);
-        let hash = df_merge_cost(DictKind::Hash, 20_000, 4);
-        let btree = df_merge_cost(DictKind::BTree, 20_000, 4);
+        // The flat fold has no node to allocate or chase (hash kinds) and
+        // no per-key comparison descent (tree).
+        let entries = df_partial_entries(20_000, 4);
+        let arena = df_merge_cost(DictKind::Arena, entries);
+        let hash = df_merge_cost(DictKind::Hash, entries);
+        let btree = df_merge_cost(DictKind::BTree, entries);
         assert!(
             arena.cpu_ns < hash.cpu_ns,
             "{} vs {}",

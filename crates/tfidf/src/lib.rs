@@ -5,15 +5,40 @@
 //! Mirrors the paper's two-phase structure (§3.2):
 //!
 //! 1. **input + word count** ([`TfIdf::count_words`]) — a parallel loop
-//!    over documents: tokenize, count term frequencies into a
-//!    per-document dictionary, and count document frequencies into
-//!    per-chunk dictionaries that are merged at the end. The dictionary
-//!    implementation is the [`DictKind`] under study in Figure 4.
+//!    over documents: tokenize, count term frequencies per document and
+//!    document frequencies per chunk of documents, and merge the chunks
+//!    at the end.
 //! 2. **transform + output** — [`TfIdf::build_vocab`] assigns term ids in
 //!    sorted word order; [`TfIdf::transform`] (parallel per document)
 //!    converts term counts to normalized TF·IDF sparse vectors;
 //!    [`write_arff`] emits the WEKA-format matrix **sequentially**,
 //!    because "the ARFF format does not facilitate parallel output".
+//!
+//! The [`DictKind`] — Figure 4's independent variable — selects one of
+//! two representations of the counts, once per call:
+//!
+//! * `map`, `u-map` and `u-map-presized` are **the paper's arms**: one
+//!   dictionary per document (word → tf), one document-frequency
+//!   dictionary per chunk tree-merged into a global one, and a transform
+//!   that looks every word of every document up in the vocabulary's
+//!   index. Their footprint, not their arithmetic, is what Figure 4 is
+//!   about, so their shape is kept as the paper has it.
+//! * `arena` (= `auto`; what `--dict arena` and `benchmark/` run)
+//!   **interns each token exactly once**. A chunk of documents owns one
+//!   [`ArenaDict`] interner (word → dense chunk-local id, its value the
+//!   chunk's document frequency) and one flat array of `(id, tf)` pairs
+//!   in which each document's terms form a contiguous *run*, in
+//!   first-seen order; id-indexed scratch (the last document that touched
+//!   the id, and where in that document's run) makes a repeated token an
+//!   array increment. Afterwards the chunks' interners fold into the
+//!   first chunk's, which yields the corpus-wide provisional ids and one
+//!   local → provisional id map per later chunk. The vocabulary is a
+//!   rank permutation of the provisional ids by key bytes
+//!   (`Vocab::from_interned`), and the transform is remap → integer sort
+//!   → scale: no string, no hash, no dictionary per document.
+//!
+//! Both end in the same scoring function, [`Vocab::score`], and produce
+//! bit-identical models.
 //!
 //! Every loop carries analytic [`TaskCost`] annotations derived from the
 //! dictionary cost model (`hpa_dict::costmodel`), so the execution
@@ -27,11 +52,12 @@ pub mod vocab;
 pub use vocab::Vocab;
 
 use cost::MatrixStats;
+use vocab::PRUNED;
 
 use hpa_arff::{parse_data_line, ArffError, ArffHeader, ArffReader, ArffWriter};
 use hpa_colfmt::{encode_chunk, ColFmtError, ColReader, ColWriter};
-use hpa_corpus::{Corpus, Tokenizer};
-use hpa_dict::{hash_word, AnyDict, DictKind, Dictionary};
+use hpa_corpus::{Corpus, Document, Tokenizer};
+use hpa_dict::{hash_word, pack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_io::{ByteCounter, Sequencer};
@@ -42,8 +68,8 @@ use std::ops::Range;
 /// Configuration of the TF/IDF operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfIdfConfig {
-    /// Dictionary structure for per-document term counts and the global
-    /// document-frequency map (Figure 4's independent variable).
+    /// How terms are counted (Figure 4's independent variable): a
+    /// dictionary per document of the paper's kinds, or interned runs.
     pub dict_kind: DictKind,
     /// Chunk size for the parallel document loops (0 = automatic).
     pub grain: usize,
@@ -73,11 +99,9 @@ impl Default for TfIdfConfig {
     }
 }
 
-/// Term counts of one document.
-#[derive(Debug, Clone)]
+/// Token count of one document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DocTermCounts {
-    /// word → term frequency.
-    pub counts: AnyDict,
     /// Total tokens in the document.
     pub total_terms: u64,
 }
@@ -85,15 +109,128 @@ pub struct DocTermCounts {
 /// Result of the input + word-count phase.
 #[derive(Debug)]
 pub struct WordCounts {
-    /// Per-document term frequencies, indexed by document id.
+    /// Per-document token counts, indexed by document id.
     pub per_doc: Vec<DocTermCounts>,
-    /// word → number of documents containing it.
-    pub df: AnyDict,
     /// Total bytes of text processed.
     pub bytes: u64,
-    /// Dictionary kind the per-document counts and the document-
-    /// frequency dictionary were built with.
+    /// Dictionary kind the counts were taken with.
     pub dict_kind: DictKind,
+    terms: TermCounts,
+}
+
+/// Term and document frequencies, in the representation the kind selects.
+#[derive(Debug)]
+enum TermCounts {
+    /// The paper's arms: word → tf per document, word → df globally.
+    PerDoc {
+        docs: Vec<AnyDict>,
+        df: AnyDict,
+    },
+    Interned(InternedCounts),
+}
+
+/// The interned arm's counts.
+#[derive(Debug)]
+struct InternedCounts {
+    /// Word → provisional id; the value is the document frequency.
+    words: ArenaDict,
+    /// Documents per chunk (the last chunk may hold fewer).
+    grain: usize,
+    chunks: Vec<ChunkRuns>,
+}
+
+/// The term frequencies of one chunk of documents.
+#[derive(Debug, Default)]
+struct ChunkRuns {
+    /// `(chunk-local id, tf)` pairs; each document's are contiguous, in
+    /// the order it first used them.
+    runs: Vec<(u32, u32)>,
+    /// Where each of the chunk's documents' run ends.
+    ends: Vec<usize>,
+    /// The provisional id of each chunk-local id; `None` for the first
+    /// chunk, whose interner the others were folded into.
+    to_global: Option<Vec<u32>>,
+}
+
+impl ChunkRuns {
+    fn heap_bytes(&self) -> u64 {
+        let map = self.to_global.as_ref().map_or(0, |m| m.capacity() * 4);
+        (self.runs.capacity() * 8 + self.ends.capacity() * 8 + map) as u64
+    }
+}
+
+impl InternedCounts {
+    /// The run of document `doc` and the chunk that holds it.
+    fn run(&self, doc: usize) -> (&[(u32, u32)], usize) {
+        let (chunk, local) = (doc / self.grain, doc % self.grain);
+        let c = &self.chunks[chunk];
+        let start = local.checked_sub(1).map_or(0, |prev| c.ends[prev]);
+        (&c.runs[start..c.ends[local]], chunk)
+    }
+}
+
+/// Run entries reserved per byte of a chunk's text, as a divisor: the
+/// calibrated corpora hold one distinct-term-per-document per 9–20 bytes.
+/// The reservation is as large as the text itself, its untouched tail is
+/// never resident, and the run array is cut to size when the chunk ends —
+/// so `Vec` doubling never leaves half of a paper-scale array empty.
+const TEXT_BYTES_PER_RUN_ENTRY: usize = 8;
+
+/// Count one chunk of documents on interned runs: its token counts, its
+/// interner (value = document frequency within the chunk) and its runs.
+fn count_chunk_interned(docs: &[Document]) -> (Vec<DocTermCounts>, ArenaDict, ChunkRuns) {
+    let text_bytes: usize = docs.iter().map(|d| d.text.len()).sum();
+    let mut words = ArenaDict::new();
+    // By id: the last document (1-based) that used the word, and where
+    // in that document's run.
+    let mut seen: Vec<(u32, u32)> = Vec::new();
+    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(text_bytes / TEXT_BYTES_PER_RUN_ENTRY);
+    let mut ends = Vec::with_capacity(docs.len());
+    let mut per_doc = Vec::with_capacity(docs.len());
+    let mut tok = Tokenizer::new();
+    for (d, doc) in docs.iter().enumerate() {
+        // A token takes two bytes at least, so run positions and term
+        // frequencies of the document fit the `u32`s that hold them.
+        assert!(
+            doc.text.len() < u32::MAX as usize,
+            "document {} exceeds 4 GiB",
+            doc.name
+        );
+        let mark = u32::try_from(d + 1).expect("fewer than 2^32 documents per chunk");
+        let start = runs.len();
+        let mut total_terms = 0u64;
+        tok.for_each(&doc.text, |w| {
+            total_terms += 1;
+            let id = words.intern(hash_word(w), w);
+            if id as usize == seen.len() {
+                seen.push((0, 0));
+            }
+            let (last, at) = &mut seen[id as usize];
+            if *last == mark {
+                runs[start + *at as usize].1 += 1;
+            } else {
+                (*last, *at) = (mark, (runs.len() - start) as u32);
+                runs.push((id, 1));
+                words.add_at(id, 1);
+            }
+        });
+        ends.push(runs.len());
+        per_doc.push(DocTermCounts { total_terms });
+    }
+    runs.shrink_to_fit();
+    let chunk = ChunkRuns {
+        runs,
+        ends,
+        to_global: None,
+    };
+    (per_doc, words, chunk)
+}
+
+/// What one chunk of the paper arms' word count folds into.
+struct PerDocPartial {
+    df: AnyDict,
+    docs: Vec<AnyDict>,
+    per_doc: Vec<DocTermCounts>,
 }
 
 impl WordCounts {
@@ -102,35 +239,82 @@ impl WordCounts {
         self.per_doc.len()
     }
 
-    /// Actual heap footprint of all dictionaries (Rust structures).
+    /// Number of distinct words in the corpus.
+    pub fn num_terms(&self) -> usize {
+        match &self.terms {
+            TermCounts::PerDoc { df, .. } => df.len(),
+            TermCounts::Interned(c) => c.words.len(),
+        }
+    }
+
+    /// Number of documents containing `word`, if any does.
+    pub fn df(&self, word: &str) -> Option<u64> {
+        match &self.terms {
+            TermCounts::PerDoc { df, .. } => df.get(word),
+            TermCounts::Interned(c) => c.words.get(word),
+        }
+    }
+
+    /// Occurrences of `word` in document `doc`, if it has any.
+    pub fn tf(&self, doc: usize, word: &str) -> Option<u64> {
+        match &self.terms {
+            TermCounts::PerDoc { docs, .. } => docs[doc].get(word),
+            TermCounts::Interned(c) => {
+                let id = c.words.id_of(hash_word(word), word)?;
+                let (run, chunk) = c.run(doc);
+                let to_global = c.chunks[chunk].to_global.as_deref();
+                run.iter()
+                    .find(|&&(local, _)| to_global.map_or(local, |m| m[local as usize]) == id)
+                    .map(|&(_, tf)| tf as u64)
+            }
+        }
+    }
+
+    /// Number of distinct words in document `doc`.
+    pub fn distinct_terms(&self, doc: usize) -> usize {
+        match &self.terms {
+            TermCounts::PerDoc { docs, .. } => docs[doc].len(),
+            TermCounts::Interned(c) => c.run(doc).0.len(),
+        }
+    }
+
+    /// Actual heap footprint of the counts (Rust structures): every
+    /// dictionary of the paper's arms; the interner, the run arrays and
+    /// the id maps of the interned arm.
     pub fn heap_bytes(&self) -> u64 {
-        self.per_doc
-            .iter()
-            .map(|d| d.counts.heap_bytes())
-            .sum::<u64>()
-            + self.df.heap_bytes()
+        match &self.terms {
+            TermCounts::PerDoc { docs, df } => {
+                docs.iter().map(|d| d.heap_bytes()).sum::<u64>() + df.heap_bytes()
+            }
+            TermCounts::Interned(c) => {
+                c.words.heap_bytes() + c.chunks.iter().map(ChunkRuns::heap_bytes).sum::<u64>()
+            }
+        }
     }
 
     /// Analytic resident footprint of the *modelled C++* structures —
     /// the number the paper's "420 MB vs 12.8 GB" comparison refers to.
+    /// The interned arm is no C++ structure and models as itself.
     pub fn modeled_resident_bytes(&self) -> u64 {
+        let (docs, df) = match &self.terms {
+            TermCounts::PerDoc { docs, df } => (docs, df),
+            TermCounts::Interned(_) => return self.heap_bytes(),
+        };
         let mut total = 0u64;
-        for d in &self.per_doc {
+        for d in docs {
             let mut strings = 0u64;
-            d.counts
-                .for_each_sorted(&mut |w, _| strings += w.len() as u64);
-            total += self.dict_kind.resident_bytes(d.counts.len(), strings);
+            d.for_each_sorted(&mut |w, _| strings += w.len() as u64);
+            total += self.dict_kind.resident_bytes(d.len(), strings);
         }
         let mut df_strings = 0u64;
-        self.df
-            .for_each_sorted(&mut |w, _| df_strings += w.len() as u64);
+        df.for_each_sorted(&mut |w, _| df_strings += w.len() as u64);
         // The global DF dictionary is built once (never pre-sized per
         // document), so charge it as a plain structure of its kind.
         total
             + self
                 .dict_kind
                 .global_kind()
-                .resident_bytes(self.df.len(), df_strings)
+                .resident_bytes(df.len(), df_strings)
     }
 }
 
@@ -160,154 +344,252 @@ impl TfIdf {
     }
 
     /// Phase 1: parallel tokenize + count. ("input+wc" in the figures.)
-    ///
-    /// When the configured kind caches hashes, each token is hashed
-    /// exactly once and the value is handed to both the per-document and
-    /// the document-frequency dictionary's `*_hashed` entry points.
     pub fn count_words(&self, exec: &Exec, corpus: &Corpus) -> WordCounts {
         let _span = hpa_trace::span!("tfidf", "count-words", corpus.len() as u64);
         let kind = self.config.dict_kind;
         let n = corpus.len();
         let docs = corpus.documents();
-        let slots: Vec<Mutex<Option<DocTermCounts>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-        // Per-chunk document-frequency dictionaries, merged sequentially
-        // afterwards (the merge is the serial tail of this phase). One
-        // partial per ~thread, mirroring Cilk reducer semantics.
-        let df_grain = if self.config.grain > 0 {
+        // One chunk per ~thread: a chunk owns a document-frequency
+        // structure, and what the chunks hold in common is merged
+        // afterwards (the serial tail of this phase).
+        let grain = if self.config.grain > 0 {
             self.config.grain
         } else {
-            n.div_ceil(exec.threads())
+            n.div_ceil(exec.threads()).max(1)
         };
         let charge_io = self.config.charge_input_io;
-        let hash_once = kind.uses_cached_hash();
+        let chunk_cost = |range: Range<usize>| cost::wc_chunk_cost(kind, docs, range, charge_io);
+        let (per_doc, terms) = if kind == DictKind::Arena {
+            self.count_interned(exec, docs, grain, chunk_cost)
+        } else {
+            self.count_per_doc(exec, docs, grain, chunk_cost)
+        };
+        WordCounts {
+            per_doc,
+            bytes: corpus.total_bytes(),
+            dict_kind: kind,
+            terms,
+        }
+    }
+
+    /// The paper's arms: a dictionary per document, and per-chunk
+    /// document-frequency dictionaries tree-merged like Cilk reducers.
+    fn count_per_doc(
+        &self,
+        exec: &Exec,
+        docs: &[Document],
+        grain: usize,
+        chunk_cost: impl Fn(Range<usize>) -> TaskCost + Sync,
+    ) -> (Vec<DocTermCounts>, TermCounts) {
+        let kind = self.config.dict_kind;
+        let n = docs.len();
+        let merge_cost = cost::df_merge_cost(kind, cost::df_partial_entries(n, exec.threads()));
         if hpa_trace::is_enabled() {
             // Price the fold region plus the tree-reduce merge tail with
             // the same cost closures the simulator consumes, so the
             // conformance ledger checks exactly what analytic runs use.
-            let fold_ns = exec.predict_region_ns(n, df_grain, |range| {
-                cost::wc_chunk_cost(kind, docs, range, charge_io)
-            });
-            let merge_ns = exec.predict_tree_reduce_ns(
-                exec.chunks_for(n, df_grain),
-                cost::df_merge_cost(kind, n, exec.threads()),
-            );
+            let fold_ns = exec.predict_region_ns(n, grain, &chunk_cost);
+            let merge_ns = exec.predict_tree_reduce_ns(exec.chunks_for(n, grain), merge_cost);
             hpa_trace::predict("tfidf", "count-words", fold_ns + merge_ns);
         }
-        let df = exec.par_fold_reduce(
-            n,
-            df_grain,
-            || kind.new_dict(),
-            |mut df_local: AnyDict, i| {
-                let doc = &docs[i];
-                let mut counts = kind.new_dict();
-                let mut tok = Tokenizer::new();
-                let mut total_terms = 0u64;
-                if hash_once {
-                    tok.for_each(&doc.text, |w| {
-                        total_terms += 1;
-                        let h = hash_word(w);
-                        if counts.add_hashed(h, w, 1) == 1 {
-                            df_local.add_hashed(h, w, 1);
-                        }
-                    });
-                } else {
-                    tok.for_each(&doc.text, |w| {
+        let empty = || PerDocPartial {
+            df: kind.new_dict(),
+            docs: Vec::new(),
+            per_doc: Vec::new(),
+        };
+        let counted = exec
+            .par_fold_reduce(
+                n,
+                grain,
+                empty,
+                |mut part: PerDocPartial, i| {
+                    let mut counts = kind.new_dict();
+                    let mut total_terms = 0u64;
+                    Tokenizer::new().for_each(&docs[i].text, |w| {
                         total_terms += 1;
                         if counts.add(w, 1) == 1 {
-                            df_local.add(w, 1);
+                            part.df.add(w, 1);
                         }
                     });
-                }
-                *slots[i].lock() = Some(DocTermCounts {
-                    counts,
-                    total_terms,
-                });
-                df_local
-            },
-            |mut a, b| {
-                a.merge_from(&b);
-                a
-            },
-            |range| cost::wc_chunk_cost(kind, docs, range, charge_io),
-            cost::df_merge_cost(kind, n, exec.threads()),
-        );
-        let df = df.unwrap_or_else(|| kind.new_dict());
-
-        let per_doc: Vec<DocTermCounts> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("document counted"))
-            .collect();
-        WordCounts {
-            per_doc,
-            df,
-            bytes: corpus.total_bytes(),
-            dict_kind: kind,
-        }
+                    part.docs.push(counts);
+                    part.per_doc.push(DocTermCounts { total_terms });
+                    part
+                },
+                // Pairs are adjacent chunks, left before right: appending
+                // keeps the documents in order.
+                |mut a, b| {
+                    a.df.merge_from(&b.df);
+                    a.docs.extend(b.docs);
+                    a.per_doc.extend(b.per_doc);
+                    a
+                },
+                chunk_cost,
+                merge_cost,
+            )
+            .unwrap_or_else(empty);
+        let terms = TermCounts::PerDoc {
+            docs: counted.docs,
+            df: counted.df,
+        };
+        (counted.per_doc, terms)
     }
 
-    /// Build the vocabulary from the document-frequency map: term ids are
-    /// assigned in ascending word order (a serial walk over the global
-    /// dictionary — sorted for free on the tree, collect-and-sort on the
-    /// hash table).
+    /// The interned arm: one interner and one run array per chunk, then
+    /// the later chunks' interners fold into the first one's.
+    fn count_interned(
+        &self,
+        exec: &Exec,
+        docs: &[Document],
+        grain: usize,
+        chunk_cost: impl Fn(Range<usize>) -> TaskCost + Sync,
+    ) -> (Vec<DocTermCounts>, TermCounts) {
+        let n = docs.len();
+        if hpa_trace::is_enabled() {
+            // The merge tail prices itself, inside its own span.
+            let fold_ns = exec.predict_region_ns(n, grain, &chunk_cost);
+            hpa_trace::predict("tfidf", "count-words", fold_ns);
+        }
+        let mut parts = exec
+            .par_map_chunks(
+                n,
+                grain,
+                |range| count_chunk_interned(&docs[range]),
+                chunk_cost,
+            )
+            .into_iter();
+        // The first chunk's interner becomes the corpus-wide one.
+        let (mut per_doc, mut words, first) = parts.next().unwrap_or_default();
+        let mut chunks = vec![first];
+        if parts.len() > 0 {
+            let _span = hpa_trace::span!("tfidf", "merge-terms", parts.len() as u64);
+            exec.serial_costed(|| {
+                let mut entries = 0usize;
+                for (counts, local, mut chunk) in parts {
+                    entries += local.len();
+                    chunk.to_global = Some(words.merge_from(&local));
+                    per_doc.extend(counts);
+                    chunks.push(chunk);
+                }
+                let cost = cost::df_merge_cost(DictKind::Arena, entries as f64);
+                if hpa_trace::is_enabled() {
+                    let ns = exec.predict_serial_ns(&cost);
+                    hpa_trace::predict("tfidf", "merge-terms", ns);
+                }
+                ((), cost)
+            });
+        }
+        let counts = InternedCounts {
+            words,
+            grain,
+            chunks,
+        };
+        (per_doc, TermCounts::Interned(counts))
+    }
+
+    /// Build the vocabulary: term ids in ascending word order, terms
+    /// outside the configured document-frequency band dropped. The
+    /// paper's arms walk the global dictionary — sorted for free on the
+    /// tree, collect-and-sort on the hash table — and fill an index of
+    /// the same kind; the interned arm ranks its provisional ids.
     pub fn build_vocab(&self, exec: &Exec, counts: &WordCounts) -> Vocab {
-        let _span = hpa_trace::span!("tfidf", "build-vocab", counts.df.len() as u64);
-        let max_df = (self.config.max_df_fraction * counts.num_docs() as f64).ceil() as u64;
+        let _span = hpa_trace::span!("tfidf", "build-vocab", counts.num_terms() as u64);
+        let n = counts.num_docs();
+        let max_df = (self.config.max_df_fraction * n as f64).ceil() as u64;
         let min_df = self.config.min_df.max(1) as u64;
-        let cost = cost::vocab_build_cost(self.config.dict_kind, counts.df.len());
+        let cost = cost::vocab_build_cost(self.config.dict_kind, counts.num_terms());
         if hpa_trace::is_enabled() {
             hpa_trace::predict("tfidf", "build-vocab", exec.predict_serial_ns(&cost));
         }
-        exec.serial(cost, || {
-            Vocab::from_df_dict_pruned(self.config.dict_kind, &counts.df, min_df, max_df)
+        exec.serial(cost, || match &counts.terms {
+            TermCounts::PerDoc { df, .. } => {
+                Vocab::from_df_dict_pruned(self.config.dict_kind, df, min_df, max_df, n)
+            }
+            TermCounts::Interned(c) => Vocab::from_interned(c.words.clone(), min_df, max_df, n),
         })
     }
 
     /// Phase 2a ("transform"): parallel conversion of term counts into
     /// normalized TF·IDF sparse vectors.
     pub fn transform(&self, exec: &Exec, counts: &WordCounts, vocab: &Vocab) -> TfIdfModel {
-        let _span = hpa_trace::span!("tfidf", "transform", counts.num_docs() as u64);
         let n = counts.num_docs();
-        let num_docs = n;
+        let _span = hpa_trace::span!("tfidf", "transform", n as u64);
         let kind = counts.dict_kind;
-        let slots: Vec<Mutex<Option<SparseVec>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let per_doc = &counts.per_doc;
+        let chunk_cost =
+            |range: Range<usize>| cost::transform_chunk_cost(kind, counts, vocab.len(), range);
         if hpa_trace::is_enabled() {
-            let ns = exec.predict_region_ns(n, self.config.grain, |range| {
-                cost::transform_chunk_cost(kind, per_doc, vocab.len(), range)
-            });
+            let ns = exec.predict_region_ns(n, self.config.grain, chunk_cost);
             hpa_trace::predict("tfidf", "transform", ns);
         }
-        exec.par_for_costed(
-            n,
-            self.config.grain,
-            |i| {
-                let doc = &per_doc[i];
-                let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(doc.counts.len());
-                // Storage-order walk: sorting happens downstream on the
-                // numeric term ids (cheap), not on the words — the hash
-                // dictionary need not pay a string sort here.
-                doc.counts.for_each(&mut |word, tf| {
-                    if let Some((id, df)) = vocab.lookup(word) {
-                        let idf = (num_docs as f64 / df as f64).ln();
-                        pairs.push((id, tf as f64 * idf));
-                    }
-                });
-                let mut v = SparseVec::from_pairs(pairs);
-                v.normalize();
-                *slots[i].lock() = Some(v);
-            },
-            |range| cost::transform_chunk_cost(kind, per_doc, vocab.len(), range),
-        );
-        let vectors = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("document transformed"))
-            .collect();
+        let vectors = match &counts.terms {
+            TermCounts::PerDoc { docs, .. } => {
+                self.score_docs(exec, n, vocab, chunk_cost, |i, keys| {
+                    // Storage-order walk: sorting happens downstream on the
+                    // numeric term ids (cheap), not on the words — the hash
+                    // dictionary need not pay a string sort here.
+                    docs[i].for_each(&mut |word, tf| {
+                        if let Some((id, _)) = vocab.lookup(word) {
+                            let tf = u32::try_from(tf).expect("a term frequency fits 32 bits");
+                            keys.push(pack(id, tf));
+                        }
+                    });
+                })
+            }
+            TermCounts::Interned(c) => {
+                // Chunk-local id → term id, composed once per chunk.
+                let rank = vocab.ranks_of(&c.words);
+                let remaps: Vec<Vec<u32>> = c
+                    .chunks
+                    .iter()
+                    .map(|chunk| match &chunk.to_global {
+                        None => rank.to_vec(),
+                        Some(map) => map.iter().map(|&id| rank[id as usize]).collect(),
+                    })
+                    .collect();
+                self.score_docs(exec, n, vocab, chunk_cost, |i, keys| {
+                    let (run, chunk) = c.run(i);
+                    let remap = &remaps[chunk];
+                    keys.extend(run.iter().filter_map(|&(local, tf)| {
+                        let id = remap[local as usize];
+                        (id != PRUNED).then(|| pack(id, tf))
+                    }));
+                })
+            }
+        };
         TfIdfModel {
             vocab: vocab.clone(),
+            num_docs: vectors.len(),
             vectors,
-            num_docs,
         }
+    }
+
+    /// The transform's parallel loop over `n` documents: `fill(doc,
+    /// keys)` appends the document's `pack(term id, tf)` keys and
+    /// [`Vocab::score`] turns them into its vector; vectors are collected
+    /// per chunk.
+    fn score_docs(
+        &self,
+        exec: &Exec,
+        n: usize,
+        vocab: &Vocab,
+        chunk_cost: impl Fn(Range<usize>) -> TaskCost + Sync,
+        fill: impl Fn(usize, &mut Vec<u64>) + Sync,
+    ) -> Vec<SparseVec> {
+        let chunks: Vec<Vec<SparseVec>> = exec.par_map_chunks(
+            n,
+            self.config.grain,
+            |range| {
+                let mut keys = Vec::new();
+                range
+                    .map(|i| {
+                        keys.clear();
+                        fill(i, &mut keys);
+                        vocab.score(&mut keys)
+                    })
+                    .collect()
+            },
+            chunk_cost,
+        );
+        chunks.into_iter().flatten().collect()
     }
 
     /// Convenience: phases 1 + vocabulary + 2a in sequence.
@@ -595,44 +877,20 @@ pub fn read_arff<R: BufRead>(exec: &Exec, input: R) -> Result<(Vec<SparseVec>, u
 }
 
 /// The chunk-parallel read protocol both parallel readers instantiate:
-/// one slot per chunk, `decode(ci)` fills slot `ci` in parallel (priced
-/// by `cost`), and the slots concatenate in chunk order. When chunks
-/// fail, the earliest chunk's error wins — what a streaming reader,
-/// which stops at the first bad chunk, would report.
+/// `decode(ci)` decodes chunk `ci` in parallel (priced by `cost`), and
+/// the chunks concatenate in chunk order. When chunks fail, the earliest
+/// chunk's error wins — what a streaming reader, which stops at the
+/// first bad chunk, would report.
 fn read_chunks_parallel<E: Send>(
     exec: &Exec,
     nchunks: usize,
     decode: impl Fn(usize) -> Result<Vec<SparseVec>, E> + Sync,
     cost: impl Fn(Range<usize>) -> TaskCost + Sync,
 ) -> Result<Vec<SparseVec>, E> {
-    let slots: Vec<Mutex<Option<Vec<SparseVec>>>> =
-        (0..nchunks).map(|_| Mutex::new(None)).collect();
-    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    exec.par_chunks(
-        nchunks,
-        1,
-        |chunks| {
-            for ci in chunks {
-                match decode(ci) {
-                    Ok(rows) => *slots[ci].lock() = Some(rows),
-                    Err(e) => {
-                        let mut slot = first_error.lock();
-                        let earlier = matches!(&*slot, Some((c, _)) if *c <= ci);
-                        if !earlier {
-                            *slot = Some((ci, e));
-                        }
-                    }
-                }
-            }
-        },
-        cost,
-    );
-    if let Some((_, e)) = first_error.into_inner() {
-        return Err(e);
-    }
+    let decoded = exec.par_map_chunks(nchunks, 1, |chunk| decode(chunk.start), cost);
     let mut rows = Vec::new();
-    for slot in slots {
-        rows.extend(slot.into_inner().expect("chunk decoded"));
+    for chunk in decoded {
+        rows.extend(chunk?);
     }
     Ok(rows)
 }
@@ -959,14 +1217,18 @@ mod tests {
             let exec = Exec::sequential();
             let counts = op(kind).count_words(&exec, &corpus());
             assert_eq!(counts.num_docs(), 3);
-            assert_eq!(counts.per_doc[0].counts.get("apple"), Some(2));
-            assert_eq!(counts.per_doc[0].counts.get("banana"), Some(1));
+            assert_eq!(counts.tf(0, "apple"), Some(2));
+            assert_eq!(counts.tf(0, "banana"), Some(1));
+            assert_eq!(counts.tf(0, "cherry"), None);
+            assert_eq!(counts.tf(2, "cherry"), Some(2));
+            assert_eq!(counts.distinct_terms(2), 3);
             assert_eq!(counts.per_doc[0].total_terms, 3);
-            assert_eq!(counts.df.get("apple"), Some(2));
-            assert_eq!(counts.df.get("banana"), Some(2));
-            assert_eq!(counts.df.get("cherry"), Some(2));
-            assert_eq!(counts.df.get("dates"), Some(1));
-            assert_eq!(counts.df.len(), 4);
+            assert_eq!(counts.df("apple"), Some(2));
+            assert_eq!(counts.df("banana"), Some(2));
+            assert_eq!(counts.df("cherry"), Some(2));
+            assert_eq!(counts.df("dates"), Some(1));
+            assert_eq!(counts.df("missing"), None);
+            assert_eq!(counts.num_terms(), 4);
         }
     }
 
@@ -1045,23 +1307,22 @@ mod tests {
     fn auto_is_a_synonym_for_arena() {
         // Everything the three phases produce, in comparable form.
         let snapshot = |kind: DictKind, exec: &Exec| {
-            let entries = |d: &AnyDict| {
-                let mut out = Vec::new();
-                d.for_each_sorted(&mut |w, v| out.push((w.to_string(), v)));
-                out
-            };
             let o = op(kind);
             let counts = o.count_words(exec, &corpus());
             let vocab = o.build_vocab(exec, &counts);
             let model = o.transform(exec, &counts, &vocab);
-            let per_doc: Vec<_> = counts
-                .per_doc
-                .iter()
-                .map(|d| (d.total_terms, entries(&d.counts)))
+            let words: Vec<String> = (0..vocab.len() as u32)
+                .map(|id| vocab.word(id).to_string())
                 .collect();
-            let terms: Vec<_> = (0..vocab.len() as u32)
-                .map(|id| (vocab.word(id).to_string(), vocab.df(id)))
+            assert_eq!(words.len(), counts.num_terms(), "nothing is pruned");
+            let df: Vec<_> = words.iter().map(|w| counts.df(w)).collect();
+            let per_doc: Vec<_> = (0..counts.num_docs())
+                .map(|doc| {
+                    let tf: Vec<_> = words.iter().map(|w| counts.tf(doc, w)).collect();
+                    (counts.per_doc[doc].total_terms, tf)
+                })
                 .collect();
+            let terms: Vec<_> = (0..vocab.len() as u32).map(|id| vocab.df(id)).collect();
             let vectors: Vec<_> = model
                 .vectors
                 .iter()
@@ -1070,13 +1331,7 @@ mod tests {
                     (v.terms().to_vec(), bits)
                 })
                 .collect();
-            (
-                counts.dict_kind,
-                entries(&counts.df),
-                per_doc,
-                terms,
-                vectors,
-            )
+            (counts.dict_kind, words, df, per_doc, terms, vectors)
         };
         for exec in [Exec::sequential(), Exec::pool(3)] {
             assert_eq!(

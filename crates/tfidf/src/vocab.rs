@@ -1,99 +1,246 @@
-//! Term vocabulary: id ↔ word ↔ document frequency.
+//! Term vocabulary: id ↔ word ↔ document frequency ↔ IDF.
 //!
 //! Term ids are assigned in ascending word order, so a tree dictionary's
 //! natural iteration order *is* id order — one reason the paper's
-//! transform phase interacts with the dictionary choice. The word → id
-//! index is stored in a dictionary of the same kind under study, because
-//! the transform phase's lookups hit this structure.
+//! transform phase interacts with the dictionary choice. The words lie
+//! back to back in one string, whatever the kind. The word → id index
+//! depends on it: the paper's arms keep a dictionary of the kind under
+//! study, because their transform phase's lookups hit this structure;
+//! the interned arm keeps the counting phase's interner and the rank
+//! permutation from its provisional ids to term ids, which is all its
+//! transform needs. `idf = ln(N / df)` is taken once per term here, not
+//! once per non-zero downstream.
 
-use hpa_dict::{pack, unpack, AnyDict, DictKind, Dictionary};
-use hpa_sparse::TermId;
+use hpa_dict::{hash_word, pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
+use hpa_sparse::{SparseVec, TermId};
+use std::borrow::Cow;
+use std::sync::Arc;
 
-/// Immutable vocabulary built from a document-frequency dictionary.
+/// "No term id": the rank of a provisional id whose word was pruned (or,
+/// against a foreign vocabulary, is unknown).
+pub(crate) const PRUNED: TermId = TermId::MAX;
+
+/// Immutable vocabulary built from document frequencies. Cloning shares
+/// the storage.
 #[derive(Debug, Clone)]
-pub struct Vocab {
-    words: Vec<Box<str>>,
-    dfs: Vec<u32>,
-    index: AnyDict,
+pub struct Vocab(Arc<Inner>);
+
+#[derive(Debug)]
+struct Inner {
+    terms: Terms,
+    index: Index,
     kind: DictKind,
 }
 
+/// What is known of each term, by term id.
+#[derive(Debug)]
+struct Terms {
+    /// Every word back to back; `ends[id]` closes word `id`.
+    text: String,
+    ends: Vec<u32>,
+    dfs: Vec<u32>,
+    idf: Vec<f64>,
+    num_docs: usize,
+}
+
+#[derive(Debug)]
+enum Index {
+    /// The paper's arms: word → `pack(id, df)`.
+    Dict(AnyDict),
+    /// The interned arm: word → provisional id in the interner the
+    /// vocabulary was ranked from, and each provisional id's term id
+    /// ([`PRUNED`] if it has none).
+    Interned { words: ArenaDict, rank: Vec<TermId> },
+}
+
+impl Terms {
+    fn with_capacity(terms: usize, num_docs: usize) -> Self {
+        Terms {
+            text: String::new(),
+            ends: Vec::with_capacity(terms),
+            dfs: Vec::with_capacity(terms),
+            idf: Vec::with_capacity(terms),
+            num_docs,
+        }
+    }
+
+    /// Append the next word in ascending order; returns its id and its
+    /// document frequency as stored.
+    fn push(&mut self, word: &str, df: u64) -> (TermId, u32) {
+        let id = TermId::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != PRUNED)
+            .expect("vocabulary holds fewer than 2^32 - 1 terms");
+        let df = df.min(u32::MAX as u64) as u32;
+        self.text.push_str(word);
+        let end = u32::try_from(self.text.len()).expect("vocabulary text exceeds 4 GiB");
+        self.ends.push(end);
+        self.dfs.push(df);
+        self.idf.push((self.num_docs as f64 / df as f64).ln());
+        (id, df)
+    }
+}
+
 impl Vocab {
-    /// Build from a word → document-frequency dictionary. Ids follow
-    /// ascending word order.
-    pub fn from_df_dict(kind: DictKind, df: &AnyDict) -> Self {
-        Vocab::from_df_dict_pruned(kind, df, 1, u64::MAX)
+    /// Build from a word → document-frequency dictionary over `num_docs`
+    /// documents. Ids follow ascending word order.
+    pub fn from_df_dict(kind: DictKind, df: &AnyDict, num_docs: usize) -> Self {
+        Vocab::from_df_dict_pruned(kind, df, 1, u64::MAX, num_docs)
     }
 
     /// Like [`Vocab::from_df_dict`], keeping only terms whose document
     /// frequency lies in `[min_df, max_df]`.
-    pub fn from_df_dict_pruned(kind: DictKind, df: &AnyDict, min_df: u64, max_df: u64) -> Self {
-        let mut words: Vec<Box<str>> = Vec::with_capacity(df.len());
-        let mut dfs: Vec<u32> = Vec::with_capacity(df.len());
+    pub fn from_df_dict_pruned(
+        kind: DictKind,
+        df: &AnyDict,
+        min_df: u64,
+        max_df: u64,
+        num_docs: usize,
+    ) -> Self {
         // The global index is never per-document, so a pre-sized kind
         // degrades to the plain hash table here.
-        let index_kind = kind.global_kind();
-        let mut index = index_kind.new_dict();
-        df.for_each_sorted(&mut |word, count| {
-            if count < min_df || count > max_df {
-                return;
-            }
-            let id = words.len() as u32;
-            words.push(word.into());
-            dfs.push(count.min(u32::MAX as u64) as u32);
-            index.insert(word, pack(id, count.min(u32::MAX as u64) as u32));
-        });
-        Vocab {
-            words,
-            dfs,
-            index,
-            kind: index_kind,
+        let kind = kind.global_kind();
+        if kind == DictKind::Arena {
+            let mut words = ArenaDict::with_capacity(df.len(), 0);
+            df.for_each(&mut |word, count| words.insert(word, count));
+            return Vocab::from_interned(words, min_df, max_df, num_docs);
         }
+        let mut terms = Terms::with_capacity(df.len(), num_docs);
+        let mut index = kind.new_dict();
+        df.for_each_sorted(&mut |word, count| {
+            if (min_df..=max_df).contains(&count) {
+                let (id, df) = terms.push(word, count);
+                index.insert(word, pack(id, df));
+            }
+        });
+        Vocab(Arc::new(Inner {
+            terms,
+            index: Index::Dict(index),
+            kind,
+        }))
+    }
+
+    /// The interned arm's vocabulary: rank `words`' ids by key bytes,
+    /// its values being the document frequencies over `num_docs`
+    /// documents; a term outside `[min_df, max_df]` gets no rank.
+    pub(crate) fn from_interned(
+        words: ArenaDict,
+        min_df: u64,
+        max_df: u64,
+        num_docs: usize,
+    ) -> Self {
+        let mut terms = Terms::with_capacity(words.len(), num_docs);
+        let mut rank = vec![PRUNED; words.len()];
+        for id in words.sorted_ids() {
+            let count = words.value(id);
+            if (min_df..=max_df).contains(&count) {
+                rank[id as usize] = terms.push(words.key(id), count).0;
+            }
+        }
+        Vocab(Arc::new(Inner {
+            terms,
+            index: Index::Interned { words, rank },
+            kind: DictKind::Arena,
+        }))
     }
 
     /// Number of terms.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.0.terms.ends.len()
     }
 
     /// True when the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len() == 0
     }
 
     /// The word with the given term id.
     pub fn word(&self, id: TermId) -> &str {
-        &self.words[id as usize]
+        let terms = &self.0.terms;
+        let start = match id.checked_sub(1) {
+            Some(prev) => terms.ends[prev as usize],
+            None => 0,
+        };
+        &terms.text[start as usize..terms.ends[id as usize] as usize]
     }
 
     /// Document frequency of the given term id.
     pub fn df(&self, id: TermId) -> u32 {
-        self.dfs[id as usize]
+        self.0.terms.dfs[id as usize]
     }
 
     /// Look a word up: `(term id, document frequency)`.
     pub fn lookup(&self, word: &str) -> Option<(TermId, u32)> {
-        self.index.get(word).map(unpack)
+        match &self.0.index {
+            Index::Dict(index) => index.get(word).map(unpack),
+            Index::Interned { words, rank } => {
+                let id = rank[words.id_of(hash_word(word), word)? as usize];
+                (id != PRUNED).then(|| (id, self.df(id)))
+            }
+        }
+    }
+
+    /// The term id of each of `words`' ids, [`PRUNED`] where it has none.
+    /// When `words` holds the keys this vocabulary was ranked from — the
+    /// case inside one `fit` — this is the stored permutation; a
+    /// vocabulary from elsewhere is asked word by word.
+    pub(crate) fn ranks_of(&self, words: &ArenaDict) -> Cow<'_, [TermId]> {
+        match &self.0.index {
+            Index::Interned { words: own, rank } if own.same_keys(words) => Cow::Borrowed(rank),
+            _ => (0..words.len() as u32)
+                .map(|id| self.lookup(words.key(id)).map_or(PRUNED, |(term, _)| term))
+                .collect(),
+        }
+    }
+
+    /// The one scoring function of the training and the prediction path:
+    /// `keys` holds a document's `pack(term id, tf)` pairs, each term
+    /// once, in any order; the result is its normalized TF·IDF vector
+    /// (`idf = ln(N / df)`), the arrays sized exactly.
+    pub fn score(&self, keys: &mut [u64]) -> SparseVec {
+        // Distinct ids in the high halves: sorting the keys sorts by id.
+        keys.sort_unstable();
+        let mut terms = Vec::with_capacity(keys.len());
+        let mut weights = Vec::with_capacity(keys.len());
+        for &key in keys.iter() {
+            let (id, tf) = unpack(key);
+            terms.push(id);
+            weights.push(tf as f64 * self.0.terms.idf[id as usize]);
+        }
+        let mut v = SparseVec::from_sorted_parts(terms, weights);
+        v.normalize();
+        v
     }
 
     /// Dictionary kind backing the word → id index.
     pub fn kind(&self) -> DictKind {
-        self.kind
+        self.0.kind
     }
 
-    /// Actual heap footprint of the index and word list.
+    /// Actual heap footprint of the index and the per-term arrays.
     pub fn heap_bytes(&self) -> u64 {
-        let strings: u64 = self.words.iter().map(|w| w.len() as u64).sum();
-        self.index.heap_bytes()
-            + strings
-            + (self.words.capacity() * std::mem::size_of::<Box<str>>()) as u64
-            + (self.dfs.capacity() * 4) as u64
+        let terms = &self.0.terms;
+        let index = match &self.0.index {
+            Index::Dict(index) => index.heap_bytes(),
+            Index::Interned { words, rank } => words.heap_bytes() + (rank.capacity() * 4) as u64,
+        };
+        index
+            + terms.text.capacity() as u64
+            + ((terms.ends.capacity() + terms.dfs.capacity()) * 4) as u64
+            + (terms.idf.capacity() * 8) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const KINDS: [DictKind; 4] = [
+        DictKind::BTree,
+        DictKind::Hash,
+        DictKind::HashPresized(16),
+        DictKind::Arena,
+    ];
 
     fn df_dict() -> AnyDict {
         let mut d = DictKind::Hash.new_dict();
@@ -105,7 +252,7 @@ mod tests {
 
     #[test]
     fn ids_follow_sorted_word_order() {
-        let v = Vocab::from_df_dict(DictKind::Hash, &df_dict());
+        let v = Vocab::from_df_dict(DictKind::Hash, &df_dict(), 10);
         assert_eq!(v.len(), 3);
         assert_eq!(v.word(0), "apple");
         assert_eq!(v.word(1), "pear");
@@ -116,13 +263,8 @@ mod tests {
 
     #[test]
     fn lookup_round_trips_every_word() {
-        for kind in [
-            DictKind::BTree,
-            DictKind::Hash,
-            DictKind::HashPresized(16),
-            DictKind::Arena,
-        ] {
-            let v = Vocab::from_df_dict(kind, &df_dict());
+        for kind in KINDS {
+            let v = Vocab::from_df_dict(kind, &df_dict(), 10);
             for id in 0..v.len() as u32 {
                 let (got_id, got_df) = v.lookup(v.word(id)).unwrap();
                 assert_eq!(got_id, id);
@@ -134,14 +276,14 @@ mod tests {
 
     #[test]
     fn presized_kind_degrades_to_plain_hash() {
-        let v = Vocab::from_df_dict(DictKind::HashPresized(4096), &df_dict());
+        let v = Vocab::from_df_dict(DictKind::HashPresized(4096), &df_dict(), 10);
         assert_eq!(v.kind(), DictKind::Hash);
     }
 
     #[test]
     fn arena_index_orders_ids_like_the_tree() {
-        let tree = Vocab::from_df_dict(DictKind::BTree, &df_dict());
-        let arena = Vocab::from_df_dict(DictKind::Arena, &df_dict());
+        let tree = Vocab::from_df_dict(DictKind::BTree, &df_dict(), 10);
+        let arena = Vocab::from_df_dict(DictKind::Arena, &df_dict(), 10);
         for id in 0..tree.len() as u32 {
             assert_eq!(tree.word(id), arena.word(id));
             assert_eq!(tree.df(id), arena.df(id));
@@ -150,8 +292,55 @@ mod tests {
 
     #[test]
     fn empty_df_dict() {
-        let v = Vocab::from_df_dict(DictKind::BTree, &DictKind::BTree.new_dict());
-        assert!(v.is_empty());
-        assert_eq!(v.lookup("x"), None);
+        for kind in KINDS {
+            let v = Vocab::from_df_dict(kind, &kind.new_dict(), 0);
+            assert!(v.is_empty());
+            assert_eq!(v.lookup("x"), None);
+            assert!(v.score(&mut []).is_empty());
+        }
+    }
+
+    #[test]
+    fn pruned_words_have_no_id_under_any_kind() {
+        for kind in KINDS {
+            let v = Vocab::from_df_dict_pruned(kind, &df_dict(), 2, 5, 10);
+            assert_eq!((v.len(), v.word(0), v.df(0)), (1, "pear", 3), "{kind:?}");
+            assert_eq!(v.lookup("pear"), Some((0, 3)));
+            assert_eq!(v.lookup("apple"), None, "{kind:?}: above max_df");
+            assert_eq!(v.lookup("zucchini"), None, "{kind:?}: below min_df");
+        }
+    }
+
+    #[test]
+    fn score_weighs_sorts_and_normalizes_identically_for_every_kind() {
+        let idf = |df: f64| (10.0f64 / df).ln();
+        let raw = [2.0 * idf(7.0), 1.0 * idf(3.0), 4.0 * idf(1.0)];
+        let norm = raw.iter().map(|w| w * w).sum::<f64>().sqrt();
+        for kind in KINDS {
+            let v = Vocab::from_df_dict(kind, &df_dict(), 10);
+            let scored = v.score(&mut [pack(2, 4), pack(0, 2), pack(1, 1)]);
+            assert_eq!(scored.terms(), [0, 1, 2], "{kind:?}");
+            let expect: Vec<f64> = raw.iter().map(|w| w * (1.0 / norm)).collect();
+            assert_eq!(scored.weights(), expect, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn ranks_of_a_foreign_interner_go_through_the_words() {
+        let mut own = ArenaDict::new();
+        for (w, df) in [("pear", 3), ("apple", 7), ("zucchini", 1)] {
+            own.insert(w, df);
+        }
+        let v = Vocab::from_interned(own.clone(), 1, u64::MAX, 10);
+        assert_eq!(&*v.ranks_of(&own), [1, 0, 2]);
+        assert!(matches!(v.ranks_of(&own), Cow::Borrowed(_)));
+        // Same words, other ids, one unknown word.
+        let mut foreign = ArenaDict::new();
+        for w in ["zucchini", "quince", "apple"] {
+            foreign.insert(w, 1);
+        }
+        assert_eq!(&*v.ranks_of(&foreign), [2, PRUNED, 0]);
+        let tree = Vocab::from_df_dict(DictKind::BTree, &df_dict(), 10);
+        assert_eq!(&*tree.ranks_of(&foreign), [2, PRUNED, 0]);
     }
 }
