@@ -163,9 +163,16 @@ fn bench_executor(c: &mut Criterion) {
     g.bench_function("pool_par_for_1k_tasks", |b| {
         b.iter(|| {
             let acc = std::sync::atomic::AtomicU64::new(0);
-            pool.par_for(1000, 1, |i| {
-                acc.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-            });
+            pool.par_chunks(
+                1000,
+                1,
+                |range| {
+                    for i in range {
+                        acc.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
+                    }
+                },
+                |_| TaskCost::default(),
+            );
             black_box(acc.into_inner())
         })
     });
@@ -177,7 +184,7 @@ fn bench_executor(c: &mut Criterion) {
     );
     g.bench_function("sim_schedule_1k_tasks", |b| {
         b.iter(|| {
-            sim.par_for_costed(1000, 1, |_| {}, |_| TaskCost::cpu(1000));
+            sim.par_chunks(1000, 1, |_| {}, |_| TaskCost::cpu(1000));
             black_box(sim.now())
         })
     });

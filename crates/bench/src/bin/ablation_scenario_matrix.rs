@@ -251,7 +251,7 @@ fn main() {
                     w.f64_field("speedup_vs_naive", speedup_of(row), 4);
                     w.u64_field("iterations", row.model.iterations as u64);
                     w.u64_field("docs_pruned", row.model.assign_stats.docs_pruned);
-                    w.u64_field("k", row.model.centroids.len() as u64);
+                    w.u64_field("k", row.model.centroids.k() as u64);
                 });
             }
         });

@@ -302,7 +302,7 @@ mod tests {
         for mode in [Mode::Analytic, Mode::Measured, Mode::Real] {
             let exec = mode.exec(2);
             let mut hits = 0;
-            exec.par_for(4, 1, |_| {});
+            exec.par_chunks(4, 1, |_| {}, |_| hpa_exec::TaskCost::default());
             exec.serial(hpa_exec::TaskCost::cpu(10), || hits += 1);
             assert_eq!(hits, 1);
             assert!(!mode.describe().is_empty());

@@ -14,7 +14,7 @@ use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_kmeans::{KMeans, KMeansConfig};
 use hpa_metrics::PhaseTimer;
-use hpa_sparse::{CentroidBlock, DenseVec, SparseVec};
+use hpa_sparse::{CentroidBlock, SparseVec};
 use hpa_tfidf::{TfIdf, TfIdfConfig, Vocab};
 use std::io::{BufRead, Write};
 
@@ -27,8 +27,9 @@ pub struct TrainedPipeline {
     pub vocab: Vocab,
     /// Number of training documents (the `N` of the IDF formula).
     pub num_docs: usize,
-    /// Cluster centroids in TF/IDF space.
-    pub centroids: Vec<DenseVec>,
+    /// Cluster centroids in TF/IDF space, in the term-major layout the
+    /// fit produced and the predictor reads.
+    pub centroids: CentroidBlock,
 }
 
 /// Errors loading a serialized pipeline.
@@ -112,7 +113,6 @@ impl TrainedPipeline {
     /// lock per chunk, none per document.
     pub fn predict(&self, exec: &Exec, corpus: &Corpus) -> Vec<u32> {
         let n = corpus.len();
-        let block = CentroidBlock::from_centroids(&self.centroids);
         let docs = corpus.documents();
         let mut out = vec![0u32; n];
         let grain = n.div_ceil(exec.threads()).max(1);
@@ -127,7 +127,7 @@ impl TrainedPipeline {
             }
             let slots_ref = &slots;
             let ranges_ref = &ranges;
-            let block_ref = &block;
+            let block_ref = &self.centroids;
             exec.par_chunks(
                 ranges.len(),
                 1,
@@ -172,11 +172,11 @@ impl TrainedPipeline {
         for id in 0..self.vocab.len() as u32 {
             writeln!(out, "{} {}", self.vocab.word(id), self.vocab.df(id))?;
         }
-        let dim = self.centroids.first().map_or(0, |c| c.len());
-        writeln!(out, "centroids {} {}", self.centroids.len(), dim)?;
-        for c in &self.centroids {
+        let (k, dim) = (self.centroids.k(), self.centroids.dim());
+        writeln!(out, "centroids {k} {dim}")?;
+        for c in 0..k {
             let mut first = true;
-            for x in c.as_slice() {
+            for x in self.centroids.centroid(c).as_slice() {
                 if !first {
                     write!(out, " ")?;
                 }
@@ -257,8 +257,16 @@ impl TrainedPipeline {
         let dim: usize = dim_s
             .parse()
             .map_err(|_| err(l, format!("bad dim '{dim_s}'")))?;
-        let mut centroids = Vec::with_capacity(k);
-        for _ in 0..k {
+        // `k × dim` is the file's claim: refuse what cannot be allocated
+        // rather than abort inside `zeros`.
+        let fits = k
+            .checked_mul(dim)
+            .is_some_and(|cells| Vec::<f64>::new().try_reserve_exact(cells).is_ok());
+        if !fits {
+            return Err(err(l, format!("cannot hold {k} centroids of {dim} terms")));
+        }
+        let mut centroids = CentroidBlock::zeros(k, dim);
+        for c in 0..k {
             let (l, row) = next("centroid row")?;
             let values: Result<Vec<f64>, _> =
                 row.split_whitespace().map(str::parse::<f64>).collect();
@@ -269,7 +277,7 @@ impl TrainedPipeline {
                     format!("centroid has {} values, expected {dim}", values.len()),
                 ));
             }
-            centroids.push(DenseVec::from_vec(values));
+            centroids.set_centroid(c, &values);
         }
         Ok(TrainedPipeline {
             dict_kind,
@@ -331,7 +339,18 @@ mod tests {
         let loaded = TrainedPipeline::load(std::io::Cursor::new(&bytes)).unwrap();
         assert_eq!(loaded.num_docs, pipeline.num_docs);
         assert_eq!(loaded.vocab.len(), pipeline.vocab.len());
-        assert_eq!(loaded.centroids.len(), pipeline.centroids.len());
+        // Bit for bit: the weights through the text, the norms through
+        // the same term-order sum the fit kept current.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (a, b) = (&loaded.centroids, &pipeline.centroids);
+        assert_eq!((a.k(), a.dim()), (b.k(), b.dim()));
+        assert_eq!(bits(a.norms()), bits(b.norms()));
+        for c in 0..a.k() {
+            assert_eq!(
+                bits(a.centroid(c).as_slice()),
+                bits(b.centroid(c).as_slice())
+            );
+        }
         let exec = Exec::sequential();
         assert_eq!(
             pipeline.predict(&exec, &corpus),
@@ -411,6 +430,10 @@ mod tests {
             (
                 "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 2\nbbb 1\naaa 1\ncentroids 0 0\n",
                 "not sorted",
+            ),
+            (
+                "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 1\nzeta 1\ncentroids 4611686018427387904 8\n",
+                "cannot hold",
             ),
         ] {
             let e = TrainedPipeline::load(std::io::Cursor::new(input.as_bytes()))

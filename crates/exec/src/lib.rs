@@ -166,26 +166,6 @@ impl Exec {
         }
     }
 
-    /// Parallel loop over `0..n` with chunk size `grain` (0 = automatic).
-    /// `body` receives each index. No cost annotation: the simulator will
-    /// time the chunks (no bandwidth/I/O modelling for this loop).
-    pub fn par_for<B>(&self, n: usize, grain: usize, body: B)
-    where
-        B: Fn(usize) + Sync,
-    {
-        self.par_for_costed(n, grain, body, |_| TaskCost::default());
-    }
-
-    /// Parallel loop over `0..n` where `cost(range)` declares each chunk's
-    /// resource demand (used by the simulator; ignored on real threads).
-    pub fn par_for_costed<B, C>(&self, n: usize, grain: usize, body: B, cost: C)
-    where
-        B: Fn(usize) + Sync,
-        C: Fn(Range<usize>) -> TaskCost + Sync,
-    {
-        self.par_chunks(n, grain, |range| range.for_each(&body), cost);
-    }
-
     /// Parallel loop over chunk ranges of `0..n`: `body(range)` is invoked
     /// once per chunk. The workhorse primitive the other loops reduce to.
     pub fn par_chunks<B, C>(&self, n: usize, grain: usize, body: B, cost: C)
@@ -355,12 +335,7 @@ impl Exec {
     /// pairs in parallel (an odd item passes through). Merge order is
     /// deterministic (left-to-right pairing), so floating-point results
     /// are reproducible across executors for a fixed number of partials.
-    pub fn par_tree_reduce<T, M>(
-        &self,
-        mut items: Vec<T>,
-        merge: M,
-        merge_cost: TaskCost,
-    ) -> Option<T>
+    fn par_tree_reduce<T, M>(&self, mut items: Vec<T>, merge: M, merge_cost: TaskCost) -> Option<T>
     where
         T: Send,
         M: Fn(T, T) -> T + Sync,
@@ -449,8 +424,8 @@ impl Exec {
 
     /// Predicted wall time of a pairwise tree reduction of `items`
     /// partials where every merge costs `merge_cost` — the shape of
-    /// [`Exec::par_tree_reduce`]: `ceil(log2(items))` rounds, each a
-    /// parallel region of disjoint pair merges.
+    /// [`Exec::par_fold_reduce`]'s reduction: `ceil(log2(items))` rounds,
+    /// each a parallel region of disjoint pair merges.
     pub fn predict_tree_reduce_ns(&self, mut items: usize, merge_cost: TaskCost) -> u64 {
         let mut total = 0u64;
         while items > 1 {
@@ -588,11 +563,16 @@ mod tests {
         }
     }
 
+    /// Per-index loop over the chunk primitive, uncosted.
+    fn par_for(exec: &Exec, n: usize, grain: usize, body: impl Fn(usize) + Sync) {
+        exec.par_chunks(n, grain, |r| r.for_each(&body), |_| TaskCost::default());
+    }
+
     #[test]
     fn par_for_visits_each_index_once_in_all_modes() {
         for exec in all_execs() {
             let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-            exec.par_for(hits.len(), 16, |i| {
+            par_for(&exec, hits.len(), 16, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             for (i, h) in hits.iter().enumerate() {
@@ -604,7 +584,7 @@ mod tests {
     #[test]
     fn par_for_zero_length_is_noop() {
         for exec in all_execs() {
-            exec.par_for(0, 8, |_| panic!("must not run"));
+            par_for(&exec, 0, 8, |_| panic!("must not run"));
         }
     }
 
@@ -650,7 +630,7 @@ mod tests {
     fn simulated_clock_advances_with_analytic_costs() {
         let exec = Exec::simulated_with(4, MachineModel::frictionless(), CostMode::Analytic);
         // 8 chunks x 1ms on 4 cores => 2ms.
-        exec.par_for_costed(8, 1, |_| {}, |_| TaskCost::cpu(1_000_000));
+        exec.par_chunks(8, 1, |_| {}, |_| TaskCost::cpu(1_000_000));
         let clock = exec.now();
         assert_eq!(clock, Duration::from_millis(2));
         let st = exec.sim_state().unwrap();
@@ -725,7 +705,7 @@ mod tests {
         let run = |cores| {
             let exec =
                 Exec::simulated_with(cores, MachineModel::frictionless(), CostMode::Analytic);
-            exec.par_for_costed(64, 1, |_| {}, |_| TaskCost::cpu(1_000_000));
+            exec.par_chunks(64, 1, |_| {}, |_| TaskCost::cpu(1_000_000));
             exec.now()
         };
         let t1 = run(1);
@@ -737,7 +717,7 @@ mod tests {
     fn measured_mode_clock_is_nonzero_for_real_work() {
         let exec = Exec::simulated(2, MachineModel::frictionless());
         let sink = AtomicU64::new(0);
-        exec.par_for(100, 10, |i| {
+        par_for(&exec, 100, 10, |i| {
             // A little real work so measurement sees nonzero durations.
             let mut x = i as u64;
             for _ in 0..1000 {
@@ -795,7 +775,7 @@ mod tests {
     fn now_is_monotone_in_real_modes() {
         let exec = Exec::pool(2);
         let a = exec.now();
-        exec.par_for(10, 1, |_| {});
+        par_for(&exec, 10, 1, |_| {});
         let b = exec.now();
         assert!(b >= a);
     }

@@ -42,9 +42,16 @@ proptest! {
             Exec::simulated_with(5, MachineModel::frictionless(), CostMode::Analytic),
         ] {
             let sum = AtomicU64::new(0);
-            exec.par_for(n, grain, |i| {
-                sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-            });
+            exec.par_chunks(
+                n,
+                grain,
+                |range| {
+                    for i in range {
+                        sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                    }
+                },
+                |_| TaskCost::default(),
+            );
             prop_assert_eq!(
                 sum.into_inner(),
                 (n as u64) * (n as u64 + 1) / 2,
@@ -74,7 +81,7 @@ proptest! {
     }
 
     #[test]
-    fn tree_reduce_is_order_preserving_concat(items in prop::collection::vec(0u32..1000, 0..64)) {
+    fn fold_reduce_is_order_preserving_concat(items in prop::collection::vec(0u32..1000, 0..64)) {
         // Merging strings by concatenation is associative but NOT
         // commutative: the tree reduction must preserve left-to-right
         // order regardless of executor.
@@ -84,9 +91,16 @@ proptest! {
             Exec::pool(3),
             Exec::simulated(4, MachineModel::frictionless()),
         ] {
-            let strings: Vec<String> = items.iter().map(|i| format!("{i},")).collect();
             let got = exec
-                .par_tree_reduce(strings, |a, b| a + &b, TaskCost::default())
+                .par_fold_reduce(
+                    items.len(),
+                    1,
+                    String::new,
+                    |acc, i| acc + &format!("{},", items[i]),
+                    |a, b| a + &b,
+                    |_| TaskCost::default(),
+                    TaskCost::default(),
+                )
                 .unwrap_or_default();
             prop_assert_eq!(&got, &expected, "under {:?}", exec);
         }
@@ -101,7 +115,7 @@ proptest! {
             let exec =
                 Exec::simulated_with(cores, MachineModel::frictionless(), CostMode::Analytic);
             let task_ns = task_ns.clone();
-            exec.par_for_costed(
+            exec.par_chunks(
                 task_ns.len(),
                 1,
                 |_| {},

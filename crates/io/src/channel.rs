@@ -127,7 +127,8 @@ impl<T> Receiver<T> {
     }
 
     /// Receive without blocking; `None` when the queue is currently empty
-    /// (regardless of sender liveness).
+    /// (regardless of sender liveness). No workflow path polls; it is the
+    /// receiver operation `hpa-check`'s linearizability suite records.
     pub fn try_recv(&self) -> Option<T> {
         let mut st = self.0.state.lock();
         self.0.track.on_write();

@@ -227,25 +227,25 @@ struct DocOutcome {
 
 /// Assign the documents of one chunk with the selected kernel, writing
 /// assignments, distances and bounds through `state`.
-/// `centroids`/`norms` serve the naive arm; `block` serves the blocked
-/// arms.
+/// `rows` serve the naive arm and `block` the blocked arms — each is
+/// empty under the other; `norms` has one entry per centroid for both.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assign_chunk(
     kernel: AssignKernel,
     vectors: &[SparseVec],
     range: std::ops::Range<usize>,
-    centroids: &[DenseVec],
+    rows: &[DenseVec],
     norms: &[f64],
     block: &CentroidBlock,
     movement: &Movement,
     state: &mut ChunkState<'_>,
 ) {
-    let k = centroids.len();
+    let k = norms.len();
     state.iter_stats = AssignStats::default();
     for (local, i) in range.enumerate() {
         let x = &vectors[i];
         let outcome = match kernel {
-            AssignKernel::Naive => assign_doc_naive(x, centroids, norms),
+            AssignKernel::Naive => assign_doc_naive(x, rows, norms),
             AssignKernel::Blocked => assign_doc_blocked(x, block, &mut state.dist),
             AssignKernel::BlockedPruned => {
                 let prior = state.assign[local] as usize;

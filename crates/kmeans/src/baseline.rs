@@ -24,7 +24,7 @@
 //! benchmark harness.
 
 use crate::{init, InitMethod, KMeansConfig, KMeansModel};
-use hpa_sparse::{DenseVec, SparseVec};
+use hpa_sparse::{CentroidBlock, DenseVec, SparseVec};
 use std::time::{Duration, Instant};
 
 /// Single-threaded, dense, allocation-happy K-means.
@@ -76,7 +76,7 @@ impl SimpleKMeans {
         if n == 0 {
             return BaselineOutcome {
                 model: Some(KMeansModel {
-                    centroids: Vec::new(),
+                    centroids: CentroidBlock::default(),
                     assignments: Vec::new(),
                     inertia: 0.0,
                     iterations: 0,
@@ -168,7 +168,7 @@ impl SimpleKMeans {
 
         BaselineOutcome {
             model: Some(KMeansModel {
-                centroids,
+                centroids: CentroidBlock::from_centroids(&centroids),
                 assignments,
                 inertia,
                 iterations,

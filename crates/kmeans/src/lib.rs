@@ -22,12 +22,22 @@
 //! the naive kernel, which stays available via
 //! [`KMeansConfig::kernel`] as the ablation baseline.
 //!
-//! Every phase of an iteration runs on the [`Exec`] substrate: the
-//! block is rebuilt in parallel over term slabs, documents are assigned
-//! in parallel over chunks, and — after a serial O(n) regrouping by
-//! cluster — each centroid is recomputed by the one task that owns it.
-//! No `k x vocabulary` array is kept per worker or merged, so the model
-//! is bit-identical at every thread count and grain.
+//! Each kernel keeps the one centroid layout it reads. The blocked
+//! kernels own only the term-major block — seeded, updated in place and
+//! returned as the model — and the naive kernel only row-major
+//! [`DenseVec`]s, transposed into the model's block once, after its
+//! last iteration. Nothing is rebuilt per iteration and nothing sweeps
+//! `k × vocabulary`.
+//!
+//! Every phase of an iteration runs on the [`Exec`] substrate: documents
+//! are assigned in parallel over chunks, and — after a serial O(n)
+//! regrouping by cluster — each centroid is recomputed by the one task
+//! that owns it; under the blocked kernels the new columns are then
+//! written into the block in parallel over runs of term slabs (the
+//! private `update` module has the two steps and why they are the same
+//! bits as the dense pass). No `k x vocabulary` array is kept per worker
+//! or merged, so the model is bit-identical at every thread count and
+//! grain.
 //!
 //! [`baseline::SimpleKMeans`] reproduces the WEKA comparator: dense,
 //! single-threaded, allocation-happy.
@@ -42,14 +52,23 @@ pub use assign::{AssignKernel, AssignStats};
 
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
-use hpa_sparse::block::SLAB_TERMS;
-use hpa_sparse::{squared_distance_to_centroid, CentroidBlock, DenseVec, SparseVec};
+use hpa_sparse::{CentroidBlock, DenseVec, SparseVec};
 use std::ops::Range;
+use update::Column;
 
-/// Update tasks per thread: enough for stealing to even out unequal
-/// clusters, few enough that the tasks' sum buffers stay a small
-/// fraction of the centroids.
+/// Update tasks per thread — runs of clusters in step 1, runs of term
+/// slabs in the scatter: enough for stealing to even out unequal tasks,
+/// few enough that the tasks' sum buffers stay a small fraction of the
+/// centroids.
 const UPDATE_TASKS_PER_THREAD: usize = 4;
+
+/// Where the task that recomputes a cluster puts the result.
+enum Target<'a> {
+    /// The naive kernel's row-major centroid, rewritten in place.
+    Row(&'a mut DenseVec),
+    /// The blocked kernels' column, scattered into the block afterwards.
+    Column(&'a mut Column),
+}
 
 /// Cluster-initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,8 +124,10 @@ impl Default for KMeansConfig {
 /// A fitted clustering.
 #[derive(Debug, Clone)]
 pub struct KMeansModel {
-    /// Final centroids, `k` dense vectors of the input dimensionality.
-    pub centroids: Vec<DenseVec>,
+    /// Final centroids, term-major: the block the blocked kernels fitted
+    /// in, or the naive kernel's rows transposed once.
+    /// [`CentroidBlock::centroid`] reads one as a row.
+    pub centroids: CentroidBlock,
     /// Cluster index per document.
     pub assignments: Vec<u32>,
     /// Sum of squared distances of documents to their centroids.
@@ -148,7 +169,7 @@ impl KMeans {
         let n = vectors.len();
         if n == 0 {
             return KMeansModel {
-                centroids: Vec::new(),
+                centroids: CentroidBlock::default(),
                 assignments: Vec::new(),
                 inertia: 0.0,
                 iterations: 0,
@@ -159,23 +180,43 @@ impl KMeans {
         }
         let k = cfg.k.min(n);
 
-        // --- Initialization (serial; cheap relative to iterations).
         let seeds = match cfg.init {
             InitMethod::RandomPoints => init::random_points(vectors, k, cfg.seed),
             InitMethod::KMeansPlusPlus => init::kmeans_plus_plus(vectors, k, cfg.seed),
         };
-        let mut centroids: Vec<DenseVec> = exec.serial(cost::init_cost(k, dim), || {
-            seeds
-                .iter()
-                .map(|&i| {
-                    let mut c = DenseVec::zeros(dim);
-                    c.add_sparse(&vectors[i]);
-                    c
-                })
-                .collect()
+        let use_block = cfg.kernel != AssignKernel::Naive;
+        let update_grain = k.div_ceil(exec.threads() * UPDATE_TASKS_PER_THREAD);
+
+        // --- Initialization: each kernel's one layout, seeded with the
+        // chosen documents and priced as `k` one-member updates. `|c|^2`
+        // per centroid is taken here; from here on the update keeps it
+        // current.
+        let seed_cost = seeds.iter().fold(TaskCost::default(), |total, &i| {
+            let nnz = vectors[i].nnz();
+            total + cost::update_cost(nnz as u64, if use_block { nnz } else { dim }, dim)
         });
-        // `|c|^2` per centroid; from here on the update keeps them current.
-        let mut norms: Vec<f64> = centroids.iter().map(|c| c.norm_sq()).collect();
+        let mut norms = vec![0.0f64; k];
+        let mut rows: Vec<DenseVec> = Vec::new();
+        let mut columns: Vec<Column> = Vec::new();
+        exec.serial(seed_cost, || {
+            for (&i, norm) in seeds.iter().zip(&mut norms) {
+                if use_block {
+                    let (column, norm_sq) = Column::seeded(&vectors[i], dim);
+                    columns.push(column);
+                    *norm = norm_sq;
+                } else {
+                    let mut row = DenseVec::zeros(dim);
+                    row.add_sparse(&vectors[i]);
+                    *norm = row.norm_sq();
+                    rows.push(row);
+                }
+            }
+        });
+        let mut block = CentroidBlock::default();
+        if use_block {
+            block = CentroidBlock::zeros(k, dim);
+            update::scatter(exec, &mut block, &columns, &norms);
+        }
 
         let mut assignments = vec![0u32; n];
         let mut best_d = vec![0.0f64; n];
@@ -196,19 +237,17 @@ impl KMeans {
             n.div_ceil(exec.threads())
         };
         let ranges = hpa_exec::chunk_ranges(n, grain);
-        let update_grain = k.div_ceil(exec.threads() * UPDATE_TASKS_PER_THREAD);
         let new_sums = || -> Vec<Mutex<DenseVec>> {
             (0..k.div_ceil(update_grain))
                 .map(|_| Mutex::new(DenseVec::zeros(dim)))
                 .collect()
         };
-        let use_block = cfg.kernel != AssignKernel::Naive;
-        // Recycled across iterations: the term-major block, the norms,
-        // the update tasks' sum buffers, the member lists and the
-        // movement deltas. With recycling off the first four are
-        // allocated afresh every iteration — the pessimization the §3.1
-        // ablation measures.
-        let mut block = CentroidBlock::new();
+        // Recycled across iterations: the centroids, the norms, the
+        // columns' masks and value lists, the update tasks' sum buffers,
+        // the member lists and the movement deltas. With recycling off
+        // all but the last are allocated afresh every iteration (the
+        // centroids as a copy) — the pessimization the §3.1 ablation
+        // measures.
         let mut sums = new_sums();
         let mut membership = update::Membership::new(n, k);
         let mut moved = vec![0.0f64; k];
@@ -232,44 +271,12 @@ impl KMeans {
                 iterations = iter + 1;
                 let _iter_span = hpa_trace::span!("kmeans", "iter", iter as u64);
                 if !cfg.recycle_buffers {
-                    block = CentroidBlock::new();
+                    rows = rows.clone();
+                    block = block.clone();
+                    columns = columns.clone();
+                    norms = norms.clone();
                     sums = new_sums();
                     membership = update::Membership::new(n, k);
-                    norms = norms.clone();
-                }
-
-                // --- Parallel re-transpose of the centroids into the
-                // term-major block, one slab of terms per lock.
-                if use_block {
-                    let rebuild_cost = |slabs: Range<usize>| {
-                        let terms = (slabs.end * SLAB_TERMS).min(dim) - slabs.start * SLAB_TERMS;
-                        cost::block_rebuild_cost(k, terms)
-                    };
-                    if hpa_trace::is_enabled() {
-                        let slabs = dim.div_ceil(SLAB_TERMS);
-                        hpa_trace::predict(
-                            "kmeans",
-                            "rebuild",
-                            exec.predict_region_ns(slabs, 0, rebuild_cost),
-                        );
-                    }
-                    let _rebuild_span = hpa_trace::span!("kmeans", "rebuild", iter as u64);
-                    let slabs: Vec<Mutex<&mut [f64]>> =
-                        block.begin_rebuild(dim, &norms).map(Mutex::new).collect();
-                    exec.par_chunks(
-                        slabs.len(),
-                        0,
-                        |slab_range| {
-                            for index in slab_range {
-                                CentroidBlock::fill_slab(
-                                    &mut slabs[index].lock(),
-                                    index,
-                                    &centroids,
-                                );
-                            }
-                        },
-                        rebuild_cost,
-                    );
                 }
 
                 // --- Parallel assignment through the selected kernel,
@@ -316,7 +323,7 @@ impl KMeans {
                                 cfg.kernel,
                                 vectors,
                                 ranges[ci].clone(),
-                                &centroids,
+                                &rows,
                                 &norms,
                                 &block,
                                 &movement,
@@ -345,34 +352,39 @@ impl KMeans {
 
                 // --- Owner-computes update: regroup the documents by
                 // cluster (serial, O(n)), then one task per run of
-                // clusters recomputes its centroids, norms and movement.
+                // clusters recomputes its centroids, norms and movement —
+                // rows in place, columns for the scatter that follows.
                 let _update_span = hpa_trace::span!("kmeans", "update", iter as u64);
                 let regroup_cost = cost::membership_cost(n as u64, k);
                 inertia = exec.serial(regroup_cost, || membership.regroup(&chunk_slots));
                 trace.push(inertia);
-                let update_cost = |clusters: Range<usize>| {
-                    let mut total = TaskCost::default();
-                    for members in clusters.map(|c| membership.of(c)) {
-                        if !members.is_empty() {
-                            let nnz = members.iter().map(|&i| vectors[i as usize].nnz() as u64);
-                            total += cost::update_cost(nnz.sum(), dim);
-                        }
-                    }
-                    total
-                };
-                if hpa_trace::is_enabled() {
-                    hpa_trace::predict(
-                        "kmeans",
-                        "update",
-                        exec.predict_serial_ns(&regroup_cost)
-                            + exec.predict_region_ns(k, update_grain, update_cost),
-                    );
-                }
-                let cells: Vec<_> = centroids
-                    .iter_mut()
+                // One of `rows` and `columns` is empty.
+                let targets = (rows.iter_mut().map(Target::Row))
+                    .chain(columns.iter_mut().map(Target::Column));
+                let cells: Vec<_> = targets
                     .zip(norms.iter_mut().zip(moved.iter_mut()))
                     .map(Mutex::new)
                     .collect();
+                let members_of = |c: usize| membership.of(c).iter().map(|&i| &vectors[i as usize]);
+                let update_cost = |clusters: Range<usize>| {
+                    let mut total = TaskCost::default();
+                    for c in clusters.filter(|&c| !membership.of(c).is_empty()) {
+                        let nnz: usize = members_of(c).map(SparseVec::nnz).sum();
+                        // A column visits its old and new supports: at
+                        // most what it holds plus what the members bring.
+                        let touched = match &cells[c].lock().0 {
+                            Target::Row(_) => dim,
+                            Target::Column(column) => (column.stored() + nnz).min(dim),
+                        };
+                        total += cost::update_cost(nnz as u64, touched, dim);
+                    }
+                    total
+                };
+                let mut predicted = 0;
+                if hpa_trace::is_enabled() {
+                    predicted = exec.predict_serial_ns(&regroup_cost)
+                        + exec.predict_region_ns(k, update_grain, update_cost);
+                }
                 exec.par_chunks(
                     k,
                     update_grain,
@@ -380,24 +392,38 @@ impl KMeans {
                         let mut sum = sums[clusters.start / update_grain].lock();
                         for c in clusters {
                             let mut cell = cells[c].lock();
-                            let (centroid, (norm, moved)) = &mut *cell;
-                            let members = membership.of(c);
+                            let (target, (norm, moved)) = &mut *cell;
                             // An empty cluster keeps its centroid (the
                             // paper's operator does not re-seed mid-run)
                             // and has not moved.
                             **moved = 0.0;
-                            if !members.is_empty() {
-                                for &i in members {
-                                    sum.add_sparse(&vectors[i as usize]);
+                            let members = membership.of(c).len();
+                            if members == 0 {
+                                if let Target::Column(column) = target {
+                                    column.keep();
                                 }
-                                let mean = 1.0 / members.len() as f64;
-                                (**moved, **norm) = centroid.replace_with_scaled(&mut sum, mean);
+                                continue;
                             }
+                            let mean = 1.0 / members as f64;
+                            (**moved, **norm) = match target {
+                                Target::Row(centroid) => {
+                                    members_of(c).for_each(|x| sum.add_sparse(x));
+                                    centroid.replace_with_scaled(&mut sum, mean)
+                                }
+                                Target::Column(column) => {
+                                    let sum = sum.as_mut_slice();
+                                    column.recompute(sum, members_of(c), mean, &block, c)
+                                }
+                            };
                         }
                     },
                     update_cost,
                 );
                 drop(cells);
+                if use_block {
+                    predicted += update::scatter(exec, &mut block, &columns, &norms);
+                }
+                hpa_trace::predict("kmeans", "update", predicted);
 
                 // Movement deltas for the next iteration's bounds, in
                 // cluster order.
@@ -414,8 +440,11 @@ impl KMeans {
             }
         }
 
+        if !use_block {
+            block = CentroidBlock::from_centroids(&rows);
+        }
         KMeansModel {
-            centroids,
+            centroids: block,
             assignments,
             inertia,
             iterations,
@@ -428,12 +457,11 @@ impl KMeans {
 
 /// Compute the inertia of an assignment against explicit centroids —
 /// a test/verification helper.
-pub fn inertia_of(vectors: &[SparseVec], centroids: &[DenseVec], assignments: &[u32]) -> f64 {
-    let norms: Vec<f64> = centroids.iter().map(|c| c.norm_sq()).collect();
+pub fn inertia_of(vectors: &[SparseVec], centroids: &CentroidBlock, assignments: &[u32]) -> f64 {
     vectors
         .iter()
         .zip(assignments)
-        .map(|(x, &a)| squared_distance_to_centroid(x, &centroids[a as usize], norms[a as usize]))
+        .map(|(x, &a)| centroids.distance_to(x, a as usize))
         .sum()
 }
 
@@ -521,12 +549,10 @@ mod tests {
     fn assignments_are_argmin() {
         let (data, dim) = clustered_data();
         let model = KMeans::new(cfg(3)).fit(&Exec::sequential(), &data, dim);
-        let norms: Vec<f64> = model.centroids.iter().map(|c| c.norm_sq()).collect();
         for (x, &a) in data.iter().zip(&model.assignments) {
-            let da =
-                squared_distance_to_centroid(x, &model.centroids[a as usize], norms[a as usize]);
-            for (c, centroid) in model.centroids.iter().enumerate() {
-                let dc = squared_distance_to_centroid(x, centroid, norms[c]);
+            let da = model.centroids.distance_to(x, a as usize);
+            for c in 0..model.centroids.k() {
+                let dc = model.centroids.distance_to(x, c);
                 assert!(da <= dc + 1e-9, "doc assigned to {a} but {c} is closer");
             }
         }
@@ -552,14 +578,14 @@ mod tests {
             SparseVec::from_pairs(vec![(1, 1.0)]),
         ];
         let model = KMeans::new(cfg(8)).fit(&Exec::sequential(), &data, 2);
-        assert_eq!(model.centroids.len(), 2);
+        assert_eq!(model.centroids.k(), 2);
         assert!(model.inertia < 1e-12, "2 points, 2 clusters: zero inertia");
     }
 
     #[test]
     fn empty_input_gives_empty_model() {
         let model = KMeans::new(cfg(3)).fit(&Exec::sequential(), &[], 5);
-        assert!(model.centroids.is_empty());
+        assert_eq!(model.centroids.k(), 0);
         assert!(model.assignments.is_empty());
         assert!(model.converged);
     }

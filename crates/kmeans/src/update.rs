@@ -8,9 +8,40 @@
 //! into a `dim`-sized buffer that stays in cache. No sum is ever split
 //! between tasks, so the model is the same bits at every thread count
 //! and grain.
+//!
+//! Under the blocked kernels the centroids live only in the term-major
+//! [`CentroidBlock`], which safe code cannot hand out a column at a
+//! time, so a cluster's update reaches it in two steps. **Step 1**
+//! ([`Column::recompute`], one task per run of clusters, the block
+//! shared read-only): while the members are added into the sum each of
+//! their terms is also OR-ed into a `dim`-bit mask; the mask of the
+//! column's current support is OR-ed in, and the set bits are walked in
+//! ascending term order — scale, movement², norm², clear the sum slot,
+//! append the new weight to the column's value list. **Step 2**
+//! ([`scatter`], one task per run of term slabs, the columns shared
+//! read-only): every column's values are written to their place in the
+//! run. The work follows the members' non-zeros plus `dim / 64` mask
+//! words plus the old and new supports. Only a cluster whose members
+//! hold at least `dim` non-zeros looks at all `dim` slots of its sum,
+//! once, to find the non-zero ones — fewer operations than marking each
+//! non-zero as it is added.
+//!
+//! This is bit-identical to the dense pass
+//! ([`DenseVec::replace_with_scaled`](hpa_sparse::DenseVec::replace_with_scaled),
+//! which the naive kernel's row-major centroids still take): the
+//! surviving operations keep their term order, and every skipped term
+//! has a `+0.0` sum and a `+0.0` old weight, so it contributed an exact
+//! `+0.0` to two non-negative running sums. The one exception is the
+//! `-0.0` that `Iterator::sum` starts from, which survives only when
+//! there is no term at all — see [`zero_sum`].
 
 use crate::assign::ChunkState;
+use crate::cost;
 use hpa_exec::sync::Mutex;
+use hpa_exec::Exec;
+use hpa_sparse::block::SLAB_TERMS;
+use hpa_sparse::{CentroidBlock, SparseVec};
+use std::ops::Range;
 
 /// Documents grouped by assigned cluster.
 pub(crate) struct Membership {
@@ -64,5 +95,436 @@ impl Membership {
     pub fn of(&self, c: usize) -> &[u32] {
         let start = if c == 0 { 0 } else { self.ends[c - 1] };
         &self.members[start..self.ends[c]]
+    }
+}
+
+/// What `Iterator::sum` returns for the squares of `dim` weights that
+/// are all zero: it starts from `-0.0`, which the first `+0.0` turns
+/// into `+0.0`. A sum over only the non-zero terms starts here.
+fn zero_sum(dim: usize) -> f64 {
+    if dim == 0 {
+        -0.0
+    } else {
+        0.0
+    }
+}
+
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Positions of the set bits of `word`, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = word.trailing_zeros() as usize;
+        (word != 0).then(|| {
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// One cluster's column of the term-major block, as step 1 hands it to
+/// step 2. The masks hold one bit per term, one word per term slab.
+#[derive(Debug, Clone)]
+pub(crate) struct Column {
+    /// Terms whose weight in the block may differ from `+0.0`.
+    support: Vec<u64>,
+    /// Terms `values` holds a weight for: the support before the last
+    /// recompute ∪ the support after it. All zero when there is nothing
+    /// to scatter.
+    walk: Vec<u64>,
+    /// The new weight of every `walk` term, in ascending term order.
+    values: Vec<f64>,
+}
+
+const _: () = assert!(SLAB_TERMS == u64::BITS as usize);
+
+impl Column {
+    /// The column of a centroid seeded with document `x` over an
+    /// all-zero block, and its squared norm; [`scatter`] then writes it.
+    /// Bit-identical to `DenseVec::zeros(dim)` + `add_sparse(x)` +
+    /// `norm_sq()`.
+    pub fn seeded(x: &SparseVec, dim: usize) -> (Self, f64) {
+        let mut walk = vec![0u64; dim.div_ceil(SLAB_TERMS)];
+        for &t in x.terms() {
+            walk[t as usize / SLAB_TERMS] |= 1 << (t as usize % SLAB_TERMS);
+        }
+        let values: Vec<f64> = x.weights().iter().map(|w| 0.0 + w).collect();
+        let norm = values.iter().fold(zero_sum(dim), |sum, v| sum + v * v);
+        let column = Column {
+            support: walk.clone(),
+            walk,
+            values,
+        };
+        (column, norm)
+    }
+
+    /// Number of weights the last recompute produced — an upper bound on
+    /// the size of the support.
+    pub fn stored(&self) -> usize {
+        self.values.len()
+    }
+
+    /// An empty cluster keeps its centroid: nothing to scatter.
+    pub fn keep(&mut self) {
+        self.walk.fill(0);
+        self.values.clear();
+    }
+
+    /// Step 1 for centroid `c` of `block`: the mean of `members` (added
+    /// in the order given, `mean` = 1 / their number) becomes the
+    /// column's values and support. `sum` must be `dim` zeros and is
+    /// left so. Returns the squared distance the centroid moves by and
+    /// its new squared norm.
+    pub fn recompute<'a>(
+        &mut self,
+        sum: &mut [f64],
+        members: impl Iterator<Item = &'a SparseVec> + Clone,
+        mean: f64,
+        block: &CentroidBlock,
+        c: usize,
+    ) -> (f64, f64) {
+        // The members' terms: marked one read-modify-write per non-zero,
+        // or — when the members bring at least as many non-zeros as
+        // there are terms — read off the sum, one compare per term. (A
+        // sum that cancelled to zero then counts as untouched, which it
+        // is: it needs neither clearing nor, outside the old support,
+        // storing.)
+        if members.clone().map(SparseVec::nnz).sum::<usize>() < sum.len() {
+            self.walk.fill(0);
+            for x in members {
+                for (t, w) in x.iter() {
+                    let t = t as usize;
+                    sum[t] += w;
+                    self.walk[t / SLAB_TERMS] |= 1 << (t % SLAB_TERMS);
+                }
+            }
+        } else {
+            for x in members {
+                for (t, w) in x.iter() {
+                    sum[t as usize] += w;
+                }
+            }
+            for (walk, slab) in self.walk.iter_mut().zip(sum.chunks(SLAB_TERMS)) {
+                let mask = |mask, s: &f64| mask << 1 | u64::from(*s != 0.0);
+                *walk = slab.iter().rev().fold(0, mask);
+            }
+        }
+        for (walk, support) in self.walk.iter_mut().zip(&mut self.support) {
+            let touched = *walk;
+            *walk |= *support;
+            *support = touched;
+        }
+        self.values.clear();
+        self.values.reserve(popcount(&self.walk));
+        let (mut moved, mut norm) = (zero_sum(sum.len()), zero_sum(sum.len()));
+        for (slab, &word) in self.walk.iter().enumerate() {
+            for t in ones(word).map(|bit| slab * SLAB_TERMS + bit) {
+                let fresh = std::mem::take(&mut sum[t]) * mean;
+                let step = block.get(t, c) - fresh;
+                moved += step * step;
+                norm += fresh * fresh;
+                self.values.push(fresh);
+            }
+        }
+        (moved, norm)
+    }
+}
+
+/// Step 2: install `norms` and write every column's values into
+/// `block`, one task per run of term slabs. Returns, when tracing, the
+/// region's predicted nanoseconds — a part of the caller's
+/// `kmeans/update` prediction.
+pub(crate) fn scatter(
+    exec: &Exec,
+    block: &mut CentroidBlock,
+    columns: &[Column],
+    norms: &[f64],
+) -> u64 {
+    block.norms_mut().copy_from_slice(norms);
+    let (k, slabs) = (block.k(), block.dim().div_ceil(SLAB_TERMS));
+    let run_slabs = slabs
+        .div_ceil(exec.threads() * crate::UPDATE_TASKS_PER_THREAD)
+        .max(1);
+    let cost = |runs: Range<usize>| {
+        let slabs = runs.start * run_slabs..(runs.end * run_slabs).min(slabs);
+        let values = columns
+            .iter()
+            .map(|column| popcount(&column.walk[slabs.clone()]));
+        cost::scatter_cost(k, slabs.len(), values.sum())
+    };
+    let runs: Vec<Mutex<&mut [f64]>> = block.slab_runs_mut(run_slabs).map(Mutex::new).collect();
+    let predicted = if hpa_trace::is_enabled() {
+        exec.predict_region_ns(runs.len(), 1, cost)
+    } else {
+        0
+    };
+    exec.par_chunks(
+        runs.len(),
+        1,
+        |range| {
+            for run in range {
+                scatter_run(&mut runs[run].lock(), run * run_slabs, columns);
+            }
+        },
+        cost,
+    );
+    predicted
+}
+
+/// [`scatter`] for one run of term slabs starting at slab `first_slab`
+/// (a slice from [`CentroidBlock::slab_runs_mut`]). Slab by slab, so
+/// that the `64 × k` weights being written stay in cache while all `k`
+/// columns visit them.
+fn scatter_run(run: &mut [f64], first_slab: usize, columns: &[Column]) {
+    let k = columns.len();
+    let mut cursors: Vec<usize> = columns
+        .iter()
+        .map(|column| popcount(&column.walk[..first_slab]))
+        .collect();
+    for (slab, weights) in run.chunks_mut(SLAB_TERMS * k).enumerate() {
+        for (c, column) in columns.iter().enumerate() {
+            for bit in ones(column.walk[first_slab + slab]) {
+                weights[bit * k + c] = column.values[cursors[c]];
+                cursors[c] += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpa_sparse::DenseVec;
+
+    const K: usize = 3;
+    /// The column the rounds update; its neighbours only keep.
+    const C: usize = 1;
+
+    /// A block whose columns go through [`Column`] + [`scatter`], next to
+    /// row-major centroids that take the dense pass.
+    struct Twin {
+        block: CentroidBlock,
+        columns: Vec<Column>,
+        rows: Vec<DenseVec>,
+        dim: usize,
+        /// Slabs per scatter run; changed between rounds.
+        run_slabs: usize,
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    impl Twin {
+        fn seeded(seeds: [&SparseVec; K], dim: usize) -> Self {
+            let (columns, norms): (Vec<Column>, Vec<f64>) =
+                seeds.iter().map(|x| Column::seeded(x, dim)).unzip();
+            let rows: Vec<DenseVec> = seeds
+                .iter()
+                .map(|x| {
+                    let mut row = DenseVec::zeros(dim);
+                    row.add_sparse(x);
+                    row
+                })
+                .collect();
+            let mut twin = Twin {
+                block: CentroidBlock::zeros(K, dim),
+                columns,
+                rows,
+                dim,
+                run_slabs: 1,
+            };
+            twin.scatter(&norms);
+            for (row, norm) in twin.rows.iter().zip(&norms) {
+                assert_eq!(norm.to_bits(), row.norm_sq().to_bits(), "seed norm");
+            }
+            twin.assert_same("seeded");
+            twin
+        }
+
+        /// Step 2, runs filled last to first.
+        fn scatter(&mut self, norms: &[f64]) {
+            self.block.norms_mut().copy_from_slice(norms);
+            let runs: Vec<&mut [f64]> = self.block.slab_runs_mut(self.run_slabs).collect();
+            for (index, run) in runs.into_iter().enumerate().rev() {
+                scatter_run(run, index * self.run_slabs, &self.columns);
+            }
+        }
+
+        fn assert_same(&self, label: &str) {
+            for (c, row) in self.rows.iter().enumerate() {
+                let column = self.block.centroid(c);
+                assert_eq!(
+                    bits(column.as_slice()),
+                    bits(row.as_slice()),
+                    "{label} c={c}"
+                );
+                // Everything outside the support is `+0.0`.
+                for t in 0..self.dim {
+                    let bit = self.columns[c].support[t / SLAB_TERMS] >> (t % SLAB_TERMS) & 1;
+                    assert!(
+                        bit == 1 || self.block.get(t, c).to_bits() == 0,
+                        "{label} t={t}"
+                    );
+                }
+            }
+        }
+
+        /// One update of column `C` from `members` on both sides; the
+        /// other columns are empty clusters. Returns `(moved², norm²)`.
+        fn round(&mut self, members: &[SparseVec], label: &str) -> (f64, f64) {
+            let mean = 1.0 / members.len() as f64;
+            let mut dense_sum = DenseVec::zeros(self.dim);
+            members.iter().for_each(|x| dense_sum.add_sparse(x));
+            let (dense_moved, dense_norm) = self.rows[C].replace_with_scaled(&mut dense_sum, mean);
+
+            let mut norms = self.block.norms().to_vec();
+            let mut sum = vec![0.0; self.dim];
+            for (c, column) in self.columns.iter_mut().enumerate() {
+                if c == C {
+                    let (moved, norm) =
+                        column.recompute(&mut sum, members.iter(), mean, &self.block, c);
+                    assert_eq!(moved.to_bits(), dense_moved.to_bits(), "{label} moved");
+                    assert_eq!(norm.to_bits(), dense_norm.to_bits(), "{label} norm");
+                    norms[c] = norm;
+                } else {
+                    column.keep();
+                    assert_eq!(column.stored(), 0);
+                }
+            }
+            assert_eq!(
+                bits(&sum),
+                bits(&vec![0.0; self.dim]),
+                "{label}: sum left zeroed"
+            );
+            self.scatter(&norms);
+            self.assert_same(label);
+            (dense_moved, dense_norm)
+        }
+    }
+
+    fn doc(pairs: &[(u32, f64)]) -> SparseVec {
+        SparseVec::from_pairs(pairs.to_vec())
+    }
+
+    /// `count` documents of up to `nnz` terms below `dim`, some weights
+    /// negative.
+    fn docs(rng: &mut hpa_rng::SplitMix64, count: usize, nnz: usize, dim: usize) -> Vec<SparseVec> {
+        (0..count)
+            .map(|_| {
+                (0..rng.gen_index(nnz + 1).min(dim))
+                    .map(|_| (rng.gen_index(dim) as u32, rng.gen_range_f64(-2.0, 2.0)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_update_matches_the_dense_pass_bitwise() {
+        let mut rng = hpa_rng::SplitMix64::seed_from_u64(0x5EED);
+        // Rounds whose members' terms were marked / read off the sum.
+        let (mut marked, mut scanned) = (0, 0);
+        for dim in [0, 1, 63, 64, 65, 3 * 64 + 7] {
+            let seeds = docs(&mut rng, K, 9, dim);
+            let mut twin = Twin::seeded([&seeds[0], &seeds[1], &seeds[2]], dim);
+            for (round, run_slabs) in [1, 2, 7, 1].into_iter().enumerate() {
+                twin.run_slabs = run_slabs;
+                let label = format!("dim={dim} round={round}");
+                let mut members = docs(&mut rng, 1 + round * 3, 12, dim);
+                if dim > 0 {
+                    // The last term, in the partly-used last mask word.
+                    members.push(doc(&[(dim as u32 - 1, 0.37)]));
+                }
+                if members.iter().map(SparseVec::nnz).sum::<usize>() < dim {
+                    marked += 1;
+                } else {
+                    scanned += 1;
+                }
+                twin.round(&members, &label);
+            }
+        }
+        assert!(
+            marked >= 4 && scanned >= 4,
+            "{marked} marked, {scanned} scanned"
+        );
+    }
+
+    #[test]
+    fn all_zero_members_give_positive_zero_unless_there_is_no_term() {
+        let empty = SparseVec::new();
+        // Nothing touched, `dim > 0`: `+0.0`, as the dense pass's first
+        // `+0.0` would have made it.
+        let mut twin = Twin::seeded([&empty; K], 70);
+        let (moved, norm) = twin.round(&[empty.clone(), empty.clone()], "zero members");
+        assert_eq!((moved.to_bits(), norm.to_bits()), (0, 0));
+        // `dim == 0`: `Iterator::sum`'s `-0.0` survives on both sides.
+        let mut twin = Twin::seeded([&empty; K], 0);
+        let (moved, norm) = twin.round(std::slice::from_ref(&empty), "no terms");
+        assert_eq!(
+            (moved.to_bits(), norm.to_bits()),
+            ((-0.0f64).to_bits(), (-0.0f64).to_bits())
+        );
+        // A non-zero centroid whose members are all zero moves to zero.
+        let seed = doc(&[(3, 1.5), (69, -0.5)]);
+        let mut twin = Twin::seeded([&empty, &seed, &empty], 70);
+        let (moved, norm) = twin.round(std::slice::from_ref(&empty), "to zero");
+        assert_eq!((moved, norm.to_bits()), (1.5 * 1.5 + 0.5 * 0.5, 0));
+    }
+
+    #[test]
+    fn empty_cluster_keeps_column_norm_and_support() {
+        let seeds = [
+            doc(&[(0, 1.0)]),
+            doc(&[(5, 2.0), (64, -1.0)]),
+            doc(&[(99, 0.5)]),
+        ];
+        let mut twin = Twin::seeded([&seeds[0], &seeds[1], &seeds[2]], 100);
+        let before = (twin.block.clone(), twin.columns[C].support.clone());
+        twin.columns.iter_mut().for_each(Column::keep);
+        for column in &twin.columns {
+            assert!(column.values.is_empty() && column.walk.iter().all(|&w| w == 0));
+        }
+        let norms = twin.block.norms().to_vec();
+        twin.scatter(&norms);
+        assert_eq!(twin.block, before.0);
+        assert_eq!(twin.columns[C].support, before.1);
+        // The kept support still zeroes its terms when members return.
+        twin.round(&[doc(&[(7, 1.0)])], "after keep");
+        assert_eq!(twin.block.get(5, C).to_bits(), 0);
+    }
+
+    #[test]
+    fn leaving_terms_and_cancelled_sums_are_stored_as_positive_zero() {
+        let seed = doc(&[(2, 1.25), (40, -3.0), (130, 0.5)]);
+        let empty = SparseVec::new();
+        let mut twin = Twin::seeded([&empty, &seed, &empty], 131);
+        // Term 40 leaves (no member has it); term 2 cancels exactly.
+        let members = [doc(&[(2, 1.5), (130, 1.0)]), doc(&[(2, -1.5), (77, 4.0)])];
+        twin.round(&members, "leave + cancel");
+        let column = &twin.columns[C];
+        assert_eq!(column.stored(), 4, "old ∪ new support: 2, 40, 77, 130");
+        for t in [2, 40] {
+            assert_eq!(twin.block.get(t, C).to_bits(), 0, "t={t}");
+        }
+        let in_support = |t: usize| column.support[t / SLAB_TERMS] >> (t % SLAB_TERMS) & 1 == 1;
+        assert!(!in_support(40), "a term no member has drops out");
+        assert!(in_support(2) && in_support(77) && in_support(130));
+        // Next time round it is neither visited nor scattered.
+        twin.round(&[doc(&[(77, 1.0)])], "after leaving");
+        assert_eq!(twin.columns[C].stored(), 3, "2, 77, 130");
+
+        // Members with as many non-zeros as there are terms: the mask is
+        // read off the sum, so the cancelled term 0 leaves with term 2.
+        let seed = doc(&[(0, 1.25), (2, -3.0)]);
+        let mut twin = Twin::seeded([&empty, &seed, &empty], 4);
+        let members = [doc(&[(0, 1.5), (3, 1.0)]), doc(&[(0, -1.5), (1, 4.0)])];
+        twin.round(&members, "leave + cancel, scanned");
+        assert_eq!(twin.columns[C].stored(), 4, "old ∪ new support: 0, 1, 2, 3");
+        assert_eq!(twin.columns[C].support, [0b1010]);
+        for t in [0, 2] {
+            assert_eq!(twin.block.get(t, C).to_bits(), 0, "t={t}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use hpa_exec::{CostMode, Exec, MachineModel};
 use hpa_kmeans::{inertia_of, KMeans, KMeansConfig};
-use hpa_sparse::{squared_distance_to_centroid, SparseVec};
+use hpa_sparse::SparseVec;
 use proptest::prelude::*;
 
 const DIM: u32 = 24;
@@ -54,11 +54,10 @@ proptest! {
     #[test]
     fn every_assignment_is_the_argmin(vectors in arb_vectors(), k in 1usize..5) {
         let model = KMeans::new(cfg(k, 8)).fit(&Exec::sequential(), &vectors, DIM as usize);
-        let norms: Vec<f64> = model.centroids.iter().map(|c| c.norm_sq()).collect();
         for (x, &a) in vectors.iter().zip(&model.assignments) {
-            let da = squared_distance_to_centroid(x, &model.centroids[a as usize], norms[a as usize]);
-            for (c, centroid) in model.centroids.iter().enumerate() {
-                let dc = squared_distance_to_centroid(x, centroid, norms[c]);
+            let da = model.centroids.distance_to(x, a as usize);
+            for c in 0..model.centroids.k() {
+                let dc = model.centroids.distance_to(x, c);
                 prop_assert!(da <= dc + 1e-9, "doc assigned {a}, but {c} closer");
             }
         }
@@ -119,7 +118,7 @@ proptest! {
     fn cluster_ids_in_range(vectors in arb_vectors(), k in 1usize..6) {
         let model = KMeans::new(cfg(k, 4)).fit(&Exec::sequential(), &vectors, DIM as usize);
         let k_eff = k.min(vectors.len());
-        prop_assert_eq!(model.centroids.len(), k_eff);
+        prop_assert_eq!(model.centroids.k(), k_eff);
         for &a in &model.assignments {
             prop_assert!((a as usize) < k_eff);
         }

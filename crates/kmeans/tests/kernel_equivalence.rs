@@ -79,15 +79,17 @@ fn assert_identical(reference: &KMeansModel, other: &KMeansModel, label: &str) {
     let rt: Vec<u64> = reference.trace.iter().map(|x| x.to_bits()).collect();
     let ot: Vec<u64> = other.trace.iter().map(|x| x.to_bits()).collect();
     assert_eq!(rt, ot, "{label}: inertia trace");
-    assert_eq!(
-        reference.centroids.len(),
-        other.centroids.len(),
-        "{label}: k"
-    );
-    for (c, (a, b)) in reference.centroids.iter().zip(&other.centroids).enumerate() {
-        let ab: Vec<u64> = a.as_slice().iter().map(|x| x.to_bits()).collect();
-        let bb: Vec<u64> = b.as_slice().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(ab, bb, "{label}: centroid {c}");
+    let (a, b) = (&reference.centroids, &other.centroids);
+    assert_eq!((a.k(), a.dim()), (b.k(), b.dim()), "{label}: k × dim");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(a.norms()), bits(b.norms()), "{label}: norms");
+    for c in 0..a.k() {
+        let (ac, bc) = (a.centroid(c), b.centroid(c));
+        assert_eq!(
+            bits(ac.as_slice()),
+            bits(bc.as_slice()),
+            "{label}: centroid {c}"
+        );
     }
 }
 

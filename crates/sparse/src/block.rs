@@ -9,6 +9,13 @@
 //! `k` cross-products simultaneously: one gather stream, and each
 //! gathered cache line feeds up to eight accumulators.
 //!
+//! The block is a centroid *store*, not a per-iteration copy of one:
+//! the blocked K-means kernels seed it, update it in place (parallel
+//! writers each own a run of term slabs, see
+//! [`CentroidBlock::slab_runs_mut`]) and return it as the model, so the
+//! centroids exist once. [`CentroidBlock::from_centroids`] transposes a
+//! row-major set for the callers that start from rows.
+//!
 //! ## Bit-exactness contract
 //!
 //! Every accumulator receives its multiply-adds in *term order* — the
@@ -25,15 +32,18 @@
 use crate::{DenseVec, SparseVec};
 use std::slice::ChunksMut;
 
-/// Terms per slab of the tiled rebuild: `64 × k` doubles, 64 KB at
-/// `k = 128`.
+/// Terms per slab: `64 × k` doubles, 64 KB at `k = 128` — and one `u64`
+/// of a per-centroid term mask, which is how a writer says which of a
+/// slab's terms it holds values for.
 pub const SLAB_TERMS: usize = 64;
 
 /// `k` dense centroids stored term-major (`data[t * k + c]`), with the
 /// per-centroid squared norms the distance expansion needs.
 ///
-/// Built empty and (re)filled with [`rebuild`](CentroidBlock::rebuild)
-/// each Lloyd iteration; the backing allocation is recycled.
+/// The blocked K-means kernels keep their centroids here and nowhere
+/// else: built zeroed, seeded and then updated in place through
+/// [`slab_runs_mut`](CentroidBlock::slab_runs_mut), whose disjoint runs
+/// of term slabs parallel writers fill without touching each other.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CentroidBlock {
     k: usize,
@@ -46,59 +56,68 @@ pub struct CentroidBlock {
 }
 
 impl CentroidBlock {
-    /// Empty block; fill with [`rebuild`](CentroidBlock::rebuild).
-    pub fn new() -> Self {
-        Self::default()
+    /// `k` all-zero centroids of `dim` terms. The backing pages are the
+    /// allocator's untouched zero pages: a term's row costs memory only
+    /// once something is written to it.
+    pub fn zeros(k: usize, dim: usize) -> Self {
+        CentroidBlock {
+            k,
+            dim,
+            data: vec![0.0; k * dim],
+            norms: vec![0.0; k],
+        }
     }
 
-    /// Build directly from a centroid set.
+    /// Transpose a row-major centroid set. All centroids must share one
+    /// dimensionality.
     pub fn from_centroids(centroids: &[DenseVec]) -> Self {
-        let mut b = Self::new();
-        b.rebuild(centroids);
-        b
-    }
-
-    /// Re-transpose `centroids` into the block, reusing the allocation.
-    /// All centroids must share one dimensionality.
-    pub fn rebuild(&mut self, centroids: &[DenseVec]) {
         let dim = centroids.first().map_or(0, |c| c.len());
-        for centroid in centroids {
-            assert_eq!(centroid.len(), dim, "centroid dimension mismatch");
-        }
-        let norms: Vec<f64> = centroids.iter().map(|c| c.norm_sq()).collect();
-        for (index, slab) in self.begin_rebuild(dim, &norms).enumerate() {
-            Self::fill_slab(slab, index, centroids);
-        }
-    }
-
-    /// First half of a rebuild the caller parallelises: size the block
-    /// for `norms.len()` centroids of `dim` terms, install their squared
-    /// `norms`, and hand out the term slabs ([`SLAB_TERMS`] terms × `k`
-    /// each, the last one shorter) for [`fill_slab`](Self::fill_slab).
-    /// Only a growing block is zero-filled: the slabs get overwritten.
-    pub fn begin_rebuild(&mut self, dim: usize, norms: &[f64]) -> ChunksMut<'_, f64> {
-        self.k = norms.len();
-        self.dim = dim;
-        self.norms.clear();
-        self.norms.extend_from_slice(norms);
-        self.data.resize(dim * self.k, 0.0);
-        self.data.chunks_mut((SLAB_TERMS * self.k).max(1))
-    }
-
-    /// Transpose terms `index * SLAB_TERMS ..` of `centroids` into their
-    /// slab. A slab is small enough to stay in cache while every
-    /// centroid scatters its run of terms into it, so each line of the
-    /// block goes to memory once per rebuild.
-    pub fn fill_slab(slab: &mut [f64], index: usize, centroids: &[DenseVec]) {
-        let k = centroids.len();
-        let first = index * SLAB_TERMS;
-        let terms = slab.len() / k;
+        let mut block = Self::zeros(centroids.len(), dim);
         for (c, centroid) in centroids.iter().enumerate() {
-            let run = &centroid.as_slice()[first..first + terms];
-            for (row, &w) in slab.chunks_exact_mut(k).zip(run) {
-                row[c] = w;
-            }
+            block.set_centroid(c, centroid.as_slice());
         }
+        block
+    }
+
+    /// Overwrite centroid `c` with `values` (one per term) and its norm
+    /// with their squared sum.
+    pub fn set_centroid(&mut self, c: usize, values: &[f64]) {
+        assert!(c < self.k, "centroid index {c} out of range");
+        assert_eq!(values.len(), self.dim, "centroid dimension mismatch");
+        for (row, &w) in self.data.chunks_exact_mut(self.k).zip(values) {
+            row[c] = w;
+        }
+        self.norms[c] = values.iter().map(|w| w * w).sum();
+    }
+
+    /// Centroid `c` at term `t`.
+    #[inline]
+    pub fn get(&self, t: usize, c: usize) -> f64 {
+        assert!(c < self.k, "centroid index {c} out of range");
+        self.data[t * self.k + c]
+    }
+
+    /// Centroid `c` as a row.
+    pub fn centroid(&self, c: usize) -> DenseVec {
+        (0..self.dim)
+            .map(|t| self.get(t, c))
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    /// The weights, split into consecutive runs of `slabs` term slabs
+    /// ([`SLAB_TERMS`] terms × `k` each; the last run may be shorter) —
+    /// disjoint slices that parallel writers can fill independently.
+    /// Within a run, term `t` of centroid `c` sits at `(t - first) * k + c`
+    /// where `first` is the run's first term.
+    pub fn slab_runs_mut(&mut self, slabs: usize) -> ChunksMut<'_, f64> {
+        self.data.chunks_mut((slabs * SLAB_TERMS * self.k).max(1))
+    }
+
+    /// The squared norms, for a writer that has just changed the
+    /// centroids they belong to.
+    pub fn norms_mut(&mut self) -> &mut [f64] {
+        &mut self.norms
     }
 
     /// Number of centroids in the block.
@@ -250,20 +269,23 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_allocation_and_updates_norms() {
-        let mut block = CentroidBlock::from_centroids(&centroids(8, 100));
-        let ptr = block.data.as_ptr();
-        block.rebuild(&centroids(4, 50));
-        assert_eq!(block.k(), 4);
-        assert_eq!(block.dim(), 50);
-        assert_eq!(block.data.as_ptr(), ptr, "allocation reused");
-        assert_eq!(block.norms().len(), 4);
-        let expected: Vec<f64> = centroids(4, 50).iter().map(|c| c.norm_sq()).collect();
-        assert_eq!(block.norms(), expected.as_slice());
+    fn transpose_round_trips_rows_and_norms_bitwise() {
+        for (k, dim) in [(1, 1), (3, 70), (8, 25), (5, 0)] {
+            let cs = centroids(k, dim);
+            let block = CentroidBlock::from_centroids(&cs);
+            assert_eq!((block.k(), block.dim()), (k, dim));
+            for (c, centroid) in cs.iter().enumerate() {
+                assert_eq!(block.norms()[c].to_bits(), centroid.norm_sq().to_bits());
+                assert_eq!(&block.centroid(c), centroid, "k={k} dim={dim} c={c}");
+                for (t, w) in centroid.as_slice().iter().enumerate() {
+                    assert_eq!(block.get(t, c).to_bits(), w.to_bits());
+                }
+            }
+        }
     }
 
     #[test]
-    fn tiled_rebuild_matches_elementwise_transpose_bitwise() {
+    fn slab_runs_written_in_any_order_equal_the_elementwise_transpose() {
         for k in [1, 3, 8, 11, 128] {
             for dim in [
                 1,
@@ -273,25 +295,28 @@ mod tests {
                 3 * SLAB_TERMS + 7,
             ] {
                 let cs = centroids(k, dim);
-                let norms: Vec<f64> = cs.iter().map(|c| c.norm_sq()).collect();
-                // Recycled from another shape, slabs filled last to first.
-                let mut by_slab = CentroidBlock::from_centroids(&centroids(5, 300));
-                let slabs: Vec<&mut [f64]> = by_slab.begin_rebuild(dim, &norms).collect();
-                assert_eq!(slabs.len(), dim.div_ceil(SLAB_TERMS));
-                for (index, slab) in slabs.into_iter().enumerate().rev() {
-                    CentroidBlock::fill_slab(slab, index, &cs);
-                }
-                let whole = CentroidBlock::from_centroids(&cs);
-                for block in [&by_slab, &whole] {
-                    assert_eq!((block.k(), block.dim()), (k, dim));
-                    assert_eq!(block.data.len(), k * dim);
-                    for (c, centroid) in cs.iter().enumerate() {
-                        assert_eq!(block.norms()[c].to_bits(), norms[c].to_bits());
-                        for (t, w) in centroid.as_slice().iter().enumerate() {
-                            let got = block.data[t * k + c];
-                            assert_eq!(got.to_bits(), w.to_bits(), "k={k} dim={dim} c={c} t={t}");
+                for slabs in [1, 2, 5] {
+                    // Over a block that held other values, runs filled
+                    // last to first.
+                    let mut by_run = CentroidBlock::from_centroids(&centroids(k + 2, dim)[2..]);
+                    let runs: Vec<&mut [f64]> = by_run.slab_runs_mut(slabs).collect();
+                    assert_eq!(runs.len(), dim.div_ceil(slabs * SLAB_TERMS));
+                    for (index, run) in runs.into_iter().enumerate().rev() {
+                        let first = index * slabs * SLAB_TERMS;
+                        for (local, row) in run.chunks_exact_mut(k).enumerate() {
+                            for (c, w) in row.iter_mut().enumerate() {
+                                *w = cs[c].as_slice()[first + local];
+                            }
                         }
                     }
+                    for (c, centroid) in cs.iter().enumerate() {
+                        by_run.norms_mut()[c] = centroid.norm_sq();
+                    }
+                    assert_eq!(
+                        by_run,
+                        CentroidBlock::from_centroids(&cs),
+                        "k={k} dim={dim}"
+                    );
                 }
             }
         }
@@ -299,7 +324,7 @@ mod tests {
 
     #[test]
     fn empty_block_handles_empty_inputs() {
-        let block = CentroidBlock::new();
+        let block = CentroidBlock::default();
         assert_eq!(block.k(), 0);
         let mut out = vec![];
         block.dots_into(&doc(&[(1, 1.0)]), &mut out);

@@ -5,8 +5,8 @@
 //! The paper's argument rests on *measured* per-phase times and
 //! self-relative speedups; coarse wall-clock phase timers cannot show
 //! where time goes inside a phase (work-stealing idle time, drain-thread
-//! stalls, per-iteration rebuild and update costs). This crate provides
-//! that visibility:
+//! stalls, per-iteration assignment and update costs). This crate
+//! provides that visibility:
 //!
 //! * [`Span`] / [`span!`] — RAII spans recorded into per-thread buffers;
 //! * [`counter`] / [`instant`] — counter samples and point events;

@@ -29,9 +29,9 @@ fn top_terms(
 ) -> Vec<Vec<(String, f64)>> {
     ctx.timed("top-terms", |exec| {
         exec.serial(TaskCost::cpu(50_000), || {
-            clustering
-                .centroids
-                .iter()
+            let centroids = &clustering.centroids;
+            (0..centroids.k())
+                .map(|c| centroids.centroid(c))
                 .map(|centroid| {
                     let mut weighted: Vec<(u32, f64)> = centroid
                         .as_slice()

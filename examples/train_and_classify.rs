@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "trained on {} documents: vocabulary {}, {} centroids",
         train_assignments.len(),
         pipeline.vocab.len(),
-        pipeline.centroids.len()
+        pipeline.centroids.k()
     );
 
     // ...persist and reload (what a production service would do)...
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (different seed: genuinely unseen documents).
     let fresh = CorpusSpec::mix().scaled(0.002).generate(2024);
     let predictions = loaded.predict(&exec, &fresh);
-    let mut sizes = vec![0usize; loaded.centroids.len()];
+    let mut sizes = vec![0usize; loaded.centroids.k()];
     for &p in &predictions {
         sizes[p as usize] += 1;
     }

@@ -180,6 +180,7 @@ fn clustering_quality_beats_random_assignment() {
             c.scale(1.0 / *n as f64);
         }
     }
+    let centroids = hpa::sparse::CentroidBlock::from_centroids(&centroids);
     let random_inertia = hpa::kmeans::inertia_of(&model.vectors, &centroids, &assignments);
     // Evaluate both against their final centroids. The synthetic corpus
     // has no topical structure (Zipf noise), so the margin is small — but
