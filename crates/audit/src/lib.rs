@@ -15,16 +15,9 @@
 //!   (least squares through the origin), reports drift against the
 //!   hard-coded constants, and flags a model ranking the measurements
 //!   contradict (assignment kernel).
-//! * [`gate`] — compares freshly generated `BENCH_*.json` artifacts
-//!   against committed baselines under explicit noise tolerances; CI
-//!   runs it as the perf-regression gate.
-//! * [`json`] — the dependency-free JSON reader behind the gate.
 //!
-//! Two binaries expose the loop: `calibrate` (traced run → ledger →
-//! fits → flip checks) and `perf-gate` (baseline vs fresh artifact
-//! comparison with a non-zero exit on regression). See DESIGN.md §12.
+//! The `calibrate` binary runs the loop: traced run → ledger → fits →
+//! flip checks. See DESIGN.md §12.
 
 pub mod calib;
-pub mod gate;
-pub mod json;
 pub mod ledger;

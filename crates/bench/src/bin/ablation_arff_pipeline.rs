@@ -14,7 +14,8 @@
 //! arm-to-arm per thread count.
 //!
 //! Emits `BENCH_arff_pipeline.json` into the output directory (the CI
-//! bench-smoke artifact) alongside the usual CSV report.
+//! bench-smoke artifact) alongside the usual CSV report. The two
+//! speedups are also tier-1 tests in `tests/simulation_fidelity.rs`.
 
 use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;

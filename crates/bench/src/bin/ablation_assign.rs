@@ -7,7 +7,9 @@
 //! clusterings — the bin asserts it — so the numbers isolate the kernel.
 //!
 //! Emits `BENCH_kmeans_assign.json` into the output directory (the CI
-//! bench-smoke artifact) alongside the usual CSV report.
+//! bench-smoke artifact) alongside the usual CSV report. The speedup is
+//! wall clock; the pruning it rests on is a tier-1 test on counted
+//! distances in `tests/simulation_fidelity.rs`.
 
 use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;

@@ -17,8 +17,8 @@
 //! binary discrete workflow lands within 1.3× of fused end-to-end.
 //!
 //! Emits `BENCH_colfmt.json` into the output directory (the CI
-//! bench-smoke artifact, perf-gated with tolerance 2.0 — see DESIGN.md
-//! §12) alongside the usual CSV report.
+//! bench-smoke artifact) alongside the usual CSV report. The two
+//! headline bounds are also tier-1 tests in `tests/simulation_fidelity.rs`.
 
 use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;

@@ -13,9 +13,9 @@
 //! measured optimum, but it must never pick a clunker.
 //!
 //! Emits `BENCH_planner.json` into the output directory (the CI
-//! bench-smoke artifact; perf-gated on the two regret ratios and on
-//! the picks themselves — a changed pick is a planner regression, not
-//! noise).
+//! bench-smoke artifact). The picks and the regret bound are also
+//! tier-1 tests in `tests/simulation_fidelity.rs` — a changed pick is a
+//! planner regression, not noise.
 
 use hpa_bench::json::JsonWriter;
 use hpa_bench::BenchConfig;

@@ -10,8 +10,8 @@
 //! The headline metric, `best_speedup_vs_naive_p4`, is the largest
 //! assignment-phase speedup of the blocked+pruned arm over the naive
 //! baseline across scenarios at P=4 (falling back to the highest
-//! measured thread count when 4 is not in the grid) — the number the
-//! perf gate watches.
+//! measured thread count when 4 is not in the grid). It is a wall-clock
+//! number: compare it only against a run on the same host.
 //!
 //! Emits `BENCH_scenario_matrix.json` into the output directory.
 

@@ -1,36 +1,33 @@
-//! Shared serializer for the `BENCH_*.json` CI artifacts.
+//! Shared serializer for the `BENCH_*.json` and `LEDGER_*.json`
+//! artifacts.
 //!
-//! The three ablation smoke benches (`ablation_assign`,
-//! `ablation_arff_pipeline`, `ablation_dict_arena`) each emit a small
-//! JSON document that CI greps and `hpa-audit`'s `perf-gate` bin
-//! compares against committed baselines. They used to hand-format the
-//! braces independently; this module is the one place that knows the
-//! layout, so every artifact carries the same indentation, escaping,
-//! and — crucially — the same `schema_version` marker the gate keys on.
+//! The ablation benches and the `calibrate` bin each emit a small JSON
+//! document that CI greps and readers compare across runs. This module
+//! is the one place that knows the layout, so every artifact carries
+//! the same indentation, escaping, and the same `schema_version` and
+//! `host_cores` stamps.
 //!
 //! [`JsonWriter`] is deliberately tiny: 2-space-indented objects and
 //! arrays, string/integer/fixed-precision-float fields, and raw spans
 //! for inline arrays. It is a writer, not a data model — the bench bins
-//! keep their flat row structs and stream them through.
+//! keep their flat row structs and stream them through. Strings are
+//! escaped by [`hpa_trace::escape_json`], the workspace's one escaper.
 
+use hpa_trace::escape_json;
 use std::fmt::Write as _;
 
-/// Version stamp embedded in every `BENCH_*.json`. Bump when a bench
-/// artifact's keys change meaning; `perf-gate` refuses to compare
-/// artifacts across versions (and warns when a pre-versioning baseline
-/// omits the field).
+/// Version stamp embedded in every artifact. Bump when an artifact's
+/// keys change meaning, so a reader comparing two artifacts can tell.
 ///
 /// Version history:
 /// * 1 — initial versioned layout.
 /// * 2 — adds the unconditional `host_cores` field (the machine's
-///   available parallelism at render time); `perf-gate` downgrades
-///   regressions to warnings when it differs from the baseline's.
+///   available parallelism at render time).
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// The host's available parallelism, as stamped into every artifact's
 /// `host_cores` field (schema v2). Real-mode timings are only
-/// comparable between hosts with the same core budget; the gate
-/// downgrades cross-core-count regressions to warnings.
+/// comparable between hosts with the same core budget.
 pub fn host_cores() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
@@ -43,29 +40,11 @@ pub struct JsonWriter {
     first: Vec<bool>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl JsonWriter {
     /// Render one top-level object; `build` adds its fields. The
     /// `schema_version` and `host_cores` fields are written first,
-    /// unconditionally — the gate keys on the former and uses the
-    /// latter to tell a real regression from a different machine.
+    /// unconditionally, so a reader can tell a changed layout or a
+    /// different machine from a changed number.
     pub fn document(build: impl FnOnce(&mut JsonWriter)) -> String {
         let mut w = JsonWriter {
             out: String::from("{\n"),
@@ -98,13 +77,13 @@ impl JsonWriter {
 
     fn key(&mut self, k: &str) {
         self.next_entry();
-        let _ = write!(self.out, "\"{}\": ", escape(k));
+        let _ = write!(self.out, "\"{}\": ", escape_json(k));
     }
 
     /// String field (escaped).
     pub fn str_field(&mut self, k: &str, v: &str) {
         self.key(k);
-        let _ = write!(self.out, "\"{}\"", escape(v));
+        let _ = write!(self.out, "\"{}\"", escape_json(v));
     }
 
     /// Unsigned-integer field.

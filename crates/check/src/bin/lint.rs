@@ -4,8 +4,6 @@
 //!
 //! ```text
 //! cargo run -p hpa-check --bin lint              # audit, exit 1 on findings
-//! cargo run -p hpa-check --bin lint -- --fix-missing-safety  # patch stubs
-//! cargo run -p hpa-check --bin lint -- --json    # machine-readable output
 //! cargo run -p hpa-check --bin lint -- /path/to/workspace
 //! ```
 //!
@@ -42,11 +40,6 @@
 //! it), and everything from a `#[cfg(test)]` line to end-of-file is
 //! treated as test code for R4/R5/R6 (test modules sit at file end
 //! throughout this workspace). R1 applies to test code too.
-//!
-//! `--fix-missing-safety` rewrites files in place, inserting a stub
-//! `SAFETY:`/`ORDERING:` comment (marked `TODO(hpa-lint)`) above each R1
-//! and R6 finding, then rescans; the operation is idempotent because the
-//! stub satisfies the rule that produced it.
 
 use std::fmt;
 use std::fs;
@@ -237,7 +230,7 @@ fn scan_contents(rel: &str, contents: &str) -> Vec<Finding> {
     let shimmed = SHIMMED_FILES.contains(&rel);
     let relaxed_ok = RELAXED_FILE_ALLOWLIST.contains(&rel);
     let ordering_ok = ORDERING_FILE_ALLOWLIST.contains(&rel);
-    let in_tests_or_benches = rel.contains("/tests/") || rel.contains("/benches/");
+    let in_test_tree = rel.contains("/tests/");
 
     // Everything from a `#[cfg(test)]` line to end-of-file counts as test
     // code (precomputed because R5 scans the whole file at once).
@@ -284,12 +277,8 @@ fn scan_contents(rel: &str, contents: &str) -> Vec<Finding> {
         }
 
         // R4: Relaxed ordering outside the audited allowlist (product
-        // code only — test regions and test/bench trees are exempt).
-        if !relaxed_ok
-            && !in_test_region
-            && !in_tests_or_benches
-            && contains_word(code, &relaxed_kw)
-        {
+        // code only — test regions and test trees are exempt).
+        if !relaxed_ok && !in_test_region && !in_test_tree && contains_word(code, &relaxed_kw) {
             findings.push(Finding {
                 file: rel.to_string(),
                 line: line_no,
@@ -304,7 +293,7 @@ fn scan_contents(rel: &str, contents: &str) -> Vec<Finding> {
 
         // R6: strong orderings must justify what they pair with (product
         // code only, like R4).
-        if !ordering_ok && !in_test_region && !in_tests_or_benches {
+        if !ordering_ok && !in_test_region && !in_test_tree {
             if let Some(ord) = strong.iter().find(|o| contains_word(code, o)) {
                 if !marker_covered(&lines, i, &marker) {
                     findings.push(Finding {
@@ -322,7 +311,7 @@ fn scan_contents(rel: &str, contents: &str) -> Vec<Finding> {
         }
     }
 
-    if !in_tests_or_benches {
+    if !in_test_tree {
         findings.extend(scan_predict_conformance(rel, &lines, &in_test));
     }
     findings
@@ -486,103 +475,14 @@ fn scan_workspace(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Insert a stub comment above each R1/R6 finding, in place. Findings
-/// are applied deepest-line-first per file so earlier insertions don't
-/// shift later line numbers. Returns the number of files rewritten.
-/// Idempotent: the stub satisfies the rule that produced the finding, so
-/// a second scan-and-fix pass finds nothing to do.
-fn apply_fixes(root: &Path, findings: &[Finding]) -> std::io::Result<usize> {
-    use std::collections::BTreeMap;
-    let mut by_file: BTreeMap<&str, Vec<&Finding>> = BTreeMap::new();
-    for f in findings {
-        if f.rule.starts_with("R1") || f.rule.starts_with("R6") {
-            by_file.entry(f.file.as_str()).or_default().push(f);
-        }
-    }
-    let marker = ordering_marker();
-    let mut changed = 0;
-    for (file, mut file_findings) in by_file {
-        let path = root.join(file);
-        let contents = fs::read_to_string(&path)?;
-        let mut lines: Vec<String> = contents.lines().map(String::from).collect();
-        file_findings.sort_by_key(|f| std::cmp::Reverse(f.line));
-        for f in &file_findings {
-            let idx = f.line.saturating_sub(1).min(lines.len());
-            let indent: String = lines
-                .get(idx)
-                .map(|l| l.chars().take_while(|c| *c == ' ' || *c == '\t').collect())
-                .unwrap_or_default();
-            let stub = if f.rule.starts_with("R1") {
-                format!(
-                    "{indent}// SAFETY: TODO(hpa-lint): document the invariant \
-                     that makes this sound."
-                )
-            } else {
-                format!(
-                    "{indent}// {marker} TODO(hpa-lint): state what this \
-                     ordering pairs with, or relax it."
-                )
-            };
-            lines.insert(idx, stub);
-        }
-        let mut out = lines.join("\n");
-        if contents.ends_with('\n') {
-            out.push('\n');
-        }
-        fs::write(&path, out)?;
-        changed += 1;
-    }
-    Ok(changed)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Findings as a JSON array (hand-rolled: the workspace has no deps).
-fn format_json(findings: &[Finding]) -> String {
-    let items: Vec<String> = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&f.file),
-                f.line,
-                json_escape(f.rule),
-                json_escape(&f.message)
-            )
-        })
-        .collect();
-    if items.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n]", items.join(",\n"))
-    }
-}
-
 fn main() -> ExitCode {
-    let mut fix_missing_safety = false;
-    let mut json = false;
     let mut root = PathBuf::from(".");
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--fix-missing-safety" => fix_missing_safety = true,
-            "--json" => json = true,
             "--help" | "-h" => {
                 println!(
                     "hpa-lint: unsafety/atomics/tracing audit\n\
-                     usage: lint [--fix-missing-safety] [--json] [workspace-root]"
+                     usage: lint [workspace-root]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -590,31 +490,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut findings = scan_workspace(&root);
-    if fix_missing_safety {
-        match apply_fixes(&root, &findings) {
-            Ok(0) => eprintln!("--fix-missing-safety: nothing to fix"),
-            Ok(n) => {
-                eprintln!("--fix-missing-safety: patched {n} file(s) with stub comments");
-                findings = scan_workspace(&root);
-            }
-            Err(e) => {
-                eprintln!("--fix-missing-safety: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if json {
-        println!("{}", format_json(&findings));
-    } else {
-        for f in &findings {
-            eprintln!("{f}");
-        }
+    let findings = scan_workspace(&root);
+    for f in &findings {
+        eprintln!("{f}");
     }
     if findings.is_empty() {
-        if !json {
-            println!("hpa-lint: workspace clean");
-        }
+        println!("hpa-lint: workspace clean");
         ExitCode::SUCCESS
     } else {
         eprintln!("hpa-lint: {} finding(s)", findings.len());
@@ -808,54 +689,6 @@ mod tests {
         let in_test = format!("#[cfg(test)]\nmod tests {{\n    {bare}}}\n");
         assert!(scan_contents("crates/io/src/channel.rs", &in_test).is_empty());
         assert!(scan_contents("crates/exec/tests/t.rs", &bare).is_empty());
-    }
-
-    #[test]
-    fn fix_mode_inserts_stubs_and_is_idempotent() {
-        let dir = std::env::temp_dir().join(format!("hpa-lint-fix-{}", std::process::id()));
-        let src_dir = dir.join("crates").join("exec").join("src");
-        fs::create_dir_all(&src_dir).expect("create fixture tree");
-        let file = src_dir.join("x.rs");
-        let ord = &strong_orderings()[1];
-        let contents = format!(
-            "fn f() {{\n    {} {{ g() }}\n    a.store(1, {ord});\n}}\n",
-            kw_unsafe()
-        );
-        fs::write(&file, &contents).expect("write fixture");
-
-        let findings = scan_workspace(&dir);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert_eq!(apply_fixes(&dir, &findings).expect("apply"), 1);
-
-        // The patched file scans clean and kept the sites' indentation.
-        let after = scan_workspace(&dir);
-        assert!(after.is_empty(), "{after:?}");
-        let fixed = fs::read_to_string(&file).expect("read back");
-        assert!(fixed.contains("    // SAFETY: TODO(hpa-lint)"));
-        assert!(fixed.contains(&format!("    // {} TODO(hpa-lint)", ordering_marker())));
-        assert!(fixed.ends_with('\n'));
-
-        // Idempotent: a second pass changes nothing.
-        assert_eq!(apply_fixes(&dir, &after).expect("reapply"), 0);
-        assert_eq!(fs::read_to_string(&file).expect("reread"), fixed);
-
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn json_output_is_escaped_and_well_shaped() {
-        assert_eq!(format_json(&[]), "[]");
-        let f = Finding {
-            file: "crates/a \"b\".rs".to_string(),
-            line: 3,
-            rule: "R1 safety-comment",
-            message: "line1\nline2".to_string(),
-        };
-        let s = format_json(&[f]);
-        assert!(s.starts_with("[\n") && s.ends_with("\n]"), "{s}");
-        assert!(s.contains("\"file\": \"crates/a \\\"b\\\".rs\""), "{s}");
-        assert!(s.contains("\"line\": 3"), "{s}");
-        assert!(s.contains("line1\\nline2"), "{s}");
     }
 
     #[test]

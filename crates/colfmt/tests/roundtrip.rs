@@ -1,8 +1,7 @@
-//! Always-on randomized round-trip coverage (SplitMix64, fixed seeds —
-//! deterministic, no external crates). The `proptest`-gated sibling in
-//! `properties.rs` explores the same space with shrinking when a
-//! registry is available; this suite guarantees the offline build still
-//! exercises randomized inputs.
+//! Randomized round-trip coverage (SplitMix64, fixed seeds —
+//! deterministic, no external crates): random matrices through both
+//! read paths bit for bit, and random single-bit flips never decoding
+//! to a wrong matrix.
 
 use hpa_colfmt::{decode_chunk, index_chunks, ColReader, ColWriter, DEFAULT_CHUNK_ROWS};
 use hpa_rng::SplitMix64;

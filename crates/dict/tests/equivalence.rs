@@ -2,9 +2,7 @@
 //! indistinguishable from the tree and hash backends — same `add`
 //! returns, same `get` results, same lengths, same `merge_from` sums,
 //! and byte-for-byte the same `for_each_sorted` order — under random
-//! operation workloads. Runs in every build (no external crates); the
-//! proptest-gated `tests/model.rs` shrinks counterexamples when the
-//! `proptest` feature is available.
+//! operation workloads. Runs in every build (no external crates).
 
 use hpa_dict::{AnyDict, DictKind, Dictionary};
 use hpa_rng::SplitMix64;

@@ -1,8 +1,7 @@
 //! Concurrent tracing through the work-stealing pool: spans recorded
 //! from many workers at once must all survive into the drained
 //! recording, with sane timestamps. Also exercises concurrent batch
-//! submission from several threads (the ungated counterpart of the
-//! proptest-gated stress test).
+//! submission from several threads.
 
 use hpa_exec::WorkStealingPool;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,4 +95,43 @@ fn concurrent_submitters_all_complete() {
         h.join().unwrap();
     }
     assert_eq!(total.load(Ordering::Relaxed), 4 * 10 * 25);
+}
+
+#[test]
+fn pool_handles_concurrent_submitters() {
+    // Multiple external threads submitting batches to one pool must all
+    // complete (the helping loop may execute other submitters' tasks).
+    // Each task adds a value tagged by its submitter, round and index,
+    // so the total checks which tasks ran, not only how many.
+    let pool = Arc::new(WorkStealingPool::new(3));
+    let total = Arc::new(AtomicU64::new(0));
+    let mut handles = Vec::new();
+    for t in 0..4u64 {
+        let pool = Arc::clone(&pool);
+        let total = Arc::clone(&total);
+        handles.push(std::thread::spawn(move || {
+            for round in 0..20u64 {
+                let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..16)
+                    .map(|i| {
+                        let total = Arc::clone(&total);
+                        Box::new(move || {
+                            total.fetch_add(t * 1000 + round + i, Ordering::Relaxed);
+                        }) as Box<dyn FnOnce() + Send>
+                    })
+                    .collect();
+                pool.run_batch(tasks);
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    let expected: u64 = (0..4u64)
+        .map(|t| {
+            (0..20u64)
+                .map(|r| (0..16u64).map(|i| t * 1000 + r + i).sum::<u64>())
+                .sum::<u64>()
+        })
+        .sum();
+    assert_eq!(total.load(Ordering::Relaxed), expected);
 }

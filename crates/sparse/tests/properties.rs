@@ -1,108 +1,108 @@
-//! Property-based tests for the sparse vector algebra: every law the
-//! clustering kernels rely on is checked against a dense reference model.
-//!
-//! Gated behind the non-default `proptest` feature because the `proptest`
-//! crate is unavailable in offline builds (see workspace Cargo.toml).
-#![cfg(feature = "proptest")]
+//! The sparse kernels the clustering relies on, checked against a dense
+//! reference on random vectors (SplitMix64, fixed seeds — deterministic,
+//! no external crates).
 
-use hpa_sparse::{cosine_similarity, squared_distance_to_centroid, DenseVec, SparseVec};
-use proptest::prelude::*;
+use hpa_rng::SplitMix64;
+use hpa_sparse::{squared_distance_to_centroid, DenseVec, SparseVec};
 
-const DIM: u32 = 64;
+const DIM: usize = 64;
+const TRIALS: usize = 500;
 
-fn arb_pairs() -> impl Strategy<Value = Vec<(u32, f64)>> {
-    prop::collection::vec((0..DIM, -100.0..100.0f64), 0..40)
+/// Up to 39 unsorted, possibly repeated `(term, weight)` pairs in ±100.
+fn random_sparse(rng: &mut SplitMix64) -> SparseVec {
+    let pairs = (0..rng.gen_index(40))
+        .map(|_| (rng.gen_index(DIM) as u32, rng.gen_range_f64(-100.0, 100.0)))
+        .collect();
+    SparseVec::from_pairs(pairs)
 }
 
 fn densify(s: &SparseVec) -> Vec<f64> {
-    let mut d = vec![0.0; DIM as usize];
+    let mut d = vec![0.0; DIM];
     for (t, w) in s.iter() {
         d[t as usize] += w;
     }
     d
 }
 
-proptest! {
-    #[test]
-    fn from_pairs_invariant_sorted_unique(pairs in arb_pairs()) {
-        let s = SparseVec::from_pairs(pairs);
-        let terms = s.terms();
-        for w in terms.windows(2) {
-            prop_assert!(w[0] < w[1], "terms sorted strictly");
-        }
-        prop_assert_eq!(terms.len(), s.weights().len());
-    }
+fn dense_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
 
-    #[test]
-    fn from_pairs_preserves_total_mass(pairs in arb_pairs()) {
-        let expected: f64 = pairs.iter().map(|p| p.1).sum();
-        let s = SparseVec::from_pairs(pairs);
-        let got: f64 = s.weights().iter().sum();
-        prop_assert!((expected - got).abs() < 1e-9);
+#[test]
+fn dot_matches_dense_reference() {
+    let mut rng = SplitMix64::seed_from_u64(0x5ba5_0001);
+    for _ in 0..TRIALS {
+        let (a, b) = (random_sparse(&mut rng), random_sparse(&mut rng));
+        let expected = dense_dot(&densify(&a), &densify(&b));
+        assert!((a.dot(&b) - expected).abs() < 1e-6, "{a:?} · {b:?}");
     }
+}
 
-    #[test]
-    fn dot_matches_dense_reference(a in arb_pairs(), b in arb_pairs()) {
-        let sa = SparseVec::from_pairs(a);
-        let sb = SparseVec::from_pairs(b);
-        let da = densify(&sa);
-        let db = densify(&sb);
-        let dense_dot: f64 = da.iter().zip(&db).map(|(x, y)| x * y).sum();
-        prop_assert!((sa.dot(&sb) - dense_dot).abs() < 1e-6);
+#[test]
+fn dot_is_bit_symmetric() {
+    // The merge join visits shared terms in the same order either way
+    // round, so the sum is the same bits, not merely close.
+    let mut rng = SplitMix64::seed_from_u64(0x5ba5_0005);
+    for _ in 0..TRIALS {
+        let (a, b) = (random_sparse(&mut rng), random_sparse(&mut rng));
+        assert_eq!(a.dot(&b).to_bits(), b.dot(&a).to_bits());
     }
+}
 
-    #[test]
-    fn dot_is_symmetric(a in arb_pairs(), b in arb_pairs()) {
-        let sa = SparseVec::from_pairs(a);
-        let sb = SparseVec::from_pairs(b);
-        prop_assert_eq!(sa.dot(&sb), sb.dot(&sa));
+#[test]
+fn dot_dense_agrees_with_sparse_dot() {
+    let mut rng = SplitMix64::seed_from_u64(0x5ba5_0002);
+    for _ in 0..TRIALS {
+        let (a, b) = (random_sparse(&mut rng), random_sparse(&mut rng));
+        let db = densify(&b);
+        assert!((a.dot_dense(&db) - a.dot(&b)).abs() < 1e-6);
+        // Terms past the dense length contribute nothing.
+        let short = &db[..DIM / 2];
+        let head: f64 = a
+            .iter()
+            .filter(|&(t, _)| (t as usize) < DIM / 2)
+            .map(|(t, w)| w * short[t as usize])
+            .sum();
+        assert!((a.dot_dense(short) - head).abs() < 1e-6);
     }
+}
 
-    #[test]
-    fn dot_dense_agrees_with_sparse_dot(a in arb_pairs(), b in arb_pairs()) {
-        let sa = SparseVec::from_pairs(a);
-        let sb = SparseVec::from_pairs(b);
-        let db = densify(&sb);
-        prop_assert!((sa.dot_dense(&db) - sa.dot(&sb)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normalize_yields_unit_or_zero(a in arb_pairs()) {
-        let mut s = SparseVec::from_pairs(a);
-        s.normalize();
-        let n = s.norm();
-        prop_assert!(n == 0.0 || (n - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distance_expansion_matches_dense(a in arb_pairs(), c in prop::collection::vec(-50.0..50.0f64, DIM as usize)) {
-        let x = SparseVec::from_pairs(a);
+#[test]
+fn distance_expansion_matches_dense_reference() {
+    let mut rng = SplitMix64::seed_from_u64(0x5ba5_0003);
+    for _ in 0..TRIALS {
+        let x = random_sparse(&mut rng);
+        let c: Vec<f64> = (0..DIM).map(|_| rng.gen_range_f64(-50.0, 50.0)).collect();
         let cv = DenseVec::from_vec(c.clone());
         let got = squared_distance_to_centroid(&x, &cv, cv.norm_sq());
-        let dx = densify(&x);
-        let expected: f64 = dx.iter().zip(&c).map(|(p, q)| (p - q) * (p - q)).sum();
+        let expected: f64 = densify(&x)
+            .iter()
+            .zip(&c)
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum();
         let scale = expected.abs().max(1.0);
-        prop_assert!((got - expected).abs() / scale < 1e-9, "got {got} expected {expected}");
+        assert!(
+            (got - expected).abs() / scale < 1e-9,
+            "got {got} expected {expected}"
+        );
     }
+}
 
-    #[test]
-    fn cosine_in_unit_interval_for_nonneg(a in prop::collection::vec((0..DIM, 0.0..100.0f64), 0..30),
-                                          b in prop::collection::vec((0..DIM, 0.0..100.0f64), 0..30)) {
-        let sa = SparseVec::from_pairs(a);
-        let sb = SparseVec::from_pairs(b);
-        let c = cosine_similarity(&sa, &sb);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&c), "cosine {c} out of range");
-    }
-
-    #[test]
-    fn add_into_dense_matches_model(a in arb_pairs()) {
-        let s = SparseVec::from_pairs(a);
-        let mut acc: Vec<f64> = Vec::new();
-        s.add_into_dense(&mut acc);
-        let model = densify(&s);
-        for (i, &m) in model.iter().enumerate() {
-            let got = acc.get(i).copied().unwrap_or(0.0);
-            prop_assert!((got - m).abs() < 1e-12);
+#[test]
+fn add_into_dense_matches_dense_reference() {
+    let mut rng = SplitMix64::seed_from_u64(0x5ba5_0004);
+    for _ in 0..TRIALS {
+        // Accumulating two vectors into one buffer that starts empty
+        // (and must grow) equals their dense sum, entry for entry.
+        let (a, b) = (random_sparse(&mut rng), random_sparse(&mut rng));
+        let mut acc = Vec::new();
+        a.add_into_dense(&mut acc);
+        b.add_into_dense(&mut acc);
+        let last = a.terms().last().max(b.terms().last());
+        assert_eq!(acc.len(), last.map_or(0, |&t| t as usize + 1));
+        let (da, db) = (densify(&a), densify(&b));
+        for (i, (x, y)) in da.iter().zip(&db).enumerate() {
+            assert_eq!(acc.get(i).copied().unwrap_or(0.0), x + y, "term {i}");
         }
     }
 }

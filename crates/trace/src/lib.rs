@@ -42,6 +42,7 @@ mod chrome;
 mod hist;
 mod summary;
 
+pub use chrome::escape_json;
 pub use hist::Histogram;
 
 use std::path::{Path, PathBuf};
