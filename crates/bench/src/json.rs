@@ -1,17 +1,16 @@
-//! Shared serializer for the `BENCH_*.json` and `LEDGER_*.json`
-//! artifacts.
+//! Serializer for the `LEDGER_*.json` artifacts.
 //!
-//! The ablation benches and the `calibrate` bin each emit a small JSON
-//! document that CI greps and readers compare across runs. This module
-//! is the one place that knows the layout, so every artifact carries
-//! the same indentation, escaping, and the same `schema_version` and
-//! `host_cores` stamps.
+//! `hpa-audit`'s run ledger and its `calibrate` bin write their JSON
+//! through this module, so every artifact carries the same indentation,
+//! escaping, and the same `schema_version` and `host_cores` stamps that
+//! let a reader comparing two artifacts tell a changed layout or a
+//! different machine from a changed number.
 //!
 //! [`JsonWriter`] is deliberately tiny: 2-space-indented objects and
-//! arrays, string/integer/fixed-precision-float fields, and raw spans
-//! for inline arrays. It is a writer, not a data model — the bench bins
-//! keep their flat row structs and stream them through. Strings are
-//! escaped by [`hpa_trace::escape_json`], the workspace's one escaper.
+//! arrays of objects, and string/integer/boolean/float fields. It is a
+//! writer, not a data model — callers keep their flat row structs and
+//! stream them through. Strings are escaped by
+//! [`hpa_trace::escape_json`], the workspace's one escaper.
 
 use hpa_trace::escape_json;
 use std::fmt::Write as _;
@@ -111,13 +110,6 @@ impl JsonWriter {
         let _ = write!(self.out, "{v}");
     }
 
-    /// Inline array of unsigned integers, e.g. `"threads": [1, 4]`.
-    pub fn u64_array_field(&mut self, k: &str, vals: impl IntoIterator<Item = u64>) {
-        self.key(k);
-        let items: Vec<String> = vals.into_iter().map(|v| v.to_string()).collect();
-        let _ = write!(self.out, "[{}]", items.join(", "));
-    }
-
     /// Array-valued field; `build` appends elements via
     /// [`JsonWriter::object_elem`].
     pub fn array_field(&mut self, k: &str, build: impl FnOnce(&mut JsonWriter)) {
@@ -146,12 +138,6 @@ impl JsonWriter {
         self.pad();
         self.out.push('}');
     }
-
-    /// One-line object element (the arff bin's compact run rows).
-    pub fn raw_elem(&mut self, raw: &str) {
-        self.next_entry();
-        self.out.push_str(raw);
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +149,7 @@ mod tests {
         let doc = JsonWriter::document(|w| {
             w.str_field("bench", "demo");
             w.f64_field("speedup", 2.29639, 4);
-            w.u64_array_field("threads", [1u64, 4]);
+            w.bool_field("drifted", false);
             w.array_field("arms", |w| {
                 w.object_elem(|w| {
                     w.str_field("kernel", "naive");
@@ -178,7 +164,7 @@ mod tests {
         );
         assert!(doc.starts_with(&head), "{doc}");
         assert!(doc.contains("\"speedup\": 2.2964"));
-        assert!(doc.contains("\"threads\": [1, 4]"));
+        assert!(doc.contains("\"drifted\": false"));
         assert!(doc.contains("      \"kernel\": \"naive\""));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
         assert!(doc.ends_with("}\n"));

@@ -3,7 +3,8 @@
 //! Shared support for the benchmark harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the experiment index). This library holds
+//! paper or quantifies one of its in-text claims (see DESIGN.md §5 for
+//! the experiment index). This library holds
 //! the common pieces: CLI/environment configuration, the thread grid,
 //! corpus construction at a chosen scale, and report emission.
 //!

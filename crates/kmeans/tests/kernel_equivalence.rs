@@ -101,6 +101,10 @@ fn kernels_agree_bitwise_on_random_corpora() {
         (120, 80, 12, 8),
         (64, 16, 3, 8),
         (200, 120, 20, 5),
+        // Many clusters: the k-accumulator sweep does the work.
+        (240, 90, 12, 48),
+        // Long documents: per-document gather chains in the hundreds.
+        (48, 900, 400, 6),
     ] {
         let vectors = corpus(&mut rng, n, dim, max_nnz);
         let reference = fit(&vectors, dim as usize, k, AssignKernel::Naive);

@@ -12,20 +12,17 @@
 //!
 //! This crate provides the plumbing for all three: [`PhaseTimer`] and
 //! [`PhaseReport`] for structured per-phase timing, [`alloc::CountingAllocator`]
-//! plus [`alloc::HeapGauge`] for heap accounting, [`stats`] for summary
-//! statistics, and [`table::Table`] for rendering paper-style rows as
-//! aligned text, CSV, or Markdown.
+//! plus [`alloc::HeapGauge`] for heap accounting, and [`table::Table`]
+//! for rendering paper-style rows as aligned text or CSV.
 
 pub mod alloc;
 pub mod report;
-pub mod stats;
 pub mod svg;
 pub mod table;
 pub mod timer;
 
 pub use alloc::{HeapGauge, HeapSnapshot};
 pub use report::{ExperimentReport, Series};
-pub use stats::Summary;
 pub use svg::{Bar, LineChart, StackedBarChart};
 pub use table::Table;
 pub use timer::{PhaseReport, PhaseTimer, Stopwatch};

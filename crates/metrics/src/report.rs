@@ -33,15 +33,6 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
-
-    /// The y value at the largest x, if any — the "speedup at max threads"
-    /// headline number.
-    pub fn at_max_x(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|p| p.1)
-    }
 }
 
 /// A complete experiment result: identification, context, and tables.
@@ -160,13 +151,6 @@ mod tests {
         b.push(1.0, 1.0);
         b.push(16.0, 2.5);
         vec![a, b]
-    }
-
-    #[test]
-    fn at_max_x_returns_last_thread_count() {
-        let s = &series()[0];
-        assert_eq!(s.at_max_x(), Some(7.8));
-        assert_eq!(Series::new("empty").at_max_x(), None);
     }
 
     #[test]

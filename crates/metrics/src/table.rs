@@ -1,8 +1,8 @@
 //! Result tables.
 //!
 //! Every benchmark binary prints its results as a [`Table`]: a header row
-//! plus data rows, rendered as aligned plain text (for the console), CSV
-//! (for plotting), or Markdown (for EXPERIMENTS.md). Keeping the rendering
+//! plus data rows, rendered as aligned plain text (for the console) or
+//! CSV (for plotting and EXPERIMENTS.md). Keeping the rendering
 //! here keeps the bench binaries to pure experiment logic.
 
 use std::fmt::Write as _;
@@ -123,28 +123,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a GitHub-flavoured Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            let _ = writeln!(out, "**{}**\n", self.title);
-        }
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for Table {
@@ -187,13 +165,6 @@ mod tests {
         let s = t.to_csv();
         assert!(s.contains("\"x,y\""));
         assert!(s.contains("\"he said \"\"hi\"\"\nline2\""));
-    }
-
-    #[test]
-    fn markdown_has_separator_row() {
-        let s = sample().to_markdown();
-        assert!(s.contains("| threads | speedup |"));
-        assert!(s.contains("|---|---|"));
     }
 
     #[test]

@@ -28,14 +28,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }
-
-    /// Restart and return the lap time.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.started;
-        self.started = now;
-        d
-    }
 }
 
 /// Accumulates named phase durations in first-use order.
@@ -63,24 +55,11 @@ impl PhaseTimer {
         }
     }
 
-    /// Merge another timer's phases into this one (labels add; new labels
-    /// append in the other timer's order).
-    pub fn merge(&mut self, other: &PhaseTimer) {
-        for (label, d) in &other.phases {
-            self.record(label, *d);
-        }
-    }
-
     /// Finish and return the immutable report.
     pub fn finish(self) -> PhaseReport {
         PhaseReport {
             phases: self.phases,
         }
-    }
-
-    /// Total across all phases so far.
-    pub fn total(&self) -> Duration {
-        self.phases.iter().map(|(_, d)| *d).sum()
     }
 }
 
@@ -107,11 +86,6 @@ impl PhaseReport {
     /// Sum of all phases — the workflow's total execution time.
     pub fn total(&self) -> Duration {
         self.phases.iter().map(|(_, d)| *d).sum()
-    }
-
-    /// Sum of the phases whose label is in `labels`; absent labels count 0.
-    pub fn total_of(&self, labels: &[&str]) -> Duration {
-        labels.iter().filter_map(|l| self.get(l)).sum()
     }
 
     /// Phase labels in recording order.
@@ -156,38 +130,6 @@ mod tests {
         t.record("kmeans", ms(4));
         let r = t.finish();
         assert_eq!(r.labels(), vec!["input+wc", "transform", "kmeans"]);
-    }
-
-    #[test]
-    fn merge_adds_and_appends() {
-        let mut a = PhaseTimer::new();
-        a.record("x", ms(1));
-        let mut b = PhaseTimer::new();
-        b.record("x", ms(2));
-        b.record("y", ms(3));
-        a.merge(&b);
-        let r = a.finish();
-        assert_eq!(r.get("x"), Some(ms(3)));
-        assert_eq!(r.get("y"), Some(ms(3)));
-    }
-
-    #[test]
-    fn total_of_ignores_missing_labels() {
-        let mut t = PhaseTimer::new();
-        t.record("a", ms(1));
-        t.record("b", ms(2));
-        let r = t.finish();
-        assert_eq!(r.total_of(&["a", "zzz"]), ms(1));
-        assert_eq!(r.total_of(&["a", "b"]), ms(3));
-    }
-
-    #[test]
-    fn stopwatch_lap_resets() {
-        let mut s = Stopwatch::start();
-        std::thread::sleep(ms(2));
-        let lap = s.lap();
-        assert!(lap >= ms(1));
-        assert!(s.elapsed() < lap + ms(50));
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //!
 //! ```sh
 //! hpa generate --preset mix --scale 0.01 --seed 42 --out ./corpus
-//! hpa cluster  --input ./corpus --k 8 --threads 8 --strategy fused
+//! hpa cluster  --input ./corpus --k 8 --strategy fused
 //! hpa tfidf    --input ./corpus --out scores.arff
 //! ```
 //!
-//! `cluster` and `tfidf` run on simulated cores by default (so thread
-//! counts work on any host); pass `--real-threads` on a multicore
-//! machine to use the work-stealing pool instead.
+//! `cluster`, `tfidf`, `train` and `predict` run on the work-stealing
+//! pool with one worker per available core and the `arena` dictionary
+//! — the configuration the benchmark measures. `--threads N` sets the
+//! worker count; `--simulate` runs the same work on N simulated cores
+//! instead, so thread counts beyond the host's still give a modelled
+//! schedule.
 
 use hpa::corpus::{disk, CorpusSpec};
 use hpa::dict::DictKind;
@@ -48,11 +51,15 @@ fn print_usage() {
 USAGE:
   hpa generate --preset mix|nsf --scale F --seed N --out DIR
   hpa cluster  --input DIR [--k N] [--threads N] [--strategy fused|discrete]
-               [--dict map|u-map|u-map-presized|arena|auto] [--real-threads]
+               [--dict map|u-map|u-map-presized|arena|auto] [--simulate]
                [--out FILE]
   hpa tfidf    --input DIR [--dict ...] [--threads N] --out FILE.arff
   hpa train    --input DIR [--k N] [--threads N] --model FILE
   hpa predict  --input DIR --model FILE [--threads N] [--out FILE]
+
+  --threads defaults to the host's available parallelism and --dict to
+  arena; every command but generate runs on real threads unless
+  --simulate asks for the multicore simulator.
 "
     );
 }
@@ -92,11 +99,12 @@ impl Flags {
 }
 
 fn make_exec(flags: &Flags) -> Result<Exec, String> {
-    let threads = flags.parse_count("--threads", 8)?;
-    Ok(if flags.has("--real-threads") {
-        Exec::pool(threads)
-    } else {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = flags.parse_count("--threads", cores)?;
+    Ok(if flags.has("--simulate") {
         Exec::simulated(threads, MachineModel::default())
+    } else {
+        Exec::pool(threads)
     })
 }
 
@@ -110,7 +118,7 @@ fn load_input(flags: &Flags, exec: &Exec) -> Result<Corpus, String> {
 
 fn dict_kind(flags: &Flags) -> Result<DictKind, String> {
     match flags.get("--dict") {
-        None => Ok(DictKind::BTree),
+        None => Ok(DictKind::Arena),
         Some(s) => s.parse(),
     }
 }

@@ -148,7 +148,7 @@ fn zero_counts_fail_cleanly_instead_of_panicking() {
         &["cluster", "--k", "0"],
         &["train", "--k", "0"],
         &["cluster", "--threads", "0"],
-        &["cluster", "--threads", "0", "--real-threads"],
+        &["cluster", "--threads", "0", "--simulate"],
     ];
     for args in cases {
         let out = hpa()

@@ -4,9 +4,9 @@
 //! that keep future changes from silently un-reproducing the paper.
 //!
 //! The `figure3_*` and `planner_*` tests hold the intermediate-transport
-//! claims the ablation benches print (`ablation_arff_pipeline`,
-//! `ablation_colfmt`, `ablation_planner`): a discrete workflow pays a
-//! file tax, and pipelining plus a binary format shrink it. Every number
+//! claims: a discrete workflow pays a file tax, pipelining plus a binary
+//! format shrink it, and the planner picks the cheapest transport within
+//! a bounded regret. Every number
 //! they compare is virtual time, so each is a fixed fact of the cost
 //! model, asserted with a margin instead of a tolerance.
 
@@ -48,7 +48,8 @@ fn figure1_ordering_nsf_scales_better_than_mix() {
     // original implementation. The blocked+pruned kernel (the default)
     // deliberately shrinks the parallel assignment work after the first
     // iteration, which lowers the achievable Amdahl speedup — its effect
-    // is measured by the `ablation_assign` bench, not this figure.
+    // is `pruning_computes_at_most_a_third_of_naive_distances`, not this
+    // figure.
     let speedup_at_16 = |spec: CorpusSpec| {
         let corpus = spec.generate(3);
         let model =
@@ -84,8 +85,8 @@ fn figure3_ordering_discrete_overhead_grows_with_threads() {
     // because the ARFF legs are serial. Pinned to `DiscreteIo::Serial`:
     // Figure 3 models the paper's original implementation. The pipelined
     // round-trip (the default) deliberately parallelizes the format and
-    // parse halves of those legs — its effect is measured by the
-    // `ablation_arff_pipeline` bench and the assertion below.
+    // parse halves of those legs — its effect is the assertion below and
+    // `figure3_pipelined_arff_legs_beat_serial_at_4_threads`.
     let corpus = CorpusSpec::nsf_abstracts().scaled(0.01).generate(3);
     let ratio = |cores: usize, io: DiscreteIo| {
         let d = workflow(DictKind::BTree)
@@ -246,7 +247,7 @@ fn analytic_simulation_is_deterministic_across_runs() {
     assert_eq!(a.2, b.2);
 }
 
-/// The corpus and K-means seed of the ablation benches (their default
+/// The corpus and K-means seed of the bench bins (their default
 /// `--seed`).
 const BENCH_SEED: u64 = 20160315;
 
@@ -256,7 +257,7 @@ fn nsf_small() -> Corpus {
         .generate(BENCH_SEED)
 }
 
-/// The paper's Figure 3 configuration, as the ablation benches run it.
+/// The paper's Figure 3 configuration, as `fig3_fusion` runs it.
 fn figure3_builder() -> WorkflowBuilder {
     WorkflowBuilder::new()
         .tfidf(TfIdfConfig {
@@ -411,7 +412,7 @@ fn pruning_computes_at_most_a_third_of_naive_distances() {
     // keeps the fit in the near-converged regime the bounds target; both
     // kernels run the identical iteration sequence. Counted work stands
     // in for wall time, as in `weka_ordering_baseline_is_dramatically_slower`
-    // (wall-clock numbers are `ablation_assign`'s job).
+    // (per-kernel wall clock is in `calibrate`'s ledger).
     let corpus = nsf_small();
     let e = Exec::sequential();
     let model = hpa::tfidf::TfIdf::new(TfIdfConfig::default()).fit(&e, &corpus);
