@@ -329,17 +329,22 @@ fn assign_doc_pruned(
     *ub = (*ub + movement.delta[prior]) * (1.0 + BOUND_SLACK);
     *lb = (*lb - movement.max_excluding(prior)) * (1.0 - BOUND_SLACK);
 
-    // Tighten: the exact current distance to the assigned centroid.
-    let d_prior = block.distance_to(x, prior);
-    *ub = d_prior.sqrt();
-    if *ub < *lb {
-        // Every rival is strictly farther: assignment (and, a fortiori,
-        // the naive lowest-index tie-breaking) cannot change.
-        return DocOutcome {
-            best: prior,
-            best_d: d_prior,
-            pruned: true,
-        };
+    // Tighten: the exact current distance to the assigned centroid —
+    // unless `lb <= 0` (always so in the first iteration), where no
+    // distance can be below it and the full sweep computes the same bits.
+    if *lb > 0.0 {
+        let d_prior = block.distance_to(x, prior);
+        *ub = d_prior.sqrt();
+        if *ub < *lb {
+            // Every rival is strictly farther: assignment (and, a
+            // fortiori, the naive lowest-index tie-breaking) cannot
+            // change.
+            return DocOutcome {
+                best: prior,
+                best_d: d_prior,
+                pruned: true,
+            };
+        }
     }
 
     // Full sweep; reset both bounds to exact values.

@@ -2,18 +2,23 @@
 //!
 //! Per Lloyd iteration the operator runs a parallel assignment loop over
 //! documents, a serial O(n) regrouping by cluster and a parallel update
-//! over clusters — under the blocked kernels followed by a parallel
-//! scatter of the new columns into the term-major block, over runs of
-//! term slabs; the simulator needs their costs to reproduce Figure 1.
-//! Assignment scales with `documents × nnz × k`; the update with the
-//! members' non-zeros plus the terms a cluster's old and new supports
-//! cover, which is all `dim` of them only for the naive kernel's
-//! row-major centroids. Nothing sweeps `k × dim`. The paper's operator
+//! over clusters — under the blocked kernels followed by writing the new
+//! columns into the term-major block, dense over runs of term slabs in
+//! parallel or as postings; the simulator needs their costs to reproduce
+//! Figure 1.
+//! Assignment scales with `documents × nnz × k` against dense term rows,
+//! and with `documents × nnz × (fixed + L)` against postings rows, where
+//! `L` is the mean row length a document non-zero finds ([`Sweep`]
+//! prices both and picks the cheaper); the update with the members'
+//! non-zeros plus the terms a cluster's old and new supports cover,
+//! which is all `dim` of them only for the naive kernel's row-major
+//! centroids. Nothing sweeps `k × dim`. The paper's operator
 //! merged and recomputed `k × dim` arrays serially, which held its *Mix*
 //! curve near 2.5x; this one does not (see EXPERIMENTS.md).
 
 use crate::AssignKernel;
 use hpa_exec::TaskCost;
+use hpa_sparse::block::SLAB_TERMS;
 
 /// Distance kernel: per (document non-zero, cluster) pair — one multiply-
 /// add against the dense centroid plus the gather.
@@ -37,6 +42,16 @@ const BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER: f64 = 1.0;
 /// sequential 8 B × k run per gathered term instead of k scattered 8 B
 /// gathers.
 const BLOCKED_ASSIGN_BYTES_PER_NNZ_CLUSTER: f64 = 1.0;
+/// Postings form, per document non-zero: finding the term's row and
+/// looping over it. With the next constant, fitted against the dense
+/// form's step from sweeps of both forms over the same centroids —
+/// 14.5 ns + 1.5 ns per entry against 1.5 ns per cluster
+/// (EXPERIMENTS.md, "Postings rows") — so the two forms are priced in
+/// one unit.
+const POSTINGS_ASSIGN_NS_PER_NNZ: f64 = 9.7;
+/// Postings form, per `(cluster, weight)` entry visited: one multiply-add
+/// into the cluster's accumulator, as a dense step is.
+const POSTINGS_ASSIGN_NS_PER_ENTRY: f64 = 1.0;
 /// Extra per-document bookkeeping of the pruned kernel: bound carry,
 /// sqrt, and the skip test.
 const PRUNE_NS_PER_DOC: f64 = 14.0;
@@ -52,15 +67,65 @@ const SCATTER_NS_PER_VALUE: f64 = 1.5;
 /// one add into the inertia.
 const MEMBERSHIP_NS_PER_DOC: f64 = 4.0;
 
+/// What a full blocked sweep visits per document non-zero: the form of
+/// the centroid block's term rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sweep {
+    /// All `k` weights of the term's dense row.
+    Dense,
+    /// The term's postings row, `entries` long on average over the
+    /// corpus's non-zeros (the `L` of DESIGN §9).
+    Postings {
+        /// Entries visited per document non-zero.
+        entries: f64,
+    },
+}
+
+impl Sweep {
+    /// Work per document non-zero of a full sweep over `k` centroids, in
+    /// the dense form's (non-zero, cluster) steps: `k` dense, the fixed
+    /// cost plus `entries` as postings.
+    pub fn steps_per_nnz(self, k: usize) -> f64 {
+        match self {
+            Sweep::Dense => k as f64,
+            Sweep::Postings { entries } => {
+                (POSTINGS_ASSIGN_NS_PER_NNZ + entries * POSTINGS_ASSIGN_NS_PER_ENTRY)
+                    / BLOCKED_ASSIGN_NS_PER_NNZ_CLUSTER
+            }
+        }
+    }
+
+    /// The cheaper form for `k` centroids whose postings a full sweep
+    /// would visit `entries` of per document non-zero: one comparison.
+    pub fn cheaper(k: usize, entries: f64) -> Sweep {
+        let postings = Sweep::Postings { entries };
+        if postings.steps_per_nnz(k) < Sweep::Dense.steps_per_nnz(k) {
+            postings
+        } else {
+            Sweep::Dense
+        }
+    }
+
+    /// Whether postings can be cheaper at all for `k` centroids — their
+    /// fixed cost alone is below `k` dense steps. If not, the per-term
+    /// document counts that `entries` needs are not worth counting.
+    pub fn postings_can_win(k: usize) -> bool {
+        Sweep::cheaper(k, 0.0) != Sweep::Dense
+    }
+}
+
 /// Cost of assigning `docs` documents with `kernel`, split by the
 /// *predicted* outcome per document: the `nnz_full` non-zeros of
-/// full-sweep documents pay all `k` distances, the `nnz_pruned` of
-/// documents the bounds let skip pay exactly one (the exact distance to
-/// the assigned centroid that the inertia trace needs) — so `exec`
+/// full-sweep documents pay a sweep over all `k` centroids in the form
+/// `sweep` says the block is in, the `nnz_pruned` of documents the
+/// bounds let skip pay exactly one distance (the exact distance to the
+/// assigned centroid that the inertia trace needs) — so `exec`
 /// scheduling stays honest about how much work pruning actually
-/// removes. Only the pruned kernel ever predicts a skip.
+/// removes. Only the pruned kernel ever predicts a skip; the naive
+/// kernel's row-major centroids have no form.
 pub fn assign_cost(
     kernel: AssignKernel,
+    sweep: Sweep,
     nnz_full: u64,
     nnz_pruned: u64,
     docs: u64,
@@ -78,8 +143,17 @@ pub fn assign_cost(
         AssignKernel::Blocked => (blocked, ASSIGN_NS_PER_DOC),
         AssignKernel::BlockedPruned => (blocked, ASSIGN_NS_PER_DOC + PRUNE_NS_PER_DOC),
     };
+    // Steps per non-zero of a full sweep and of one distance; a postings
+    // row is found, then searched.
+    let (full, one) = match (kernel, sweep) {
+        (AssignKernel::Naive, _) | (_, Sweep::Dense) => (k as f64, 1.0),
+        (_, Sweep::Postings { .. }) => (
+            sweep.steps_per_nnz(k),
+            Sweep::Postings { entries: 0.0 }.steps_per_nnz(k),
+        ),
+    };
     let nnz = (nnz_full + nnz_pruned) as f64;
-    let distance_nnz = nnz_full as f64 * k as f64 + nnz_pruned as f64;
+    let distance_nnz = nnz_full as f64 * full + nnz_pruned as f64 * one;
     let cpu = distance_nnz * ns + docs as f64 * doc_ns;
     let mem = distance_nnz * bytes + nnz * 12.0;
     TaskCost::cpu_mem(cpu as u64, mem as u64)
@@ -117,6 +191,20 @@ pub fn scatter_cost(k: usize, slabs: usize, values: usize) -> TaskCost {
     TaskCost::cpu_mem(cpu as u64, (words * 8 + run_bytes.min(values * 64)) as u64)
 }
 
+/// Cost of writing the postings form from `k` columns over `slabs`
+/// term slabs holding `values` weights: the columns' mask words and
+/// values are walked twice (counting, then placing), and the `dim + 1`
+/// row offsets are summed and moved once.
+pub fn postings_cost(k: usize, slabs: usize, values: usize) -> TaskCost {
+    let walks = 2.0 * (k * slabs) as f64 * MASK_NS_PER_WORD;
+    let offsets = slabs * SLAB_TERMS;
+    let cpu = walks + 2.0 * values as f64 * SCATTER_NS_PER_VALUE + offsets as f64;
+    TaskCost::cpu_mem(
+        cpu as u64,
+        (k * slabs * 16 + values * 24 + offsets * 16) as u64,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,14 +212,38 @@ mod tests {
     #[test]
     fn assign_cost_scales_with_nnz_and_k() {
         // Documents of 50 non-zeros each.
-        let naive = |docs: u64, k| assign_cost(AssignKernel::Naive, docs * 50, 0, docs, k);
+        let naive =
+            |docs: u64, k| assign_cost(AssignKernel::Naive, Sweep::Dense, docs * 50, 0, docs, k);
         let (k4, k8) = (naive(10, 4), naive(10, 8));
         assert!(k8.cpu_ns > (k4.cpu_ns as f64 * 1.6) as u64);
         let half = naive(5, 8);
         assert!((k8.cpu_ns as f64 / half.cpu_ns as f64 - 2.0).abs() < 0.05);
         // A predicted skip pays one distance, not k.
-        let pruned = |skip| assign_cost(AssignKernel::BlockedPruned, 500 - skip, skip, 10, 8);
+        let pruned_kernel = AssignKernel::BlockedPruned;
+        let pruned = |skip| assign_cost(pruned_kernel, Sweep::Dense, 500 - skip, skip, 10, 8);
         assert!(pruned(400).cpu_ns < pruned(0).cpu_ns / 2);
+    }
+
+    #[test]
+    fn the_cheaper_form_follows_k_and_the_row_length() {
+        // The shapes of the benchmark's two corpora, seeds and the
+        // centroids after one update (EXPERIMENTS.md, "Postings rows").
+        for entries in [1.26, 6.96] {
+            assert_eq!(Sweep::cheaper(8, entries), Sweep::Dense, "k 8, L {entries}");
+        }
+        for entries in [20.3, 28.8] {
+            let sweep = Sweep::cheaper(128, entries);
+            assert_eq!(sweep, Sweep::Postings { entries }, "k 128, L {entries}");
+        }
+        // k 8 never counts its terms' documents; k 128 does.
+        assert!(!Sweep::postings_can_win(8) && Sweep::postings_can_win(128));
+        // Postings rows as long as the dense ones cost more.
+        assert_eq!(Sweep::cheaper(128, 128.0), Sweep::Dense);
+        // The form priced is the form swept: postings work follows L.
+        let cost = |sweep| assign_cost(AssignKernel::Blocked, sweep, 1000, 0, 10, 128);
+        let short = cost(Sweep::Postings { entries: 20.3 }).cpu_ns;
+        let long = cost(Sweep::Postings { entries: 28.8 }).cpu_ns;
+        assert!(short < long && long < cost(Sweep::Dense).cpu_ns / 2);
     }
 
     #[test]
@@ -166,7 +278,7 @@ mod tests {
 
     #[test]
     fn empty_range_is_free() {
-        let c = assign_cost(AssignKernel::Naive, 0, 0, 0, 8);
+        let c = assign_cost(AssignKernel::Naive, Sweep::Dense, 0, 0, 0, 8);
         assert_eq!(c.cpu_ns, 0);
         assert_eq!(c.mem_bytes, 0);
     }
@@ -186,7 +298,8 @@ mod tests {
         };
         // Approximate the assignment work with equal nnz per doc.
         let pruned = AssignKernel::BlockedPruned;
-        let assign = |docs: u64| assign_cost(pruned, docs * 150, 0, docs, k).cpu_ns as f64;
+        let assign =
+            |docs: u64| assign_cost(pruned, Sweep::Dense, docs * 150, 0, docs, k).cpu_ns as f64;
         let frac_mix = sweeps(184_743) / assign(23_432);
         let frac_nsf = sweeps(267_914) / assign(101_483);
         assert!(

@@ -6,8 +6,8 @@
 //! TF/IDF vectors, assigning documents to `k = 8` clusters. The
 //! implementation carries the paper's two key optimizations —
 //!
-//! * **sparse vectors** for the documents (centroids stay dense, with
-//!   distances computed via the expansion
+//! * **sparse vectors** for the documents (the paper keeps the centroids
+//!   dense, with distances computed via the expansion
 //!   `|x−c|² = |x|² − 2·x·c + |c|²` touching only each document's
 //!   non-zeros), and
 //! * **buffer recycling** across iterations ("we do not create new
@@ -23,21 +23,25 @@
 //! [`KMeansConfig::kernel`] as the ablation baseline.
 //!
 //! Each kernel keeps the one centroid layout it reads. The blocked
-//! kernels own only the term-major block — seeded, updated in place and
-//! returned as the model — and the naive kernel only row-major
-//! [`DenseVec`]s, transposed into the model's block once, after its
-//! last iteration. Nothing is rebuilt per iteration and nothing sweeps
-//! `k × vocabulary`.
+//! kernels own only the term-major block — written after seeding and
+//! after every update, returned as the model — and the naive kernel only
+//! row-major [`DenseVec`]s, transposed into the model's block once, after
+//! its last iteration. The block's term rows are dense (`k` weights) or
+//! postings (only the non-zero ones), whichever [`cost::Sweep`] prices
+//! cheaper for the next sweep: with `k` 8 always dense, with `k` 128 over
+//! a large vocabulary postings, which also never allocates the `k ×
+//! vocabulary` array. The update's per-cluster columns, not the block,
+//! hold the centroids between writes. Nothing sweeps `k × vocabulary`.
 //!
 //! Every phase of an iteration runs on the [`Exec`] substrate: documents
 //! are assigned in parallel over chunks, and — after a serial O(n)
 //! regrouping by cluster — each centroid is recomputed by the one task
 //! that owns it; under the blocked kernels the new columns are then
-//! written into the block in parallel over runs of term slabs (the
-//! private `update` module has the two steps and why they are the same
-//! bits as the dense pass). No `k x vocabulary` array is kept per worker
-//! or merged, so the model is bit-identical at every thread count and
-//! grain.
+//! written into the block, dense in parallel over runs of term slabs or
+//! as postings (the private `update` module has the steps and why they
+//! are the same bits as the dense pass). No `k x vocabulary` array is
+//! kept per worker or merged, so the model is bit-identical at every
+//! thread count and grain.
 //!
 //! [`baseline::SimpleKMeans`] reproduces the WEKA comparator: dense,
 //! single-threaded, allocation-happy.
@@ -50,6 +54,7 @@ mod update;
 
 pub use assign::{AssignKernel, AssignStats};
 
+use cost::Sweep;
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_sparse::{CentroidBlock, DenseVec, SparseVec};
@@ -66,7 +71,7 @@ const UPDATE_TASKS_PER_THREAD: usize = 4;
 enum Target<'a> {
     /// The naive kernel's row-major centroid, rewritten in place.
     Row(&'a mut DenseVec),
-    /// The blocked kernels' column, scattered into the block afterwards.
+    /// The blocked kernels' column, written into the block afterwards.
     Column(&'a mut Column),
 }
 
@@ -186,22 +191,32 @@ impl KMeans {
         };
         let use_block = cfg.kernel != AssignKernel::Naive;
         let update_grain = k.div_ceil(exec.threads() * UPDATE_TASKS_PER_THREAD);
+        // Pricing the block's postings form takes each term's document
+        // count: counted only where postings can win at this `k` at all.
+        let counting = use_block && Sweep::postings_can_win(k);
 
         // --- Initialization: each kernel's one layout, seeded with the
-        // chosen documents and priced as `k` one-member updates. `|c|^2`
-        // per centroid is taken here; from here on the update keeps it
+        // chosen documents and priced as `k` one-member updates (and the
+        // counting pass as adding every non-zero once). `|c|^2` per
+        // centroid is taken here; from here on the update keeps it
         // current.
         let seed_cost = seeds.iter().fold(TaskCost::default(), |total, &i| {
             let nnz = vectors[i].nnz();
             total + cost::update_cost(nnz as u64, if use_block { nnz } else { dim }, dim)
         });
+        let count_cost = if counting {
+            cost::update_cost(vectors.iter().map(|x| x.nnz() as u64).sum(), 0, 0)
+        } else {
+            TaskCost::default()
+        };
         let mut norms = vec![0.0f64; k];
         let mut rows: Vec<DenseVec> = Vec::new();
         let mut columns: Vec<Column> = Vec::new();
-        exec.serial(seed_cost, || {
+        let counts = exec.serial(seed_cost + count_cost, || {
+            let counts = counting.then(|| update::DocCounts::count(vectors, dim));
             for (&i, norm) in seeds.iter().zip(&mut norms) {
                 if use_block {
-                    let (column, norm_sq) = Column::seeded(&vectors[i], dim);
+                    let (column, norm_sq) = Column::seeded(&vectors[i], dim, counts.as_ref());
                     columns.push(column);
                     *norm = norm_sq;
                 } else {
@@ -211,11 +226,12 @@ impl KMeans {
                     rows.push(row);
                 }
             }
+            counts
         });
         let mut block = CentroidBlock::default();
+        let mut sweep = Sweep::Dense;
         if use_block {
-            block = CentroidBlock::zeros(k, dim);
-            update::scatter(exec, &mut block, &columns, &norms);
+            (sweep, _) = update::write(exec, &mut block, &columns, &norms, dim, counts.as_ref());
         }
 
         let mut assignments = vec![0u32; n];
@@ -300,7 +316,8 @@ impl KMeans {
                             nnz_pruned += nnz * u64::from(skips);
                         }
                         let (nnz_full, docs) = (nnz_all - nnz_pruned, ranges[ci].len() as u64);
-                        total += cost::assign_cost(cfg.kernel, nnz_full, nnz_pruned, docs, k);
+                        total +=
+                            cost::assign_cost(cfg.kernel, sweep, nnz_full, nnz_pruned, docs, k);
                     }
                     total
                 };
@@ -313,6 +330,8 @@ impl KMeans {
                         exec.predict_region_ns(ranges.len(), 1, assign_cost),
                     );
                 }
+                // The block this iteration sweeps: 0 = dense.
+                hpa_trace::counter("kmeans", "block-entries", block.postings_len() as u64);
                 let assign_span = hpa_trace::span!("kmeans", "assign", iter as u64);
                 exec.par_chunks(
                     ranges.len(),
@@ -399,9 +418,6 @@ impl KMeans {
                             **moved = 0.0;
                             let members = membership.of(c).len();
                             if members == 0 {
-                                if let Target::Column(column) = target {
-                                    column.keep();
-                                }
                                 continue;
                             }
                             let mean = 1.0 / members as f64;
@@ -412,7 +428,7 @@ impl KMeans {
                                 }
                                 Target::Column(column) => {
                                     let sum = sum.as_mut_slice();
-                                    column.recompute(sum, members_of(c), mean, &block, c)
+                                    column.recompute(sum, members_of(c), mean, counts.as_ref())
                                 }
                             };
                         }
@@ -421,7 +437,10 @@ impl KMeans {
                 );
                 drop(cells);
                 if use_block {
-                    predicted += update::scatter(exec, &mut block, &columns, &norms);
+                    let written;
+                    (sweep, written) =
+                        update::write(exec, &mut block, &columns, &norms, dim, counts.as_ref());
+                    predicted += written;
                 }
                 hpa_trace::predict("kmeans", "update", predicted);
 

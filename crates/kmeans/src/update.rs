@@ -9,22 +9,27 @@
 //! between tasks, so the model is the same bits at every thread count
 //! and grain.
 //!
-//! Under the blocked kernels the centroids live only in the term-major
-//! [`CentroidBlock`], which safe code cannot hand out a column at a
-//! time, so a cluster's update reaches it in two steps. **Step 1**
-//! ([`Column::recompute`], one task per run of clusters, the block
-//! shared read-only): while the members are added into the sum each of
-//! their terms is also OR-ed into a `dim`-bit mask; the mask of the
-//! column's current support is OR-ed in, and the set bits are walked in
-//! ascending term order — scale, movement², norm², clear the sum slot,
-//! append the new weight to the column's value list. **Step 2**
-//! ([`scatter`], one task per run of term slabs, the columns shared
-//! read-only): every column's values are written to their place in the
-//! run. The work follows the members' non-zeros plus `dim / 64` mask
-//! words plus the old and new supports. Only a cluster whose members
-//! hold at least `dim` non-zeros looks at all `dim` slots of its sum,
-//! once, to find the non-zero ones — fewer operations than marking each
-//! non-zero as it is added.
+//! Under the blocked kernels each centroid is its cluster's [`Column`]
+//! — a term mask and the weights of its set bits — and the term-major
+//! [`CentroidBlock`] the assignment sweeps is written from the columns,
+//! so a cluster's update reaches it in two steps. **Step 1**
+//! ([`Column::recompute`], one task per run of clusters): while the
+//! members are added into the sum each of their terms is also OR-ed into
+//! a `dim`-bit mask; the mask of the column's current support is OR-ed
+//! in, and the set bits are walked in ascending term order — old weight
+//! from the column's previous values, scale, movement², norm², clear the
+//! sum slot, append the new weight to the column's value list. An empty
+//! cluster's column is left as it is. **Step 2** ([`write`]): the
+//! columns, shared read-only, become the block in the form a full sweep
+//! prices cheaper ([`Sweep::cheaper`]) — dense through [`scatter`] (one
+//! task per run of term slabs, every column's values written to their
+//! place in the run), or postings through
+//! [`CentroidBlock::write_postings`] (serial: a counting sort of the
+//! columns' non-zero weights by term). The work follows the members'
+//! non-zeros plus `dim / 64` mask words plus the old and new supports.
+//! Only a cluster whose members hold at least `dim` non-zeros looks at
+//! all `dim` slots of its sum, once, to find the non-zero ones — fewer
+//! operations than marking each non-zero as it is added.
 //!
 //! This is bit-identical to the dense pass
 //! ([`DenseVec::replace_with_scaled`](hpa_sparse::DenseVec::replace_with_scaled),
@@ -36,7 +41,7 @@
 //! there is no term at all — see [`zero_sum`].
 
 use crate::assign::ChunkState;
-use crate::cost;
+use crate::cost::{self, Sweep};
 use hpa_exec::sync::Mutex;
 use hpa_exec::Exec;
 use hpa_sparse::block::SLAB_TERMS;
@@ -124,39 +129,74 @@ fn ones(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One cluster's column of the term-major block, as step 1 hands it to
-/// step 2. The masks hold one bit per term, one word per term slab.
+/// Per-term document counts of the corpus and its number of non-zeros:
+/// what turns the columns' supports into the mean length of the postings
+/// rows a full sweep visits.
+pub(crate) struct DocCounts {
+    per_term: Vec<u32>,
+    nnz: u64,
+}
+
+impl DocCounts {
+    /// Count `vectors`, whose terms are below `dim`.
+    pub fn count(vectors: &[SparseVec], dim: usize) -> Self {
+        let mut per_term = vec![0u32; dim];
+        for &t in vectors.iter().flat_map(SparseVec::terms) {
+            per_term[t as usize] += 1;
+        }
+        let nnz = vectors.iter().map(|x| x.nnz() as u64).sum();
+        DocCounts { per_term, nnz }
+    }
+}
+
+/// One cluster's centroid as the update keeps it, step 1 hands it to
+/// step 2 and the postings form is written from it. The masks hold one
+/// bit per term, one word per term slab.
 #[derive(Debug, Clone)]
 pub(crate) struct Column {
-    /// Terms whose weight in the block may differ from `+0.0`.
+    /// Terms whose weight may differ from `+0.0`.
     support: Vec<u64>,
     /// Terms `values` holds a weight for: the support before the last
-    /// recompute ∪ the support after it. All zero when there is nothing
-    /// to scatter.
+    /// recompute ∪ the support after it.
     walk: Vec<u64>,
-    /// The new weight of every `walk` term, in ascending term order.
+    /// The weight of every `walk` term, in ascending term order. This is
+    /// the centroid: every other term is `+0.0`.
     values: Vec<f64>,
+    /// The support before the last recompute, which read its old weights
+    /// by it; recycled.
+    old_support: Vec<u64>,
+    /// Postings entries a full sweep visits for this centroid: the
+    /// document counts of its terms whose weight is not `+0.0`. Zero
+    /// when not counted.
+    reach: u64,
 }
 
 const _: () = assert!(SLAB_TERMS == u64::BITS as usize);
 
 impl Column {
-    /// The column of a centroid seeded with document `x` over an
-    /// all-zero block, and its squared norm; [`scatter`] then writes it.
-    /// Bit-identical to `DenseVec::zeros(dim)` + `add_sparse(x)` +
+    /// The column of a centroid seeded with document `x`, and its squared
+    /// norm. Bit-identical to `DenseVec::zeros(dim)` + `add_sparse(x)` +
     /// `norm_sq()`.
-    pub fn seeded(x: &SparseVec, dim: usize) -> (Self, f64) {
+    pub fn seeded(x: &SparseVec, dim: usize, counts: Option<&DocCounts>) -> (Self, f64) {
         let mut walk = vec![0u64; dim.div_ceil(SLAB_TERMS)];
         for &t in x.terms() {
             walk[t as usize / SLAB_TERMS] |= 1 << (t as usize % SLAB_TERMS);
         }
         let values: Vec<f64> = x.weights().iter().map(|w| 0.0 + w).collect();
         let norm = values.iter().fold(zero_sum(dim), |sum, v| sum + v * v);
-        let column = Column {
+        let mut column = Column {
             support: walk.clone(),
+            old_support: vec![0; walk.len()],
             walk,
             values,
+            reach: 0,
         };
+        if let Some(counts) = counts {
+            column.reach = column
+                .entries()
+                .map(|(t, _)| counts.per_term[t] as u64)
+                .sum();
+        }
         (column, norm)
     }
 
@@ -166,25 +206,39 @@ impl Column {
         self.values.len()
     }
 
-    /// An empty cluster keeps its centroid: nothing to scatter.
-    pub fn keep(&mut self) {
-        self.walk.fill(0);
-        self.values.clear();
+    /// The `(term, weight)` pairs whose weight is not `+0.0`, ascending.
+    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let terms = self
+            .walk
+            .iter()
+            .enumerate()
+            .flat_map(|(slab, &word)| ones(word).map(move |bit| slab * SLAB_TERMS + bit));
+        terms
+            .zip(self.values.iter().copied())
+            .filter(|(_, w)| w.to_bits() != 0)
     }
 
-    /// Step 1 for centroid `c` of `block`: the mean of `members` (added
-    /// in the order given, `mean` = 1 / their number) becomes the
-    /// column's values and support. `sum` must be `dim` zeros and is
-    /// left so. Returns the squared distance the centroid moves by and
-    /// its new squared norm.
+    /// Step 1: the mean of `members` (added in the order given, `mean` =
+    /// 1 / their number) becomes the column's values and support, and —
+    /// with `counts` — its reach. `sum` must be `dim` zeros and is left
+    /// so. Returns the squared distance the centroid moves by and its new
+    /// squared norm.
     pub fn recompute<'a>(
         &mut self,
         sum: &mut [f64],
         members: impl Iterator<Item = &'a SparseVec> + Clone,
         mean: f64,
-        block: &CentroidBlock,
-        c: usize,
+        counts: Option<&DocCounts>,
     ) -> (f64, f64) {
+        // The old weights: the support's alone. The last recompute also
+        // stored a `+0.0` for each term that left the support, which is
+        // `+0.0` without it.
+        let walked = self.walk.iter().zip(&self.support);
+        let mut in_support =
+            walked.flat_map(|(&walk, &support)| ones(walk).map(move |bit| support >> bit & 1 == 1));
+        self.values.retain(|_| in_support.next() == Some(true));
+        let kept = self.values.len();
+        self.old_support.copy_from_slice(&self.support);
         // The members' terms: marked one read-modify-write per non-zero,
         // or — when the members bring at least as many non-zeros as
         // there are terms — read off the sum, one compare per term. (A
@@ -216,32 +270,83 @@ impl Column {
             *walk |= *support;
             *support = touched;
         }
-        self.values.clear();
-        self.values.reserve(popcount(&self.walk));
+        // The old weights move to the end of a list as long as the new
+        // walk, which holds the old support: no term's new place is then
+        // past an old weight not yet read, so the walk overwrites them in
+        // place.
+        let stored = popcount(&self.walk);
+        let mut old = stored - kept;
+        self.values.resize(stored, 0.0);
+        self.values.copy_within(0..kept, old);
+        self.reach = 0;
         let (mut moved, mut norm) = (zero_sum(sum.len()), zero_sum(sum.len()));
-        for (slab, &word) in self.walk.iter().enumerate() {
-            for t in ones(word).map(|bit| slab * SLAB_TERMS + bit) {
+        let mut next = 0;
+        for (slab, (&word, &was)) in self.walk.iter().zip(&self.old_support).enumerate() {
+            for bit in ones(word) {
+                let t = slab * SLAB_TERMS + bit;
+                let prior = if was >> bit & 1 == 1 {
+                    old += 1;
+                    self.values[old - 1]
+                } else {
+                    0.0
+                };
                 let fresh = std::mem::take(&mut sum[t]) * mean;
-                let step = block.get(t, c) - fresh;
+                let step = prior - fresh;
                 moved += step * step;
                 norm += fresh * fresh;
-                self.values.push(fresh);
+                if let Some(counts) = counts.filter(|_| fresh.to_bits() != 0) {
+                    self.reach += counts.per_term[t] as u64;
+                }
+                self.values[next] = fresh;
+                next += 1;
             }
         }
         (moved, norm)
     }
 }
 
-/// Step 2: install `norms` and write every column's values into
-/// `block`, one task per run of term slabs. Returns, when tracing, the
-/// region's predicted nanoseconds — a part of the caller's
-/// `kmeans/update` prediction.
-pub(crate) fn scatter(
+/// Write the columns into `block`, with these norms, in the form a full
+/// sweep prices cheaper: postings when `counts` says their rows are
+/// short enough, else dense through [`scatter`] — over a fresh zero block
+/// unless the block already is a dense one of `k` centroids. Returns the
+/// form and, when tracing, the write's predicted nanoseconds — a part of
+/// the caller's `kmeans/update` prediction.
+pub(crate) fn write(
     exec: &Exec,
     block: &mut CentroidBlock,
     columns: &[Column],
     norms: &[f64],
-) -> u64 {
+    dim: usize,
+    counts: Option<&DocCounts>,
+) -> (Sweep, u64) {
+    let k = columns.len();
+    let sweep = counts.map_or(Sweep::Dense, |counts| {
+        let reach: u64 = columns.iter().map(|column| column.reach).sum();
+        Sweep::cheaper(k, reach as f64 / counts.nnz.max(1) as f64)
+    });
+    if sweep == Sweep::Dense {
+        if block.is_postings() || block.k() != k {
+            *block = CentroidBlock::zeros(k, dim);
+        }
+        return (sweep, scatter(exec, block, columns, norms));
+    }
+    let values = columns.iter().map(Column::stored).sum();
+    let cost = cost::postings_cost(k, dim.div_ceil(SLAB_TERMS), values);
+    let predicted = if hpa_trace::is_enabled() {
+        exec.predict_serial_ns(&cost)
+    } else {
+        0
+    };
+    exec.serial(cost, || {
+        block.write_postings(dim, norms, |c| columns[c].entries())
+    });
+    (sweep, predicted)
+}
+
+/// Step 2 for a dense block: install `norms` and write every column's
+/// values into `block`, one task per run of term slabs. Returns, when
+/// tracing, the region's predicted nanoseconds.
+fn scatter(exec: &Exec, block: &mut CentroidBlock, columns: &[Column], norms: &[f64]) -> u64 {
     block.norms_mut().copy_from_slice(norms);
     let (k, slabs) = (block.k(), block.dim().div_ceil(SLAB_TERMS));
     let run_slabs = slabs
@@ -309,6 +414,8 @@ mod tests {
         columns: Vec<Column>,
         rows: Vec<DenseVec>,
         dim: usize,
+        /// Made-up document counts, for the columns' reach.
+        counts: DocCounts,
         /// Slabs per scatter run; changed between rounds.
         run_slabs: usize,
     }
@@ -319,8 +426,14 @@ mod tests {
 
     impl Twin {
         fn seeded(seeds: [&SparseVec; K], dim: usize) -> Self {
-            let (columns, norms): (Vec<Column>, Vec<f64>) =
-                seeds.iter().map(|x| Column::seeded(x, dim)).unzip();
+            let counts = DocCounts {
+                per_term: (0..dim).map(|t| t as u32 % 7 + 1).collect(),
+                nnz: 1,
+            };
+            let (columns, norms): (Vec<Column>, Vec<f64>) = seeds
+                .iter()
+                .map(|x| Column::seeded(x, dim, Some(&counts)))
+                .unzip();
             let rows: Vec<DenseVec> = seeds
                 .iter()
                 .map(|x| {
@@ -334,6 +447,7 @@ mod tests {
                 columns,
                 rows,
                 dim,
+                counts,
                 run_slabs: 1,
             };
             twin.scatter(&norms);
@@ -369,11 +483,26 @@ mod tests {
                         "{label} t={t}"
                     );
                 }
+                // The column alone is the centroid, and knows its reach.
+                let mut own = vec![0.0; self.dim];
+                let mut reach = 0;
+                for (t, w) in self.columns[c].entries() {
+                    own[t] = w;
+                    reach += self.counts.per_term[t] as u64;
+                }
+                assert_eq!(bits(&own), bits(row.as_slice()), "{label} c={c} own");
+                assert_eq!(self.columns[c].reach, reach, "{label} c={c} reach");
             }
+            // Postings written from the columns hold the same centroids.
+            let mut postings = CentroidBlock::default();
+            let columns = &self.columns;
+            postings.write_postings(self.dim, self.block.norms(), |c| columns[c].entries());
+            assert_eq!(postings, self.block, "{label} postings");
         }
 
         /// One update of column `C` from `members` on both sides; the
-        /// other columns are empty clusters. Returns `(moved², norm²)`.
+        /// other columns are empty clusters, which keep theirs. Returns
+        /// `(moved², norm²)`.
         fn round(&mut self, members: &[SparseVec], label: &str) -> (f64, f64) {
             let mean = 1.0 / members.len() as f64;
             let mut dense_sum = DenseVec::zeros(self.dim);
@@ -382,18 +511,11 @@ mod tests {
 
             let mut norms = self.block.norms().to_vec();
             let mut sum = vec![0.0; self.dim];
-            for (c, column) in self.columns.iter_mut().enumerate() {
-                if c == C {
-                    let (moved, norm) =
-                        column.recompute(&mut sum, members.iter(), mean, &self.block, c);
-                    assert_eq!(moved.to_bits(), dense_moved.to_bits(), "{label} moved");
-                    assert_eq!(norm.to_bits(), dense_norm.to_bits(), "{label} norm");
-                    norms[c] = norm;
-                } else {
-                    column.keep();
-                    assert_eq!(column.stored(), 0);
-                }
-            }
+            let counts = Some(&self.counts);
+            let (moved, norm) = self.columns[C].recompute(&mut sum, members.iter(), mean, counts);
+            assert_eq!(moved.to_bits(), dense_moved.to_bits(), "{label} moved");
+            assert_eq!(norm.to_bits(), dense_norm.to_bits(), "{label} norm");
+            norms[C] = norm;
             assert_eq!(
                 bits(&sum),
                 bits(&vec![0.0; self.dim]),
@@ -474,6 +596,57 @@ mod tests {
     }
 
     #[test]
+    fn write_takes_the_priced_form_and_switches_both_ways() {
+        let (k, dim) = (16, 200);
+        let mut rng = hpa_rng::SplitMix64::seed_from_u64(0xF0);
+        // Every term in one document: a column's reach is its number of
+        // stored weights, and `L` is their total over the corpus's
+        // non-zeros — short rows over a large corpus, long over a tiny
+        // one.
+        let counts = |nnz| DocCounts {
+            per_term: vec![1; dim],
+            nnz,
+        };
+        let (large, tiny) = (counts(1 << 20), counts(1));
+        let seeds = docs(&mut rng, k, 9, dim);
+        let (mut columns, mut norms): (Vec<Column>, Vec<f64>) = seeds
+            .iter()
+            .map(|x| Column::seeded(x, dim, Some(&large)))
+            .unzip();
+        let (exec, mut block) = (Exec::sequential(), CentroidBlock::default());
+        for (round, counts) in [&large, &tiny, &large, &tiny, &tiny]
+            .into_iter()
+            .enumerate()
+        {
+            if round > 0 {
+                // Move one centroid between writes.
+                let members = docs(&mut rng, 3, 12, dim);
+                let mut sum = vec![0.0; dim];
+                let column = &mut columns[round];
+                (_, norms[round]) = column.recompute(&mut sum, members.iter(), 1.0 / 3.0, None);
+            }
+            let (sweep, _) = write(&exec, &mut block, &columns, &norms, dim, Some(counts));
+            let postings = std::ptr::eq(counts, &large);
+            assert_eq!(block.is_postings(), postings, "round {round}");
+            assert_eq!(sweep != Sweep::Dense, postings, "round {round}");
+            let rows: Vec<DenseVec> = columns
+                .iter()
+                .map(|column| {
+                    let mut row = vec![0.0; dim];
+                    column.entries().for_each(|(t, w)| row[t] = w);
+                    DenseVec::from_vec(row)
+                })
+                .collect();
+            let mut expected = CentroidBlock::from_centroids(&rows);
+            expected.norms_mut().copy_from_slice(&norms);
+            assert_eq!(block, expected, "round {round}");
+        }
+        // Without counts, dense.
+        let (sweep, _) = write(&exec, &mut block, &columns, &norms, dim, None);
+        assert_eq!(sweep, Sweep::Dense);
+    }
+
+    #[test]
     fn empty_cluster_keeps_column_norm_and_support() {
         let seeds = [
             doc(&[(0, 1.0)]),
@@ -481,16 +654,25 @@ mod tests {
             doc(&[(99, 0.5)]),
         ];
         let mut twin = Twin::seeded([&seeds[0], &seeds[1], &seeds[2]], 100);
-        let before = (twin.block.clone(), twin.columns[C].support.clone());
-        twin.columns.iter_mut().for_each(Column::keep);
-        for column in &twin.columns {
-            assert!(column.values.is_empty() && column.walk.iter().all(|&w| w == 0));
+        // Column `C` stays empty while the others move: it keeps its
+        // weights, and scattering them again changes nothing.
+        let before = (twin.block.clone(), twin.columns[C].clone());
+        for c in [0, 2] {
+            let mut sum = vec![0.0; 100];
+            let members = [doc(&[(c as u32 + 10, 1.0)])];
+            let counts = Some(&twin.counts);
+            twin.columns[c].recompute(&mut sum, members.iter(), 1.0, counts);
         }
         let norms = twin.block.norms().to_vec();
         twin.scatter(&norms);
-        assert_eq!(twin.block, before.0);
-        assert_eq!(twin.columns[C].support, before.1);
+        let kept = &twin.columns[C];
+        assert_eq!(kept.support, before.1.support);
+        assert_eq!(bits(&kept.values), bits(&before.1.values));
+        assert_eq!(twin.block.centroid(C), before.0.centroid(C));
+        assert_eq!(twin.block.get(5, C), 2.0);
         // The kept support still zeroes its terms when members return.
+        twin.rows[0] = twin.block.centroid(0);
+        twin.rows[2] = twin.block.centroid(2);
         twin.round(&[doc(&[(7, 1.0)])], "after keep");
         assert_eq!(twin.block.get(5, C).to_bits(), 0);
     }

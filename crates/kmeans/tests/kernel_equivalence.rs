@@ -105,16 +105,22 @@ fn kernels_agree_bitwise_on_random_corpora() {
         (240, 90, 12, 48),
         // Long documents: per-document gather chains in the hundreds.
         (48, 900, 400, 6),
+        // Postings at seeding, dense once the clusters fill in.
+        (200, 40, 12, 16),
     ] {
         let vectors = corpus(&mut rng, n, dim, max_nnz);
         let reference = fit(&vectors, dim as usize, k, AssignKernel::Naive);
         for kernel in [AssignKernel::Blocked, AssignKernel::BlockedPruned] {
             let other = fit(&vectors, dim as usize, k, kernel);
-            assert_identical(
-                &reference,
-                &other,
-                &format!("n={n} dim={dim} k={k} {}", kernel.label()),
-            );
+            let label = format!("n={n} dim={dim} k={k} {}", kernel.label());
+            assert_identical(&reference, &other, &label);
+            // Both forms of the block stay exercised: the wide-`k` row's
+            // centroids fit on postings, the `k` = 8 rows' do not.
+            match k {
+                48 => assert!(other.centroids.is_postings(), "{label}"),
+                8 => assert!(!other.centroids.is_postings(), "{label}"),
+                _ => {}
+            }
         }
     }
 }
