@@ -131,7 +131,13 @@ pub fn parse_data_line(
         let inner = inner
             .strip_suffix('}')
             .ok_or_else(|| err("sparse row missing closing '}'".into()))?;
-        let mut pairs = Vec::new();
+        // WEKA requires ascending indices, as our writer emits them, so
+        // rows are built in place; we tolerate any order: the first id
+        // out of order or repeated falls back to pairs, sorted and summed.
+        let items = inner.bytes().filter(|&b| b == b',').count() + 1;
+        let mut terms = Vec::with_capacity(items);
+        let mut weights = Vec::with_capacity(items);
+        let mut unsorted: Option<Vec<(u32, f64)>> = None;
         for item in inner.split(',') {
             let item = item.trim();
             if item.is_empty() {
@@ -154,10 +160,23 @@ pub fn parse_data_line(
             let val: f64 = val_s
                 .parse()
                 .map_err(|_| err(format!("bad value '{val_s}'")))?;
-            pairs.push((idx, val));
+            match &mut unsorted {
+                Some(pairs) => pairs.push((idx, val)),
+                None if terms.last().is_some_and(|&t| t >= idx) => {
+                    let mut pairs: Vec<_> = terms.drain(..).zip(weights.drain(..)).collect();
+                    pairs.push((idx, val));
+                    unsorted = Some(pairs);
+                }
+                None => {
+                    terms.push(idx);
+                    weights.push(val);
+                }
+            }
         }
-        // WEKA requires ascending indices but we tolerate any order.
-        Ok(Some(SparseVec::from_pairs(pairs)))
+        Ok(Some(match unsorted {
+            Some(pairs) => SparseVec::from_pairs(pairs),
+            None => SparseVec::from_sorted_parts(terms, weights),
+        }))
     } else {
         let values: Vec<&str> = line.split(',').collect();
         if values.len() != dim {
@@ -183,6 +202,9 @@ pub fn parse_data_line(
 
 /// Strip an unquoted `%` comment (respecting `\'` escapes inside quotes).
 fn strip_comment(line: &str) -> &str {
+    if !line.as_bytes().contains(&b'%') {
+        return line;
+    }
     let mut in_quote = false;
     let mut escaped = false;
     for (i, c) in line.char_indices() {
@@ -404,6 +426,30 @@ mod tests {
             let mut full = ArffReader::new(Cursor::new(text.into_bytes())).unwrap();
             assert_eq!(full.next_row().unwrap(), parsed, "line {raw:?}");
         }
+    }
+
+    #[test]
+    fn unsorted_and_repeated_sparse_indices_sort_and_sum() {
+        let mut r = reader(
+            "@RELATION r\n@ATTRIBUTE a NUMERIC\n@ATTRIBUTE b NUMERIC\n@ATTRIBUTE c NUMERIC\n\
+             @DATA\n{2 3,0 1.5,1 ?,1 2}\n{0 0.1,1 4,1 0.2,2 ?,1 0.3}\n",
+        );
+        let rows = r.read_all().unwrap();
+        assert_eq!(
+            rows[0].iter().collect::<Vec<_>>(),
+            [(0, 1.5), (1, 2.0), (2, 3.0)]
+        );
+        assert_eq!(
+            rows[0],
+            SparseVec::from_pairs(vec![(2, 3.0), (0, 1.5), (1, 2.0)])
+        );
+        // A repeated id's weights are summed, as `from_pairs` sums them.
+        assert_eq!(rows[1].terms(), [0, 1]);
+        assert!((rows[1].weights()[1] - 4.5).abs() < 1e-12);
+        assert_eq!(
+            rows[1],
+            SparseVec::from_pairs(vec![(0, 0.1), (1, 4.0), (1, 0.2), (1, 0.3)])
+        );
     }
 
     #[test]

@@ -102,13 +102,15 @@ pub fn decode_chunk(
         )));
     }
 
+    // The label is formatted only on the error path: a decode that
+    // succeeds pays per row and per chunk, never per entry.
     let mut pos = 0usize;
-    let take_varint = |what: &str, pos: &mut usize| -> Result<u64, ColFmtError> {
+    let take_varint = |pos: &mut usize, section: &str, row: usize| -> Result<u64, ColFmtError> {
         let (v, used) = varint::read_u64(&payload[*pos..]).ok_or_else(|| {
             ColFmtError::corrupt(
                 chunk_index,
                 format!(
-                    "truncated or malformed varint in {what} at payload offset {pos}",
+                    "truncated or malformed varint in {section} (row {row}) at payload offset {pos}",
                     pos = *pos
                 ),
             )
@@ -121,7 +123,7 @@ pub fn decode_chunk(
     let mut lens = Vec::with_capacity(doc_count);
     let mut lens_sum: u64 = 0;
     for row in 0..doc_count {
-        let len = take_varint(&format!("row-length table (row {row})"), &mut pos)?;
+        let len = take_varint(&mut pos, "row-length table", row)?;
         lens_sum = lens_sum
             .checked_add(len)
             .ok_or_else(|| corrupt("row lengths overflow u64".to_string()))?;
@@ -134,13 +136,13 @@ pub fn decode_chunk(
         )));
     }
 
-    // Section B: term ids per row.
+    // Section B: term ids, straight into each row's final array.
     let mut row_terms: Vec<Vec<u32>> = Vec::with_capacity(doc_count);
     for (row, &len) in lens.iter().enumerate() {
         let mut terms = Vec::with_capacity(len);
         let mut prev: Option<u64> = None;
         for _ in 0..len {
-            let raw = take_varint(&format!("term ids (row {row})"), &mut pos)?;
+            let raw = take_varint(&mut pos, "term ids", row)?;
             let id = match prev {
                 None => raw,
                 Some(p) => {
@@ -178,20 +180,20 @@ pub fn decode_chunk(
         )));
     }
 
-    let mut docs = Vec::with_capacity(doc_count);
-    for terms in row_terms {
-        let mut pairs = Vec::with_capacity(terms.len());
-        for t in terms {
-            let raw: [u8; 8] = payload[pos..pos + 8]
-                .try_into()
-                .expect("length checked against nnz above");
-            pos += 8;
-            pairs.push((t, f64::from_le_bytes(raw)));
-        }
-        // Strict ascent was validated during delta decoding, so
-        // `from_sorted`'s assert cannot fire on hostile input.
-        docs.push(SparseVec::from_sorted(pairs));
-    }
+    let docs = row_terms
+        .into_iter()
+        .map(|terms| {
+            let bytes = &payload[pos..pos + 8 * terms.len()];
+            pos += bytes.len();
+            let weights: Vec<f64> = bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                .collect();
+            // Strict ascent was validated during delta decoding, so
+            // `from_sorted_parts`'s assert cannot fire on hostile input.
+            SparseVec::from_sorted_parts(terms, weights)
+        })
+        .collect();
     Ok(docs)
 }
 
@@ -269,6 +271,18 @@ mod tests {
         assert!(err.to_string().contains("chunk 2"), "{err}");
     }
 
+    /// A header with an honest length and checksum for `payload`,
+    /// claiming `doc_count` rows and `nnz` entries.
+    fn forged(doc_count: u64, nnz: u64, payload: &[u8]) -> ChunkHeader {
+        ChunkHeader {
+            doc_start: 0,
+            doc_count,
+            nnz,
+            payload_len: payload.len() as u64,
+            checksum: fnv1a(payload),
+        }
+    }
+
     #[test]
     fn structural_lies_are_caught_even_with_matching_checksum() {
         // Forge a chunk whose checksum is honest but whose contents lie:
@@ -279,13 +293,7 @@ mod tests {
         varint::write_u64(&mut payload, 0); // zero delta: duplicate
         payload.extend_from_slice(&1.0f64.to_le_bytes());
         payload.extend_from_slice(&2.0f64.to_le_bytes());
-        let header = ChunkHeader {
-            doc_start: 0,
-            doc_count: 1,
-            nnz: 2,
-            payload_len: payload.len() as u64,
-            checksum: fnv1a(&payload),
-        };
+        let header = forged(1, 2, &payload);
         let err = decode_chunk(&header, &payload, 100, 0).unwrap_err();
         assert!(err.to_string().contains("strictly increasing"), "{err}");
 
@@ -294,13 +302,7 @@ mod tests {
         varint::write_u64(&mut payload, 1);
         varint::write_u64(&mut payload, 100); // dim is 100 ⇒ max id 99
         payload.extend_from_slice(&1.0f64.to_le_bytes());
-        let header = ChunkHeader {
-            doc_start: 0,
-            doc_count: 1,
-            nnz: 1,
-            payload_len: payload.len() as u64,
-            checksum: fnv1a(&payload),
-        };
+        let header = forged(1, 1, &payload);
         let err = decode_chunk(&header, &payload, 100, 0).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
 
@@ -314,13 +316,7 @@ mod tests {
         for w in [1.0f64, 2.0, 3.0] {
             payload.extend_from_slice(&w.to_le_bytes());
         }
-        let header = ChunkHeader {
-            doc_start: 0,
-            doc_count: 1,
-            nnz: 2, // lies: the row table sums to 3
-            payload_len: payload.len() as u64,
-            checksum: fnv1a(&payload),
-        };
+        let header = forged(1, 2, &payload); // lies: the row table sums to 3
         let err = decode_chunk(&header, &payload, 100, 0).unwrap_err();
         assert!(err.to_string().contains("row lengths sum"), "{err}");
 
@@ -335,6 +331,31 @@ mod tests {
         };
         let err = decode_chunk(&header, &[0], 100, 0).unwrap_err();
         assert!(err.to_string().contains("payload bytes"), "{err}");
+    }
+
+    #[test]
+    fn malformed_varint_names_its_section_row_and_offset() {
+        // Row 1's only term id is `0x80 0x00`, a non-canonical varint,
+        // at payload offset 3 (after two row lengths and row 0's id).
+        let mut payload = vec![1, 1, 5, 0x80, 0x00];
+        payload.extend_from_slice(&1.0f64.to_le_bytes());
+        payload.extend_from_slice(&2.0f64.to_le_bytes());
+        let err = decode_chunk(&forged(2, 2, &payload), &payload, 100, 6).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "colfmt corrupt intermediate at chunk 6: \
+             truncated or malformed varint in term ids (row 1) at payload offset 3"
+        );
+
+        // Row 1's length is the malformed varint, at payload offset 1.
+        let mut payload = vec![1, 0x80, 0x00, 5];
+        payload.extend_from_slice(&1.0f64.to_le_bytes());
+        let err = decode_chunk(&forged(2, 1, &payload), &payload, 100, 6).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "colfmt corrupt intermediate at chunk 6: \
+             truncated or malformed varint in row-length table (row 1) at payload offset 1"
+        );
     }
 
     #[test]
