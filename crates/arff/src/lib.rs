@@ -17,13 +17,14 @@
 //! rows, comments, quoted attribute names). Parse errors carry line
 //! numbers.
 
+mod fmt;
 mod reader;
 mod writer;
 
 pub use reader::{parse_data_line, ArffReader};
 pub use writer::ArffWriter;
 
-use std::fmt;
+use std::borrow::Cow;
 
 /// Attribute type. TF/IDF matrices only need numeric attributes, but the
 /// parser accepts the other standard kinds so real WEKA files load.
@@ -91,8 +92,8 @@ pub enum ArffError {
     },
 }
 
-impl fmt::Display for ArffError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl std::fmt::Display for ArffError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArffError::Io(e) => write!(f, "arff i/o error: {e}"),
             ArffError::Parse { line, message } => {
@@ -117,17 +118,18 @@ impl From<std::io::Error> for ArffError {
     }
 }
 
-/// Quote an identifier if it contains characters ARFF treats specially.
-pub(crate) fn quote_name(name: &str) -> String {
+/// Quote an identifier if it contains characters ARFF treats specially;
+/// borrow it unchanged otherwise.
+pub(crate) fn quote_name(name: &str) -> Cow<'_, str> {
     let needs = name.is_empty()
         || name
             .chars()
             .any(|c| c.is_whitespace() || matches!(c, '{' | '}' | ',' | '%' | '\'' | '"'));
     if needs {
         let escaped = name.replace('\\', "\\\\").replace('\'', "\\'");
-        format!("'{escaped}'")
+        Cow::Owned(format!("'{escaped}'"))
     } else {
-        name.to_string()
+        Cow::Borrowed(name)
     }
 }
 

@@ -44,12 +44,11 @@ impl<R: BufRead> ArffReader<R> {
             if line.is_empty() {
                 continue;
             }
-            let upper = line.to_ascii_uppercase();
-            if let Some(rest) = keyword(line, &upper, "@RELATION") {
+            if let Some(rest) = keyword(line, "@RELATION") {
                 header.relation = unquote_name(rest);
-            } else if let Some(rest) = keyword(line, &upper, "@ATTRIBUTE") {
+            } else if let Some(rest) = keyword(line, "@ATTRIBUTE") {
                 header.attributes.push(parse_attribute(rest, line_no)?);
-            } else if upper.starts_with("@DATA") {
+            } else if starts_with_ignore_case(line, "@DATA") {
                 break;
             } else {
                 return Err(ArffError::Parse {
@@ -134,26 +133,17 @@ pub fn parse_data_line(
         // WEKA requires ascending indices, as our writer emits them, so
         // rows are built in place; we tolerate any order: the first id
         // out of order or repeated falls back to pairs, sorted and summed.
-        let items = inner.bytes().filter(|&b| b == b',').count() + 1;
+        let items = count_commas(inner.as_bytes()) + 1;
         let mut terms = Vec::with_capacity(items);
         let mut weights = Vec::with_capacity(items);
         let mut unsorted: Option<Vec<(u32, f64)>> = None;
-        for item in inner.split(',') {
-            let item = item.trim();
-            if item.is_empty() {
-                continue;
-            }
-            let (idx_s, val_s) = item
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| err(format!("sparse entry '{item}' lacks a value")))?;
-            let idx: u32 = idx_s
-                .trim()
-                .parse()
-                .map_err(|_| err(format!("bad index '{idx_s}'")))?;
+        for entry in sparse_entries(inner) {
+            let (idx_s, idx, val_s) =
+                entry.map_err(|item| err(format!("sparse entry '{item}' lacks a value")))?;
+            let idx = idx.ok_or_else(|| err(format!("bad index '{idx_s}'")))?;
             if idx as usize >= dim {
                 return Err(err(format!("index {idx} out of range (dim {dim})")));
             }
-            let val_s = val_s.trim();
             if val_s == "?" {
                 continue; // missing value: no weight
             }
@@ -200,6 +190,131 @@ pub fn parse_data_line(
     }
 }
 
+/// The entries of a sparse row's `{…}` interior, in one byte pass:
+/// `Ok((index, id, value))` split at the entry's first whitespace
+/// character and trimmed, where `id` is the index as `u32::from_str`
+/// reads it, or `Err(entry)` (trimmed) for an entry without a value.
+/// Blank entries are skipped. Whitespace is `char::is_whitespace`'s; only
+/// a byte ≥ 0x80 is decoded as a `char` to test it.
+fn sparse_entries(inner: &str) -> impl Iterator<Item = Result<(&str, Option<u32>, &str), &str>> {
+    let bytes = inner.as_bytes();
+    let mut pos = 0;
+    std::iter::from_fn(move || loop {
+        let start = skip_whitespace(inner, pos);
+        if start >= bytes.len() {
+            return None;
+        }
+        if bytes[start] == b',' {
+            pos = start + 1;
+            continue;
+        }
+        // The index runs to the first whitespace, comma or the end; its
+        // digits are summed on the way.
+        let (mut sep, mut digits, mut digits_only) = (start, 0u32, true);
+        while sep < bytes.len() {
+            let b = bytes[sep];
+            if b.is_ascii_digit() {
+                digits = digits.wrapping_mul(10).wrapping_add((b - b'0') as u32);
+            } else if b == b',' || (inner.is_char_boundary(sep) && whitespace_at(inner, sep) > 0) {
+                break;
+            } else {
+                digits_only = false;
+            }
+            sep += 1;
+        }
+        // The value runs from the next non-whitespace to the comma.
+        let value = skip_whitespace(inner, sep);
+        let mut end = find_comma(bytes, value);
+        pos = end + 1;
+        if value == end {
+            return Some(Err(&inner[start..sep]));
+        }
+        while let n @ 1.. = whitespace_before(inner, end) {
+            end -= n;
+        }
+        let index = &inner[start..sep];
+        // Nine digits cannot overflow; anything else (longer, signed,
+        // malformed) is read as before.
+        let id = if digits_only && index.len() <= 9 {
+            Some(digits)
+        } else {
+            index.parse().ok()
+        };
+        return Some(Ok((index, id, &inner[value..end])));
+    })
+}
+
+/// Index of the first `,` in `bytes` at or after `from`, or `bytes.len()`:
+/// eight bytes per step, by the has-zero-byte test on `word ^ ",,,,,,,,"`
+/// (the lowest flagged byte is always a true match).
+fn find_comma(bytes: &[u8], from: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const COMMAS: u64 = u64::from_ne_bytes([b','; 8]);
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes")) ^ COMMAS;
+        let zeros = word.wrapping_sub(ONES) & !word & HIGHS;
+        if zeros != 0 {
+            return i + (zeros.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    i + bytes[i..]
+        .iter()
+        .position(|&b| b == b',')
+        .unwrap_or(bytes.len() - i)
+}
+
+/// Commas in `bytes`. Per-chunk `u8` sums vectorize where a plain
+/// `filter().count()` does not; 255 keeps each sum from overflowing.
+fn count_commas(bytes: &[u8]) -> usize {
+    bytes
+        .chunks(255)
+        .map(|c| c.iter().map(|&b| (b == b',') as u8).sum::<u8>() as usize)
+        .sum()
+}
+
+/// Index of the first non-whitespace character of `s` at or after byte
+/// `i` (a character boundary).
+fn skip_whitespace(s: &str, mut i: usize) -> usize {
+    while i < s.len() {
+        match whitespace_at(s, i) {
+            0 => break,
+            n => i += n,
+        }
+    }
+    i
+}
+
+/// Byte length of the whitespace character starting at byte `i` of `s`
+/// (a character boundary below `s.len()`), or 0 if it is not whitespace.
+fn whitespace_at(s: &str, i: usize) -> usize {
+    let b = s.as_bytes()[i];
+    if b < 0x80 {
+        (b as char).is_whitespace() as usize
+    } else {
+        match s[i..].chars().next() {
+            Some(c) if c.is_whitespace() => c.len_utf8(),
+            _ => 0,
+        }
+    }
+}
+
+/// Byte length of the whitespace character ending at byte `end` of `s`
+/// (a character boundary above 0), or 0 if it is not whitespace.
+fn whitespace_before(s: &str, end: usize) -> usize {
+    let b = s.as_bytes()[end - 1];
+    if b < 0x80 {
+        (b as char).is_whitespace() as usize
+    } else {
+        match s[..end].chars().next_back() {
+            Some(c) if c.is_whitespace() => c.len_utf8(),
+            _ => 0,
+        }
+    }
+}
+
 /// Strip an unquoted `%` comment (respecting `\'` escapes inside quotes).
 fn strip_comment(line: &str) -> &str {
     if !line.as_bytes().contains(&b'%') {
@@ -238,8 +353,17 @@ fn closing_quote(s: &str) -> Option<usize> {
     None
 }
 
-fn keyword<'a>(line: &'a str, upper: &str, kw: &str) -> Option<&'a str> {
-    if upper.starts_with(kw) {
+/// Whether `s` starts with the ASCII `prefix`, ignoring ASCII case.
+fn starts_with_ignore_case(s: &str, prefix: &str) -> bool {
+    s.as_bytes()
+        .get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+}
+
+/// The rest of `line` after the ASCII keyword `kw` (any case), if it
+/// starts with it.
+fn keyword<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
+    if starts_with_ignore_case(line, kw) {
         Some(line[kw.len()..].trim_start())
     } else {
         None
@@ -264,13 +388,10 @@ fn parse_attribute(rest: &str, line_no: usize) -> Result<Attribute, ArffError> {
             .ok_or_else(|| err(format!("attribute '{rest}' lacks a type")))?;
         (n.to_string(), t.trim())
     };
-    let upper = type_part.to_ascii_uppercase();
-    let kind = if upper.starts_with("NUMERIC")
-        || upper.starts_with("REAL")
-        || upper.starts_with("INTEGER")
-    {
+    let is = |kw| starts_with_ignore_case(type_part, kw);
+    let kind = if is("NUMERIC") || is("REAL") || is("INTEGER") {
         AttrKind::Numeric
-    } else if upper.starts_with("STRING") {
+    } else if is("STRING") {
         AttrKind::String
     } else if type_part.starts_with('{') {
         let inner = type_part

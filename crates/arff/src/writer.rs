@@ -1,5 +1,6 @@
 //! Sequential ARFF encoder.
 
+use crate::fmt::{push_f64, push_u32};
 use crate::{quote_name, ArffError, ArffHeader, AttrKind};
 use hpa_sparse::SparseVec;
 use std::io::Write;
@@ -14,6 +15,8 @@ pub struct ArffWriter<W: Write> {
     dim: usize,
     header_written: bool,
     rows: u64,
+    /// The row being rendered; each row reaches `out` in one write.
+    line: Vec<u8>,
 }
 
 impl<W: Write> ArffWriter<W> {
@@ -24,6 +27,7 @@ impl<W: Write> ArffWriter<W> {
             dim: 0,
             header_written: false,
             rows: 0,
+            line: Vec::new(),
         }
     }
 
@@ -39,6 +43,7 @@ impl<W: Write> ArffWriter<W> {
             dim,
             header_written: true,
             rows: 0,
+            line: Vec::new(),
         }
     }
 
@@ -63,7 +68,7 @@ impl<W: Write> ArffWriter<W> {
                     writeln!(self.out, "@ATTRIBUTE {} STRING", quote_name(&attr.name))?
                 }
                 AttrKind::Nominal(values) => {
-                    let list: Vec<String> = values.iter().map(|v| quote_name(v)).collect();
+                    let list: Vec<_> = values.iter().map(|v| quote_name(v)).collect();
                     writeln!(
                         self.out,
                         "@ATTRIBUTE {} {{{}}}",
@@ -91,16 +96,19 @@ impl<W: Write> ArffWriter<W> {
                 self.dim
             );
         }
-        self.out.write_all(b"{")?;
-        let mut first = true;
-        for (t, w) in row.iter() {
-            if !first {
-                self.out.write_all(b",")?;
+        let line = &mut self.line;
+        line.clear();
+        line.push(b'{');
+        for (i, (t, w)) in row.iter().enumerate() {
+            if i > 0 {
+                line.push(b',');
             }
-            write!(self.out, "{t} {w}")?;
-            first = false;
+            push_u32(line, t);
+            line.push(b' ');
+            push_f64(line, w);
         }
-        self.out.write_all(b"}\n")?;
+        line.extend_from_slice(b"}\n");
+        self.out.write_all(line)?;
         self.rows += 1;
         Ok(())
     }
@@ -109,15 +117,16 @@ impl<W: Write> ArffWriter<W> {
     pub fn write_dense_row(&mut self, values: &[f64]) -> Result<(), ArffError> {
         assert!(self.header_written, "row before header");
         assert_eq!(values.len(), self.dim, "dense row width mismatch");
-        let mut first = true;
-        for v in values {
-            if !first {
-                self.out.write_all(b",")?;
+        let line = &mut self.line;
+        line.clear();
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                line.push(b',');
             }
-            write!(self.out, "{v}")?;
-            first = false;
+            push_f64(line, v);
         }
-        self.out.write_all(b"\n")?;
+        line.push(b'\n');
+        self.out.write_all(line)?;
         self.rows += 1;
         Ok(())
     }
