@@ -7,13 +7,22 @@
 //!
 //! * an **append-only string arena** (`Vec<u8>`) holding every key's
 //!   bytes back to back in id order, with one `u32` end offset per id,
-//! * one `u64` value per id, and
+//! * one `u64` value per id,
+//! * one `u64` *prefix* per id: the key's first eight bytes, zero-padded
+//!   (see [`key_prefix`]), marked in its top byte when the key is shorter
+//!   than eight bytes, and
 //! * one flat, power-of-two slot table (`Vec<u64>`) probed linearly,
 //!   with no tombstones (the dictionary never deletes), where a slot is
 //!   `tag << 32 | id + 1` — 8 bytes, no pointers. The tag is the word's
 //!   [`hash_word`] folded to 32 bits: a probe rejects on
-//!   it before it reads key bytes, and growth re-places slots by it, so
-//!   neither touches the arena.
+//!   it before it reads anything else, and growth re-places slots by it,
+//!   so neither touches the arena.
+//!
+//! A tag hit is confirmed on the prefix column: one load and one integer
+//! compare. The marked prefix of a key shorter than eight bytes is that
+//! key alone — its top byte is `0xF8 | len`, a byte no UTF-8 text holds,
+//! so no other key, short or long, has the same one — and the arena is
+//! read only for keys of eight bytes or more, whose prefixes match.
 //!
 //! The id is what TF/IDF is built on (`hpa_tfidf`): [`ArenaDict::intern`]
 //! is the one hash probe a token costs, everything downstream — document
@@ -27,6 +36,40 @@
 
 use crate::mem::arena_heap_bytes;
 use crate::{hash_word, Dictionary};
+
+/// A key's first eight bytes, zero-padded, as a little-endian `u64` —
+/// the prefix `hpa_corpus::Tokenizer::for_each_prefixed` yields with
+/// each token.
+#[inline]
+pub fn key_prefix(key: &[u8]) -> u64 {
+    let mut p = [0u8; 8];
+    let n = key.len().min(8);
+    p[..n].copy_from_slice(&key[..n]);
+    u64::from_le_bytes(p)
+}
+
+/// The prefix column's entry for a key of `len` bytes whose
+/// [`key_prefix`] is `prefix`: a key shorter than eight bytes has zero
+/// top byte, which becomes `0xF8 | len`. No UTF-8 text holds a byte from
+/// 0xF8 up, so a marked prefix equals no other key's entry.
+#[inline]
+fn marked(prefix: u64, len: usize) -> u64 {
+    if len < 8 {
+        prefix | (0xF8 | len as u64) << 56
+    } else {
+        prefix
+    }
+}
+
+/// [`key_prefix`] of a prefix column entry: the marker cleared.
+#[inline]
+fn unmarked(entry: u64) -> u64 {
+    if entry >> 59 == 0x1F {
+        entry & (u64::MAX >> 8)
+    } else {
+        entry
+    }
+}
 
 /// Fibonacci multiplier (2^64 / φ): the slot index uses the *high* bits
 /// of `tag * FIB` (multiply-shift hashing): they depend on every bit of
@@ -66,6 +109,8 @@ pub struct ArenaDict {
     ends: Vec<u32>,
     /// Value by id; grows in step with `ends`.
     values: Vec<u64>,
+    /// [`marked`] prefix by id; grows in step with `ends`.
+    prefixes: Vec<u64>,
     probe_steps: u64,
     rehashes: u64,
     /// Race-detector hook for the merge path (the only place an
@@ -81,6 +126,7 @@ impl Default for ArenaDict {
             arena: Vec::new(),
             ends: Vec::new(),
             values: Vec::new(),
+            prefixes: Vec::new(),
             probe_steps: 0,
             rehashes: 0,
             track: crate::atomic::tracked::Track::new("dict::arena::ArenaDict"),
@@ -102,6 +148,7 @@ impl ArenaDict {
         d.arena.reserve(key_bytes);
         d.ends.reserve(entries);
         d.values.reserve(entries);
+        d.prefixes.reserve(entries);
         d
     }
 
@@ -126,13 +173,25 @@ impl ArenaDict {
     }
 
     /// The id of `word`, whose [`hash_word`] value is `hash`; a word not
-    /// seen before takes the next id and the value 0. This is the one
-    /// probe a token costs: the caller hashes it once and indexes its own
-    /// per-id arrays with the result.
+    /// seen before takes the next id and the value 0.
     #[inline]
     pub fn intern(&mut self, hash: u64, word: &str) -> u32 {
+        self.intern_prefixed(hash, key_prefix(word.as_bytes()), word)
+    }
+
+    /// [`ArenaDict::intern`] for a caller that also has the word's
+    /// [`key_prefix`] in hand, as the tokenizer yields it. This is the
+    /// one probe a token costs: the caller hashes it once and indexes
+    /// its own per-id arrays with the result.
+    #[inline]
+    pub fn intern_prefixed(&mut self, hash: u64, prefix: u64, word: &str) -> u32 {
         debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
-        self.intern_bytes(hash, word.as_bytes())
+        debug_assert_eq!(
+            prefix,
+            key_prefix(word.as_bytes()),
+            "caller-supplied prefix mismatch"
+        );
+        self.intern_bytes(hash, marked(prefix, word.len()), word.as_bytes())
     }
 
     /// The id of `word` (with its [`hash_word`] value), if it was interned.
@@ -141,7 +200,9 @@ impl ArenaDict {
         if self.is_empty() {
             return None;
         }
-        self.probe(fold(hash), word.as_bytes()).1
+        let key = word.as_bytes();
+        self.probe(fold(hash), marked(key_prefix(key), key.len()), key)
+            .1
     }
 
     /// The word with the given id.
@@ -172,17 +233,12 @@ impl ArenaDict {
     /// Every id in ascending order of its key's bytes. UTF-8 byte order
     /// equals `str` (scalar-value) order, so this is
     /// `BTreeMap<Box<str>, _>` iteration order exactly. The sort compares
-    /// the keys' first eight bytes as one integer and reads the arena
-    /// only to break ties.
+    /// the keys' first eight bytes as one big-endian integer, read off
+    /// the prefix column, and reads the arena only to break ties.
     pub fn sorted_ids(&self) -> Vec<u32> {
-        let prefix = |key: &[u8]| {
-            let mut p = [0u8; 8];
-            let n = key.len().min(8);
-            p[..n].copy_from_slice(&key[..n]);
-            u64::from_be_bytes(p)
-        };
-        let mut keyed: Vec<(u64, u32)> = (0..self.len() as u32)
-            .map(|id| (prefix(self.key_bytes(id)), id))
+        let mut keyed: Vec<(u64, u32)> = (0u32..)
+            .zip(&self.prefixes)
+            .map(|(id, &entry)| (unmarked(entry).swap_bytes(), id))
             .collect();
         // A zero-padded prefix orders like the key itself wherever two
         // prefixes differ; equal prefixes decide on the full keys.
@@ -202,7 +258,8 @@ impl ArenaDict {
         let map = (0..other.len() as u32)
             .map(|id| {
                 let key = other.key_bytes(id);
-                let here = self.intern_bytes(hpa_sparse::fnv1a(key), key);
+                let prefix = other.prefixes[id as usize];
+                let here = self.intern_bytes(hpa_sparse::fnv1a(key), prefix, key);
                 self.add_at(here, other.value(id));
                 here
             })
@@ -229,12 +286,12 @@ impl ArenaDict {
         ((tag as u64).wrapping_mul(FIB) >> self.shift) as usize
     }
 
-    /// Linear probe for `key`: `(slot index, its id if found, steps past
-    /// home)`. The table must have at least one empty slot (the
-    /// load-factor bound guarantees it), or the probe could not
-    /// terminate.
+    /// Linear probe for `key`, whose [`marked`] prefix is `prefix`:
+    /// `(slot index, its id if found, steps past home)`. The table must
+    /// have at least one empty slot (the load-factor bound guarantees
+    /// it), or the probe could not terminate.
     #[inline]
-    fn probe(&self, tag: u32, key: &[u8]) -> (usize, Option<u32>, u64) {
+    fn probe(&self, tag: u32, prefix: u64, key: &[u8]) -> (usize, Option<u32>, u64) {
         let mask = self.slots.len() - 1;
         let mut idx = self.home(tag);
         let mut steps = 0u64;
@@ -243,11 +300,14 @@ impl ArenaDict {
             if slot == 0 {
                 return (idx, None, steps);
             }
-            // Cheap rejection first: the key bytes are read only when
-            // the tags collide.
+            // Cheap rejection first: the prefix is read only when the
+            // tags collide, the key bytes only when a key of eight bytes
+            // or more matches on it.
             if (slot >> 32) as u32 == tag {
                 let id = slot as u32 - 1;
-                if self.key_bytes(id) == key {
+                if self.prefixes[id as usize] == prefix
+                    && (key.len() < 8 || self.key_bytes(id) == key)
+                {
                     return (idx, Some(id), steps);
                 }
             }
@@ -281,14 +341,26 @@ impl ArenaDict {
         }
     }
 
-    fn intern_bytes(&mut self, hash: u64, key: &[u8]) -> u32 {
-        self.reserve_slots(self.len() + 1);
-        let tag = fold(hash);
-        let (idx, found, steps) = self.probe(tag, key);
-        self.probe_steps += steps;
-        if let Some(id) = found {
-            return id;
+    /// Intern `key`, whose hash is `hash` and [`marked`] prefix `prefix`.
+    #[inline]
+    fn intern_bytes(&mut self, hash: u64, prefix: u64, key: &[u8]) -> u32 {
+        // `reserve_slots`' own test, made here so that a hit calls nothing.
+        let want = self.len() + 1;
+        if want * 8 > self.slots.len() * 7 {
+            self.reserve_slots(want);
         }
+        let tag = fold(hash);
+        let (idx, found, steps) = self.probe(tag, prefix, key);
+        self.probe_steps += steps;
+        match found {
+            Some(id) => id,
+            None => self.append(idx, tag, prefix, key),
+        }
+    }
+
+    /// Give `key` the next id and the empty slot `idx` its probe ended on.
+    #[cold]
+    fn append(&mut self, idx: usize, tag: u32, prefix: u64, key: &[u8]) -> u32 {
         // A slot holds `id + 1` in 32 bits and an end offset is a `u32`.
         let id = u32::try_from(self.len())
             .ok()
@@ -299,6 +371,7 @@ impl ArenaDict {
         self.arena.extend_from_slice(key);
         self.ends.push(end);
         self.values.push(0);
+        self.prefixes.push(prefix);
         self.slots[idx] = (tag as u64) << 32 | (id as u64 + 1);
         id
     }
@@ -344,7 +417,10 @@ impl Dictionary for ArenaDict {
         arena_heap_bytes(
             self.slots.len() as u64,
             self.arena.capacity() as u64,
-            self.ends.capacity().max(self.values.capacity()) as u64,
+            self.ends
+                .capacity()
+                .max(self.values.capacity())
+                .max(self.prefixes.capacity()) as u64,
         )
     }
 }
@@ -502,6 +578,36 @@ mod tests {
     }
 
     #[test]
+    fn equal_tags_and_prefixes_still_tell_keys_apart() {
+        // Every key under one hash, so each probe confirms on the prefix
+        // column: zero bytes that look like a short key's padding, a key
+        // ending at the eighth byte, and keys that share eight bytes
+        // (the longer one first, so the eight-byte key probes past it).
+        let keys: [&[u8]; 9] = [
+            b"ab",
+            b"ab\0",
+            b"ab\0\0\0\0\0",
+            b"ab\0\0\0\0\0\0",
+            b"abcdefg",
+            b"abcdefg\0",
+            b"abcdefghi",
+            b"abcdefgh",
+            b"",
+        ];
+        let mut d = ArenaDict::new();
+        let intern = |d: &mut ArenaDict, key: &[u8]| {
+            d.intern_bytes(7, marked(key_prefix(key), key.len()), key)
+        };
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(intern(&mut d, key), id as u32, "{key:?} is new");
+        }
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(intern(&mut d, key), id as u32, "{key:?} is known");
+            assert_eq!(d.key_bytes(id as u32), *key);
+        }
+    }
+
+    #[test]
     fn merge_maps_the_other_sides_ids() {
         let mut a = ArenaDict::new();
         a.add("x", 1);
@@ -568,6 +674,7 @@ mod tests {
                 + d.arena.capacity() as u64
                 + d.ends.capacity() as u64 * 4
                 + d.values.capacity() as u64 * 8
+                + d.prefixes.capacity() as u64 * 8
         );
     }
 }

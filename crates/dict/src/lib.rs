@@ -24,7 +24,7 @@ pub mod atomic;
 pub mod costmodel;
 mod mem;
 
-pub use arena::{ArenaDict, ArenaStats};
+pub use arena::{key_prefix, ArenaDict, ArenaStats};
 pub use costmodel::OpCost;
 pub use mem::{arena_heap_bytes, btree_heap_bytes, hash_heap_bytes};
 

@@ -62,12 +62,12 @@ fn string_round_up(len: u64, string_bytes: u64) -> u64 {
 }
 
 /// Heap bytes of an `ArenaDict`: `slot_capacity` 8-byte slots (hash
-/// tag + id), the string arena's capacity, and 12 bytes per reserved
-/// entry (a `u32` key end offset and the `u64` value). Unlike the
-/// standard structures this is exact, not an estimate: there is no
-/// per-key allocation to approximate.
+/// tag + id), the string arena's capacity, and 20 bytes per reserved
+/// entry (a `u32` key end offset, the `u64` value and the `u64` key
+/// prefix). Unlike the standard structures this is exact, not an
+/// estimate: there is no per-key allocation to approximate.
 pub fn arena_heap_bytes(slot_capacity: u64, arena_capacity: u64, entry_capacity: u64) -> u64 {
-    slot_capacity * 8 + arena_capacity + entry_capacity * 12
+    slot_capacity * 8 + arena_capacity + entry_capacity * 20
 }
 
 #[cfg(test)]

@@ -132,3 +132,250 @@ fn arena_sorted_order_is_insertion_order_independent() {
     }
     assert_eq!(sorted_entries(&forward), sorted_entries(&backward));
 }
+
+/// The arena interner as it was before it kept a prefix column, kept
+/// verbatim (less its race-detector hook, trace counters and the
+/// `Dictionary` surface) as the oracle of the prefix match: a tag hit
+/// was confirmed by comparing the key bytes in the arena.
+mod head {
+    const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    pub fn fold(hash: u64) -> u32 {
+        (hash ^ (hash >> 32)) as u32
+    }
+
+    #[derive(Default)]
+    pub struct ArenaDict {
+        slots: Vec<u64>,
+        shift: u32,
+        arena: Vec<u8>,
+        ends: Vec<u32>,
+        values: Vec<u64>,
+        pub probe_steps: u64,
+    }
+
+    impl ArenaDict {
+        pub fn len(&self) -> usize {
+            self.values.len()
+        }
+
+        pub fn intern(&mut self, word: &str) -> u32 {
+            self.intern_bytes(hpa_dict::hash_word(word), word.as_bytes())
+        }
+
+        pub fn sorted_ids(&self) -> Vec<u32> {
+            let prefix = |key: &[u8]| {
+                let mut p = [0u8; 8];
+                let n = key.len().min(8);
+                p[..n].copy_from_slice(&key[..n]);
+                u64::from_be_bytes(p)
+            };
+            let mut keyed: Vec<(u64, u32)> = (0..self.len() as u32)
+                .map(|id| (prefix(self.key_bytes(id)), id))
+                .collect();
+            keyed.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| self.key_bytes(a.1).cmp(self.key_bytes(b.1)))
+            });
+            keyed.into_iter().map(|(_, id)| id).collect()
+        }
+
+        pub fn merge_from(&mut self, other: &ArenaDict) -> Vec<u32> {
+            (0..other.len() as u32)
+                .map(|id| {
+                    let key = other.key_bytes(id);
+                    let here = self.intern_bytes(hpa_sparse::fnv1a(key), key);
+                    self.values[here as usize] += other.values[id as usize];
+                    here
+                })
+                .collect()
+        }
+
+        fn key_bytes(&self, id: u32) -> &[u8] {
+            let start = match id.checked_sub(1) {
+                Some(prev) => self.ends[prev as usize],
+                None => 0,
+            };
+            &self.arena[start as usize..self.ends[id as usize] as usize]
+        }
+
+        fn home(&self, tag: u32) -> usize {
+            ((tag as u64).wrapping_mul(FIB) >> self.shift) as usize
+        }
+
+        fn probe(&self, tag: u32, key: &[u8]) -> (usize, Option<u32>, u64) {
+            let mask = self.slots.len() - 1;
+            let mut idx = self.home(tag);
+            let mut steps = 0u64;
+            loop {
+                let slot = self.slots[idx];
+                if slot == 0 {
+                    return (idx, None, steps);
+                }
+                if (slot >> 32) as u32 == tag {
+                    let id = slot as u32 - 1;
+                    if self.key_bytes(id) == key {
+                        return (idx, Some(id), steps);
+                    }
+                }
+                idx = (idx + 1) & mask;
+                steps += 1;
+            }
+        }
+
+        fn reserve_slots(&mut self, want: usize) {
+            let mut cap = self.slots.len().max(8);
+            while want * 8 > cap * 7 {
+                cap *= 2;
+            }
+            if cap <= self.slots.len() {
+                return;
+            }
+            let old = std::mem::replace(&mut self.slots, vec![0; cap]);
+            self.shift = 64 - cap.trailing_zeros();
+            let mask = cap - 1;
+            for slot in old.into_iter().filter(|&s| s != 0) {
+                let mut idx = self.home((slot >> 32) as u32);
+                while self.slots[idx] != 0 {
+                    idx = (idx + 1) & mask;
+                }
+                self.slots[idx] = slot;
+            }
+        }
+
+        fn intern_bytes(&mut self, hash: u64, key: &[u8]) -> u32 {
+            self.reserve_slots(self.len() + 1);
+            let tag = fold(hash);
+            let (idx, found, steps) = self.probe(tag, key);
+            self.probe_steps += steps;
+            if let Some(id) = found {
+                return id;
+            }
+            let id = self.len() as u32;
+            let end = (self.arena.len() + key.len()) as u32;
+            self.arena.extend_from_slice(key);
+            self.ends.push(end);
+            self.values.push(0);
+            self.slots[idx] = (tag as u64) << 32 | (id as u64 + 1);
+            id
+        }
+    }
+}
+
+/// Words many of which share their first eight bytes, or their first
+/// seven and end there, or hold zero bytes that look like a short key's
+/// padding — `family` of each kind, enough that 32-bit tags collide —
+/// in a random order with repeats.
+fn prefix_sharing_words(rng: &mut SplitMix64, family: usize) -> Vec<String> {
+    const FIXED: [&str; 14] = [
+        "abcdefgh",
+        "abcdefghi",
+        "abcdefghij",
+        "abcdefg",
+        "abcdef",
+        "bcdefgh",
+        "abcdefg\0",
+        "abcdefg\0\0",
+        "ab",
+        "ab\0",
+        "ab\0\0\0\0\0\0",
+        "",
+        "\0",
+        "é\u{10FFFF}x",
+    ];
+    let mut words: Vec<String> = FIXED.iter().map(|w| w.to_string()).collect();
+    for i in 0..family {
+        // A long key matching every other one on the prefix, and a
+        // seven-byte key whose prefix alone decides.
+        words.push(format!("abcdefgh{i}"));
+        words.push(
+            (0..7)
+                .map(|_| (b'a' + rng.gen_index(26) as u8) as char)
+                .collect(),
+        );
+    }
+    for _ in 0..family {
+        let again = words[rng.gen_index(words.len())].clone();
+        words.push(again);
+    }
+    for i in (1..words.len()).rev() {
+        words.swap(i, rng.gen_index(i + 1));
+    }
+    words
+}
+
+#[test]
+fn arena_prefix_match_agrees_with_the_arena_compare() {
+    let mut rng = SplitMix64::seed_from_u64(35);
+    let words = prefix_sharing_words(&mut rng, 150_000);
+    // The set must reach the prefix match through tag collisions: two
+    // distinct words with one tag, both with an equal and with unequal
+    // prefixes.
+    let mut by_tag: std::collections::HashMap<u32, Vec<&str>> = Default::default();
+    for w in &words {
+        let same = by_tag
+            .entry(head::fold(hpa_dict::hash_word(w)))
+            .or_default();
+        if !same.contains(&w.as_str()) {
+            same.push(w);
+        }
+    }
+    let prefix = |w: &str| hpa_dict::key_prefix(w.as_bytes());
+    let pairs: Vec<(&str, &str)> = by_tag
+        .values()
+        .flat_map(|same| {
+            let rest = same.iter().skip(1);
+            rest.map(move |&w| (same[0], w))
+        })
+        .collect();
+    assert!(
+        pairs.iter().any(|&(a, b)| prefix(a) == prefix(b)),
+        "no tag collision between words of one prefix"
+    );
+    assert!(
+        pairs.iter().any(|&(a, b)| prefix(a) != prefix(b)),
+        "no tag collision between words of two prefixes"
+    );
+
+    let (left, right) = words.split_at(words.len() / 3);
+    let mut old = (head::ArenaDict::default(), head::ArenaDict::default());
+    let mut new = (hpa_dict::ArenaDict::new(), hpa_dict::ArenaDict::new());
+    for (side, part) in [(0, left), (1, right)] {
+        for w in part {
+            let (o, n) = if side == 0 {
+                (&mut old.0, &mut new.0)
+            } else {
+                (&mut old.1, &mut new.1)
+            };
+            let h = hpa_dict::hash_word(w);
+            let id = if w.len() % 2 == 0 {
+                n.intern(h, w)
+            } else {
+                n.intern_prefixed(h, prefix(w), w)
+            };
+            assert_eq!(id, o.intern(w), "id of {w:?}");
+            n.add_at(id, 1);
+        }
+    }
+    for (o, n) in [(&old.0, &new.0), (&old.1, &new.1)] {
+        assert_eq!(n.len(), o.len());
+        assert_eq!(n.stats().probe_steps, o.probe_steps);
+        assert_eq!(n.sorted_ids(), o.sorted_ids());
+    }
+    assert_eq!(
+        new.0.merge_from(&new.1),
+        old.0.merge_from(&old.1),
+        "merge map"
+    );
+    assert_eq!(new.0.stats().probe_steps, old.0.probe_steps, "merge probes");
+    assert_eq!(new.0.sorted_ids(), old.0.sorted_ids(), "merged order");
+    for w in &words {
+        let id = new.0.id_of(hpa_dict::hash_word(w), w).expect("merged word");
+        assert_eq!(new.0.key(id), w);
+    }
+    assert_eq!(
+        new.0.id_of(hpa_dict::hash_word("abcdefgh_"), "abcdefgh_"),
+        None
+    );
+    assert_eq!(new.0.id_of(hpa_dict::hash_word("ab\0\0"), "ab\0\0"), None);
+}

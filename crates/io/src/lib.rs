@@ -51,8 +51,9 @@ pub fn read_file_costed(path: &Path) -> io::Result<(String, TaskCost)> {
 /// Read every file of `paths` in parallel under `exec` and hand each
 /// one's text — the `String` the read produced, not a copy — to
 /// `make(index, text)`; the products come back in path order, collected
-/// per chunk of the loop. File sizes are collected up front so chunk
-/// costs are declared before the loop runs.
+/// per chunk of the loop. A chunk's declared cost `stat`s its files;
+/// only the simulator and cost predictions ask for it, so real threads
+/// read without a serial pass of `stat` calls first.
 ///
 /// Returns the first I/O error encountered, if any (all files are still
 /// attempted).
@@ -61,12 +62,6 @@ where
     T: Send,
     F: Fn(usize, String) -> T + Sync,
 {
-    // Sizes for cost annotation; unreadable files get size 0 and surface
-    // their error from the read below.
-    let sizes: Vec<u64> = paths
-        .iter()
-        .map(|p| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0))
-        .collect();
     let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
     let chunks = exec.par_map_chunks(
         paths.len(),
@@ -84,7 +79,12 @@ where
             made
         },
         |range| {
-            let bytes: u64 = range.clone().map(|i| sizes[i]).sum();
+            // An unreadable file costs 0 here and surfaces its error from
+            // the read.
+            let bytes: u64 = paths[range.clone()]
+                .iter()
+                .map(|p| std::fs::metadata(p).map_or(0, |m| m.len()))
+                .sum();
             TaskCost {
                 cpu_ns: (bytes as f64 * READ_CPU_NS_PER_BYTE) as u64,
                 mem_bytes: bytes,

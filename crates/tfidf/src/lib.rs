@@ -64,6 +64,7 @@ use hpa_io::{ByteCounter, Sequencer};
 use hpa_sparse::SparseVec;
 use std::io::{BufRead, Read, Write};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Configuration of the TF/IDF operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,7 +125,7 @@ enum TermCounts {
     /// The paper's arms: word → tf per document, word → df globally.
     PerDoc {
         docs: Vec<AnyDict>,
-        df: AnyDict,
+        df: Box<AnyDict>,
     },
     Interned(InternedCounts),
 }
@@ -133,7 +134,8 @@ enum TermCounts {
 #[derive(Debug)]
 struct InternedCounts {
     /// Word → provisional id; the value is the document frequency.
-    words: ArenaDict,
+    /// Shared with the vocabulary ranked from it.
+    words: Arc<ArenaDict>,
     /// Documents per chunk (the last chunk may hold fewer).
     grain: usize,
     chunks: Vec<ChunkRuns>,
@@ -199,9 +201,9 @@ fn count_chunk_interned(docs: &[Document]) -> (Vec<DocTermCounts>, ArenaDict, Ch
         let mark = u32::try_from(d + 1).expect("fewer than 2^32 documents per chunk");
         let start = runs.len();
         let mut total_terms = 0u64;
-        tok.for_each(&doc.text, |w| {
+        tok.for_each_prefixed(&doc.text, |w, prefix| {
             total_terms += 1;
-            let id = words.intern(hash_word(w), w);
+            let id = words.intern_prefixed(hash_word(w), prefix, w);
             if id as usize == seen.len() {
                 seen.push((0, 0));
             }
@@ -429,7 +431,7 @@ impl TfIdf {
             .unwrap_or_else(empty);
         let terms = TermCounts::PerDoc {
             docs: counted.docs,
-            df: counted.df,
+            df: Box::new(counted.df),
         };
         (counted.per_doc, terms)
     }
@@ -479,7 +481,7 @@ impl TfIdf {
             });
         }
         let counts = InternedCounts {
-            words,
+            words: Arc::new(words),
             grain,
             chunks,
         };
@@ -504,7 +506,9 @@ impl TfIdf {
             TermCounts::PerDoc { df, .. } => {
                 Vocab::from_df_dict_pruned(self.config.dict_kind, df, min_df, max_df, n)
             }
-            TermCounts::Interned(c) => Vocab::from_interned(c.words.clone(), min_df, max_df, n),
+            TermCounts::Interned(c) => {
+                Vocab::from_interned(Arc::clone(&c.words), min_df, max_df, n)
+            }
         })
     }
 

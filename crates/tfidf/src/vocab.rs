@@ -20,6 +20,54 @@ use std::sync::Arc;
 /// against a foreign vocabulary, is unknown).
 pub(crate) const PRUNED: TermId = TermId::MAX;
 
+/// Documents with fewer terms than this sort their keys with
+/// `sort_unstable`: below it a radix pass's 256 buckets cost more than
+/// the comparisons they save.
+const RADIX_MIN_KEYS: usize = 64;
+
+/// Sort `keys` — `pack(term id, tf)`, every id below `dim`, none twice —
+/// by id and return them sorted. Ids are distinct, so any sort by id
+/// gives `sort_unstable`'s order. Enough keys are sorted by LSD radix,
+/// one byte of the id per pass over `⌈log2(dim) / 8⌉` passes, ping-ponging
+/// between `keys` and its own second half (so the scratch lives as long
+/// as the caller's buffer, not one document); a pass whose byte is the
+/// same in every key is skipped.
+fn sort_by_id(keys: &mut Vec<u64>, dim: usize) -> &[u64] {
+    let n = keys.len();
+    if n < RADIX_MIN_KEYS {
+        keys.sort_unstable();
+        return keys;
+    }
+    let id_bits = usize::BITS - dim.saturating_sub(1).leading_zeros();
+    let passes = id_bits.div_ceil(8) as usize;
+    let mut counts = [[0u32; 256]; 4];
+    for &key in keys.iter() {
+        let id = (key >> 32) as usize;
+        for (pass, count) in counts[..passes].iter_mut().enumerate() {
+            count[(id >> (8 * pass)) & 0xFF] += 1;
+        }
+    }
+    keys.resize(2 * n, 0);
+    let (mut src, mut dst) = keys.split_at_mut(n);
+    for (pass, count) in counts[..passes].iter_mut().enumerate() {
+        let digit = |key: u64| (key >> (32 + 8 * pass)) as usize & 0xFF;
+        if count[digit(src[0])] as usize == n {
+            continue;
+        }
+        let mut at = 0;
+        for slot in count.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &key in src.iter() {
+            let slot = &mut count[digit(key)];
+            dst[*slot as usize] = key;
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
+}
+
 /// Immutable vocabulary built from document frequencies. Cloning shares
 /// the storage.
 #[derive(Debug, Clone)]
@@ -46,11 +94,14 @@ struct Terms {
 #[derive(Debug)]
 enum Index {
     /// The paper's arms: word → `pack(id, df)`.
-    Dict(AnyDict),
+    Dict(Box<AnyDict>),
     /// The interned arm: word → provisional id in the interner the
-    /// vocabulary was ranked from, and each provisional id's term id
-    /// ([`PRUNED`] if it has none).
-    Interned { words: ArenaDict, rank: Vec<TermId> },
+    /// vocabulary was ranked from (shared with the counts it came from),
+    /// and each provisional id's term id ([`PRUNED`] if it has none).
+    Interned {
+        words: Arc<ArenaDict>,
+        rank: Vec<TermId>,
+    },
 }
 
 impl Terms {
@@ -103,7 +154,7 @@ impl Vocab {
         if kind == DictKind::Arena {
             let mut words = ArenaDict::with_capacity(df.len(), 0);
             df.for_each(&mut |word, count| words.insert(word, count));
-            return Vocab::from_interned(words, min_df, max_df, num_docs);
+            return Vocab::from_interned(Arc::new(words), min_df, max_df, num_docs);
         }
         let mut terms = Terms::with_capacity(df.len(), num_docs);
         let mut index = kind.new_dict();
@@ -115,7 +166,7 @@ impl Vocab {
         });
         Vocab(Arc::new(Inner {
             terms,
-            index: Index::Dict(index),
+            index: Index::Dict(Box::new(index)),
             kind,
         }))
     }
@@ -124,7 +175,7 @@ impl Vocab {
     /// its values being the document frequencies over `num_docs`
     /// documents; a term outside `[min_df, max_df]` gets no rank.
     pub(crate) fn from_interned(
-        words: ArenaDict,
+        words: Arc<ArenaDict>,
         min_df: u64,
         max_df: u64,
         num_docs: usize,
@@ -186,7 +237,11 @@ impl Vocab {
     /// vocabulary from elsewhere is asked word by word.
     pub(crate) fn ranks_of(&self, words: &ArenaDict) -> Cow<'_, [TermId]> {
         match &self.0.index {
-            Index::Interned { words: own, rank } if own.same_keys(words) => Cow::Borrowed(rank),
+            Index::Interned { words: own, rank }
+                if std::ptr::eq(&**own, words) || own.same_keys(words) =>
+            {
+                Cow::Borrowed(rank)
+            }
             _ => (0..words.len() as u32)
                 .map(|id| self.lookup(words.key(id)).map_or(PRUNED, |(term, _)| term))
                 .collect(),
@@ -196,13 +251,14 @@ impl Vocab {
     /// The one scoring function of the training and the prediction path:
     /// `keys` holds a document's `pack(term id, tf)` pairs, each term
     /// once, in any order; the result is its normalized TF·IDF vector
-    /// (`idf = ln(N / df)`), the arrays sized exactly.
-    pub fn score(&self, keys: &mut [u64]) -> SparseVec {
-        // Distinct ids in the high halves: sorting the keys sorts by id.
-        keys.sort_unstable();
+    /// (`idf = ln(N / df)`), the arrays sized exactly. `keys` is left
+    /// in an unspecified state; reusing one buffer across a loop's
+    /// documents reuses the sort's scratch with it.
+    pub fn score(&self, keys: &mut Vec<u64>) -> SparseVec {
+        let keys = sort_by_id(keys, self.len());
         let mut terms = Vec::with_capacity(keys.len());
         let mut weights = Vec::with_capacity(keys.len());
-        for &key in keys.iter() {
+        for &key in keys {
             let (id, tf) = unpack(key);
             terms.push(id);
             weights.push(tf as f64 * self.0.terms.idf[id as usize]);
@@ -217,7 +273,9 @@ impl Vocab {
         self.0.kind
     }
 
-    /// Actual heap footprint of the index and the per-term arrays.
+    /// Actual heap footprint of the index and the per-term arrays. The
+    /// interned arm's index is the interner it shares with the counts it
+    /// was ranked from.
     pub fn heap_bytes(&self) -> u64 {
         let terms = &self.0.terms;
         let index = match &self.0.index {
@@ -296,7 +354,7 @@ mod tests {
             let v = Vocab::from_df_dict(kind, &kind.new_dict(), 0);
             assert!(v.is_empty());
             assert_eq!(v.lookup("x"), None);
-            assert!(v.score(&mut []).is_empty());
+            assert!(v.score(&mut Vec::new()).is_empty());
         }
     }
 
@@ -318,11 +376,44 @@ mod tests {
         let norm = raw.iter().map(|w| w * w).sum::<f64>().sqrt();
         for kind in KINDS {
             let v = Vocab::from_df_dict(kind, &df_dict(), 10);
-            let scored = v.score(&mut [pack(2, 4), pack(0, 2), pack(1, 1)]);
+            let scored = v.score(&mut vec![pack(2, 4), pack(0, 2), pack(1, 1)]);
             assert_eq!(scored.terms(), [0, 1, 2], "{kind:?}");
             let expect: Vec<f64> = raw.iter().map(|w| w * (1.0 / norm)).collect();
             assert_eq!(scored.weights(), expect, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn radix_sort_by_id_equals_sort_unstable() {
+        let mut rng = hpa_rng::SplitMix64::seed_from_u64(35);
+        for dim in [1, 2, 255, 256, 257, 4_000, 65_536, 65_537, 300_000, 1 << 25] {
+            for n in [0, 1, 2, RADIX_MIN_KEYS - 1, RADIX_MIN_KEYS, 300, 2_000] {
+                let n = n.min(dim);
+                // `n` distinct ids below `dim`: every id, or a random set.
+                let mut ids: Vec<u32> = if n == dim {
+                    (0..dim as u32).collect()
+                } else {
+                    let mut set = std::collections::BTreeSet::new();
+                    while set.len() < n {
+                        set.insert(rng.gen_index(dim) as u32);
+                    }
+                    set.into_iter().collect()
+                };
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.gen_index(i + 1));
+                }
+                let mut keys: Vec<u64> = ids.iter().map(|&id| pack(id, rng.next_u32())).collect();
+                let mut expect = keys.clone();
+                expect.sort_unstable();
+                assert_eq!(sort_by_id(&mut keys, dim), expect, "dim {dim}, {n} keys");
+            }
+        }
+        // Ids sharing their low bytes: the skipped passes keep the order
+        // the earlier ones made.
+        let mut keys: Vec<u64> = (0..200u32).rev().map(|i| pack(i << 16 | 7, i)).collect();
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        assert_eq!(sort_by_id(&mut keys, 1 << 24), expect);
     }
 
     #[test]
@@ -331,7 +422,7 @@ mod tests {
         for (w, df) in [("pear", 3), ("apple", 7), ("zucchini", 1)] {
             own.insert(w, df);
         }
-        let v = Vocab::from_interned(own.clone(), 1, u64::MAX, 10);
+        let v = Vocab::from_interned(Arc::new(own.clone()), 1, u64::MAX, 10);
         assert_eq!(&*v.ranks_of(&own), [1, 0, 2]);
         assert!(matches!(v.ranks_of(&own), Cow::Borrowed(_)));
         // Same words, other ids, one unknown word.
