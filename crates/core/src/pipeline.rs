@@ -8,9 +8,8 @@
 //! a parallel nearest-centroid predictor.
 
 use crate::{OperatorCtx, WorkflowError};
-use hpa_corpus::{Corpus, Tokenizer};
+use hpa_corpus::{Corpus, Document, Tokenizer};
 use hpa_dict::{pack, DictKind, Dictionary as _};
-use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_kmeans::{KMeans, KMeansConfig};
 use hpa_metrics::PhaseTimer;
@@ -109,57 +108,37 @@ impl TrainedPipeline {
 
     /// Assign each document of `corpus` to its nearest trained centroid
     /// (parallel over documents), through the term-major blocked kernel.
-    /// Each task writes its chunk's disjoint slice of the output — one
-    /// lock per chunk, none per document.
+    /// The documents are cut by the executor's default grain — about
+    /// eight chunks per thread, for stealing to balance — and each chunk
+    /// returns its slice of the output.
     pub fn predict(&self, exec: &Exec, corpus: &Corpus) -> Vec<u32> {
-        let n = corpus.len();
         let docs = corpus.documents();
-        let mut out = vec![0u32; n];
-        let grain = n.div_ceil(exec.threads()).max(1);
-        let ranges = hpa_exec::chunk_ranges(n, grain);
-        {
-            let mut rest: &mut [u32] = &mut out;
-            let mut slots: Vec<Mutex<&mut [u32]>> = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.len());
-                slots.push(Mutex::new(head));
-                rest = tail;
-            }
-            let slots_ref = &slots;
-            let ranges_ref = &ranges;
-            let block_ref = &self.centroids;
-            exec.par_chunks(
-                ranges.len(),
-                1,
-                |chunk_idx_range| {
-                    for ci in chunk_idx_range {
-                        let mut slot = slots_ref[ci].lock();
-                        let mut dist = vec![0.0; block_ref.k()];
-                        for (local, i) in ranges_ref[ci].clone().enumerate() {
-                            let v = self.vectorize(&docs[i].text);
-                            block_ref.distances_into(&v, &mut dist);
-                            let mut best = 0u32;
-                            let mut best_d = f64::INFINITY;
-                            for (c, &d) in dist.iter().enumerate() {
-                                if d < best_d {
-                                    best_d = d;
-                                    best = c as u32;
-                                }
-                            }
-                            slot[local] = best;
+        let chunks = exec.par_map_chunks(
+            docs.len(),
+            0,
+            |range| {
+                let mut dist = vec![0.0; self.centroids.k()];
+                let nearest = |doc: &Document| {
+                    self.centroids
+                        .distances_into(&self.vectorize(&doc.text), &mut dist);
+                    let mut best = 0u32;
+                    let mut best_d = f64::INFINITY;
+                    for (c, &d) in dist.iter().enumerate() {
+                        if d < best_d {
+                            best_d = d;
+                            best = c as u32;
                         }
                     }
-                },
-                |chunk_idx_range| {
-                    let bytes: u64 = chunk_idx_range
-                        .flat_map(|ci| ranges_ref[ci].clone())
-                        .map(|i| docs[i].text.len() as u64)
-                        .sum();
-                    TaskCost::cpu_mem((bytes as f64 * 3.0) as u64, bytes)
-                },
-            );
-        }
-        out
+                    best
+                };
+                docs[range].iter().map(nearest).collect::<Vec<u32>>()
+            },
+            |range| {
+                let bytes: u64 = docs[range].iter().map(|doc| doc.text.len() as u64).sum();
+                TaskCost::cpu_mem((bytes as f64 * 3.0) as u64, bytes)
+            },
+        );
+        chunks.concat()
     }
 
     /// Serialize as versioned plain text. Weights round-trip exactly

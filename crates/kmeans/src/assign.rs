@@ -31,20 +31,30 @@
 //! document. When centroid `c` then moves by `delta_c = |c_new −
 //! c_old|`, the triangle inequality gives `d(x, c_new) ∈ [d(x, c_old) −
 //! delta_c, d(x, c_old) + delta_c]`, so the bounds survive a move as
-//! `ub += delta_a` and `lb −= max over c != a of delta_c`. Whenever
-//! `ub < lb` *after tightening `ub` to the exact current distance*, every
-//! rival centroid is strictly farther than the current assignment, so
-//! the argmin — including the naive path's lowest-index tie-breaking,
-//! which only matters at exact distance ties — is unchanged and the
-//! `k−1` rival distances need not be computed.
+//! `ub += delta_a` and `lb −= max over c != a of delta_c`. Whenever the
+//! carried `ub < lb`, every rival centroid is strictly farther than the
+//! current assignment, so the argmin — including the naive path's
+//! lowest-index tie-breaking, which only matters at exact distance ties
+//! — is unchanged and the `k−1` rival distances need not be computed.
+//!
+//! The test comes first, on the carried bounds alone (Hamerly's order).
+//! A document they clear computes one distance, to its centroid; every
+//! other document goes straight to the full sweep, which resets both
+//! bounds exactly. Tightening `ub` to the exact distance before giving
+//! up would rescue a few documents, but it costs that one distance for
+//! every document that is swept anyway — on a dense block at `k` ≤ 8 a
+//! row is one cache line, so the distance costs about a sweep, and on a
+//! postings block it searches every row. The cost model's predicted
+//! skip (`predicts_prune`) and the kernel's decision are the same
+//! function.
 //!
 //! Two details make the arm **bit-identical** to the naive kernel
 //! rather than merely equivalent:
 //!
-//! 1. the exact distance to the *current* centroid is always computed
-//!    (it is needed for the inertia trace anyway), in the same
-//!    floating-point operation order as the naive kernel, so the cost
-//!    accumulation sequence is unchanged; and
+//! 1. a skipped document still computes its exact distance to the
+//!    current centroid (the inertia trace needs it), in the same
+//!    floating-point operation order as the naive kernel and the full
+//!    sweep, so the inertia accumulates the same bits; and
 //! 2. the maintained bounds are deflated/inflated by `BOUND_SLACK`
 //!    at every update, so accumulated floating-point rounding in the
 //!    `sqrt`/add/subtract chain can never produce an unsound skip —
@@ -65,7 +75,9 @@ pub enum AssignKernel {
     /// sweep over the document's non-zeros.
     Blocked,
     /// Blocked kernel plus exact Hamerly-style bound pruning (the
-    /// default: strictly less work, bit-identical results).
+    /// default, bit-identical results). A skipped document costs one
+    /// distance instead of `k`; whether that pays on wall clock depends
+    /// on how many the bounds clear (DESIGN §9).
     #[default]
     BlockedPruned,
 }
@@ -311,10 +323,10 @@ fn assign_doc_blocked(x: &SparseVec, block: &CentroidBlock, dist: &mut [f64]) ->
     }
 }
 
-/// Blocked sweep guarded by the Hamerly bounds. Always computes the
-/// exact distance to the currently-assigned centroid (the inertia trace
-/// needs it); skips the `k−1` rival distances when the bounds prove the
-/// assignment cannot change.
+/// Blocked sweep guarded by the Hamerly bounds: a document the carried
+/// bounds clear computes only its exact distance to the assigned centroid
+/// (the inertia trace needs it) and keeps its assignment; every other
+/// document is swept in full.
 fn assign_doc_pruned(
     x: &SparseVec,
     block: &CentroidBlock,
@@ -324,30 +336,22 @@ fn assign_doc_pruned(
     lb: &mut f64,
     dist: &mut [f64],
 ) -> DocOutcome {
-    // Carry the bounds across the centroid movement since the last
-    // iteration, with slack against floating-point drift.
-    *ub = (*ub + movement.delta[prior]) * (1.0 + BOUND_SLACK);
-    *lb = (*lb - movement.max_excluding(prior)) * (1.0 - BOUND_SLACK);
-
-    // Tighten: the exact current distance to the assigned centroid —
-    // unless `lb <= 0` (always so in the first iteration), where no
-    // distance can be below it and the full sweep computes the same bits.
-    if *lb > 0.0 {
+    if predicts_prune(*ub, *lb, prior, movement) {
+        // Every rival is strictly farther: the assignment (and, a
+        // fortiori, the naive lowest-index tie-breaking) cannot change.
+        // The rival bound carries; the exact distance tightens `ub`.
+        *lb = carried_lb(*lb, prior, movement);
         let d_prior = block.distance_to(x, prior);
         *ub = d_prior.sqrt();
-        if *ub < *lb {
-            // Every rival is strictly farther: assignment (and, a
-            // fortiori, the naive lowest-index tie-breaking) cannot
-            // change.
-            return DocOutcome {
-                best: prior,
-                best_d: d_prior,
-                pruned: true,
-            };
-        }
+        return DocOutcome {
+            best: prior,
+            best_d: d_prior,
+            pruned: true,
+        };
     }
 
-    // Full sweep; reset both bounds to exact values.
+    // Full sweep; reset both bounds to exact values. (In the first
+    // iteration `lb` is 0, so no document is cleared.)
     block.distances_into(x, dist);
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
@@ -370,16 +374,22 @@ fn assign_doc_pruned(
     }
 }
 
-/// Predict, for the cost model, whether the pruned kernel will skip the
-/// full sweep for a document — using only this-iteration-stale bounds
-/// (the in-kernel test can additionally skip after tightening, so this
-/// is a conservative under-count of skips: the simulator never
-/// under-charges).
+/// The lower bound on the distance to the nearest rival, carried across
+/// the movement since the last iteration with slack against
+/// floating-point drift.
+#[inline]
+fn carried_lb(lb: f64, prior: usize, movement: &Movement) -> f64 {
+    (lb - movement.max_excluding(prior)) * (1.0 - BOUND_SLACK)
+}
+
+/// Whether the pruned kernel skips the full sweep for a document whose
+/// last bounds were `ub` / `lb`: the carried bounds clear it. The kernel
+/// decides by this test and the cost model predicts by it, so the
+/// simulator charges exactly the sweeps that run.
 #[inline]
 pub(crate) fn predicts_prune(ub: f64, lb: f64, prior: usize, movement: &Movement) -> bool {
     let ub = (ub + movement.delta[prior]) * (1.0 + BOUND_SLACK);
-    let lb = (lb - movement.max_excluding(prior)) * (1.0 - BOUND_SLACK);
-    ub < lb
+    ub < carried_lb(lb, prior, movement)
 }
 
 #[cfg(test)]
@@ -413,6 +423,87 @@ mod tests {
         assert_eq!(total, 10);
         for s in &states {
             assert_eq!(s.lock().dist.len(), 3);
+        }
+    }
+
+    /// Three centroids over four terms; the document sits near centroid
+    /// 0 and its rivals are at least 3 away. Dense, and as postings.
+    fn near_zero() -> (SparseVec, [CentroidBlock; 2]) {
+        let rows = [
+            [1.1, 0.0, 0.2, 0.0],
+            [0.0, 4.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -5.0],
+        ];
+        let rows: Vec<DenseVec> = rows
+            .iter()
+            .map(|r| DenseVec::from_vec(r.to_vec()))
+            .collect();
+        let dense = CentroidBlock::from_centroids(&rows);
+        let mut postings = CentroidBlock::default();
+        postings.write_postings(4, dense.norms(), |c| {
+            rows[c].as_slice().iter().copied().enumerate()
+        });
+        let x = SparseVec::from_pairs(vec![(0, 1.0), (2, 0.25)]);
+        (x, [dense, postings])
+    }
+
+    /// Movement since the last iteration: centroid 0 by 1, the rivals by
+    /// at most 1.
+    fn moved_by_one() -> Movement {
+        let mut movement = Movement::default();
+        movement.reset(3);
+        movement.record(0, 1.0);
+        movement.record(1, 0.25);
+        movement.record(2, 1.0);
+        movement
+    }
+
+    #[test]
+    fn the_carried_bounds_decide_before_any_distance() {
+        let (x, blocks) = near_zero();
+        let movement = moved_by_one();
+        for block in &blocks {
+            let form = if block.is_postings() {
+                "postings"
+            } else {
+                "dense"
+            };
+            // Carried: `ub` ≈ 4 + 1, `lb` ≈ 4 − 1 — not cleared, although
+            // the exact distance to centroid 0 (≈ 0.1) would clear them:
+            // a full sweep, with no tightening distance before it.
+            let (mut ub, mut lb) = (4.0, 4.0);
+            assert!(!predicts_prune(ub, lb, 0, &movement));
+            assert!(block.distance_to(&x, 0).sqrt() < (lb - 1.0) * (1.0 - BOUND_SLACK));
+            let mut dist = vec![0.0; 3];
+            let outcome = assign_doc_pruned(&x, block, 0, &movement, &mut ub, &mut lb, &mut dist);
+            let swept = assign_doc_blocked(&x, block, &mut [0.0; 3]);
+            assert!(!outcome.pruned, "{form}");
+            assert_eq!(
+                (outcome.best, outcome.best_d.to_bits()),
+                (swept.best, swept.best_d.to_bits()),
+                "{form}"
+            );
+            // Both bounds are the sweep's exact root distances.
+            let mut exact = vec![0.0; 3];
+            block.distances_into(&x, &mut exact);
+            exact.sort_by(f64::total_cmp);
+            assert_eq!(ub.to_bits(), exact[0].sqrt().to_bits(), "{form}");
+            assert_eq!(lb.to_bits(), exact[1].sqrt().to_bits(), "{form}");
+
+            // Carried: `ub` ≈ 1 + 1 < `lb` ≈ 4 − 1 — cleared: one
+            // distance, no sweep; it becomes `ub`, `lb` carries.
+            let (mut ub, mut lb) = (1.0, 4.0);
+            let carried = carried_lb(lb, 0, &movement);
+            let mut dist = vec![f64::NAN; 3];
+            let outcome = assign_doc_pruned(&x, block, 0, &movement, &mut ub, &mut lb, &mut dist);
+            assert!(outcome.pruned, "{form}");
+            assert!(dist.iter().all(|d| d.is_nan()), "{form}: no sweep");
+            let d = block.distance_to(&x, 0);
+            assert_eq!((outcome.best, outcome.best_d.to_bits()), (0, d.to_bits()));
+            assert_eq!(
+                (ub.to_bits(), lb.to_bits()),
+                (d.sqrt().to_bits(), carried.to_bits())
+            );
         }
     }
 

@@ -3,8 +3,8 @@
 //! Per Lloyd iteration the operator runs a parallel assignment loop over
 //! documents, a serial O(n) regrouping by cluster and a parallel update
 //! over clusters — under the blocked kernels followed by writing the new
-//! columns into the term-major block, dense over runs of term slabs in
-//! parallel or as postings; the simulator needs their costs to reproduce
+//! columns into the term-major block, dense or as postings, in parallel
+//! over runs of term slabs; the simulator needs their costs to reproduce
 //! Figure 1.
 //! Assignment scales with `documents × nnz × k` against dense term rows,
 //! and with `documents × nnz × (fixed + L)` against postings rows, where
@@ -18,7 +18,6 @@
 
 use crate::AssignKernel;
 use hpa_exec::TaskCost;
-use hpa_sparse::block::SLAB_TERMS;
 
 /// Distance kernel: per (document non-zero, cluster) pair — one multiply-
 /// add against the dense centroid plus the gather.
@@ -191,18 +190,14 @@ pub fn scatter_cost(k: usize, slabs: usize, values: usize) -> TaskCost {
     TaskCost::cpu_mem(cpu as u64, (words * 8 + run_bytes.min(values * 64)) as u64)
 }
 
-/// Cost of writing the postings form from `k` columns over `slabs`
-/// term slabs holding `values` weights: the columns' mask words and
-/// values are walked twice (counting, then placing), and the `dim + 1`
-/// row offsets are summed and moved once.
-pub fn postings_cost(k: usize, slabs: usize, values: usize) -> TaskCost {
-    let walks = 2.0 * (k * slabs) as f64 * MASK_NS_PER_WORD;
-    let offsets = slabs * SLAB_TERMS;
-    let cpu = walks + 2.0 * values as f64 * SCATTER_NS_PER_VALUE + offsets as f64;
-    TaskCost::cpu_mem(
-        cpu as u64,
-        (k * slabs * 16 + values * 24 + offsets * 16) as u64,
-    )
+/// Cost of one pass of the postings write — counting the rows' entries,
+/// or placing them — over a run of `slabs` term slabs of `k` columns
+/// that store `values` weights there: a mask word per (slab, column),
+/// then each value read and, if not `+0.0`, counted or placed.
+pub fn postings_pass_cost(k: usize, slabs: usize, values: usize) -> TaskCost {
+    let words = k * slabs;
+    let cpu = words as f64 * MASK_NS_PER_WORD + values as f64 * SCATTER_NS_PER_VALUE;
+    TaskCost::cpu_mem(cpu as u64, (words * 8 + values * 24) as u64)
 }
 
 #[cfg(test)]
@@ -274,6 +269,10 @@ mod tests {
             (4000.0 * SCATTER_NS_PER_VALUE) as u64
         );
         assert!(membership_cost(2000, 8).cpu_ns > membership_cost(1000, 8).cpu_ns);
+        // A postings pass reads a scatter's mask words and values.
+        let pass = postings_pass_cost(10, 8, 4000);
+        assert_eq!(pass.cpu_ns, scatter_cost(10, 8, 4000).cpu_ns);
+        assert_eq!(postings_pass_cost(10, 800, 0).cpu_ns, run.cpu_ns * 100);
     }
 
     #[test]

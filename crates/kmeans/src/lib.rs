@@ -37,8 +37,8 @@
 //! are assigned in parallel over chunks, and — after a serial O(n)
 //! regrouping by cluster — each centroid is recomputed by the one task
 //! that owns it; under the blocked kernels the new columns are then
-//! written into the block, dense in parallel over runs of term slabs or
-//! as postings (the private `update` module has the steps and why they
+//! written into the block, dense or as postings, in parallel over runs
+//! of term slabs (the private `update` module has the steps and why they
 //! are the same bits as the dense pass). No `k x vocabulary` array is
 //! kept per worker or merged, so the model is bit-identical at every
 //! thread count and grain.
@@ -99,8 +99,10 @@ pub struct KMeansConfig {
     pub seed: u64,
     /// Initialization strategy.
     pub init: InitMethod,
-    /// Parallel-loop chunk size (0 = one chunk per thread, mirroring Cilk
-    /// reducer granularity).
+    /// Documents per assignment chunk. 0 = the executor's default grain
+    /// ([`Exec::chunks_for`]): about eight chunks per thread and at most
+    /// 64 documents each, as Cilk's `cilk_for` splits a loop, so that
+    /// work stealing can even out chunks of unequal cost.
     pub grain: usize,
     /// Reuse accumulation buffers across iterations (the paper's
     /// optimization). Disabling reallocates everything each iteration —
@@ -250,7 +252,7 @@ impl KMeans {
         let grain = if cfg.grain > 0 {
             cfg.grain
         } else {
-            n.div_ceil(exec.threads())
+            n.div_ceil(exec.chunks_for(n, 0))
         };
         let ranges = hpa_exec::chunk_ranges(n, grain);
         let new_sums = || -> Vec<Mutex<DenseVec>> {
@@ -296,8 +298,8 @@ impl KMeans {
                 }
 
                 // --- Parallel assignment through the selected kernel,
-                // costed by the skips the pre-assignment bounds predict
-                // (conservative: the kernel can only skip more).
+                // costed by the skips the pre-assignment bounds predict —
+                // the test the kernel itself decides by.
                 let assign_cost = |chunks: Range<usize>| {
                     let mut total = TaskCost::default();
                     for ci in chunks {

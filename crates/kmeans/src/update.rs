@@ -21,11 +21,12 @@
 //! sum slot, append the new weight to the column's value list. An empty
 //! cluster's column is left as it is. **Step 2** ([`write`]): the
 //! columns, shared read-only, become the block in the form a full sweep
-//! prices cheaper ([`Sweep::cheaper`]) — dense through [`scatter`] (one
-//! task per run of term slabs, every column's values written to their
-//! place in the run), or postings through
-//! [`CentroidBlock::write_postings`] (serial: a counting sort of the
-//! columns' non-zero weights by term). The work follows the members'
+//! prices cheaper ([`Sweep::cheaper`]), one task per run of term slabs
+//! either way: dense through [`scatter`] (every column's values written
+//! to their place in the run), or postings through [`postings`] (a
+//! counting sort of the columns' non-zero weights by term, split by
+//! run: each run counts its rows, a serial prefix places the runs, each
+//! run fills its own range). The work follows the members'
 //! non-zeros plus `dim / 64` mask words plus the old and new supports.
 //! Only a cluster whose members hold at least `dim` non-zeros looks at
 //! all `dim` slots of its sum, once, to find the non-zero ones — fewer
@@ -306,11 +307,11 @@ impl Column {
 }
 
 /// Write the columns into `block`, with these norms, in the form a full
-/// sweep prices cheaper: postings when `counts` says their rows are
-/// short enough, else dense through [`scatter`] — over a fresh zero block
-/// unless the block already is a dense one of `k` centroids. Returns the
-/// form and, when tracing, the write's predicted nanoseconds — a part of
-/// the caller's `kmeans/update` prediction.
+/// sweep prices cheaper: postings through [`postings`] when `counts` says
+/// their rows are short enough, else dense through [`scatter`] — over a
+/// fresh zero block unless the block already is a dense one of `k`
+/// centroids. Returns the form and, when tracing, the write's predicted
+/// nanoseconds — a part of the caller's `kmeans/update` prediction.
 pub(crate) fn write(
     exec: &Exec,
     block: &mut CentroidBlock,
@@ -330,17 +331,27 @@ pub(crate) fn write(
         }
         return (sweep, scatter(exec, block, columns, norms));
     }
-    let values = columns.iter().map(Column::stored).sum();
-    let cost = cost::postings_cost(k, dim.div_ceil(SLAB_TERMS), values);
-    let predicted = if hpa_trace::is_enabled() {
-        exec.predict_serial_ns(&cost)
-    } else {
-        0
-    };
-    exec.serial(cost, || {
-        block.write_postings(dim, norms, |c| columns[c].entries())
-    });
-    (sweep, predicted)
+    (sweep, postings(exec, block, columns, norms, dim))
+}
+
+/// Term slabs per run of step 2's tasks, out of `slabs`.
+fn run_slabs(exec: &Exec, slabs: usize) -> usize {
+    slabs
+        .div_ceil(exec.threads() * crate::UPDATE_TASKS_PER_THREAD)
+        .max(1)
+}
+
+/// The term slabs, out of `slabs`, of the runs of `run_slabs` in `runs`.
+fn slabs_of(runs: Range<usize>, run_slabs: usize, slabs: usize) -> Range<usize> {
+    runs.start * run_slabs..(runs.end * run_slabs).min(slabs)
+}
+
+/// The weights `columns` store for the terms of `slabs`.
+fn stored_in(columns: &[Column], slabs: Range<usize>) -> usize {
+    let values = columns
+        .iter()
+        .map(|column| popcount(&column.walk[slabs.clone()]));
+    values.sum()
 }
 
 /// Step 2 for a dense block: install `norms` and write every column's
@@ -349,15 +360,10 @@ pub(crate) fn write(
 fn scatter(exec: &Exec, block: &mut CentroidBlock, columns: &[Column], norms: &[f64]) -> u64 {
     block.norms_mut().copy_from_slice(norms);
     let (k, slabs) = (block.k(), block.dim().div_ceil(SLAB_TERMS));
-    let run_slabs = slabs
-        .div_ceil(exec.threads() * crate::UPDATE_TASKS_PER_THREAD)
-        .max(1);
+    let run_slabs = run_slabs(exec, slabs);
     let cost = |runs: Range<usize>| {
-        let slabs = runs.start * run_slabs..(runs.end * run_slabs).min(slabs);
-        let values = columns
-            .iter()
-            .map(|column| popcount(&column.walk[slabs.clone()]));
-        cost::scatter_cost(k, slabs.len(), values.sum())
+        let slabs = slabs_of(runs, run_slabs, slabs);
+        cost::scatter_cost(k, slabs.len(), stored_in(columns, slabs))
     };
     let runs: Vec<Mutex<&mut [f64]>> = block.slab_runs_mut(run_slabs).map(Mutex::new).collect();
     let predicted = if hpa_trace::is_enabled() {
@@ -384,15 +390,106 @@ fn scatter(exec: &Exec, block: &mut CentroidBlock, columns: &[Column], norms: &[
 /// columns visit them.
 fn scatter_run(run: &mut [f64], first_slab: usize, columns: &[Column]) {
     let k = columns.len();
-    let mut cursors: Vec<usize> = columns
-        .iter()
-        .map(|column| popcount(&column.walk[..first_slab]))
-        .collect();
+    let mut cursors = cursors_at(columns, first_slab);
     for (slab, weights) in run.chunks_mut(SLAB_TERMS * k).enumerate() {
         for (c, column) in columns.iter().enumerate() {
             for bit in ones(column.walk[first_slab + slab]) {
                 weights[bit * k + c] = column.values[cursors[c]];
                 cursors[c] += 1;
+            }
+        }
+    }
+}
+
+/// Step 2 for the postings form: the block becomes the columns' weights
+/// that are not `+0.0`, with these norms, through
+/// [`CentroidBlock::write_postings_runs`] — one task per run of term
+/// slabs counts the entries of its rows, and once the block has placed
+/// the runs, one task per run fills them. Returns, when tracing, the
+/// write's predicted nanoseconds.
+fn postings(
+    exec: &Exec,
+    block: &mut CentroidBlock,
+    columns: &[Column],
+    norms: &[f64],
+    dim: usize,
+) -> u64 {
+    let (k, slabs) = (columns.len(), dim.div_ceil(SLAB_TERMS));
+    let run_slabs = run_slabs(exec, slabs);
+    let cost = |runs: Range<usize>| {
+        let slabs = slabs_of(runs, run_slabs, slabs);
+        cost::postings_pass_cost(k, slabs.len(), stored_in(columns, slabs))
+    };
+    let predicted = if hpa_trace::is_enabled() {
+        2 * exec.predict_region_ns(slabs.div_ceil(run_slabs), 1, cost)
+    } else {
+        0
+    };
+    let run_slabs_of = |run: usize| slabs_of(run..run + 1, run_slabs, slabs);
+    block.write_postings_runs(
+        dim,
+        norms,
+        run_slabs,
+        |rows| {
+            let rows: Vec<Mutex<&mut [usize]>> = rows.into_iter().map(Mutex::new).collect();
+            exec.par_chunks(
+                rows.len(),
+                1,
+                |range| {
+                    for run in range {
+                        let lengths = &mut **rows[run].lock();
+                        let slabs = run_slabs_of(run);
+                        let first = slabs.start * SLAB_TERMS;
+                        for_each_entry(columns, slabs, |t, _, _| lengths[t - first] += 1);
+                    }
+                },
+                cost,
+            );
+        },
+        |runs| {
+            let runs: Vec<_> = runs.iter_mut().map(Mutex::new).collect();
+            exec.par_chunks(
+                runs.len(),
+                1,
+                |range| {
+                    for run in range {
+                        let writer = &mut **runs[run].lock();
+                        for_each_entry(columns, run_slabs_of(run), |t, c, w| writer.push(t, c, w));
+                    }
+                },
+                cost,
+            );
+        },
+    );
+    predicted
+}
+
+/// Each column's cursor into its values at term slab `slab`: the number
+/// of weights it stores for the terms before it.
+fn cursors_at(columns: &[Column], slab: usize) -> Vec<usize> {
+    columns
+        .iter()
+        .map(|column| popcount(&column.walk[..slab]))
+        .collect()
+}
+
+/// Every column's weights that are not `+0.0` in term slabs `slabs`,
+/// column by column in term order, as `entry(term, column, weight)` —
+/// so each row sees its clusters ascending.
+fn for_each_entry(
+    columns: &[Column],
+    slabs: Range<usize>,
+    mut entry: impl FnMut(usize, usize, f64),
+) {
+    let cursors = cursors_at(columns, slabs.start);
+    for (c, (column, mut cursor)) in columns.iter().zip(cursors).enumerate() {
+        for slab in slabs.clone() {
+            for bit in ones(column.walk[slab]) {
+                let weight = column.values[cursor];
+                cursor += 1;
+                if weight.to_bits() != 0 {
+                    entry(slab * SLAB_TERMS + bit, c, weight);
+                }
             }
         }
     }
@@ -595,10 +692,30 @@ mod tests {
         assert_eq!((moved, norm.to_bits()), (1.5 * 1.5 + 0.5 * 0.5, 0));
     }
 
+    fn execs() -> [Exec; 3] {
+        let machine = hpa_exec::MachineModel::default();
+        [
+            Exec::sequential(),
+            Exec::pool(2),
+            Exec::simulated(4, machine),
+        ]
+    }
+
+    /// The dense block of the columns' entries, with these norms.
+    fn dense_of(columns: &[Column], norms: &[f64], dim: usize) -> CentroidBlock {
+        let mut dense = CentroidBlock::zeros(columns.len(), dim);
+        for (c, column) in columns.iter().enumerate() {
+            let mut row = vec![0.0; dim];
+            column.entries().for_each(|(t, w)| row[t] = w);
+            dense.set_centroid(c, &row);
+        }
+        dense.norms_mut().copy_from_slice(norms);
+        dense
+    }
+
     #[test]
     fn write_takes_the_priced_form_and_switches_both_ways() {
         let (k, dim) = (16, 200);
-        let mut rng = hpa_rng::SplitMix64::seed_from_u64(0xF0);
         // Every term in one document: a column's reach is its number of
         // stored weights, and `L` is their total over the corpus's
         // non-zeros — short rows over a large corpus, long over a tiny
@@ -608,42 +725,78 @@ mod tests {
             nnz,
         };
         let (large, tiny) = (counts(1 << 20), counts(1));
-        let seeds = docs(&mut rng, k, 9, dim);
-        let (mut columns, mut norms): (Vec<Column>, Vec<f64>) = seeds
-            .iter()
-            .map(|x| Column::seeded(x, dim, Some(&large)))
-            .unzip();
-        let (exec, mut block) = (Exec::sequential(), CentroidBlock::default());
-        for (round, counts) in [&large, &tiny, &large, &tiny, &tiny]
-            .into_iter()
-            .enumerate()
-        {
-            if round > 0 {
-                // Move one centroid between writes.
-                let members = docs(&mut rng, 3, 12, dim);
-                let mut sum = vec![0.0; dim];
-                let column = &mut columns[round];
-                (_, norms[round]) = column.recompute(&mut sum, members.iter(), 1.0 / 3.0, None);
-            }
-            let (sweep, _) = write(&exec, &mut block, &columns, &norms, dim, Some(counts));
-            let postings = std::ptr::eq(counts, &large);
-            assert_eq!(block.is_postings(), postings, "round {round}");
-            assert_eq!(sweep != Sweep::Dense, postings, "round {round}");
-            let rows: Vec<DenseVec> = columns
+        for exec in execs() {
+            let mut rng = hpa_rng::SplitMix64::seed_from_u64(0xF0);
+            let seeds = docs(&mut rng, k, 9, dim);
+            let (mut columns, mut norms): (Vec<Column>, Vec<f64>) = seeds
                 .iter()
-                .map(|column| {
-                    let mut row = vec![0.0; dim];
-                    column.entries().for_each(|(t, w)| row[t] = w);
-                    DenseVec::from_vec(row)
-                })
-                .collect();
-            let mut expected = CentroidBlock::from_centroids(&rows);
-            expected.norms_mut().copy_from_slice(&norms);
-            assert_eq!(block, expected, "round {round}");
+                .map(|x| Column::seeded(x, dim, Some(&large)))
+                .unzip();
+            let mut block = CentroidBlock::default();
+            for (round, counts) in [&large, &tiny, &large, &tiny, &tiny]
+                .into_iter()
+                .enumerate()
+            {
+                if round > 0 {
+                    // Move one centroid between writes.
+                    let members = docs(&mut rng, 3, 12, dim);
+                    let mut sum = vec![0.0; dim];
+                    let column = &mut columns[round];
+                    (_, norms[round]) = column.recompute(&mut sum, members.iter(), 1.0 / 3.0, None);
+                }
+                let (sweep, _) = write(&exec, &mut block, &columns, &norms, dim, Some(counts));
+                let postings = std::ptr::eq(counts, &large);
+                let label = format!("{exec:?} round {round}");
+                assert_eq!(block.is_postings(), postings, "{label}");
+                assert_eq!(sweep != Sweep::Dense, postings, "{label}");
+                assert_eq!(block, dense_of(&columns, &norms, dim), "{label}");
+            }
+            // Without counts, dense.
+            let (sweep, _) = write(&exec, &mut block, &columns, &norms, dim, None);
+            assert_eq!(sweep, Sweep::Dense);
         }
-        // Without counts, dense.
-        let (sweep, _) = write(&exec, &mut block, &columns, &norms, dim, None);
-        assert_eq!(sweep, Sweep::Dense);
+
+        // The postings writer alone, at shapes the price never sends to
+        // it (`k` 1) and at edges: an empty column, `dim` not a multiple
+        // of 64 or 0, and fewer slabs than the runs `pool(2)` (8) and
+        // `simulated(4)` (16) ask for.
+        for exec in execs() {
+            let mut rng = hpa_rng::SplitMix64::seed_from_u64(0xF1);
+            for (k, dim) in [(1, 200), (5, 65), (16, 200), (3, 1), (2, 0)] {
+                let mut seeds = docs(&mut rng, k, 9, dim);
+                if k > 1 {
+                    seeds[k - 1] = SparseVec::new();
+                }
+                let (mut columns, mut norms): (Vec<Column>, Vec<f64>) =
+                    seeds.iter().map(|x| Column::seeded(x, dim, None)).unzip();
+                // Every other column moves to members that lack most of
+                // its terms: each term that left stays stored, as `+0.0`.
+                for c in (0..k).step_by(2) {
+                    let members = docs(&mut rng, 2, 3, dim);
+                    let mut sum = vec![0.0; dim];
+                    let column = &mut columns[c];
+                    (_, norms[c]) = column.recompute(&mut sum, members.iter(), 0.5, None);
+                }
+                let label = format!("{exec:?} k={k} dim={dim}");
+                if dim > 64 {
+                    let zeros = columns.iter().flat_map(|column| &column.values);
+                    assert!(zeros.filter(|w| w.to_bits() == 0).count() > 0, "{label}");
+                }
+                // Over a dense block, then over its own postings.
+                let mut block = CentroidBlock::zeros(k, dim);
+                for pass in 0..2 {
+                    postings(&exec, &mut block, &columns, &norms, dim);
+                    assert!(block.is_postings(), "{label} pass {pass}");
+                    assert_eq!(
+                        block,
+                        dense_of(&columns, &norms, dim),
+                        "{label} pass {pass}"
+                    );
+                    let stored = columns.iter().map(|column| column.entries().count());
+                    assert_eq!(block.postings_len(), stored.sum::<usize>(), "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! The block is a centroid *store*, not a per-iteration copy of one:
 //! the blocked K-means kernels write it after every update, in the form
 //! they price cheaper, and return it as the model, so the centroids
-//! exist once. Dense writers each own a run of term slabs (see
-//! [`CentroidBlock::slab_runs_mut`]).
+//! exist once. Writers each own a run of term slabs: of the dense
+//! weights through [`CentroidBlock::slab_runs_mut`], of the postings
+//! arrays through [`CentroidBlock::write_postings_runs`].
 //!
 //! ## Bit-exactness contract
 //!
@@ -107,6 +108,37 @@ impl Postings {
     }
 }
 
+/// One run of term rows of a postings block that
+/// [`CentroidBlock::write_postings_runs`] is writing: the rows' cursors
+/// and their contiguous range of the arrays.
+#[derive(Debug)]
+pub struct PostingsRun<'a> {
+    /// The run's first term.
+    first: usize,
+    /// Where the run's range starts in the arrays.
+    base: usize,
+    /// Per row of the run, where its next entry goes.
+    cursors: &'a mut [usize],
+    clusters: &'a mut [u32],
+    weights: &'a mut [f64],
+    /// Entries pushed so far.
+    pushed: usize,
+}
+
+impl PostingsRun<'_> {
+    /// Append `(cluster, weight)` to the row of term `t`, which must be
+    /// one of this run's.
+    #[inline]
+    pub fn push(&mut self, t: usize, cluster: usize, weight: f64) {
+        let cursor = &mut self.cursors[t - self.first];
+        let at = *cursor - self.base;
+        self.clusters[at] = cluster as u32;
+        self.weights[at] = weight;
+        *cursor += 1;
+        self.pushed += 1;
+    }
+}
+
 impl CentroidBlock {
     /// `k` all-zero centroids of `dim` terms, dense. The backing pages
     /// are the allocator's untouched zero pages: a term's row costs
@@ -137,12 +169,58 @@ impl CentroidBlock {
     /// it is called twice per centroid and must yield the same pairs
     /// both times. Every term it does not yield, and every `+0.0` weight,
     /// is `+0.0`. A postings block's arrays are reused; a dense block's
-    /// weights are freed first.
+    /// weights are freed first. The serial form of
+    /// [`write_postings_runs`](Self::write_postings_runs), in one run.
     pub fn write_postings<I>(&mut self, dim: usize, norms: &[f64], column: impl Fn(usize) -> I)
     where
         I: Iterator<Item = (usize, f64)>,
     {
         let k = norms.len();
+        let stored = |c| column(c).filter(|(_, w): &(usize, f64)| w.to_bits() != 0);
+        self.write_postings_runs(
+            dim,
+            norms,
+            dim.div_ceil(SLAB_TERMS),
+            |mut rows| {
+                if let Some(lengths) = rows.first_mut() {
+                    (0..k).for_each(|c| stored(c).for_each(|(t, _)| lengths[t] += 1));
+                }
+            },
+            |runs| {
+                if let Some(run) = runs.first_mut() {
+                    (0..k).for_each(|c| stored(c).for_each(|(t, w)| run.push(t, c, w)));
+                }
+            },
+        );
+    }
+
+    /// Rewrite the block as `norms.len()` centroids of `dim` terms in the
+    /// postings form, with these norms, one run of `slabs` term slabs at
+    /// a time (the last run may be shorter), so that parallel writers can
+    /// each take whole runs — the postings twin of
+    /// [`slab_runs_mut`](Self::slab_runs_mut). In three steps:
+    ///
+    /// 1. `count` gets one zeroed slice per run, in run order: it sets
+    ///    entry `i` of run `r`'s slice to the number of entries row
+    ///    `r · slabs · SLAB_TERMS + i` will hold.
+    /// 2. Serially, each row's length becomes its place in the arrays.
+    /// 3. `fill` gets the [`PostingsRun`]s, one per run in run order, and
+    ///    [`push`](PostingsRun::push)es exactly the entries counted for
+    ///    each row, in ascending cluster order within the row.
+    ///
+    /// A run's rows are one contiguous range of the arrays, so the block
+    /// has the same bytes however the runs are shared out or ordered.
+    /// Arrays are reused as [`write_postings`](Self::write_postings)
+    /// reuses them. Panics if a run gets more or fewer entries than were
+    /// counted for it.
+    pub fn write_postings_runs(
+        &mut self,
+        dim: usize,
+        norms: &[f64],
+        slabs: usize,
+        count: impl FnOnce(Vec<&mut [usize]>),
+        fill: impl FnOnce(&mut [PostingsRun<'_>]),
+    ) {
         let mut postings = match std::mem::take(&mut self.weights) {
             Weights::Postings(postings) => postings,
             Weights::Dense(_) => Postings::default(),
@@ -152,34 +230,51 @@ impl CentroidBlock {
             clusters,
             weights,
         } = &mut postings;
-        let stored = |c| column(c).filter(|(_, w): &(usize, f64)| w.to_bits() != 0);
-        // Counting sort by term: row lengths, then starts.
+        let run_terms = (slabs * SLAB_TERMS).max(1);
         offsets.clear();
         offsets.resize(dim + 1, 0);
-        for c in 0..k {
-            stored(c).for_each(|(t, _)| offsets[t + 1] += 1);
-        }
-        for t in 0..dim {
-            offsets[t + 1] += offsets[t];
-        }
-        let len = offsets[dim];
-        clusters.clear();
-        clusters.resize(len, 0);
-        weights.clear();
-        weights.resize(len, 0.0);
-        // `offsets[t]` is row `t`'s cursor: it ends at row `t + 1`'s
-        // start, and moving the array one place right restores it.
-        for c in 0..k {
-            for (t, w) in stored(c) {
-                let slot = &mut offsets[t];
-                clusters[*slot] = c as u32;
-                weights[*slot] = w;
-                *slot += 1;
+        count(offsets[1..].chunks_mut(run_terms).collect());
+        // Row `t`'s length, in `offsets[t + 1]`, becomes its start: the
+        // cursor `push` advances to the row's end, which is the next
+        // row's start that `offsets[t + 1]` must finally hold.
+        let mut ends = Vec::with_capacity(dim.div_ceil(run_terms));
+        let mut next = 0;
+        for run in offsets[1..].chunks_mut(run_terms) {
+            for slot in run {
+                next += std::mem::replace(slot, next);
             }
+            ends.push(next);
         }
-        offsets.copy_within(0..dim, 1);
-        offsets[0] = 0;
-        (self.k, self.dim) = (k, dim);
+        // Every slot below `next` is written by `fill`.
+        clusters.resize(next, 0);
+        weights.resize(next, 0.0);
+        let (mut clusters_left, mut weights_left) = (&mut clusters[..], &mut weights[..]);
+        let mut runs = Vec::with_capacity(ends.len());
+        let mut base = 0;
+        for (index, (cursors, &end)) in offsets[1..].chunks_mut(run_terms).zip(&ends).enumerate() {
+            let (clusters, rest) = std::mem::take(&mut clusters_left).split_at_mut(end - base);
+            clusters_left = rest;
+            let (weights, rest) = std::mem::take(&mut weights_left).split_at_mut(end - base);
+            weights_left = rest;
+            runs.push(PostingsRun {
+                first: index * run_terms,
+                base,
+                cursors,
+                clusters,
+                weights,
+                pushed: 0,
+            });
+            base = end;
+        }
+        fill(&mut runs);
+        for run in runs {
+            assert_eq!(
+                run.pushed,
+                run.clusters.len(),
+                "a postings run got the wrong count"
+            );
+        }
+        (self.k, self.dim) = (norms.len(), dim);
         self.weights = Weights::Postings(postings);
         self.norms.clear();
         self.norms.extend_from_slice(norms);
@@ -596,6 +691,75 @@ mod tests {
             row.rev().filter(|(_, w)| *w != 0.0 || w.is_sign_negative())
         });
         assert_eq!(block, postings_of(&sparse));
+    }
+
+    #[test]
+    fn postings_runs_filled_in_any_order_equal_the_serial_writer() {
+        for k in [1, 3, 11, 128] {
+            for dim in [0, 1, SLAB_TERMS, SLAB_TERMS + 1, 3 * SLAB_TERMS + 7] {
+                let cs = sparse_centroids(k, dim);
+                let norms: Vec<f64> = cs.iter().map(DenseVec::norm_sq).collect();
+                let stored = |c: usize, terms: std::ops::Range<usize>| {
+                    let row = cs[c].as_slice()[terms.clone()].iter().copied();
+                    let row = terms.zip(row);
+                    row.filter(|(_, w)| w.to_bits() != 0)
+                };
+                for slabs in [1, 2, 5] {
+                    let run_terms = slabs * SLAB_TERMS;
+                    let terms = |run: usize| run * run_terms..((run + 1) * run_terms).min(dim);
+                    // Over a dense block, runs counted and filled last
+                    // to first.
+                    let mut block = CentroidBlock::from_centroids(&centroids(k, dim));
+                    block.write_postings_runs(
+                        dim,
+                        &norms,
+                        slabs,
+                        |mut rows| {
+                            assert_eq!(rows.len(), dim.div_ceil(run_terms));
+                            for (run, lengths) in rows.iter_mut().enumerate().rev() {
+                                for c in 0..k {
+                                    let first = run * run_terms;
+                                    stored(c, terms(run))
+                                        .for_each(|(t, _)| lengths[t - first] += 1);
+                                }
+                            }
+                        },
+                        |runs| {
+                            for (run, writer) in runs.iter_mut().enumerate().rev() {
+                                for c in 0..k {
+                                    stored(c, terms(run)).for_each(|(t, w)| writer.push(t, c, w));
+                                }
+                            }
+                        },
+                    );
+                    let label = format!("k={k} dim={dim} slabs={slabs}");
+                    assert!(block.is_postings(), "{label}");
+                    assert_eq!(block, postings_of(&cs), "{label}");
+                    assert_eq!(block, CentroidBlock::from_centroids(&cs), "{label}");
+                    for t in 0..dim {
+                        let Weights::Postings(postings) = &block.weights else {
+                            unreachable!()
+                        };
+                        let (clusters, _) = postings.row(t);
+                        assert!(clusters.windows(2).all(|w| w[0] < w[1]), "{label} t={t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong count")]
+    fn a_run_left_short_panics() {
+        let cs = sparse_centroids(3, 10);
+        let norms: Vec<f64> = cs.iter().map(DenseVec::norm_sq).collect();
+        CentroidBlock::default().write_postings_runs(
+            10,
+            &norms,
+            1,
+            |mut rows| rows[0][2] = 1,
+            |_| {},
+        );
     }
 
     #[test]
