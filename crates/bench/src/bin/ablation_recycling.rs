@@ -10,8 +10,9 @@ use hpa_bench::BenchConfig;
 use hpa_dict::DictKind;
 use hpa_kmeans::{KMeans, KMeansConfig};
 use hpa_metrics::alloc::{CountingAllocator, HeapGauge};
-use hpa_metrics::{ExperimentReport, Stopwatch, Table};
+use hpa_metrics::{ExperimentReport, Table};
 use hpa_tfidf::{TfIdf, TfIdfConfig};
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -58,9 +59,9 @@ fn main() {
         // Warm up once so one-time costs don't pollute the gauge.
         let _ = km.fit(&exec, &model.vectors, dim);
         let gauge = HeapGauge::start();
-        let sw = Stopwatch::start();
+        let started = Instant::now();
         let fitted = km.fit(&exec, &model.vectors, dim);
-        let secs = sw.elapsed().as_secs_f64();
+        let secs = started.elapsed().as_secs_f64();
         let iters = fitted.iterations.max(1) as u64;
         table.row(&[
             if recycle { "on" } else { "off" }.to_string(),

@@ -6,7 +6,8 @@
 //!    corpus with the trace recorder on; every cost-model call site
 //!    emits its prediction next to the measured span.
 //! 2. Join the recording into a [`RunLedger`] (per-phase wall time,
-//!    percentiles, counters, predicted-vs-measured error ratios).
+//!    percentiles, counters including the live heap, predicted-vs-measured
+//!    error ratios).
 //! 3. Fit one scale `alpha` per phase by least squares
 //!    (`measured ≈ alpha × predicted`) and report drift against the
 //!    hard-coded constants.
@@ -19,9 +20,7 @@
 //! defaults to `real` execution, because conformance is a property of
 //! this host, not of the simulator.
 
-use hpa_audit::calib::{self, FitRow, SelectionCheck};
-use hpa_audit::ledger::{RunLedger, CONFORMANCE_TOLERANCE};
-use hpa_bench::json::JsonWriter;
+use hpa_bench::calib::{self, FitRow, SelectionCheck};
 use hpa_bench::{BenchConfig, Mode};
 use hpa_core::WorkflowBuilder;
 use hpa_dict::DictKind;
@@ -29,6 +28,12 @@ use hpa_exec::Exec;
 use hpa_kmeans::{AssignKernel, KMeans, KMeansConfig};
 use hpa_metrics::Table;
 use hpa_tfidf::{TfIdf, TfIdfConfig};
+use hpa_trace::{JsonWriter, RunLedger, CONFORMANCE_TOLERANCE};
+
+// Heap accounting, so the workflow's phase-boundary heap samples land in
+// the ledger's counter table as `mem/heap-bytes`.
+#[global_allocator]
+static ALLOC: hpa_metrics::alloc::CountingAllocator = hpa_metrics::alloc::CountingAllocator;
 
 fn main() {
     let mut cfg = BenchConfig::from_env();
@@ -55,7 +60,7 @@ fn main() {
     // closures — and the merge tail's own span — are what gets audited.
     let outcome = WorkflowBuilder::new()
         .tfidf(TfIdfConfig {
-            dict_kind: DictKind::Auto,
+            dict_kind: DictKind::Arena,
             ..Default::default()
         })
         .fused()

@@ -13,9 +13,9 @@
 use hpa_bench::BenchConfig;
 use hpa_dict::DictKind;
 use hpa_kmeans::{baseline::SimpleKMeans, KMeans, KMeansConfig};
-use hpa_metrics::{ExperimentReport, Stopwatch, Table};
+use hpa_metrics::{ExperimentReport, Table};
 use hpa_tfidf::{TfIdf, TfIdfConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -62,9 +62,9 @@ fn main() {
             ..Default::default()
         };
 
-        let sw = Stopwatch::start();
+        let started = Instant::now();
         let fitted = KMeans::new(km_cfg).fit(&exec, &model.vectors, dim);
-        let fast = sw.elapsed();
+        let fast = started.elapsed();
         eprintln!(
             "{name}: optimized {:.2}s ({} iters, inertia {:.1})",
             fast.as_secs_f64(),

@@ -12,9 +12,10 @@
 //! Drift only *matters* where the model ranks alternatives: the
 //! K-means assignment kernels. [`kernel_flip_check`] compares the
 //! model's ranking with the measured one and flags a disagreement.
+//! The `calibrate` bin runs the loop: traced run → ledger → fits →
+//! flip checks (DESIGN.md §12).
 
-use crate::ledger::RunLedger;
-use hpa_trace::Recording;
+use hpa_trace::{Recording, RunLedger};
 use std::collections::BTreeMap;
 
 /// Fitted scale for one `(cat, name)` phase.
@@ -201,7 +202,6 @@ mod tests {
 
     #[test]
     fn kernel_check_flags_a_model_measurement_disagreement() {
-        use crate::ledger::RunLedger;
         let fast_predicted_slow_measured = recording(
             vec![SpanRec {
                 cat: "kmeans",

@@ -29,14 +29,21 @@
 //!
 //! `--trace [path]` (or `HPA_TRACE=path`) enables `hpa-trace` span
 //! recording for the whole run and writes a Chrome-trace JSON (loadable
-//! in Perfetto / `chrome://tracing`) plus a text summary at exit. The
-//! default path is `<out-dir>/trace.json`.
+//! in Perfetto / `chrome://tracing`) plus the run ledger as text at exit.
+//! The default path is `<out-dir>/trace.json`.
+//!
+//! ## Calibration
+//!
+//! [`calib`] fits cost-model scales from a traced run's ledger; the
+//! `calibrate` bin writes them with the ledger as
+//! `LEDGER_calibrate.{json,txt}`.
 
-pub mod json;
+pub mod calib;
 
 use hpa_corpus::{Corpus, CorpusSpec};
 use hpa_exec::{CostMode, Exec, MachineModel};
 use hpa_metrics::ExperimentReport;
+use hpa_trace::{RunLedger, CONFORMANCE_TOLERANCE};
 use std::path::PathBuf;
 
 /// How virtual/real time is obtained.
@@ -213,7 +220,7 @@ impl BenchConfig {
 
     /// Print the report and write its CSVs to the output directory.
     /// When tracing is on (`--trace` / `HPA_TRACE`), also flushes the
-    /// Chrome-trace JSON and prints the span summary.
+    /// Chrome-trace JSON and prints the run's ledger.
     pub fn emit(&self, report: &ExperimentReport) {
         print!("{report}");
         match report.write_csvs(&self.out_dir) {
@@ -227,7 +234,16 @@ impl BenchConfig {
         if let Some((path, result)) = hpa_trace::finish() {
             match result {
                 Ok(recording) => {
-                    print!("{}", recording.summary(10));
+                    // The sweep's largest thread count (a bin may run a
+                    // filtered subset of the grid).
+                    let threads = self.threads.iter().copied().max().unwrap_or(1);
+                    let ledger = RunLedger::from_recording(
+                        &report.id,
+                        threads,
+                        &recording,
+                        CONFORMANCE_TOLERANCE,
+                    );
+                    print!("{}", ledger.to_text());
                     println!(
                         "wrote {} (load in https://ui.perfetto.dev or chrome://tracing)",
                         path.display()

@@ -27,7 +27,7 @@
 //! * **R5 span-predict** — every `hpa_trace::predict(cat, name, ..)` call
 //!   site with literal `(cat, name)` arguments must have a span opened
 //!   with the same two literals somewhere in the same file, so the run
-//!   ledger (`hpa-audit`) can join the prediction to a measurement. Calls
+//!   ledger (`hpa_trace::RunLedger`) can join the prediction to a measurement. Calls
 //!   with a non-literal name are flagged: they cannot be span-matched.
 //! * **R6 ordering-audit** — every non-`Relaxed` atomic ordering
 //!   (`Acquire`/`Release`/`AcqRel`/`SeqCst`) must carry an `ORDERING:`

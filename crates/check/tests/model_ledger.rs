@@ -4,7 +4,7 @@
 //! buffer per emitting thread, registered in a global list, drained by
 //! a single reader that locks each buffer in turn.
 //!
-//! The run ledger (`hpa-audit`) joins predictions to spans positionally
+//! The run ledger (`hpa_trace::RunLedger`) joins predictions to spans positionally
 //! per `(cat, name)`, so correctness needs two properties under every
 //! interleaving: no record is lost or invented (conservation), and each
 //! thread's records drain in its own emission order (the positional

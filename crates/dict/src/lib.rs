@@ -271,8 +271,9 @@ pub enum DictKind {
 impl DictKind {
     /// Synonym for [`DictKind::Arena`]. `Auto` used to run a per-phase
     /// cost-model selector, which picked the arena in every phase at
-    /// every thread count (EXPERIMENTS.md, "tried and removed"); the
-    /// spelling stays for configurations and `--dict auto`.
+    /// every thread count (EXPERIMENTS.md, "tried and removed"). The
+    /// const stays for configurations that name it; `from_str` accepts
+    /// only `"arena"` for this kind.
     #[allow(non_upper_case_globals)]
     pub const Auto: DictKind = DictKind::Arena;
 
@@ -317,7 +318,6 @@ impl std::str::FromStr for DictKind {
             "u-map" | "umap" | "hash" => Ok(DictKind::Hash),
             "u-map-presized" | "hash-presized" => Ok(DictKind::PAPER_PRESIZE),
             "arena" => Ok(DictKind::Arena),
-            "auto" => Ok(DictKind::Auto),
             other => Err(format!("unknown dictionary kind '{other}'")),
         }
     }
@@ -499,7 +499,7 @@ mod tests {
             DictKind::HashPresized(4096)
         );
         assert_eq!("arena".parse::<DictKind>().unwrap(), DictKind::Arena);
-        assert_eq!("auto".parse::<DictKind>().unwrap(), DictKind::Arena);
+        assert!("auto".parse::<DictKind>().is_err());
         assert!("bogus".parse::<DictKind>().is_err());
         assert_eq!(DictKind::BTree.label(), "map");
         assert_eq!(DictKind::Hash.label(), "u-map");

@@ -91,8 +91,8 @@ impl MachineModel {
     /// workload cost models estimate tight modern implementations and
     /// `analytic_cpu_scale` exists only to slow them down to the 2016
     /// C++ testbed the simulator reproduces; predictions are instead
-    /// joined against trace spans *measured on this host* (hpa-audit's
-    /// run ledger), so the derating must not apply.
+    /// joined against trace spans *measured on this host* (the run
+    /// ledger, `hpa_trace::RunLedger`), so the derating must not apply.
     pub fn host() -> Self {
         MachineModel {
             analytic_cpu_scale: 1.0,

@@ -25,7 +25,7 @@ pub use alloc::{HeapGauge, HeapSnapshot};
 pub use report::{ExperimentReport, Series};
 pub use svg::{Bar, LineChart, StackedBarChart};
 pub use table::Table;
-pub use timer::{PhaseReport, PhaseTimer, Stopwatch};
+pub use timer::{PhaseReport, PhaseTimer};
 
 /// Format a `std::time::Duration` in seconds with millisecond resolution,
 /// the way the paper's figures label their Y axes ("Execution Time (s)").

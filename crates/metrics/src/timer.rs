@@ -8,27 +8,7 @@
 //! (`hpa-exec`) phase durations are *virtual* — the operators time
 //! themselves against the executor's clock and record the result.
 
-use std::time::{Duration, Instant};
-
-/// A simple wall-clock stopwatch for real-time measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            started: Instant::now(),
-        }
-    }
-
-    /// Elapsed wall time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-}
+use std::time::Duration;
 
 /// Accumulates named phase durations in first-use order.
 ///

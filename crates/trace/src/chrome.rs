@@ -137,7 +137,7 @@ impl Recording {
         }
 
         // Cost-model predictions render as thread-scoped instants whose
-        // args carry the priced duration; hpa-audit reads PredictRec
+        // args carry the priced duration; the run ledger reads PredictRec
         // directly, this is for eyeballing in Perfetto.
         for p in &self.predictions {
             sep(&mut out);
@@ -153,40 +153,7 @@ impl Recording {
             );
         }
 
-        out.push_str("\n],");
-        out.push_str(&self.category_stats_json());
-        out.push_str("\"displayTimeUnit\":\"ms\"}\n");
-        out
-    }
-
-    /// Per-span-category latency percentiles as a `"categoryStats"` JSON
-    /// member (trailing comma included), from the same power-of-two
-    /// histograms [`Recording::summary`] digests. Extra top-level keys
-    /// are ignored by Perfetto/chrome://tracing, so the file stays
-    /// loadable while carrying the serving-mode latency figures.
-    fn category_stats_json(&self) -> String {
-        let mut cats: Vec<&str> = self.spans.iter().map(|s| s.cat).collect();
-        cats.sort_unstable();
-        cats.dedup();
-        let mut out = String::from("\"categoryStats\":{");
-        for (i, cat) in cats.iter().enumerate() {
-            let h = self.histogram_for(cat);
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\
-                 \"p99_ns\":{},\"max_ns\":{}}}",
-                escape_json(cat),
-                h.count(),
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max(),
-            );
-        }
-        out.push_str("},");
+        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         out
     }
 }
@@ -266,27 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn category_stats_carry_percentiles() {
-        let j = sample().to_chrome_json();
-        assert!(j.contains("\"categoryStats\":{"));
-        // One span of 890ns in "pool": every percentile is the exact max.
-        assert!(j.contains(
-            "\"pool\":{\"count\":1,\"p50_ns\":890,\"p95_ns\":890,\
-             \"p99_ns\":890,\"max_ns\":890}"
-        ));
-    }
-
-    #[test]
-    fn empty_category_stats_is_an_empty_object() {
-        let j = Recording::default().to_chrome_json();
-        assert!(j.contains("\"categoryStats\":{}"));
-        assert!(j.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"));
-    }
-
-    #[test]
     fn empty_recording_is_still_valid_json_scaffold() {
         let j = Recording::default().to_chrome_json();
         assert!(j.contains("process_name"));
         assert!(j.starts_with("{\"traceEvents\":["));
+        assert!(j.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"));
     }
 }

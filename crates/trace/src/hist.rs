@@ -3,8 +3,8 @@
 //! Power-of-two nanosecond buckets: bucket 0 holds the value 0, bucket
 //! `i >= 1` holds values in `[2^(i-1), 2^i)`. 64 buckets therefore cover
 //! every `u64` duration with no allocation and O(1) recording — cheap
-//! enough to build one per span category at export time, and mergeable
-//! across threads by element-wise addition.
+//! enough to build one per `(cat, name)` row of the run ledger, and
+//! mergeable across threads by element-wise addition.
 
 /// A 64-bucket power-of-two histogram of nanosecond durations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,15 +70,6 @@ impl Histogram {
     /// Largest recorded value (exact).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean of recorded values, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Approximate quantile `q` in `[0, 1]`: the geometric midpoint of
@@ -161,7 +152,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 115);
         assert_eq!(h.max(), 100);
-        assert!((h.mean() - 28.75).abs() < 1e-9);
     }
 
     #[test]
@@ -199,7 +189,6 @@ mod tests {
     fn quantile_of_empty_is_zero() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]

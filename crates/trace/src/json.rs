@@ -1,18 +1,19 @@
 //! Serializer for the `LEDGER_*.json` artifacts.
 //!
-//! `hpa-audit`'s run ledger and its `calibrate` bin write their JSON
-//! through this module, so every artifact carries the same indentation,
-//! escaping, and the same `schema_version` and `host_cores` stamps that
-//! let a reader comparing two artifacts tell a changed layout or a
-//! different machine from a changed number.
+//! The run ledger ([`crate::RunLedger`]) and the `calibrate` bin's
+//! calibration tables write their JSON through [`JsonWriter`], so every
+//! artifact carries the same indentation, escaping, and the same
+//! `schema_version` and `host_cores` stamps that let a reader comparing
+//! two artifacts tell a changed layout or a different machine from a
+//! changed number.
 //!
 //! [`JsonWriter`] is deliberately tiny: 2-space-indented objects and
 //! arrays of objects, and string/integer/boolean/float fields. It is a
 //! writer, not a data model — callers keep their flat row structs and
-//! stream them through. Strings are escaped by
-//! [`hpa_trace::escape_json`], the workspace's one escaper.
+//! stream them through. Strings are escaped by [`escape_json`], the
+//! workspace's one escaper.
 
-use hpa_trace::escape_json;
+use crate::escape_json;
 use std::fmt::Write as _;
 
 /// Version stamp embedded in every artifact. Bump when an artifact's
@@ -31,7 +32,7 @@ pub fn host_cores() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
-/// Minimal streaming JSON writer producing the benches' 2-space style.
+/// Minimal streaming JSON writer producing the ledgers' 2-space style.
 #[derive(Debug)]
 pub struct JsonWriter {
     out: String,
@@ -97,7 +98,7 @@ impl JsonWriter {
         let _ = write!(self.out, "{v}");
     }
 
-    /// Float field at a fixed precision (the benches' stable format).
+    /// Float field at a fixed precision (the ledgers' stable format).
     pub fn f64_field(&mut self, k: &str, v: f64, prec: usize) {
         self.key(k);
         let _ = write!(self.out, "{v:.prec$}");

@@ -1,18 +1,21 @@
 //! The run ledger: measured spans joined with cost-model predictions.
 //!
-//! Every analytic estimate in the workspace now lands in the trace
-//! stream as a [`hpa_trace::PredictRec`] alongside the measured span it
-//! prices (same `(cat, name)` pair — see the pairing rule in
-//! DESIGN.md §12). [`RunLedger::from_recording`] folds one
-//! [`Recording`] into per-phase rows: wall time with percentiles,
-//! prediction totals, and the predicted-vs-measured error ratio, each
-//! row classified against an explicit conformance tolerance. Counters
-//! (bytes, allocations, probe steps, queue depths) are aggregated into
-//! a companion table so the ledger is a one-stop record of a run.
+//! The ledger is the one digest of a [`Recording`]: the bench bins print
+//! it after a `--trace` run and `calibrate` writes it as
+//! `LEDGER_calibrate.{json,txt}`. Every analytic estimate in the
+//! workspace lands in the trace stream as a [`crate::PredictRec`]
+//! alongside the measured span it prices (same `(cat, name)` pair — see
+//! the pairing rule in DESIGN.md §12). [`RunLedger::from_recording`]
+//! folds one [`Recording`] into per-phase rows: wall time with
+//! percentiles, prediction totals, and the predicted-vs-measured error
+//! ratio, each row classified against an explicit conformance
+//! tolerance. Counters (bytes, allocations, probe steps, queue depths,
+//! live heap) are aggregated into a companion table so the ledger is a
+//! one-stop record of a run.
 
-use hpa_bench::json::JsonWriter;
+use crate::json::JsonWriter;
+use crate::{Histogram, Recording};
 use hpa_metrics::Table;
-use hpa_trace::{Histogram, Recording};
 use std::collections::BTreeMap;
 
 /// Conformance band for predicted-vs-measured ratios: a row is `Ok`
@@ -322,7 +325,7 @@ impl RunLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpa_trace::{PredictRec, SpanRec};
+    use crate::{CounterRec, PredictRec, SpanRec};
 
     fn span(cat: &'static str, name: &'static str, start: u64, dur: u64, tid: u32) -> SpanRec {
         SpanRec {
@@ -367,6 +370,11 @@ mod tests {
         assert!((row.error_ratio.unwrap() - 0.5).abs() < 1e-9);
         assert_eq!(row.measured_ns, 2_000);
         assert_eq!(row.predicted_ns, 1_000);
+        // One span: every percentile is that span's exact duration.
+        assert_eq!(
+            (row.p50_ns, row.p95_ns, row.p99_ns, row.max_ns),
+            (2_000, 2_000, 2_000, 2_000)
+        );
     }
 
     #[test]
@@ -427,6 +435,8 @@ mod tests {
                 span("kmeans", "assign", 10, 200, 2),
                 span("kmeans", "assign", 20, 300, 1),
                 span("kmeans", "update", 30, 50, 2),
+                // Same name, other category: rows key on the pair.
+                span("phase", "assign", 40, 70, 1),
             ],
             vec![
                 predict("kmeans", "assign", 0, 90, 2),
@@ -445,55 +455,78 @@ mod tests {
         let update = ledger.row("kmeans", "update").unwrap();
         assert_eq!(update.span_count, 1);
         assert_eq!(update.predict_count, 1);
+        let other = ledger.row("phase", "assign").unwrap();
+        assert_eq!((other.span_count, other.measured_ns), (1, 70));
+        assert_eq!(other.status, Conformance::Unpredicted);
         // Row totals across the ledger conserve every record.
         let spans: u64 = ledger.rows.iter().map(|r| r.span_count).sum();
         let predicts: u64 = ledger.rows.iter().map(|r| r.predict_count).sum();
-        assert_eq!(spans, 4);
+        assert_eq!(spans, 5);
         assert_eq!(predicts, 4);
     }
 
     #[test]
     fn counters_aggregate_samples_totals_and_max() {
+        let counter = |name, ts_ns, value, tid| CounterRec {
+            cat: "dict",
+            name,
+            ts_ns,
+            value,
+            tid,
+        };
         let mut rec = recording(vec![], vec![]);
         rec.counters = vec![
-            hpa_trace::CounterRec {
-                cat: "dict",
-                name: "arena-bytes",
-                ts_ns: 0,
-                value: 100,
-                tid: 1,
-            },
-            hpa_trace::CounterRec {
-                cat: "dict",
-                name: "arena-bytes",
-                ts_ns: 5,
-                value: 300,
-                tid: 2,
-            },
+            counter("arena-bytes", 0, 100, 1),
+            counter("arena-bytes", 5, 300, 2),
+            // A gauge that falls back: max is the peak, not the last sample.
+            counter("queue-depth", 6, 7, 1),
+            counter("queue-depth", 8, 3, 1),
         ];
         let ledger = RunLedger::from_recording("t", 2, &rec, 4.0);
-        assert_eq!(ledger.counters.len(), 1);
+        assert_eq!(ledger.counters.len(), 2);
         let c = &ledger.counters[0];
         assert_eq!((c.samples, c.total, c.max), (2, 400, 300));
+        let q = &ledger.counters[1];
+        assert_eq!(q.name, "queue-depth");
+        assert_eq!((q.samples, q.total, q.max), (2, 10, 7));
+        let table = ledger.to_text();
+        let table = table.split("counters").nth(1).expect("counter table");
+        assert!(table.contains("queue-depth"));
     }
 
     #[test]
     fn json_and_text_render_every_row() {
         let rec = recording(
-            vec![span("phase", "output", 0, 1_000, 1)],
-            vec![predict("phase", "output", 0, 800, 1)],
+            vec![
+                span("phase", "output", 0, 1_000, 1),
+                span("phase", "kmeans", 0, 2_000_000, 1),
+            ],
+            vec![
+                predict("phase", "output", 0, 800, 1),
+                predict("phase", "kmeans", 0, 1_400_000, 1),
+            ],
         );
         let ledger = RunLedger::from_recording("workflow", 4, &rec, 4.0);
         let json = ledger.to_json();
-        assert!(json.contains(&format!(
-            "\"schema_version\": {}",
-            hpa_bench::json::SCHEMA_VERSION
-        )));
+        assert!(json.contains(&format!("\"schema_version\": {}", crate::SCHEMA_VERSION)));
         assert!(json.contains("\"ledger\": \"workflow\""));
         assert!(json.contains("\"error_ratio\": 0.8000"));
         assert!(json.contains("\"status\": \"ok\""));
         let text = ledger.to_text();
         assert!(text.contains("run ledger 'workflow'"));
         assert!(text.contains("output"));
+        let header = text.lines().find(|l| l.contains("p50")).unwrap();
+        assert!(header.contains("p95") && header.contains("p99"), "{header}");
+        // Predicted and measured seconds sit side by side in one row.
+        let kmeans = text.lines().find(|l| l.contains("kmeans")).unwrap();
+        assert!(
+            kmeans.contains("0.002000") && kmeans.contains("0.001400"),
+            "{kmeans}"
+        );
+
+        let empty = RunLedger::from_recording("empty", 1, &Recording::default(), 4.0);
+        assert!(empty.to_text().contains("run ledger 'empty'"));
+        assert!(!empty.to_text().contains("counters"));
+        assert!(empty.to_json().contains("\"ledger\": \"empty\""));
     }
 }

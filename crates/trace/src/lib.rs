@@ -11,13 +11,15 @@
 //! * [`Span`] / [`span!`] — RAII spans recorded into per-thread buffers;
 //! * [`counter`] / [`instant`] — counter samples and point events;
 //! * [`predict`] — cost-model predictions, recorded next to the
-//!   measured span they price so `hpa-audit` can join the two;
+//!   measured span they price so the run ledger can join the two;
 //! * [`Histogram`] — fixed-bucket (power-of-two) latency histograms;
 //! * [`Recording::to_chrome_json`] — Chrome trace-event JSON, loadable in
 //!   Perfetto or `chrome://tracing`;
-//! * [`Recording::summary`] — an aligned-text per-category summary
-//!   (total/count/p50/p99, top-N spans) rendered with
-//!   [`hpa_metrics::Table`].
+//! * [`RunLedger`] — the one digest of a recording: per `(cat, name)`
+//!   span counts, totals, p50/p95/p99/max, predictions and their error
+//!   ratios, plus counter totals, rendered as aligned text
+//!   ([`RunLedger::to_text`]) or `LEDGER_*.json` ([`RunLedger::to_json`],
+//!   through [`JsonWriter`]).
 //!
 //! ## Activation and cost
 //!
@@ -40,10 +42,15 @@
 
 mod chrome;
 mod hist;
-mod summary;
+mod json;
+mod ledger;
 
 pub use chrome::escape_json;
 pub use hist::Histogram;
+pub use json::{host_cores, JsonWriter, SCHEMA_VERSION};
+pub use ledger::{
+    Conformance, CounterRow, PhaseRow, RunLedger, CONFORMANCE_TOLERANCE, NEGLIGIBLE_NS,
+};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -98,8 +105,8 @@ pub struct EventRec {
 /// One cost-model prediction. Emitted by an operator immediately before
 /// (or inside) the measured span it prices, under the *same* `(cat,
 /// name)` pair, so the k-th prediction of a pair corresponds to the
-/// k-th span of that pair in time order — the join rule `hpa-audit`'s
-/// run ledger uses to compute predicted-vs-measured error ratios.
+/// k-th span of that pair in time order — the join rule [`RunLedger`]
+/// uses to compute predicted-vs-measured error ratios.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredictRec {
     /// Category of the span being priced.
@@ -407,15 +414,6 @@ impl Recording {
     /// Predictions of one category.
     pub fn predictions_in<'a>(&'a self, cat: &'a str) -> impl Iterator<Item = &'a PredictRec> + 'a {
         self.predictions.iter().filter(move |p| p.cat == cat)
-    }
-
-    /// Latency histogram of all span durations in one category.
-    pub fn histogram_for(&self, cat: &str) -> Histogram {
-        let mut h = Histogram::new();
-        for s in self.spans_in(cat) {
-            h.record(s.dur_ns);
-        }
-        h
     }
 }
 

@@ -51,7 +51,7 @@ fn print_usage() {
 USAGE:
   hpa generate --preset mix|nsf --scale F --seed N --out DIR
   hpa cluster  --input DIR [--k N] [--threads N] [--strategy fused|discrete]
-               [--dict map|u-map|u-map-presized|arena|auto] [--simulate]
+               [--dict map|u-map|u-map-presized|arena] [--simulate]
                [--out FILE]
   hpa tfidf    --input DIR [--dict ...] [--threads N] --out FILE.arff
   hpa train    --input DIR [--k N] [--threads N] --model FILE
