@@ -539,7 +539,6 @@ mod fault {
 mod tests {
     use super::*;
     use hpa_corpus::CorpusSpec;
-    use hpa_dict::DictKind;
 
     fn small_corpus() -> Corpus {
         CorpusSpec::mix().scaled(0.002).generate(5)
@@ -548,7 +547,6 @@ mod tests {
     fn builder() -> WorkflowBuilder {
         WorkflowBuilder::new()
             .tfidf(TfIdfConfig {
-                dict_kind: DictKind::BTree,
                 grain: 0,
                 charge_input_io: true,
                 ..Default::default()

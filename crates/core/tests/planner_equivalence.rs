@@ -12,7 +12,6 @@
 
 use hpa_core::{DiscreteIo, PlanSpace, Transport, Workflow, WorkflowBuilder};
 use hpa_corpus::{Corpus, CorpusSpec};
-use hpa_dict::DictKind;
 use hpa_exec::Exec;
 use hpa_kmeans::KMeansConfig;
 use hpa_tfidf::TfIdfConfig;
@@ -24,7 +23,6 @@ fn corpus() -> Corpus {
 fn builder() -> WorkflowBuilder {
     WorkflowBuilder::new()
         .tfidf(TfIdfConfig {
-            dict_kind: DictKind::BTree,
             grain: 0,
             charge_input_io: true,
             ..Default::default()

@@ -254,7 +254,6 @@ impl Dictionary for HashDict {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DictKind {
     /// Ordered tree (`std::map` in the paper; "map" in Figure 4).
-    #[default]
     BTree,
     /// Hash table ("u-map" in Figure 4).
     Hash,
@@ -264,7 +263,10 @@ pub enum DictKind {
     /// Arena interner ([`ArenaDict`]) — this repo's third Figure 4 arm.
     /// TF/IDF runs it as one interner per chunk of documents with flat
     /// `(id, tf)` runs, never as a dictionary per document: `map` and
-    /// `u-map` are the paper's per-document arms.
+    /// `u-map` are the paper's per-document arms. What ships: the
+    /// default here, in `TfIdfConfig`, in `hpa cluster` and in the
+    /// benchmark.
+    #[default]
     Arena,
 }
 

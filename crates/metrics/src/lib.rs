@@ -27,12 +27,6 @@ pub use svg::{Bar, LineChart, StackedBarChart};
 pub use table::Table;
 pub use timer::{PhaseReport, PhaseTimer};
 
-/// Format a `std::time::Duration` in seconds with millisecond resolution,
-/// the way the paper's figures label their Y axes ("Execution Time (s)").
-pub fn fmt_secs(d: std::time::Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
-}
-
 /// Format a byte count using binary units (KiB/MiB/GiB), chosen to make the
 /// paper's "420 MB vs 12.8 GB" contrast legible at a glance.
 pub fn fmt_bytes(bytes: u64) -> String {
@@ -54,14 +48,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn fmt_secs_millisecond_resolution() {
-        assert_eq!(fmt_secs(Duration::from_millis(1500)), "1.500");
-        assert_eq!(fmt_secs(Duration::ZERO), "0.000");
-        assert_eq!(fmt_secs(Duration::from_micros(1499)), "0.001");
-    }
 
     #[test]
     fn fmt_bytes_unit_selection() {

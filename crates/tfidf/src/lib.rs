@@ -91,7 +91,7 @@ pub struct TfIdfConfig {
 impl Default for TfIdfConfig {
     fn default() -> Self {
         TfIdfConfig {
-            dict_kind: DictKind::BTree,
+            dict_kind: DictKind::Arena,
             grain: 0,
             charge_input_io: true,
             min_df: 1,
@@ -1254,7 +1254,7 @@ mod tests {
     #[test]
     fn tfidf_scores_match_formula() {
         let exec = Exec::sequential();
-        let o = op(DictKind::BTree);
+        let o = op(DictKind::default());
         let model = o.fit(&exec, &corpus());
         assert_eq!(model.vectors.len(), 3);
         // Doc 0: apple tf=2 df=2, banana tf=1 df=2; idf = ln(3/2) both.
@@ -1366,7 +1366,7 @@ mod tests {
     #[test]
     fn arff_round_trip_preserves_matrix() {
         let exec = Exec::sequential();
-        let model = op(DictKind::BTree).fit(&exec, &corpus());
+        let model = op(DictKind::default()).fit(&exec, &corpus());
         let bytes = write_arff(&exec, &model, Vec::new()).unwrap();
         let text = String::from_utf8(bytes.clone()).unwrap();
         assert!(text.contains("@ATTRIBUTE apple NUMERIC"));
@@ -1383,7 +1383,7 @@ mod tests {
 
     #[test]
     fn overlapped_write_is_byte_identical_to_serial() {
-        let model = op(DictKind::BTree).fit(&Exec::sequential(), &corpus());
+        let model = op(DictKind::default()).fit(&Exec::sequential(), &corpus());
         let serial = write_arff(&Exec::sequential(), &model, Vec::new()).unwrap();
         for exec in [
             Exec::sequential(),
@@ -1398,7 +1398,7 @@ mod tests {
     #[test]
     fn overlapped_write_of_empty_model_is_header_only() {
         let exec = Exec::sequential();
-        let model = op(DictKind::BTree).fit(&exec, &Corpus::default());
+        let model = op(DictKind::default()).fit(&exec, &Corpus::default());
         let serial = write_arff(&exec, &model, Vec::new()).unwrap();
         let overlapped = write_arff_overlapped(&exec, &model, Vec::new()).unwrap();
         assert_eq!(serial, overlapped);
@@ -1478,7 +1478,7 @@ mod tests {
 
     #[test]
     fn failed_write_still_charges_the_work_it_did() {
-        let model = op(DictKind::BTree).fit(&Exec::sequential(), &corpus());
+        let model = op(DictKind::default()).fit(&Exec::sequential(), &corpus());
         let full = write_arff(&Exec::sequential(), &model, Vec::new()).unwrap();
         for overlapped in [false, true] {
             let exec = Exec::simulated(2, hpa_exec::MachineModel::default());
@@ -1513,7 +1513,7 @@ mod tests {
     #[test]
     fn colfmt_round_trip_preserves_matrix_bit_exactly() {
         let exec = Exec::sequential();
-        let model = op(DictKind::BTree).fit(&exec, &corpus());
+        let model = op(DictKind::default()).fit(&exec, &corpus());
         let bytes = write_colfmt(&exec, &model, Vec::new()).unwrap();
         let (rows, dim) = read_colfmt(&exec, std::io::Cursor::new(bytes)).unwrap();
         assert_eq!(dim, 4);
@@ -1522,7 +1522,7 @@ mod tests {
 
     #[test]
     fn colfmt_overlapped_write_is_byte_identical_to_serial() {
-        let model = op(DictKind::BTree).fit(&Exec::sequential(), &corpus());
+        let model = op(DictKind::default()).fit(&Exec::sequential(), &corpus());
         let serial = write_colfmt(&Exec::sequential(), &model, Vec::new()).unwrap();
         for exec in [
             Exec::sequential(),
@@ -1537,7 +1537,7 @@ mod tests {
     #[test]
     fn colfmt_overlapped_write_of_empty_model_is_header_only() {
         let exec = Exec::sequential();
-        let model = op(DictKind::BTree).fit(&exec, &Corpus::default());
+        let model = op(DictKind::default()).fit(&exec, &Corpus::default());
         let serial = write_colfmt(&exec, &model, Vec::new()).unwrap();
         let overlapped = write_colfmt_overlapped(&exec, &model, Vec::new()).unwrap();
         assert_eq!(serial, overlapped);
@@ -1587,7 +1587,7 @@ mod tests {
         // executor flavor, both schedules of both formats.
         for seed in [1u64, 7, 20160315] {
             let c = hpa_corpus::CorpusSpec::mix().scaled(0.002).generate(seed);
-            let model = op(DictKind::BTree).fit(&Exec::sequential(), &c);
+            let model = op(DictKind::default()).fit(&Exec::sequential(), &c);
             let arff_bytes = write_arff(&Exec::sequential(), &model, Vec::new()).unwrap();
             let col_bytes = write_colfmt(&Exec::sequential(), &model, Vec::new()).unwrap();
             assert!(
@@ -1620,7 +1620,7 @@ mod tests {
 
     #[test]
     fn colfmt_failed_write_still_charges_the_work_it_did() {
-        let model = op(DictKind::BTree).fit(&Exec::sequential(), &corpus());
+        let model = op(DictKind::default()).fit(&Exec::sequential(), &corpus());
         let full = write_colfmt(&Exec::sequential(), &model, Vec::new()).unwrap();
         for overlapped in [false, true] {
             let exec = Exec::simulated(2, hpa_exec::MachineModel::default());
@@ -1692,7 +1692,7 @@ mod tests {
                 },
             ],
         );
-        let model = op(DictKind::BTree).fit(&exec, &c);
+        let model = op(DictKind::default()).fit(&exec, &c);
         // "common" has df = N => idf = 0 => zero weight everywhere.
         let common_id = model.vocab.lookup("common").unwrap().0;
         for v in &model.vectors {
@@ -1703,7 +1703,7 @@ mod tests {
     #[test]
     fn empty_corpus_yields_empty_model() {
         let exec = Exec::sequential();
-        let model = op(DictKind::BTree).fit(&exec, &Corpus::default());
+        let model = op(DictKind::default()).fit(&exec, &Corpus::default());
         assert_eq!(model.vectors.len(), 0);
         assert_eq!(model.vocab.len(), 0);
     }

@@ -1,7 +1,6 @@
 //! Vocabulary pruning (`min_df` / `max_df_fraction`) behaviour.
 
 use hpa_corpus::{Corpus, Document};
-use hpa_dict::DictKind;
 use hpa_exec::Exec;
 use hpa_tfidf::{TfIdf, TfIdfConfig};
 
@@ -29,7 +28,6 @@ fn corpus() -> Corpus {
 
 fn fit(min_df: u32, max_df_fraction: f64) -> hpa_tfidf::TfIdfModel {
     let op = TfIdf::new(TfIdfConfig {
-        dict_kind: DictKind::BTree,
         min_df,
         max_df_fraction,
         charge_input_io: false,

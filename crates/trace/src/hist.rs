@@ -3,8 +3,7 @@
 //! Power-of-two nanosecond buckets: bucket 0 holds the value 0, bucket
 //! `i >= 1` holds values in `[2^(i-1), 2^i)`. 64 buckets therefore cover
 //! every `u64` duration with no allocation and O(1) recording — cheap
-//! enough to build one per `(cat, name)` row of the run ledger, and
-//! mergeable across threads by element-wise addition.
+//! enough to build one per `(cat, name)` row of the run ledger.
 
 /// A 64-bucket power-of-two histogram of nanosecond durations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,16 +44,6 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(ns);
         self.max = self.max.max(ns);
-    }
-
-    /// Element-wise merge of another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded values.
@@ -114,16 +103,6 @@ impl Histogram {
     /// 99th percentile shorthand.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Non-empty buckets as `(lower_bound_ns, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-            .collect()
     }
 }
 
@@ -197,33 +176,5 @@ mod tests {
         h.record(1_000_000);
         assert_eq!(h.quantile(0.5), 1_000_000);
         assert_eq!(h.quantile(1.0), 1_000_000);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for v in 0..1000u64 {
-            let v = v * 37;
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn nonzero_buckets_report_lower_bounds() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(5);
-        h.record(6);
-        let b = h.nonzero_buckets();
-        assert_eq!(b, vec![(0, 1), (4, 2)]);
     }
 }

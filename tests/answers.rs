@@ -12,8 +12,11 @@
 //! * NSF Abstracts × 0.005 at `k` 8 — dense term rows;
 //! * Mix × 0.01 at `k` 128 — postings rows.
 //!
-//! Each is fitted for eight iterations at the default grain on the
-//! sequential executor, a two-thread pool and four simulated cores.
+//! Each runs the shipped route — the default (interned) dictionary arm,
+//! the default kernel, TF/IDF fused into K-means — and is fitted for
+//! eight iterations at the default grain on the sequential executor, a
+//! two-thread pool and four simulated cores. The paper's `map` arm must
+//! give the same digests on the sequential executor.
 
 use hpa::corpus::CorpusSpec;
 use hpa::exec::MachineModel;
@@ -72,7 +75,8 @@ fn execs() -> [Exec; 3] {
 /// and sweep the block in the `postings` form or not.
 fn assert_pinned(spec: CorpusSpec, k: usize, postings: bool, expected: Answers) {
     let corpus = spec.generate(SEED);
-    let model = hpa::tfidf::TfIdf::new(TfIdfConfig::default()).fit(&Exec::sequential(), &corpus);
+    let fit_tfidf = |config| hpa::tfidf::TfIdf::new(config).fit(&Exec::sequential(), &corpus);
+    let model = fit_tfidf(TfIdfConfig::default());
     // A fixed budget past convergence (a negative `tol` never breaks),
     // so later iterations run on carried bounds and prune.
     let config = KMeansConfig {
@@ -87,6 +91,13 @@ fn assert_pinned(spec: CorpusSpec, k: usize, postings: bool, expected: Answers) 
         assert_eq!(fitted.centroids.is_postings(), postings, "{exec:?}: form");
         assert_eq!(Answers::of(&fitted), expected, "{exec:?}");
     }
+    let map = fit_tfidf(TfIdfConfig {
+        dict_kind: DictKind::BTree,
+        ..TfIdfConfig::default()
+    });
+    let fitted =
+        hpa::kmeans::KMeans::new(config).fit(&Exec::sequential(), &map.vectors, map.vocab.len());
+    assert_eq!(Answers::of(&fitted), expected, "map arm");
 }
 
 #[test]

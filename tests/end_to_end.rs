@@ -71,7 +71,7 @@ fn executors_agree_bit_for_bit() {
     // Fixed grains make chunk boundaries identical, so results must be
     // exactly equal across sequential, pooled, and simulated execution.
     let corpus = corpus();
-    let reference = builder(DictKind::BTree)
+    let reference = builder(DictKind::default())
         .fused()
         .run(&corpus, &Exec::sequential())
         .unwrap();
@@ -80,7 +80,7 @@ fn executors_agree_bit_for_bit() {
         Exec::simulated(8, MachineModel::default()),
         Exec::simulated_with(16, MachineModel::frictionless(), CostMode::Analytic),
     ] {
-        let out = builder(DictKind::BTree)
+        let out = builder(DictKind::default())
             .fused()
             .run(&corpus, &exec)
             .unwrap();
@@ -95,7 +95,7 @@ fn simulated_time_decreases_with_cores_until_serial_floor() {
     let mut last = f64::INFINITY;
     for cores in [1, 2, 4, 8] {
         let exec = Exec::simulated_with(cores, MachineModel::default(), CostMode::Analytic);
-        let out = builder(DictKind::BTree)
+        let out = builder(DictKind::default())
             .fused()
             .run(&corpus, &exec)
             .unwrap();
@@ -115,11 +115,11 @@ fn workflow_from_disk_corpus_matches_in_memory() {
     hpa::corpus::disk::write_corpus(&corpus, &dir).unwrap();
     let exec = Exec::sequential();
     let loaded = hpa::io::load_corpus_parallel(&exec, &corpus.name, &dir).unwrap();
-    let a = builder(DictKind::BTree)
+    let a = builder(DictKind::default())
         .fused()
         .run(&corpus, &exec)
         .unwrap();
-    let b = builder(DictKind::BTree)
+    let b = builder(DictKind::default())
         .fused()
         .run(&loaded, &exec)
         .unwrap();
@@ -197,7 +197,7 @@ fn clustering_quality_beats_random_assignment() {
 fn outcome_output_is_valid_csv_of_assignments() {
     let corpus = corpus();
     let exec = Exec::sequential();
-    let out = builder(DictKind::BTree)
+    let out = builder(DictKind::default())
         .fused()
         .run(&corpus, &exec)
         .unwrap();

@@ -233,7 +233,10 @@ fn analytic_simulation_is_deterministic_across_runs() {
     let corpus = CorpusSpec::mix().scaled(0.005).generate(9);
     let run = || {
         let e = exec(12);
-        let out = workflow(DictKind::BTree).fused().run(&corpus, &e).unwrap();
+        let out = workflow(DictKind::default())
+            .fused()
+            .run(&corpus, &e)
+            .unwrap();
         (
             out.phases.total(),
             e.sim_state().unwrap().work_ns,
