@@ -15,6 +15,7 @@ use hpa_kmeans::{KMeans, KMeansConfig};
 use hpa_metrics::PhaseTimer;
 use hpa_sparse::{CentroidBlock, SparseVec};
 use hpa_tfidf::{TfIdf, TfIdfConfig, Vocab};
+use std::cmp::Reverse;
 use std::io::{BufRead, Write};
 
 /// A fitted TF/IDF → K-means pipeline, ready to classify new documents.
@@ -205,8 +206,11 @@ impl TrainedPipeline {
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| err(l, format!("bad vocab line '{vc}'")))?;
 
+        // The entries must come in term-id order — descending df, words
+        // ascending within one df — or the vocabulary rebuilt from them
+        // would number its terms unlike the centroid rows.
         let mut df_dict = dict_kind.new_dict();
-        let mut last_word: Option<String> = None;
+        let mut last: Option<(u64, String)> = None;
         for _ in 0..vocab_len {
             let (l, entry) = next("vocabulary entry")?;
             let (word, df) = entry
@@ -215,12 +219,12 @@ impl TrainedPipeline {
             let df: u64 = df
                 .parse()
                 .map_err(|_| err(l, format!("bad df in '{entry}'")))?;
-            if let Some(prev) = &last_word {
-                if prev.as_str() >= word {
-                    return Err(err(l, format!("vocabulary not sorted at '{word}'")));
+            if let Some((prev_df, prev)) = &last {
+                if (Reverse(*prev_df), prev.as_str()) >= (Reverse(df), word) {
+                    return Err(err(l, format!("vocabulary out of rank order at '{word}'")));
                 }
             }
-            last_word = Some(word.to_string());
+            last = Some((df, word.to_string()));
             df_dict.insert(word, df);
         }
         let vocab = Vocab::from_df_dict(dict_kind, &df_dict, num_docs);
@@ -408,7 +412,12 @@ mod tests {
             ),
             (
                 "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 2\nbbb 1\naaa 1\ncentroids 0 0\n",
-                "not sorted",
+                "out of rank order at 'aaa'",
+            ),
+            // Ascending words, but a rarer term before a commoner one.
+            (
+                "HPA-PIPELINE v1\nnum_docs 3\ndict arena\nvocab 2\naaa 1\nbbb 2\ncentroids 0 0\n",
+                "out of rank order at 'bbb'",
             ),
             (
                 "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 1\nzeta 1\ncentroids 4611686018427387904 8\n",

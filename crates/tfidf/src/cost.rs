@@ -155,21 +155,29 @@ pub fn df_merge_cost(kind: DictKind, entries: f64) -> TaskCost {
     }
 }
 
-/// Cost of building a vocabulary of `vocab_len` words. The paper's arms:
-/// one sorted walk over the global document-frequency dictionary plus
-/// one insert per word into the lookup index, both of `kind`. The
-/// interned arm: a sort of the ids by key, then per word a copy, a rank
-/// store and a logarithm — no index to fill.
+/// Cost of building a vocabulary of `vocab_len` words. Every arm ranks
+/// its words by the one rule (`Vocab`): an integer sort of
+/// `(df, first eight key bytes)` pairs, priced as the arena's sorted
+/// walk, then per word a copy and a logarithm. The paper's arms first
+/// copy their global document-frequency dictionary into an interner —
+/// one storage-order step and one intern per word — and afterwards
+/// insert each ranked word into a lookup index of `kind`; the interned
+/// arm ranks the interner it counted with and fills no index.
 pub fn vocab_build_cost(kind: DictKind, vocab_len: usize) -> TaskCost {
-    let walk = kind.global_kind().sorted_iter_cost(vocab_len);
-    let (insert_ns, insert_mem) = if kind == DictKind::Arena {
-        (0.0, 0.0)
-    } else {
-        let insert = kind.global_kind().insert_cost(vocab_len);
-        (insert.cpu_ns, insert.mem_bytes)
-    };
-    let per_word = walk.cpu_ns + insert_ns + 30.0; // +30ns string copy
-    let per_word_mem = walk.mem_bytes + insert_mem + 24.0;
+    let kind = kind.global_kind();
+    let rank = DictKind::Arena.sorted_iter_cost(vocab_len);
+    let mut per_word = rank.cpu_ns + 30.0; // +30ns string copy
+    let mut per_word_mem = rank.mem_bytes + 24.0;
+    if kind != DictKind::Arena {
+        for op in [
+            kind.iter_step_cost(vocab_len),
+            DictKind::Arena.insert_cost(vocab_len),
+            kind.insert_cost(vocab_len),
+        ] {
+            per_word += op.cpu_ns;
+            per_word_mem += op.mem_bytes;
+        }
+    }
     TaskCost {
         cpu_ns: (vocab_len as f64 * per_word) as u64,
         mem_bytes: (vocab_len as f64 * per_word_mem) as u64,

@@ -8,8 +8,10 @@
 //!    over documents: tokenize, count term frequencies per document and
 //!    document frequencies per chunk of documents, and merge the chunks
 //!    at the end.
-//! 2. **transform + output** — [`TfIdf::build_vocab`] assigns term ids in
-//!    sorted word order; [`TfIdf::transform`] (parallel per document)
+//! 2. **transform + output** — [`TfIdf::build_vocab`] assigns term ids by
+//!    descending document frequency, ties by word (the Zipf head first:
+//!    its centroid rows become one prefix of K-means' block);
+//!    [`TfIdf::transform`] (parallel per document)
 //!    converts term counts to normalized TF·IDF sparse vectors;
 //!    [`write_arff`] emits the WEKA-format matrix **sequentially**,
 //!    because "the ARFF format does not facilitate parallel output".
@@ -33,7 +35,7 @@
 //!   array increment. Afterwards the chunks' interners fold into the
 //!   first chunk's, which yields the corpus-wide provisional ids and one
 //!   local → provisional id map per later chunk. The vocabulary is a
-//!   rank permutation of the provisional ids by key bytes
+//!   rank permutation of the provisional ids by document frequency
 //!   (`Vocab::from_interned`), and the transform is remap → integer sort
 //!   → scale: no string, no hash, no dictionary per document.
 //!
@@ -488,11 +490,12 @@ impl TfIdf {
         (per_doc, TermCounts::Interned(counts))
     }
 
-    /// Build the vocabulary: term ids in ascending word order, terms
-    /// outside the configured document-frequency band dropped. The
-    /// paper's arms walk the global dictionary — sorted for free on the
-    /// tree, collect-and-sort on the hash table — and fill an index of
-    /// the same kind; the interned arm ranks its provisional ids.
+    /// Build the vocabulary: term ids by descending document frequency,
+    /// ties in ascending word order, terms outside the configured
+    /// document-frequency band dropped. Every arm ranks by that one rule
+    /// ([`Vocab`]); the paper's arms copy their global dictionary into an
+    /// interner to rank it and fill an index of their own kind, the
+    /// interned arm ranks its provisional ids.
     pub fn build_vocab(&self, exec: &Exec, counts: &WordCounts) -> Vocab {
         let _span = hpa_trace::span!("tfidf", "build-vocab", counts.num_terms() as u64);
         let n = counts.num_docs();
@@ -1237,7 +1240,8 @@ mod tests {
     }
 
     #[test]
-    fn vocabulary_ids_in_sorted_word_order() {
+    fn vocabulary_ids_rank_by_df_then_word() {
+        // df: apple, banana and cherry 2, dates 1.
         let exec = Exec::sequential();
         let o = op(DictKind::Hash);
         let counts = o.count_words(&exec, &corpus());
@@ -1288,7 +1292,7 @@ mod tests {
     #[test]
     fn every_dict_kind_is_bit_identical_to_the_tree() {
         // Stronger than the tolerance check above: same f64 bits. Term
-        // ids come from a sorted walk and each weight is computed from
+        // ids come from one rank and each weight is computed from
         // (tf, df, N) in term-id order, so storage layout must not leak
         // into the output at all.
         let exec = Exec::sequential();

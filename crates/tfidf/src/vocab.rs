@@ -1,8 +1,10 @@
 //! Term vocabulary: id ↔ word ↔ document frequency ↔ IDF.
 //!
-//! Term ids are assigned in ascending word order, so a tree dictionary's
-//! natural iteration order *is* id order — one reason the paper's
-//! transform phase interacts with the dictionary choice. The words lie
+//! Term ids follow one rank, whatever the dictionary kind: descending
+//! document frequency, ties in ascending key bytes (`ranked`). The
+//! Zipf head of the vocabulary takes the lowest ids, so the centroid
+//! rows that nearly every document gathers form one contiguous prefix
+//! of K-means' centroid block (and of its postings). The words lie
 //! back to back in one string, whatever the kind. The word → id index
 //! depends on it: the paper's arms keep a dictionary of the kind under
 //! study, because their transform phase's lookups hit this structure;
@@ -11,9 +13,10 @@
 //! transform needs. `idf = ln(N / df)` is taken once per term here, not
 //! once per non-zero downstream.
 
-use hpa_dict::{hash_word, pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
+use hpa_dict::{hash_word, key_prefix, pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_sparse::{SparseVec, TermId};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// "No term id": the rank of a provisional id whose word was pruned (or,
@@ -115,8 +118,8 @@ impl Terms {
         }
     }
 
-    /// Append the next word in ascending order; returns its id and its
-    /// document frequency as stored.
+    /// Append the next word in rank order ([`ranked`]); returns its id
+    /// and its document frequency as stored.
     fn push(&mut self, word: &str, df: u64) -> (TermId, u32) {
         let id = TermId::try_from(self.ends.len())
             .ok()
@@ -132,9 +135,37 @@ impl Terms {
     }
 }
 
+/// The one term-id rule of every dictionary kind: the ids of `words`
+/// whose value — a document frequency — lies in `[min_df, max_df]`, by
+/// descending document frequency, ties in ascending key bytes (UTF-8
+/// byte order is `str` order). The sort compares `(df, first eight key
+/// bytes)` as integers and reads whole keys only to break a tie between
+/// equal prefixes; keys are distinct, so the order is total.
+fn ranked(words: &ArenaDict, min_df: u64, max_df: u64) -> Vec<u32> {
+    let mut keyed: Vec<(Reverse<u64>, u64, u32)> = (0..words.len() as u32)
+        .filter_map(|id| {
+            let df = words.value(id);
+            let key = words.key(id).as_bytes();
+            // Big-endian, a zero-padded prefix orders like the key
+            // itself wherever two prefixes differ.
+            let prefix = key_prefix(key).swap_bytes();
+            (min_df..=max_df)
+                .contains(&df)
+                .then_some((Reverse(df), prefix, id))
+        })
+        .collect();
+    keyed.sort_unstable_by(|a, b| {
+        (a.0, a.1)
+            .cmp(&(b.0, b.1))
+            .then_with(|| words.key(a.2).cmp(words.key(b.2)))
+    });
+    keyed.into_iter().map(|(.., id)| id).collect()
+}
+
 impl Vocab {
     /// Build from a word → document-frequency dictionary over `num_docs`
-    /// documents. Ids follow ascending word order.
+    /// documents. Ids follow the one rank: descending document
+    /// frequency, ties in ascending word order.
     pub fn from_df_dict(kind: DictKind, df: &AnyDict, num_docs: usize) -> Self {
         Vocab::from_df_dict_pruned(kind, df, 1, u64::MAX, num_docs)
     }
@@ -149,21 +180,21 @@ impl Vocab {
         num_docs: usize,
     ) -> Self {
         // The global index is never per-document, so a pre-sized kind
-        // degrades to the plain hash table here.
+        // degrades to the plain hash table here. Every kind ranks its
+        // words in an interner; the rank reads no order of `df`'s own.
         let kind = kind.global_kind();
+        let mut words = ArenaDict::with_capacity(df.len(), 0);
+        df.for_each(&mut |word, count| words.insert(word, count));
         if kind == DictKind::Arena {
-            let mut words = ArenaDict::with_capacity(df.len(), 0);
-            df.for_each(&mut |word, count| words.insert(word, count));
             return Vocab::from_interned(Arc::new(words), min_df, max_df, num_docs);
         }
-        let mut terms = Terms::with_capacity(df.len(), num_docs);
+        let mut terms = Terms::with_capacity(words.len(), num_docs);
         let mut index = kind.new_dict();
-        df.for_each_sorted(&mut |word, count| {
-            if (min_df..=max_df).contains(&count) {
-                let (id, df) = terms.push(word, count);
-                index.insert(word, pack(id, df));
-            }
-        });
+        for id in ranked(&words, min_df, max_df) {
+            let word = words.key(id);
+            let (id, df) = terms.push(word, words.value(id));
+            index.insert(word, pack(id, df));
+        }
         Vocab(Arc::new(Inner {
             terms,
             index: Index::Dict(Box::new(index)),
@@ -171,7 +202,7 @@ impl Vocab {
         }))
     }
 
-    /// The interned arm's vocabulary: rank `words`' ids by key bytes,
+    /// The interned arm's vocabulary: rank `words`' ids ([`ranked`]),
     /// its values being the document frequencies over `num_docs`
     /// documents; a term outside `[min_df, max_df]` gets no rank.
     pub(crate) fn from_interned(
@@ -182,11 +213,8 @@ impl Vocab {
     ) -> Self {
         let mut terms = Terms::with_capacity(words.len(), num_docs);
         let mut rank = vec![PRUNED; words.len()];
-        for id in words.sorted_ids() {
-            let count = words.value(id);
-            if (min_df..=max_df).contains(&count) {
-                rank[id as usize] = terms.push(words.key(id), count).0;
-            }
+        for id in ranked(&words, min_df, max_df) {
+            rank[id as usize] = terms.push(words.key(id), words.value(id)).0;
         }
         Vocab(Arc::new(Inner {
             terms,
@@ -309,14 +337,48 @@ mod tests {
     }
 
     #[test]
-    fn ids_follow_sorted_word_order() {
-        let v = Vocab::from_df_dict(DictKind::Hash, &df_dict(), 10);
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.word(0), "apple");
-        assert_eq!(v.word(1), "pear");
-        assert_eq!(v.word(2), "zucchini");
-        assert_eq!(v.df(0), 7);
-        assert_eq!(v.df(2), 1);
+    fn ids_rank_by_descending_df_then_key_bytes_under_every_kind() {
+        // Two df ties: "date"/"fig", and three words whose first eight
+        // bytes are all "internal", so only their full keys order them.
+        let mut df = DictKind::Hash.new_dict();
+        for (word, count) in [
+            ("fig", 2),
+            ("internals", 5),
+            ("apple", 1),
+            ("internal", 5),
+            ("date", 2),
+            ("zebra", 9),
+            ("internalize", 5),
+            ("kiwi", 20),
+        ] {
+            df.add(word, count);
+        }
+        let words = |v: &Vocab| -> Vec<(String, u32)> {
+            (0..v.len() as u32)
+                .map(|id| (v.word(id).to_string(), v.df(id)))
+                .collect()
+        };
+        let rank = [
+            ("kiwi", 20),
+            ("zebra", 9),
+            ("internal", 5),
+            ("internalize", 5),
+            ("internals", 5),
+            ("date", 2),
+            ("fig", 2),
+            ("apple", 1),
+        ];
+        for kind in KINDS {
+            let all = Vocab::from_df_dict(kind, &df, 30);
+            let expect: Vec<_> = rank.iter().map(|&(w, n)| (w.to_string(), n)).collect();
+            assert_eq!(words(&all), expect, "{kind:?}");
+            // The band [2, 9] drops the first and the last term; the
+            // rest keep their order and close up.
+            let band = Vocab::from_df_dict_pruned(kind, &df, 2, 9, 30);
+            assert_eq!(words(&band), expect[1..7], "{kind:?}");
+            assert_eq!(band.lookup("internalize"), Some((2, 5)), "{kind:?}");
+            assert_eq!(band.lookup("kiwi"), None, "{kind:?}");
+        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ fn nsf_at_k8_is_pinned() {
         Answers {
             iterations: 8,
             assignments: 0xedbd_2dae_c3e3_d521,
-            trace: 0x97ac_0070_acec_8a22,
-            centroids: 0x49a7_fd19_5118_a313,
+            trace: 0x0c3f_0df2_9fbf_0063,
+            centroids: 0x045b_d01b_49dc_ffb6,
         },
     );
 }
@@ -124,8 +124,8 @@ fn mix_at_k128_is_pinned() {
         Answers {
             iterations: 8,
             assignments: 0x3b1c_1afa_13a2_8957,
-            trace: 0x4265_6ad7_eff5_ca28,
-            centroids: 0x1630_cfd9_51b4_ea0c,
+            trace: 0xff5f_8f01_9332_8bda,
+            centroids: 0x30bc_efe4_c18c_d52d,
         },
     );
 }
