@@ -213,6 +213,12 @@ impl ArenaDict {
         std::str::from_utf8(self.key_bytes(id)).expect("arena keys are valid UTF-8")
     }
 
+    /// The [`key_prefix`] of the word with the given id, read off the
+    /// prefix column (the arena is not touched).
+    pub fn prefix(&self, id: u32) -> u64 {
+        unmarked(self.prefixes[id as usize])
+    }
+
     /// The value of the word with the given id.
     pub fn value(&self, id: u32) -> u64 {
         self.values[id as usize]

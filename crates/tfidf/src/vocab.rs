@@ -13,7 +13,7 @@
 //! transform needs. `idf = ln(N / df)` is taken once per term here, not
 //! once per non-zero downstream.
 
-use hpa_dict::{hash_word, key_prefix, pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
+use hpa_dict::{hash_word, pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_sparse::{SparseVec, TermId};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -138,28 +138,59 @@ impl Terms {
 /// The one term-id rule of every dictionary kind: the ids of `words`
 /// whose value — a document frequency — lies in `[min_df, max_df]`, by
 /// descending document frequency, ties in ascending key bytes (UTF-8
-/// byte order is `str` order). The sort compares `(df, first eight key
-/// bytes)` as integers and reads whole keys only to break a tie between
-/// equal prefixes; keys are distinct, so the order is total.
+/// byte order is `str` order). Within one df the ids sort by their
+/// keys' first eight bytes as one big-endian integer, read off the
+/// interner's prefix column; a zero-padded prefix orders like the key
+/// itself wherever two prefixes differ, so keys are compared only when
+/// two prefixes are equal. Keys are distinct, so the order is total.
+///
+/// Document frequencies are small integers. When the band's df range
+/// is narrower than its number of terms — a Zipf vocabulary's case — a
+/// counting pass buckets the ids by df and only each bucket is sorted,
+/// which costs no more than a sort by key alone; otherwise one sort
+/// takes the df first.
 fn ranked(words: &ArenaDict, min_df: u64, max_df: u64) -> Vec<u32> {
-    let mut keyed: Vec<(Reverse<u64>, u64, u32)> = (0..words.len() as u32)
-        .filter_map(|id| {
-            let df = words.value(id);
-            let key = words.key(id).as_bytes();
-            // Big-endian, a zero-padded prefix orders like the key
-            // itself wherever two prefixes differ.
-            let prefix = key_prefix(key).swap_bytes();
-            (min_df..=max_df)
-                .contains(&df)
-                .then_some((Reverse(df), prefix, id))
-        })
+    let band: Vec<u32> = (0..words.len() as u32)
+        .filter(|&id| (min_df..=max_df).contains(&words.value(id)))
         .collect();
-    keyed.sort_unstable_by(|a, b| {
-        (a.0, a.1)
-            .cmp(&(b.0, b.1))
-            .then_with(|| words.key(a.2).cmp(words.key(b.2)))
-    });
-    keyed.into_iter().map(|(.., id)| id).collect()
+    let dfs = band.iter().map(|&id| words.value(id));
+    let (low, top) = (dfs.clone().min().unwrap_or(0), dfs.max().unwrap_or(0));
+    let keyed = |id: u32| (words.prefix(id).swap_bytes(), id);
+    let by_key = |a: &(u64, u32), b: &(u64, u32)| {
+        a.0.cmp(&b.0)
+            .then_with(|| words.key(a.1).cmp(words.key(b.1)))
+    };
+    if top - low >= band.len() as u64 {
+        let mut by_df: Vec<_> = band
+            .iter()
+            .map(|&id| (Reverse(words.value(id)), keyed(id)))
+            .collect();
+        by_df.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| by_key(&a.1, &b.1)));
+        return by_df.into_iter().map(|(_, (_, id))| id).collect();
+    }
+    // `ends[d]` counts the ids `d` below the top df, then becomes where
+    // they start, and, once they are placed, where they end.
+    let bucket = |id: u32| (top - words.value(id)) as usize;
+    let mut ends = vec![0usize; (top - low) as usize + 1];
+    for &id in &band {
+        ends[bucket(id)] += 1;
+    }
+    let mut at = 0;
+    for end in ends.iter_mut() {
+        (*end, at) = (at, at + *end);
+    }
+    let mut placed = vec![(0, 0); band.len()];
+    for &id in &band {
+        let slot = &mut ends[bucket(id)];
+        placed[*slot] = keyed(id);
+        *slot += 1;
+    }
+    let mut start = 0;
+    for end in ends {
+        placed[start..end].sort_unstable_by(by_key);
+        start = end;
+    }
+    placed.into_iter().map(|(_, id)| id).collect()
 }
 
 impl Vocab {
@@ -378,6 +409,39 @@ mod tests {
             assert_eq!(words(&band), expect[1..7], "{kind:?}");
             assert_eq!(band.lookup("internalize"), Some((2, 5)), "{kind:?}");
             assert_eq!(band.lookup("kiwi"), None, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn ranked_equals_a_sort_by_descending_df_then_word() {
+        let mut rng = hpa_rng::SplitMix64::seed_from_u64(41);
+        // Dense dfs take the counting pass, spread-out ones the plain
+        // sort; a quarter of the words share the 8-byte stem "internal".
+        for (terms, df_range) in [(3_000, 40), (3_000, 1 << 40), (5, 3), (1, 1)] {
+            let mut words = ArenaDict::new();
+            while words.len() < terms {
+                let stem = if rng.gen_index(4) == 0 {
+                    "internal"
+                } else {
+                    ""
+                };
+                let len = 1 + rng.gen_index(6);
+                let tail: String = (0..len)
+                    .map(|_| (b'a' + rng.gen_index(26) as u8) as char)
+                    .collect();
+                words.insert(&format!("{stem}{tail}"), 1 + rng.gen_index(df_range) as u64);
+            }
+            for (min_df, max_df) in [(1, u64::MAX), (2, df_range as u64 / 2)] {
+                let mut expect: Vec<u32> = (0..words.len() as u32)
+                    .filter(|&id| (min_df..=max_df).contains(&words.value(id)))
+                    .collect();
+                expect.sort_by_key(|&id| (Reverse(words.value(id)), words.key(id)));
+                assert_eq!(
+                    ranked(&words, min_df, max_df),
+                    expect,
+                    "{terms} terms, dfs < {df_range}"
+                );
+            }
         }
     }
 
