@@ -156,9 +156,10 @@ pub fn df_merge_cost(kind: DictKind, entries: f64) -> TaskCost {
 }
 
 /// Cost of building a vocabulary of `vocab_len` words. Every arm ranks
-/// its words by the one rule (`Vocab`): an integer sort of
-/// `(df, first eight key bytes)` pairs, priced as the arena's sorted
-/// walk, then per word a copy and a logarithm. The paper's arms first
+/// its words by the one rule (`Vocab`): a counting pass over document
+/// frequency and an integer sort of each df's words by their first eight
+/// key bytes, priced as the arena's sorted walk, then per word a copy
+/// and a logarithm. The paper's arms first
 /// copy their global document-frequency dictionary into an interner —
 /// one storage-order step and one intern per word — and afterwards
 /// insert each ranked word into a lookup index of `kind`; the interned
