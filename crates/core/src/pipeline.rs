@@ -219,6 +219,12 @@ impl TrainedPipeline {
             let df: u64 = df
                 .parse()
                 .map_err(|_| err(l, format!("bad df in '{entry}'")))?;
+            // A df outside 1..=N is no count over the training documents;
+            // `Vocab::from_df_dict` would drop a 0, leaving fewer terms
+            // than centroid rows.
+            if df == 0 || df > num_docs as u64 {
+                return Err(err(l, format!("df outside 1..={num_docs} in '{entry}'")));
+            }
             if let Some((prev_df, prev)) = &last {
                 if (Reverse(*prev_df), prev.as_str()) >= (Reverse(df), word) {
                     return Err(err(l, format!("vocabulary out of rank order at '{word}'")));
@@ -413,6 +419,14 @@ mod tests {
             (
                 "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 2\nbbb 1\naaa 1\ncentroids 0 0\n",
                 "out of rank order at 'aaa'",
+            ),
+            (
+                "HPA-PIPELINE v1\nnum_docs 3\ndict arena\nvocab 2\naaa 1\nbbb 0\ncentroids 1 2\n0.5 0.25\n",
+                "df outside 1..=3 in 'bbb 0'",
+            ),
+            (
+                "HPA-PIPELINE v1\nnum_docs 3\ndict map\nvocab 1\naaa 4\ncentroids 1 1\n0.5\n",
+                "df outside 1..=3 in 'aaa 4'",
             ),
             // Ascending words, but a rarer term before a commoner one.
             (
