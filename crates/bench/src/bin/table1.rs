@@ -35,7 +35,7 @@ fn main() {
     ];
     let corpora = [cfg.mix(), cfg.nsf()];
     for (corpus, (name, p_docs, p_mb, p_words)) in corpora.iter().zip(paper) {
-        let stats = corpus.stats();
+        let stats = corpus.stats().expect("a generated corpus is in memory");
         table.row(&[
             name.to_string(),
             stats.documents.to_string(),

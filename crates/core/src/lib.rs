@@ -139,7 +139,8 @@ pub enum WorkflowError {
     Arff(ArffError),
     /// Binary colfmt encode/decode failure on the intermediate.
     ColFmt(ColFmtError),
-    /// Filesystem failure around the intermediate or output files.
+    /// Filesystem failure: a document of the corpus that cannot be read
+    /// (the error names its file), or the intermediate or output files.
     Io(std::io::Error),
     /// The [`PlanSpace`] leaves the matrix hand-off with no transport at
     /// all.
@@ -421,7 +422,15 @@ impl Workflow {
 
     /// Run the workflow on `corpus` under `exec`: TF/IDF, the cheapest
     /// transport the plan space allows for the matrix it produced,
-    /// K-means, and the output serialization.
+    /// K-means, and the output serialization. A directory corpus is read
+    /// by the word count, document by document.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkflowError::Io`] when a document cannot be read (before any
+    /// intermediate exists) or the intermediate file fails; the
+    /// intermediate's own format errors; [`WorkflowError::Plan`] for an
+    /// empty plan space.
     pub fn run(&self, corpus: &Corpus, exec: &Exec) -> Result<WorkflowOutcome, WorkflowError> {
         // A space with nothing in it can be rejected before TF/IDF runs.
         if !Transport::ALL
@@ -439,7 +448,7 @@ impl Workflow {
         };
 
         let tfidf = TfIdf::new(self.tfidf);
-        let counts = ctx.timed("input+wc", |exec| tfidf.count_words(exec, corpus));
+        let counts = ctx.timed("input+wc", |exec| tfidf.try_count_words(exec, corpus))?;
         let model = ctx.timed("transform", |exec| {
             let vocab = tfidf.build_vocab(exec, &counts);
             tfidf.transform(exec, &counts, &vocab)

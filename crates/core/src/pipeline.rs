@@ -8,7 +8,7 @@
 //! a parallel nearest-centroid predictor.
 
 use crate::{OperatorCtx, WorkflowError};
-use hpa_corpus::{Corpus, Document, Tokenizer};
+use hpa_corpus::{Corpus, Tokenizer};
 use hpa_dict::{pack, DictKind, Dictionary as _};
 use hpa_exec::{Exec, TaskCost};
 use hpa_kmeans::{KMeans, KMeansConfig};
@@ -70,7 +70,7 @@ impl TrainedPipeline {
             timer: &mut timer,
         };
         let tfidf = TfIdf::new(tfidf);
-        let counts = ctx.timed("input+wc", |exec| tfidf.count_words(exec, corpus));
+        let counts = ctx.timed("input+wc", |exec| tfidf.try_count_words(exec, corpus))?;
         let model = ctx.timed("transform", |exec| {
             let vocab = tfidf.build_vocab(exec, &counts);
             tfidf.transform(exec, &counts, &vocab)
@@ -111,17 +111,24 @@ impl TrainedPipeline {
     /// (parallel over documents), through the term-major blocked kernel.
     /// The documents are cut by the executor's default grain — about
     /// eight chunks per thread, for stealing to balance — and each chunk
-    /// returns its slice of the output.
-    pub fn predict(&self, exec: &Exec, corpus: &Corpus) -> Vec<u32> {
-        let docs = corpus.documents();
+    /// reads its documents into one recycled buffer and returns its slice
+    /// of the output.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkflowError::Io`] when a document cannot be read; the first
+    /// failing chunk's error, naming the file.
+    pub fn predict(&self, exec: &Exec, corpus: &Corpus) -> Result<Vec<u32>, WorkflowError> {
         let chunks = exec.par_map_chunks(
-            docs.len(),
+            corpus.len(),
             0,
             |range| {
                 let mut dist = vec![0.0; self.centroids.k()];
-                let nearest = |doc: &Document| {
+                let mut buf = String::new();
+                let mut nearest = |i: usize| -> std::io::Result<u32> {
+                    let text = corpus.text(i, &mut buf)?;
                     self.centroids
-                        .distances_into(&self.vectorize(&doc.text), &mut dist);
+                        .distances_into(&self.vectorize(text), &mut dist);
                     let mut best = 0u32;
                     let mut best_d = f64::INFINITY;
                     for (c, &d) in dist.iter().enumerate() {
@@ -130,16 +137,19 @@ impl TrainedPipeline {
                             best = c as u32;
                         }
                     }
-                    best
+                    Ok(best)
                 };
-                docs[range].iter().map(nearest).collect::<Vec<u32>>()
+                range
+                    .map(&mut nearest)
+                    .collect::<std::io::Result<Vec<u32>>>()
             },
             |range| {
-                let bytes: u64 = docs[range].iter().map(|doc| doc.text.len() as u64).sum();
+                let bytes: u64 = range.map(|i| corpus.doc_bytes(i)).sum();
                 TaskCost::cpu_mem((bytes as f64 * 3.0) as u64, bytes)
             },
         );
-        chunks.concat()
+        let chunks = chunks.into_iter().collect::<std::io::Result<Vec<_>>>()?;
+        Ok(chunks.concat())
     }
 
     /// Serialize as versioned plain text. Weights round-trip exactly
@@ -307,7 +317,7 @@ mod tests {
         // Training assignments are the argmin against the *pre-recompute*
         // centroids; predict uses the final centroids, so it equals one
         // extra Lloyd assignment step. On converged runs they coincide.
-        let predicted = pipeline.predict(&Exec::sequential(), &corpus);
+        let predicted = pipeline.predict(&Exec::sequential(), &corpus).unwrap();
         let agree = predicted
             .iter()
             .zip(&assignments)
@@ -342,8 +352,8 @@ mod tests {
         }
         let exec = Exec::sequential();
         assert_eq!(
-            pipeline.predict(&exec, &corpus),
-            loaded.predict(&exec, &corpus),
+            pipeline.predict(&exec, &corpus).unwrap(),
+            loaded.predict(&exec, &corpus).unwrap(),
             "loaded pipeline must predict identically"
         );
     }
@@ -380,7 +390,7 @@ mod tests {
             let mut bytes = Vec::new();
             pipeline.save(&mut bytes).unwrap();
             let loaded = TrainedPipeline::load(std::io::Cursor::new(&bytes)).unwrap();
-            for (doc, trained) in corpus.documents().iter().zip(&model.vectors) {
+            for (doc, trained) in corpus.documents().unwrap().iter().zip(&model.vectors) {
                 for p in [&pipeline, &loaded] {
                     let v = p.vectorize(&doc.text);
                     assert_eq!(v.terms(), trained.terms(), "{dict_kind:?} {}", doc.name);
@@ -396,12 +406,14 @@ mod tests {
     #[test]
     fn predict_parallel_matches_sequential() {
         let (pipeline, _, corpus) = train_small();
-        let seq = pipeline.predict(&Exec::sequential(), &corpus);
-        let par = pipeline.predict(&Exec::pool(3), &corpus);
-        let sim = pipeline.predict(
-            &Exec::simulated(4, hpa_exec::MachineModel::default()),
-            &corpus,
-        );
+        let seq = pipeline.predict(&Exec::sequential(), &corpus).unwrap();
+        let par = pipeline.predict(&Exec::pool(3), &corpus).unwrap();
+        let sim = pipeline
+            .predict(
+                &Exec::simulated(4, hpa_exec::MachineModel::default()),
+                &corpus,
+            )
+            .unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq, sim);
     }

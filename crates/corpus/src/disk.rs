@@ -1,56 +1,53 @@
 //! On-disk corpus layout.
 //!
 //! The paper's TF/IDF operator reads "independent files concurrently" —
-//! one text file per document in a directory. This module writes and
-//! reads that layout. Reading returns documents sorted by file name so
-//! ids are stable regardless of directory iteration order.
+//! one text file per document in a directory. This module writes that
+//! layout and lists it: a listing names the document files sorted by
+//! their bytes, so ids are stable regardless of directory iteration
+//! order, and a corpus built on it ([`Corpus::from_files`]) reads each
+//! file only when a consumer asks for its text.
 
-use crate::{Corpus, Document};
+use crate::Corpus;
+use std::ffi::OsString;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Write one `.txt` file per document into `dir` (created if missing).
 /// Returns the number of files written.
+///
+/// # Errors
+///
+/// Creating `dir` or a file, writing it, or reading a document of a
+/// directory corpus ([`Corpus::text`]).
 pub fn write_corpus(corpus: &Corpus, dir: &Path) -> io::Result<usize> {
     fs::create_dir_all(dir)?;
-    for d in corpus.documents() {
-        let mut f = fs::File::create(dir.join(&d.name))?;
-        f.write_all(d.text.as_bytes())?;
+    let mut buf = String::new();
+    for i in 0..corpus.len() {
+        let text = corpus.text(i, &mut buf)?;
+        let mut f = fs::File::create(dir.join(&*corpus.doc_name(i)))?;
+        f.write_all(text.as_bytes())?;
     }
     Ok(corpus.len())
 }
 
-/// List the document files of a corpus directory, sorted by name.
-pub fn list_documents(dir: &Path) -> io::Result<Vec<std::path::PathBuf>> {
-    let mut paths: Vec<_> = fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "txt"))
-        .collect();
-    paths.sort();
-    Ok(paths)
-}
-
-/// Read a corpus previously written with [`write_corpus`]. Ids are
-/// assigned in sorted file-name order.
-pub fn read_corpus(name: &str, dir: &Path) -> io::Result<Corpus> {
-    let paths = list_documents(dir)?;
-    let mut docs = Vec::with_capacity(paths.len());
-    for (i, p) in paths.iter().enumerate() {
-        let text = fs::read_to_string(p)?;
-        let file_name = p
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("unnamed.txt")
-            .to_string();
-        docs.push(Document {
-            id: i as u32,
-            name: file_name,
-            text,
-        });
+/// The names of the document files of a corpus directory — entries whose
+/// extension is `txt` — sorted as bytes, which within one directory is
+/// the order `PathBuf` sorts their paths in.
+///
+/// # Errors
+///
+/// Opening or reading the directory.
+pub fn list_documents(dir: &Path) -> io::Result<Vec<OsString>> {
+    let mut names = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        if Path::new(&name).extension().is_some_and(|e| e == "txt") {
+            names.push(name);
+        }
     }
-    Ok(Corpus::from_documents(name, docs))
+    names.sort_unstable();
+    Ok(names)
 }
 
 #[cfg(test)]
@@ -70,35 +67,72 @@ mod tests {
         let c = CorpusSpec::mix().scaled(0.001).generate(3);
         let n = write_corpus(&c, &dir).unwrap();
         assert_eq!(n, c.len());
-        let back = read_corpus("Mix", &dir).unwrap();
+        let back = Corpus::from_files("Mix", &dir, list_documents(&dir).unwrap());
         assert_eq!(back.len(), c.len());
-        for (a, b) in c.documents().iter().zip(back.documents()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.text, b.text);
+        assert!(
+            back.documents().is_none(),
+            "a directory corpus holds no text"
+        );
+        let mut buf = String::new();
+        for (i, a) in c.documents().unwrap().iter().enumerate() {
+            assert_eq!(a.name, back.doc_name(i));
+            assert_eq!(a.text, back.text(i, &mut buf).unwrap());
+            assert_eq!(a.text.len() as u64, back.doc_bytes(i));
         }
+        assert_eq!(back.total_bytes(), c.total_bytes());
+        assert_eq!(back.stats().unwrap(), c.stats().unwrap());
+        // Writing a directory corpus copies it file for file.
+        let copy = tmpdir("rt_copy");
+        write_corpus(&back, &copy).unwrap();
+        assert_eq!(
+            list_documents(&copy).unwrap(),
+            list_documents(&dir).unwrap()
+        );
         fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&copy).unwrap();
     }
 
     #[test]
     fn list_documents_sorted_and_filtered() {
         let dir = tmpdir("ls");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("b.txt"), "b").unwrap();
-        fs::write(dir.join("a.txt"), "a").unwrap();
-        fs::write(dir.join("ignore.dat"), "x").unwrap();
-        let paths = list_documents(&dir).unwrap();
-        let names: Vec<_> = paths
-            .iter()
-            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
-            .collect();
-        assert_eq!(names, ["a.txt", "b.txt"]);
+        for name in ["b.txt", "a.txt", "B.txt", "a0.txt", "ignore.dat", "txt"] {
+            fs::write(dir.join(name), "x").unwrap();
+        }
+        let names = list_documents(&dir).unwrap();
+        // As bytes: upper case before lower case, `.` (0x2E) before `0`.
+        assert_eq!(names, ["B.txt", "a.txt", "a0.txt", "b.txt"]);
+        // The order paths of one directory sort in.
+        let mut paths: Vec<_> = names.iter().map(|n| dir.join(n)).collect();
+        paths.sort();
+        let by_path: Vec<_> = paths.iter().map(|p| p.file_name().unwrap()).collect();
+        assert_eq!(by_path, names);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_directory_errors() {
-        let err = read_corpus("x", Path::new("/nonexistent/hpa/dir")).unwrap_err();
+        let err = list_documents(Path::new("/nonexistent/hpa/dir")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_failed_read_names_its_file() {
+        let dir = tmpdir("err");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("good.txt"), "fine words").unwrap();
+        fs::write(dir.join("latin1.txt"), b"caf\xe9").unwrap();
+        let c = Corpus::from_files("x", &dir, list_documents(&dir).unwrap());
+        let mut buf = String::new();
+        assert_eq!(c.text(0, &mut buf).unwrap(), "fine words");
+        let err = c.text(1, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("latin1.txt"), "{err}");
+        fs::remove_file(dir.join("good.txt")).unwrap();
+        let err = c.text(0, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("good.txt"), "{err}");
+        assert!(c.stats().is_err());
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

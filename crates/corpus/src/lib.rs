@@ -33,6 +33,11 @@ pub use stats::CorpusStats;
 pub use tokenize::Tokenizer;
 
 use hpa_rng::SplitMix64;
+use std::borrow::Cow;
+use std::ffi::OsString;
+use std::fs;
+use std::io::{self, Read as _};
+use std::path::{Path, PathBuf};
 use zipf::Zipf;
 
 /// One text document.
@@ -46,12 +51,31 @@ pub struct Document {
     pub text: String,
 }
 
-/// An in-memory document collection.
+/// A document collection: documents held in memory (the generator and
+/// tests), or the document files of one directory, whose text is read
+/// only when a consumer asks for it ([`Corpus::text`]) — so a corpus on
+/// disk is never resident as a whole.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
     /// Human-readable corpus name (e.g. `"Mix"`).
     pub name: String,
-    docs: Vec<Document>,
+    source: Source,
+}
+
+#[derive(Debug, Clone)]
+enum Source {
+    Memory(Vec<Document>),
+    /// One file per document in `dir`, in id order.
+    Dir {
+        dir: PathBuf,
+        files: Vec<OsString>,
+    },
+}
+
+impl Default for Source {
+    fn default() -> Self {
+        Source::Memory(Vec::new())
+    }
 }
 
 impl Corpus {
@@ -59,37 +83,98 @@ impl Corpus {
     pub fn from_documents(name: &str, docs: Vec<Document>) -> Self {
         Corpus {
             name: name.to_string(),
-            docs,
+            source: Source::Memory(docs),
+        }
+    }
+
+    /// A corpus whose documents are the files `files` of `dir`, with ids
+    /// in the order given. Nothing is read here.
+    pub fn from_files(name: &str, dir: &Path, files: Vec<OsString>) -> Self {
+        Corpus {
+            name: name.to_string(),
+            source: Source::Dir {
+                dir: dir.to_path_buf(),
+                files,
+            },
         }
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        match &self.source {
+            Source::Memory(docs) => docs.len(),
+            Source::Dir { files, .. } => files.len(),
+        }
     }
 
     /// True when the corpus holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.len() == 0
     }
 
-    /// Documents in id order.
-    pub fn documents(&self) -> &[Document] {
-        &self.docs
+    /// The documents in id order, when the corpus holds them in memory;
+    /// `None` for a directory corpus, whose text is only read through
+    /// [`Corpus::text`].
+    pub fn documents(&self) -> Option<&[Document]> {
+        match &self.source {
+            Source::Memory(docs) => Some(docs),
+            Source::Dir { .. } => None,
+        }
     }
 
-    /// One document by index.
-    pub fn doc(&self, i: usize) -> &Document {
-        &self.docs[i]
+    /// The name of document `i`: its file name for a directory corpus
+    /// (lossily decoded when it is no UTF-8).
+    pub fn doc_name(&self, i: usize) -> Cow<'_, str> {
+        match &self.source {
+            Source::Memory(docs) => Cow::Borrowed(&docs[i].name),
+            Source::Dir { files, .. } => files[i].to_string_lossy(),
+        }
     }
 
-    /// Total bytes of document text.
+    /// The text of document `i`: borrowed from memory, or read from its
+    /// file into `buf` (cleared first), whose capacity the caller
+    /// recycles from one document to the next.
+    ///
+    /// # Errors
+    ///
+    /// The read's error — a missing or unreadable file, or text that is
+    /// no UTF-8 — with the file's path in its message.
+    pub fn text<'a>(&'a self, i: usize, buf: &'a mut String) -> io::Result<&'a str> {
+        match &self.source {
+            Source::Memory(docs) => Ok(&docs[i].text),
+            Source::Dir { dir, files } => {
+                let path = dir.join(&files[i]);
+                buf.clear();
+                fs::File::open(&path)
+                    .and_then(|mut f| f.read_to_string(buf))
+                    .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+                Ok(buf.as_str())
+            }
+        }
+    }
+
+    /// Bytes of document `i`'s text. A directory corpus `stat`s the file
+    /// (0 when that fails: the read reports the error), so only cost
+    /// estimates and reports ask for it.
+    pub fn doc_bytes(&self, i: usize) -> u64 {
+        match &self.source {
+            Source::Memory(docs) => docs[i].text.len() as u64,
+            Source::Dir { dir, files } => fs::metadata(dir.join(&files[i])).map_or(0, |m| m.len()),
+        }
+    }
+
+    /// Total bytes of document text ([`Corpus::doc_bytes`] summed).
     pub fn total_bytes(&self) -> u64 {
-        self.docs.iter().map(|d| d.text.len() as u64).sum()
+        (0..self.len()).map(|i| self.doc_bytes(i)).sum()
     }
 
-    /// Compute corpus statistics (Table 1's columns).
-    pub fn stats(&self) -> CorpusStats {
+    /// Compute corpus statistics (Table 1's columns), reading every
+    /// document once.
+    ///
+    /// # Errors
+    ///
+    /// The first document read that fails ([`Corpus::text`]).
+    pub fn stats(&self) -> io::Result<CorpusStats> {
         stats::compute(self)
     }
 }
@@ -225,19 +310,24 @@ mod tests {
         let a = tiny().generate(7);
         let b = tiny().generate(7);
         assert_eq!(a.documents(), b.documents());
+        assert!(a.documents().is_some());
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = tiny().generate(1);
         let b = tiny().generate(2);
-        assert_ne!(a.doc(0).text, b.doc(0).text);
+        let mut buf = String::new();
+        assert_ne!(
+            a.text(0, &mut buf).unwrap(),
+            b.text(0, &mut String::new()).unwrap()
+        );
     }
 
     #[test]
     fn doc_ids_are_dense_and_named() {
         let c = tiny().generate(3);
-        for (i, d) in c.documents().iter().enumerate() {
+        for (i, d) in c.documents().unwrap().iter().enumerate() {
             assert_eq!(d.id as usize, i);
             assert_eq!(d.name, format!("doc_{i:06}.txt"));
             assert!(!d.text.is_empty());
@@ -265,6 +355,7 @@ mod tests {
         let total_words: usize = {
             let mut tok = Tokenizer::new();
             c.documents()
+                .unwrap()
                 .iter()
                 .map(|d| {
                     let mut n = 0;
@@ -296,7 +387,7 @@ mod tests {
         let vocab = words::Vocabulary::new(spec.vocab_size, 7 ^ 0x5eed_0001);
         let from_corpus = spec.generate(7);
         let direct = spec.generate_doc(5, 7, &zipf, &vocab);
-        assert_eq!(from_corpus.doc(5), &direct);
+        assert_eq!(&from_corpus.documents().unwrap()[5], &direct);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::tokenize::Tokenizer;
 use crate::Corpus;
 use std::collections::HashSet;
+use std::io;
 
 /// Document count, text bytes, and distinct-word count of a corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,25 +34,30 @@ impl CorpusStats {
     }
 }
 
-/// Compute the statistics by tokenizing every document.
-pub fn compute(corpus: &Corpus) -> CorpusStats {
+/// Compute the statistics by tokenizing every document, each read once
+/// into one recycled buffer.
+pub fn compute(corpus: &Corpus) -> io::Result<CorpusStats> {
     let mut tok = Tokenizer::new();
     let mut distinct: HashSet<Box<str>> = HashSet::new();
     let mut total_words = 0u64;
-    for d in corpus.documents() {
-        tok.for_each(&d.text, |w| {
+    let mut bytes = 0u64;
+    let mut buf = String::new();
+    for i in 0..corpus.len() {
+        let text = corpus.text(i, &mut buf)?;
+        bytes += text.len() as u64;
+        tok.for_each(text, |w| {
             total_words += 1;
             if !distinct.contains(w) {
                 distinct.insert(w.into());
             }
         });
     }
-    CorpusStats {
+    Ok(CorpusStats {
         documents: corpus.len(),
-        bytes: corpus.total_bytes(),
+        bytes,
         distinct_words: distinct.len(),
         total_words,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -76,7 +82,7 @@ mod tests {
                 },
             ],
         );
-        let s = c.stats();
+        let s = c.stats().unwrap();
         assert_eq!(s.documents, 2);
         assert_eq!(s.total_words, 7);
         assert_eq!(s.distinct_words, 5); // the, cat, sat, dog, down
@@ -89,7 +95,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_stats() {
-        let s = Corpus::default().stats();
+        let s = Corpus::default().stats().unwrap();
         assert_eq!(s.documents, 0);
         assert_eq!(s.distinct_words, 0);
         assert_eq!(s.mean_doc_words(), 0.0);
@@ -99,7 +105,7 @@ mod tests {
     fn distinct_words_bounded_by_vocab() {
         let spec = CorpusSpec::mix().scaled(0.005);
         let c = spec.generate(13);
-        let s = c.stats();
+        let s = c.stats().unwrap();
         assert!(s.distinct_words <= spec.vocab_size);
         // With Zipf sampling most of the scaled vocabulary is observed.
         assert!(

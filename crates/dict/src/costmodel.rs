@@ -242,28 +242,6 @@ impl DictKind {
         base + tlb_penalty
     }
 
-    /// Cost of emitting the dictionary's entries in sorted order, per
-    /// entry: free walk for the tree, collect-and-sort for the hash table.
-    pub fn sorted_iter_cost(&self, len: usize) -> OpCost {
-        match self {
-            DictKind::BTree => OpCost {
-                cpu_ns: 12.0,
-                mem_bytes: 40.0,
-            },
-            DictKind::Hash | DictKind::HashPresized(_) => OpCost {
-                cpu_ns: 25.0 + 18.0 * lg(len), // sort comparisons
-                mem_bytes: 90.0,
-            },
-            // Sorts `(first eight key bytes, id)` pairs as integers;
-            // comparisons touch key bytes only on prefix ties and no
-            // `(String, value)` pairs are materialized.
-            DictKind::Arena => OpCost {
-                cpu_ns: 10.0 + 4.5 * lg(len),
-                mem_bytes: 48.0,
-            },
-        }
-    }
-
     /// Cost of merging one entry of a source dictionary into a
     /// destination of `len` entries (the serial tail of word
     /// counting). The standard
@@ -388,15 +366,6 @@ mod tests {
             presized.iter_step_cost(150).cpu_ns > 2.0 * DictKind::Hash.iter_step_cost(150).cpu_ns
         );
         assert!(presized.iter_step_cost(4000).cpu_ns < presized.iter_step_cost(150).cpu_ns);
-    }
-
-    #[test]
-    fn sorted_iteration_penalizes_hash() {
-        let n = 10_000;
-        assert!(
-            DictKind::Hash.sorted_iter_cost(n).cpu_ns
-                > 3.0 * DictKind::BTree.sorted_iter_cost(n).cpu_ns
-        );
     }
 
     #[test]

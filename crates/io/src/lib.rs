@@ -7,9 +7,11 @@
 //! concurrently and overlapping processing with access latency. This
 //! crate provides those pieces:
 //!
-//! * [`load_corpus_parallel`] — read a document directory with a parallel
-//!   loop ([`map_files_parallel`]), each file annotated with its I/O cost
-//!   so the execution simulator can apply its storage-device model;
+//! * [`load_corpus_parallel`] — open a document directory as a corpus
+//!   whose files are read where they are counted: the word count's
+//!   parallel loop reads each file into a recycled buffer, annotated with
+//!   its I/O cost so the execution simulator can apply its storage-device
+//!   model;
 //! * [`Sequencer`] — an order-restoring stage in front of the bounded
 //!   channel, so parallel producers feed a strictly ordered consumer
 //!   (the pipelined ARFF writer's drain thread);
@@ -24,10 +26,10 @@ pub mod seq;
 pub use counter::ByteCounter;
 pub use seq::Sequencer;
 
-use hpa_exec::sync::Mutex;
+use hpa_corpus::Corpus;
 use hpa_exec::{Exec, TaskCost};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Per-byte CPU cost of moving file bytes into memory (copy + UTF-8
 /// validation), used for analytic-mode annotations. Calibrated to
@@ -48,72 +50,30 @@ pub fn read_file_costed(path: &Path) -> io::Result<(String, TaskCost)> {
     Ok((text, cost))
 }
 
-/// Read every file of `paths` in parallel under `exec` and hand each
-/// one's text — the `String` the read produced, not a copy — to
-/// `make(index, text)`; the products come back in path order, collected
-/// per chunk of the loop. A chunk's declared cost `stat`s its files;
-/// only the simulator and cost predictions ask for it, so real threads
-/// read without a serial pass of `stat` calls first.
+/// Open a corpus directory (written by `hpa_corpus::disk::write_corpus`):
+/// list its `.txt` files, sorted as bytes, and return a [`Corpus`] that
+/// reads each document only when a consumer asks for its text. The word
+/// count reads every file into one recycled buffer per chunk of its
+/// parallel loop and tokenizes it there, so the text is read once, while
+/// the count needs it, and no document stays resident after its count.
+/// The simulator charges that read to the count too (`charge_input_io`).
 ///
-/// Returns the first I/O error encountered, if any (all files are still
-/// attempted).
-pub fn map_files_parallel<T, F>(exec: &Exec, paths: &[PathBuf], make: F) -> io::Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, String) -> T + Sync,
-{
-    let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
-    let chunks = exec.par_map_chunks(
-        paths.len(),
-        0,
-        |range| {
-            let mut made = Vec::with_capacity(range.len());
-            for i in range {
-                match std::fs::read_to_string(&paths[i]) {
-                    Ok(text) => made.push(make(i, text)),
-                    Err(e) => {
-                        first_error.lock().get_or_insert(e);
-                    }
-                }
-            }
-            made
+/// `exec` runs the listing as a serial step, priced as one directory
+/// read.
+///
+/// # Errors
+///
+/// Opening or reading the directory. A file that cannot be read fails
+/// the consumer that reads it, with the file's path in the error.
+pub fn load_corpus_parallel(exec: &Exec, name: &str, dir: &Path) -> io::Result<Corpus> {
+    let files = exec.serial(
+        TaskCost {
+            io_ops: 1,
+            ..Default::default()
         },
-        |range| {
-            // An unreadable file costs 0 here and surfaces its error from
-            // the read.
-            let bytes: u64 = paths[range.clone()]
-                .iter()
-                .map(|p| std::fs::metadata(p).map_or(0, |m| m.len()))
-                .sum();
-            TaskCost {
-                cpu_ns: (bytes as f64 * READ_CPU_NS_PER_BYTE) as u64,
-                mem_bytes: bytes,
-                io_read_bytes: bytes,
-                io_ops: range.len() as u64,
-                ..Default::default()
-            }
-        },
-    );
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    Ok(chunks.into_iter().flatten().collect())
-}
-
-/// Load a corpus directory (written by `hpa_corpus::disk::write_corpus`)
-/// using a parallel read loop.
-pub fn load_corpus_parallel(exec: &Exec, name: &str, dir: &Path) -> io::Result<hpa_corpus::Corpus> {
-    let paths = hpa_corpus::disk::list_documents(dir)?;
-    let docs = map_files_parallel(exec, &paths, |i, text| hpa_corpus::Document {
-        id: i as u32,
-        name: paths[i]
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("unnamed.txt")
-            .to_string(),
-        text,
-    })?;
-    Ok(hpa_corpus::Corpus::from_documents(name, docs))
+        || hpa_corpus::disk::list_documents(dir),
+    )?;
+    Ok(Corpus::from_files(name, dir, files))
 }
 
 #[cfg(test)]
@@ -121,7 +81,7 @@ mod tests {
     use super::*;
     use hpa_corpus::CorpusSpec;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("hpa_io_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
@@ -154,46 +114,61 @@ mod tests {
         ] {
             let loaded = load_corpus_parallel(&exec, "Mix", &dir).unwrap();
             assert_eq!(loaded.len(), corpus.len());
-            for (a, b) in corpus.documents().iter().zip(loaded.documents()) {
-                assert_eq!(a, b, "doc {} under {exec:?}", a.id);
+            let mut buf = String::new();
+            for (i, a) in corpus.documents().unwrap().iter().enumerate() {
+                assert_eq!(a.name, loaded.doc_name(i), "under {exec:?}");
+                let text = loaded.text(i, &mut buf).unwrap();
+                assert_eq!(a.text, text, "doc {} under {exec:?}", a.id);
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn simulated_load_charges_io_time() {
-        let dir = tmpdir("sim");
+    fn the_load_reads_no_document() {
+        let dir = tmpdir("lazy");
         let corpus = CorpusSpec::mix().scaled(0.001).generate(3);
         hpa_corpus::disk::write_corpus(&corpus, &dir).unwrap();
-        // A very slow simulated disk: the virtual clock must reflect it.
+        // A very slow simulated disk: listing the directory reads no
+        // document bytes, so the clock stays far below one file's read.
         let model = hpa_exec::MachineModel {
             io_read_bandwidth: 1.0e6, // 1 MB/s
             ..hpa_exec::MachineModel::frictionless()
         };
         let exec = Exec::simulated(8, model);
         let loaded = load_corpus_parallel(&exec, "Mix", &dir).unwrap();
-        let expected_ns = loaded.total_bytes() as f64 / 1.0e6 * 1e9;
-        let clock = exec.now().as_nanos() as f64;
-        assert!(
-            clock >= expected_ns * 0.99,
-            "clock {clock} vs expected {expected_ns}"
-        );
+        let one_file_ns = loaded.doc_bytes(0) as f64 / 1.0e6 * 1e9;
+        assert!((exec.now().as_nanos() as f64) < one_file_ns);
+        assert!(loaded.documents().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_file_surfaces_error() {
-        let exec = Exec::sequential();
-        let err = map_files_parallel(&exec, &[PathBuf::from("/nonexistent/file.txt")], |_, _| {})
-            .unwrap_err();
+        let dir = tmpdir("missing");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("gone.txt"), "soon removed").unwrap();
+        let loaded = load_corpus_parallel(&Exec::sequential(), "x", &dir).unwrap();
+        std::fs::remove_file(dir.join("gone.txt")).unwrap();
+        let err = loaded.text(0, &mut String::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("gone.txt"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn empty_path_list_is_ok() {
-        let exec = Exec::sequential();
-        let made = map_files_parallel(&exec, &[], |_, _| -> u8 { panic!() });
-        assert!(made.unwrap().is_empty());
+        let dir = tmpdir("empty");
+        std::fs::create_dir_all(&dir).unwrap();
+        let loaded = load_corpus_parallel(&Exec::sequential(), "x", &dir).unwrap();
+        assert!(loaded.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_directory_errors() {
+        let err = load_corpus_parallel(&Exec::sequential(), "x", Path::new("/nonexistent/hpa"))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 }

@@ -8,7 +8,7 @@
 //! byte counts (average token + separator ≈ 7.3 bytes in the calibrated
 //! corpora) so costs are deterministic and computable before a chunk runs.
 
-use hpa_corpus::Document;
+use hpa_corpus::Corpus;
 use hpa_dict::DictKind;
 use hpa_exec::{Exec, TaskCost};
 use hpa_io::READ_CPU_NS_PER_BYTE;
@@ -66,18 +66,19 @@ pub const RUN_APPEND_NS: f64 = 6.0;
 /// remap load, the `tf · idf` multiply and the two array pushes.
 pub const REMAP_SCALE_NS: f64 = 8.0;
 
-/// Cost of the input + word-count work for the documents of `range`.
+/// Cost of the input + word-count work for the documents of `range`: the
+/// read of each document's bytes, then the count.
 /// For the paper's arms `kind` backs both the per-document counters and
 /// the chunk-local document-frequency dictionary; the interned arm pays
 /// one intern per token and one run append per distinct term of a
 /// document, and creates nothing per document.
 pub fn wc_chunk_cost(
     kind: DictKind,
-    docs: &[Document],
+    corpus: &Corpus,
     range: Range<usize>,
     charge_io: bool,
 ) -> TaskCost {
-    let bytes: u64 = range.clone().map(|i| docs[i].text.len() as u64).sum();
+    let bytes: u64 = range.clone().map(|i| corpus.doc_bytes(i)).sum();
     let files = range.len() as u64;
     let tokens = bytes as f64 / BYTES_PER_TOKEN;
     let distinct = tokens * DISTINCT_FRACTION;
@@ -155,20 +156,29 @@ pub fn df_merge_cost(kind: DictKind, entries: f64) -> TaskCost {
     }
 }
 
+/// CPU cost per word of ranking a vocabulary of `len` words, before the
+/// `lg(len)` comparison term: the counting pass over document frequency
+/// and the integer sort of `(first eight key bytes, id)` pairs, whose
+/// comparisons touch key bytes only on prefix ties.
+const RANK_NS: f64 = 10.0;
+/// CPU cost per word per `lg(len)` of the ranking sort.
+const RANK_NS_PER_LG: f64 = 4.5;
+/// Bytes of memory traffic per word of the ranking sort.
+const RANK_MEM_BYTES: f64 = 48.0;
+
 /// Cost of building a vocabulary of `vocab_len` words. Every arm ranks
 /// its words by the one rule (`Vocab`): a counting pass over document
 /// frequency and an integer sort of each df's words by their first eight
-/// key bytes, priced as the arena's sorted walk, then per word a copy
-/// and a logarithm. The paper's arms first
+/// key bytes, then per word a copy and a logarithm. The paper's arms first
 /// copy their global document-frequency dictionary into an interner —
 /// one storage-order step and one intern per word — and afterwards
 /// insert each ranked word into a lookup index of `kind`; the interned
 /// arm ranks the interner it counted with and fills no index.
 pub fn vocab_build_cost(kind: DictKind, vocab_len: usize) -> TaskCost {
     let kind = kind.global_kind();
-    let rank = DictKind::Arena.sorted_iter_cost(vocab_len);
-    let mut per_word = rank.cpu_ns + 30.0; // +30ns string copy
-    let mut per_word_mem = rank.mem_bytes + 24.0;
+    let rank_ns = RANK_NS + RANK_NS_PER_LG * (vocab_len.max(2) as f64).log2();
+    let mut per_word = rank_ns + 30.0; // +30ns string copy
+    let mut per_word_mem = RANK_MEM_BYTES + 24.0;
     if kind != DictKind::Arena {
         for op in [
             kind.iter_step_cost(vocab_len),
@@ -609,18 +619,17 @@ mod tests {
     #[test]
     fn wc_cost_scales_with_bytes() {
         let c = sample_corpus();
-        let docs = c.documents();
-        let half = wc_chunk_cost(DictKind::BTree, docs, 0..docs.len() / 2, true);
-        let full = wc_chunk_cost(DictKind::BTree, docs, 0..docs.len(), true);
+        let half = wc_chunk_cost(DictKind::BTree, &c, 0..c.len() / 2, true);
+        let full = wc_chunk_cost(DictKind::BTree, &c, 0..c.len(), true);
         assert!(full.cpu_ns > half.cpu_ns);
-        assert_eq!(full.io_ops, docs.len() as u64);
+        assert_eq!(full.io_ops, c.len() as u64);
         assert_eq!(full.io_read_bytes, c.total_bytes());
     }
 
     #[test]
     fn wc_without_io_charge_has_no_io() {
         let c = sample_corpus();
-        let cost = wc_chunk_cost(DictKind::Hash, c.documents(), 0..c.len(), false);
+        let cost = wc_chunk_cost(DictKind::Hash, &c, 0..c.len(), false);
         assert_eq!(cost.io_read_bytes, 0);
         assert_eq!(cost.io_ops, 0);
         assert!(cost.cpu_ns > 0);
@@ -632,8 +641,8 @@ mod tests {
         // is the 4K-pre-sized table, whose creation cost and cold sparse
         // array dominate the insert-heavy phase.
         let c = sample_corpus();
-        let map = wc_chunk_cost(DictKind::BTree, c.documents(), 0..c.len(), false);
-        let umap = wc_chunk_cost(DictKind::PAPER_PRESIZE, c.documents(), 0..c.len(), false);
+        let map = wc_chunk_cost(DictKind::BTree, &c, 0..c.len(), false);
+        let umap = wc_chunk_cost(DictKind::PAPER_PRESIZE, &c, 0..c.len(), false);
         assert!(
             umap.cpu_ns > map.cpu_ns,
             "umap {} map {}",

@@ -58,13 +58,13 @@ use vocab::PRUNED;
 
 use hpa_arff::{parse_data_line, ArffError, ArffHeader, ArffReader, ArffWriter};
 use hpa_colfmt::{encode_chunk, ColFmtError, ColReader, ColWriter};
-use hpa_corpus::{Corpus, Document, Tokenizer};
+use hpa_corpus::{Corpus, Tokenizer};
 use hpa_dict::{hash_word, pack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_io::{ByteCounter, Sequencer};
 use hpa_sparse::SparseVec;
-use std::io::{BufRead, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -76,9 +76,9 @@ pub struct TfIdfConfig {
     pub dict_kind: DictKind,
     /// Chunk size for the parallel document loops (0 = automatic).
     pub grain: usize,
-    /// Charge the input loop with storage-read costs, as if each document
-    /// were being read from disk. Used when the corpus is held in memory
-    /// but the experiment models the paper's read-from-disk pipeline.
+    /// Charge the input loop with storage-read costs for each document it
+    /// reads: the files of a directory corpus are read in that loop, and
+    /// an in-memory corpus models the paper's read-from-disk pipeline.
     pub charge_input_io: bool,
     /// Drop terms that appear in fewer than this many documents (1 keeps
     /// everything). Pruning hapax legomena shrinks the vocabulary — and
@@ -114,7 +114,7 @@ pub struct DocTermCounts {
 pub struct WordCounts {
     /// Per-document token counts, indexed by document id.
     pub per_doc: Vec<DocTermCounts>,
-    /// Total bytes of text processed.
+    /// Bytes of text the count read.
     pub bytes: u64,
     /// Dictionary kind the counts were taken with.
     pub dict_kind: DictKind,
@@ -173,37 +173,48 @@ impl InternedCounts {
     }
 }
 
-/// Run entries reserved per byte of a chunk's text, as a divisor: the
-/// calibrated corpora hold one distinct-term-per-document per 9–20 bytes.
-/// The reservation is as large as the text itself, its untouched tail is
-/// never resident, and the run array is cut to size when the chunk ends —
-/// so `Vec` doubling never leaves half of a paper-scale array empty.
-const TEXT_BYTES_PER_RUN_ENTRY: usize = 8;
-
-/// Count one chunk of documents on interned runs: its token counts, its
-/// interner (value = document frequency within the chunk) and its runs.
-fn count_chunk_interned(docs: &[Document]) -> (Vec<DocTermCounts>, ArenaDict, ChunkRuns) {
-    let text_bytes: usize = docs.iter().map(|d| d.text.len()).sum();
+/// Count the documents `range` of `corpus` on interned runs: their
+/// token counts, the chunk's interner (value = document frequency within
+/// the chunk), its runs, and the bytes of text it read. Each document's
+/// text is read into one recycled buffer and tokenized there.
+fn count_chunk_interned(
+    corpus: &Corpus,
+    range: Range<usize>,
+) -> io::Result<(Vec<DocTermCounts>, ArenaDict, ChunkRuns, u64)> {
+    let docs = range.len();
     let mut words = ArenaDict::new();
     // By id: the last document (1-based) that used the word, and where
     // in that document's run.
     let mut seen: Vec<(u32, u32)> = Vec::new();
-    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(text_bytes / TEXT_BYTES_PER_RUN_ENTRY);
-    let mut ends = Vec::with_capacity(docs.len());
-    let mut per_doc = Vec::with_capacity(docs.len());
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    let mut ends = Vec::with_capacity(docs);
+    let mut per_doc = Vec::with_capacity(docs);
     let mut tok = Tokenizer::new();
-    for (d, doc) in docs.iter().enumerate() {
+    let mut buf = String::new();
+    let mut bytes = 0u64;
+    for (d, i) in range.enumerate() {
+        let text = corpus.text(i, &mut buf)?;
+        bytes += text.len() as u64;
         // A token takes two bytes at least, so run positions and term
-        // frequencies of the document fit the `u32`s that hold them.
+        // frequencies of the document fit the `u32`s that hold them, and
+        // the document adds at most half its bytes to the runs.
         assert!(
-            doc.text.len() < u32::MAX as usize,
+            text.len() < u32::MAX as usize,
             "document {} exceeds 4 GiB",
-            doc.name
+            corpus.doc_name(i)
         );
+        let most = text.len().div_ceil(2);
+        if runs.capacity() - runs.len() < most {
+            // Reserve for this document and, at the mean run length seen
+            // so far, the rest of the chunk: one growth, not a doubling
+            // series, and the unused tail is cut when the chunk ends.
+            let mean = runs.len().div_ceil(d.max(1));
+            runs.reserve(most + mean * (docs - d - 1));
+        }
         let mark = u32::try_from(d + 1).expect("fewer than 2^32 documents per chunk");
         let start = runs.len();
         let mut total_terms = 0u64;
-        tok.for_each_prefixed(&doc.text, |w, prefix| {
+        tok.for_each_prefixed(text, |w, prefix| {
             total_terms += 1;
             let id = words.intern_prefixed(hash_word(w), prefix, w);
             if id as usize == seen.len() {
@@ -227,7 +238,7 @@ fn count_chunk_interned(docs: &[Document]) -> (Vec<DocTermCounts>, ArenaDict, Ch
         ends,
         to_global: None,
     };
-    (per_doc, words, chunk)
+    Ok((per_doc, words, chunk, bytes))
 }
 
 /// What one chunk of the paper arms' word count folds into.
@@ -235,6 +246,10 @@ struct PerDocPartial {
     df: AnyDict,
     docs: Vec<AnyDict>,
     per_doc: Vec<DocTermCounts>,
+    /// Bytes of text read.
+    bytes: u64,
+    /// The chunk's recycled read buffer.
+    buf: String,
 }
 
 impl WordCounts {
@@ -307,11 +322,11 @@ impl WordCounts {
         let mut total = 0u64;
         for d in docs {
             let mut strings = 0u64;
-            d.for_each_sorted(&mut |w, _| strings += w.len() as u64);
+            d.for_each(&mut |w, _| strings += w.len() as u64);
             total += self.dict_kind.resident_bytes(d.len(), strings);
         }
         let mut df_strings = 0u64;
-        df.for_each_sorted(&mut |w, _| df_strings += w.len() as u64);
+        df.for_each(&mut |w, _| df_strings += w.len() as u64);
         // The global DF dictionary is built once (never pre-sized per
         // document), so charge it as a plain structure of its kind.
         total
@@ -348,11 +363,30 @@ impl TfIdf {
     }
 
     /// Phase 1: parallel tokenize + count. ("input+wc" in the figures.)
+    ///
+    /// # Panics
+    ///
+    /// When a document of a directory corpus cannot be read; the message
+    /// names the file. [`TfIdf::try_count_words`] returns that error
+    /// instead.
     pub fn count_words(&self, exec: &Exec, corpus: &Corpus) -> WordCounts {
+        self.try_count_words(exec, corpus)
+            .unwrap_or_else(|e| panic!("counting words: {e}"))
+    }
+
+    /// Phase 1, reading each document where it is counted: a chunk of the
+    /// parallel loop reads its documents one by one into a recycled
+    /// buffer and keeps only their counts, so the text of a directory
+    /// corpus is never resident as a whole.
+    ///
+    /// # Errors
+    ///
+    /// The first failed document read, in document order among the
+    /// chunks that failed; its message names the file.
+    pub fn try_count_words(&self, exec: &Exec, corpus: &Corpus) -> io::Result<WordCounts> {
         let _span = hpa_trace::span!("tfidf", "count-words", corpus.len() as u64);
         let kind = self.config.dict_kind;
         let n = corpus.len();
-        let docs = corpus.documents();
         // One chunk per ~thread: a chunk owns a document-frequency
         // structure, and what the chunks hold in common is merged
         // afterwards (the serial tail of this phase).
@@ -362,18 +396,18 @@ impl TfIdf {
             n.div_ceil(exec.threads()).max(1)
         };
         let charge_io = self.config.charge_input_io;
-        let chunk_cost = |range: Range<usize>| cost::wc_chunk_cost(kind, docs, range, charge_io);
-        let (per_doc, terms) = if kind == DictKind::Arena {
-            self.count_interned(exec, docs, grain, chunk_cost)
+        let chunk_cost = |range: Range<usize>| cost::wc_chunk_cost(kind, corpus, range, charge_io);
+        let (per_doc, terms, bytes) = if kind == DictKind::Arena {
+            self.count_interned(exec, corpus, grain, chunk_cost)?
         } else {
-            self.count_per_doc(exec, docs, grain, chunk_cost)
+            self.count_per_doc(exec, corpus, grain, chunk_cost)?
         };
-        WordCounts {
+        Ok(WordCounts {
             per_doc,
-            bytes: corpus.total_bytes(),
+            bytes,
             dict_kind: kind,
             terms,
-        }
+        })
     }
 
     /// The paper's arms: a dictionary per document, and per-chunk
@@ -381,12 +415,12 @@ impl TfIdf {
     fn count_per_doc(
         &self,
         exec: &Exec,
-        docs: &[Document],
+        corpus: &Corpus,
         grain: usize,
         chunk_cost: impl Fn(Range<usize>) -> TaskCost + Sync,
-    ) -> (Vec<DocTermCounts>, TermCounts) {
+    ) -> io::Result<(Vec<DocTermCounts>, TermCounts, u64)> {
         let kind = self.config.dict_kind;
-        let n = docs.len();
+        let n = corpus.len();
         let merge_cost = cost::df_merge_cost(kind, cost::df_partial_entries(n, exec.threads()));
         if hpa_trace::is_enabled() {
             // Price the fold region plus the tree-reduce merge tail with
@@ -396,46 +430,58 @@ impl TfIdf {
             let merge_ns = exec.predict_tree_reduce_ns(exec.chunks_for(n, grain), merge_cost);
             hpa_trace::predict("tfidf", "count-words", fold_ns + merge_ns);
         }
-        let empty = || PerDocPartial {
-            df: kind.new_dict(),
-            docs: Vec::new(),
-            per_doc: Vec::new(),
+        let empty = || {
+            Ok(PerDocPartial {
+                df: kind.new_dict(),
+                docs: Vec::new(),
+                per_doc: Vec::new(),
+                bytes: 0,
+                buf: String::new(),
+            })
         };
+        // A chunk stops at its first failed read; the reduction keeps the
+        // leftmost error.
         let counted = exec
             .par_fold_reduce(
                 n,
                 grain,
                 empty,
-                |mut part: PerDocPartial, i| {
+                |part: io::Result<PerDocPartial>, i| {
+                    let mut part = part?;
+                    let text = corpus.text(i, &mut part.buf)?;
+                    let df = &mut part.df;
                     let mut counts = kind.new_dict();
                     let mut total_terms = 0u64;
-                    Tokenizer::new().for_each(&docs[i].text, |w| {
+                    Tokenizer::new().for_each(text, |w| {
                         total_terms += 1;
                         if counts.add(w, 1) == 1 {
-                            part.df.add(w, 1);
+                            df.add(w, 1);
                         }
                     });
+                    part.bytes += text.len() as u64;
                     part.docs.push(counts);
                     part.per_doc.push(DocTermCounts { total_terms });
-                    part
+                    Ok(part)
                 },
                 // Pairs are adjacent chunks, left before right: appending
                 // keeps the documents in order.
-                |mut a, b| {
+                |a, b| {
+                    let (mut a, b) = (a?, b?);
                     a.df.merge_from(&b.df);
                     a.docs.extend(b.docs);
                     a.per_doc.extend(b.per_doc);
-                    a
+                    a.bytes += b.bytes;
+                    Ok(a)
                 },
                 chunk_cost,
                 merge_cost,
             )
-            .unwrap_or_else(empty);
+            .unwrap_or_else(empty)?;
         let terms = TermCounts::PerDoc {
             docs: counted.docs,
             df: Box::new(counted.df),
         };
-        (counted.per_doc, terms)
+        Ok((counted.per_doc, terms, counted.bytes))
     }
 
     /// The interned arm: one interner and one run array per chunk, then
@@ -443,36 +489,39 @@ impl TfIdf {
     fn count_interned(
         &self,
         exec: &Exec,
-        docs: &[Document],
+        corpus: &Corpus,
         grain: usize,
         chunk_cost: impl Fn(Range<usize>) -> TaskCost + Sync,
-    ) -> (Vec<DocTermCounts>, TermCounts) {
-        let n = docs.len();
+    ) -> io::Result<(Vec<DocTermCounts>, TermCounts, u64)> {
+        let n = corpus.len();
         if hpa_trace::is_enabled() {
             // The merge tail prices itself, inside its own span.
             let fold_ns = exec.predict_region_ns(n, grain, &chunk_cost);
             hpa_trace::predict("tfidf", "count-words", fold_ns);
         }
-        let mut parts = exec
-            .par_map_chunks(
-                n,
-                grain,
-                |range| count_chunk_interned(&docs[range]),
-                chunk_cost,
-            )
+        let parts = exec.par_map_chunks(
+            n,
+            grain,
+            |range| count_chunk_interned(corpus, range),
+            chunk_cost,
+        );
+        let mut parts = parts
+            .into_iter()
+            .collect::<io::Result<Vec<_>>>()?
             .into_iter();
         // The first chunk's interner becomes the corpus-wide one.
-        let (mut per_doc, mut words, first) = parts.next().unwrap_or_default();
+        let (mut per_doc, mut words, first, mut bytes) = parts.next().unwrap_or_default();
         let mut chunks = vec![first];
         if parts.len() > 0 {
             let _span = hpa_trace::span!("tfidf", "merge-terms", parts.len() as u64);
             exec.serial_costed(|| {
                 let mut entries = 0usize;
-                for (counts, local, mut chunk) in parts {
+                for (counts, local, mut chunk, read) in parts {
                     entries += local.len();
                     chunk.to_global = Some(words.merge_from(&local));
                     per_doc.extend(counts);
                     chunks.push(chunk);
+                    bytes += read;
                 }
                 let cost = cost::df_merge_cost(DictKind::Arena, entries as f64);
                 if hpa_trace::is_enabled() {
@@ -487,7 +536,7 @@ impl TfIdf {
             grain,
             chunks,
         };
-        (per_doc, TermCounts::Interned(counts))
+        Ok((per_doc, TermCounts::Interned(counts), bytes))
     }
 
     /// Build the vocabulary: term ids by descending document frequency,
@@ -600,6 +649,10 @@ impl TfIdf {
     }
 
     /// Convenience: phases 1 + vocabulary + 2a in sequence.
+    ///
+    /// # Panics
+    ///
+    /// When a document cannot be read, as [`TfIdf::count_words`].
     pub fn fit(&self, exec: &Exec, corpus: &Corpus) -> TfIdfModel {
         let counts = self.count_words(exec, corpus);
         let vocab = self.build_vocab(exec, &counts);
@@ -1237,6 +1290,93 @@ mod tests {
             assert_eq!(counts.df("missing"), None);
             assert_eq!(counts.num_terms(), 4);
         }
+    }
+
+    /// `corpus` written one file per document into a fresh directory.
+    fn on_disk(corpus: &Corpus, tag: &str) -> (std::path::PathBuf, Corpus) {
+        let dir = std::env::temp_dir().join(format!("hpa_tfidf_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        hpa_corpus::disk::write_corpus(corpus, &dir).unwrap();
+        let loaded = hpa_io::load_corpus_parallel(&Exec::sequential(), "t", &dir).unwrap();
+        (dir, loaded)
+    }
+
+    #[test]
+    fn a_directory_corpus_counts_as_its_text_in_memory() {
+        let memory = hpa_corpus::CorpusSpec::mix().scaled(0.002).generate(4);
+        let (dir, disk) = on_disk(&memory, "same");
+        for kind in [DictKind::BTree, DictKind::Hash, DictKind::Arena] {
+            for exec in [Exec::sequential(), Exec::pool(2)] {
+                let o = TfIdf::new(TfIdfConfig {
+                    dict_kind: kind,
+                    grain: 5,
+                    ..Default::default()
+                });
+                let (a, b) = (o.fit(&exec, &memory), o.fit(&exec, &disk));
+                assert_eq!(a.vocab.len(), b.vocab.len(), "{kind:?}");
+                assert_eq!(a.vectors, b.vectors, "{kind:?} {exec:?}");
+                let counts = o.count_words(&exec, &disk);
+                assert_eq!(counts.bytes, memory.total_bytes(), "{kind:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_read_fails_the_count_and_names_the_file() {
+        let memory = hpa_corpus::CorpusSpec::mix().scaled(0.002).generate(4);
+        let (dir, disk) = on_disk(&memory, "fail");
+        std::fs::write(dir.join("doc_000007.txt"), b"bad \xff byte").unwrap();
+        std::fs::remove_file(dir.join("doc_000030.txt")).unwrap();
+        for kind in [DictKind::BTree, DictKind::Arena] {
+            for (exec, grain) in [
+                (Exec::sequential(), 0),
+                (Exec::pool(2), 4),
+                (Exec::pool(2), 0),
+            ] {
+                let o = TfIdf::new(TfIdfConfig {
+                    dict_kind: kind,
+                    grain,
+                    ..Default::default()
+                });
+                // The earlier of the two failing documents.
+                let err = o.try_count_words(&exec, &disk).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?}");
+                assert!(err.to_string().contains("doc_000007.txt"), "{err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "doc_000000.txt")]
+    fn count_words_panics_with_the_path() {
+        let memory = hpa_corpus::CorpusSpec::mix().scaled(0.002).generate(4);
+        let (dir, disk) = on_disk(&memory, "panic");
+        std::fs::remove_dir_all(&dir).unwrap();
+        op(DictKind::Arena).count_words(&Exec::sequential(), &disk);
+    }
+
+    #[test]
+    fn simulated_load_charges_io_time() {
+        // The files of a directory corpus are read by the count, so a
+        // simulated count charges their bytes to the storage device.
+        let memory = hpa_corpus::CorpusSpec::mix().scaled(0.001).generate(3);
+        let (dir, disk) = on_disk(&memory, "sim");
+        // A very slow simulated disk: the virtual clock must reflect it.
+        let model = hpa_exec::MachineModel {
+            io_read_bandwidth: 1.0e6, // 1 MB/s
+            ..hpa_exec::MachineModel::frictionless()
+        };
+        let exec = Exec::simulated(8, model);
+        let counts = TfIdf::default().count_words(&exec, &disk);
+        let expected_ns = counts.bytes as f64 / 1.0e6 * 1e9;
+        let clock = exec.now().as_nanos() as f64;
+        assert!(
+            clock >= expected_ns * 0.99,
+            "clock {clock} vs expected {expected_ns}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@ fn main() {
     // A 1/100-scale "Mix" corpus (~230 documents), deterministic in the
     // seed.
     let corpus = CorpusSpec::mix().scaled(0.01).generate(42);
-    let stats = corpus.stats();
+    let stats = corpus.stats().expect("a generated corpus is in memory");
     println!(
         "corpus: {} documents, {:.1} MB, {} distinct words",
         stats.documents,

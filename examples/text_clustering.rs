@@ -20,12 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let files = disk::write_corpus(&corpus, &dir)?;
     println!("wrote {files} documents to {}", dir.display());
 
-    // 2. Read it back with the parallel-input substrate (§3.2 of the
-    //    paper: independent files read concurrently).
+    // 2. Open it with the parallel-input substrate (§3.2 of the paper:
+    //    independent files read concurrently). The load lists the
+    //    directory; the word count reads each file where it counts it.
     let exec = Exec::simulated(8, MachineModel::default());
     let loaded = load_corpus_parallel(&exec, "NSF abstracts", &dir)?;
     println!(
-        "loaded {} documents ({} bytes) with parallel input",
+        "listed {} documents ({} bytes) for parallel input",
         loaded.len(),
         loaded.total_bytes()
     );

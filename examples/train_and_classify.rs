@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ...and classify a fresh batch drawn from the same distribution
     // (different seed: genuinely unseen documents).
     let fresh = CorpusSpec::mix().scaled(0.002).generate(2024);
-    let predictions = loaded.predict(&exec, &fresh);
+    let predictions = loaded.predict(&exec, &fresh)?;
     let mut sizes = vec![0usize; loaded.centroids.k()];
     for &p in &predictions {
         sizes[p as usize] += 1;

@@ -139,7 +139,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let corpus = spec.scaled(scale).generate(seed);
     let n = disk::write_corpus(&corpus, &PathBuf::from(out))
         .map_err(|e| format!("writing corpus: {e}"))?;
-    let stats = corpus.stats();
+    let stats = corpus.stats().map_err(|e| format!("reading corpus: {e}"))?;
     println!(
         "wrote {n} documents ({:.1} MB, {} distinct words) to {out}",
         stats.megabytes(),
@@ -241,10 +241,12 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     );
     let pipeline =
         hpa::workflow::TrainedPipeline::load(file).map_err(|e| format!("loading model: {e}"))?;
-    let predictions = pipeline.predict(&exec, &corpus);
+    let predictions = pipeline
+        .predict(&exec, &corpus)
+        .map_err(|e| format!("predicting: {e}"))?;
     let mut out = String::with_capacity(predictions.len() * 12);
-    for (d, p) in corpus.documents().iter().zip(&predictions) {
-        out.push_str(&format!("{},{p}\n", d.name));
+    for (i, p) in predictions.iter().enumerate() {
+        out.push_str(&format!("{},{p}\n", corpus.doc_name(i)));
     }
     match flags.get("--out") {
         Some(path) => {
