@@ -2,16 +2,15 @@
 //!
 //! The paper's TF/IDF operator reads "independent files concurrently" —
 //! one text file per document in a directory. This module writes that
-//! layout and lists it: a listing names the document files sorted by
-//! their bytes, so ids are stable regardless of directory iteration
+//! layout and lists it: a listing holds the document files' paths sorted
+//! by their bytes, so ids are stable regardless of directory iteration
 //! order, and a corpus built on it ([`Corpus::from_files`]) reads each
 //! file only when a consumer asks for its text.
 
 use crate::Corpus;
-use std::ffi::OsString;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Write one `.txt` file per document into `dir` (created if missing).
 /// Returns the number of files written.
@@ -31,23 +30,25 @@ pub fn write_corpus(corpus: &Corpus, dir: &Path) -> io::Result<usize> {
     Ok(corpus.len())
 }
 
-/// The names of the document files of a corpus directory — entries whose
-/// extension is `txt` — sorted as bytes, which within one directory is
-/// the order `PathBuf` sorts their paths in.
+/// The paths of the document files of a corpus directory — entries
+/// whose extension is `txt` — sorted as bytes. They share the directory
+/// prefix, so this is the order of their file names' bytes, and the
+/// order `PathBuf`'s component-wise comparison gives, at one `memcmp` per
+/// comparison.
 ///
 /// # Errors
 ///
 /// Opening or reading the directory.
-pub fn list_documents(dir: &Path) -> io::Result<Vec<OsString>> {
-    let mut names = Vec::new();
+pub fn list_documents(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut paths = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        if Path::new(&name).extension().is_some_and(|e| e == "txt") {
-            names.push(name);
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "txt") {
+            paths.push(path);
         }
     }
-    names.sort_unstable();
-    Ok(names)
+    paths.sort_unstable_by(|a, b| a.as_os_str().cmp(b.as_os_str()));
+    Ok(paths)
 }
 
 #[cfg(test)]
@@ -67,7 +68,7 @@ mod tests {
         let c = CorpusSpec::mix().scaled(0.001).generate(3);
         let n = write_corpus(&c, &dir).unwrap();
         assert_eq!(n, c.len());
-        let back = Corpus::from_files("Mix", &dir, list_documents(&dir).unwrap());
+        let back = Corpus::from_files("Mix", list_documents(&dir).unwrap());
         assert_eq!(back.len(), c.len());
         assert!(
             back.documents().is_none(),
@@ -84,10 +85,14 @@ mod tests {
         // Writing a directory corpus copies it file for file.
         let copy = tmpdir("rt_copy");
         write_corpus(&back, &copy).unwrap();
-        assert_eq!(
-            list_documents(&copy).unwrap(),
-            list_documents(&dir).unwrap()
-        );
+        let names = |dir| -> Vec<_> {
+            let paths = list_documents(dir).unwrap();
+            paths
+                .iter()
+                .map(|p| p.file_name().unwrap().to_owned())
+                .collect()
+        };
+        assert_eq!(names(&copy), names(&dir));
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&copy).unwrap();
     }
@@ -99,14 +104,14 @@ mod tests {
         for name in ["b.txt", "a.txt", "B.txt", "a0.txt", "ignore.dat", "txt"] {
             fs::write(dir.join(name), "x").unwrap();
         }
-        let names = list_documents(&dir).unwrap();
+        let paths = list_documents(&dir).unwrap();
+        let names: Vec<_> = paths.iter().map(|p| p.file_name().unwrap()).collect();
         // As bytes: upper case before lower case, `.` (0x2E) before `0`.
         assert_eq!(names, ["B.txt", "a.txt", "a0.txt", "b.txt"]);
-        // The order paths of one directory sort in.
-        let mut paths: Vec<_> = names.iter().map(|n| dir.join(n)).collect();
-        paths.sort();
-        let by_path: Vec<_> = paths.iter().map(|p| p.file_name().unwrap()).collect();
-        assert_eq!(by_path, names);
+        // The order `PathBuf` sorts them in.
+        let mut sorted = paths.clone();
+        sorted.sort();
+        assert_eq!(sorted, paths);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -117,12 +122,26 @@ mod tests {
     }
 
     #[test]
+    fn a_name_that_is_no_utf8_still_reads() {
+        use std::os::unix::ffi::OsStrExt as _;
+        let dir = tmpdir("latin1_name");
+        fs::create_dir_all(&dir).unwrap();
+        let name = std::ffi::OsStr::from_bytes(b"caf\xe9.txt");
+        fs::write(dir.join(name), "cafe words").unwrap();
+        let c = Corpus::from_files("x", list_documents(&dir).unwrap());
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.text(0, &mut String::new()).unwrap(), "cafe words");
+        assert_eq!(c.doc_name(0), "caf\u{fffd}.txt");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_failed_read_names_its_file() {
         let dir = tmpdir("err");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("good.txt"), "fine words").unwrap();
         fs::write(dir.join("latin1.txt"), b"caf\xe9").unwrap();
-        let c = Corpus::from_files("x", &dir, list_documents(&dir).unwrap());
+        let c = Corpus::from_files("x", list_documents(&dir).unwrap());
         let mut buf = String::new();
         assert_eq!(c.text(0, &mut buf).unwrap(), "fine words");
         let err = c.text(1, &mut buf).unwrap_err();

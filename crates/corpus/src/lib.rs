@@ -34,10 +34,9 @@ pub use tokenize::Tokenizer;
 
 use hpa_rng::SplitMix64;
 use std::borrow::Cow;
-use std::ffi::OsString;
 use std::fs;
 use std::io::{self, Read as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use zipf::Zipf;
 
 /// One text document.
@@ -65,11 +64,8 @@ pub struct Corpus {
 #[derive(Debug, Clone)]
 enum Source {
     Memory(Vec<Document>),
-    /// One file per document in `dir`, in id order.
-    Dir {
-        dir: PathBuf,
-        files: Vec<OsString>,
-    },
+    /// The path of each document's file, in id order.
+    Files(Vec<PathBuf>),
 }
 
 impl Default for Source {
@@ -87,15 +83,12 @@ impl Corpus {
         }
     }
 
-    /// A corpus whose documents are the files `files` of `dir`, with ids
-    /// in the order given. Nothing is read here.
-    pub fn from_files(name: &str, dir: &Path, files: Vec<OsString>) -> Self {
+    /// A corpus whose documents are the files at `paths`, with ids in
+    /// the order given. Nothing is read here.
+    pub fn from_files(name: &str, paths: Vec<PathBuf>) -> Self {
         Corpus {
             name: name.to_string(),
-            source: Source::Dir {
-                dir: dir.to_path_buf(),
-                files,
-            },
+            source: Source::Files(paths),
         }
     }
 
@@ -103,7 +96,7 @@ impl Corpus {
     pub fn len(&self) -> usize {
         match &self.source {
             Source::Memory(docs) => docs.len(),
-            Source::Dir { files, .. } => files.len(),
+            Source::Files(paths) => paths.len(),
         }
     }
 
@@ -118,7 +111,7 @@ impl Corpus {
     pub fn documents(&self) -> Option<&[Document]> {
         match &self.source {
             Source::Memory(docs) => Some(docs),
-            Source::Dir { .. } => None,
+            Source::Files(_) => None,
         }
     }
 
@@ -127,7 +120,7 @@ impl Corpus {
     pub fn doc_name(&self, i: usize) -> Cow<'_, str> {
         match &self.source {
             Source::Memory(docs) => Cow::Borrowed(&docs[i].name),
-            Source::Dir { files, .. } => files[i].to_string_lossy(),
+            Source::Files(paths) => paths[i].file_name().unwrap_or_default().to_string_lossy(),
         }
     }
 
@@ -142,10 +135,10 @@ impl Corpus {
     pub fn text<'a>(&'a self, i: usize, buf: &'a mut String) -> io::Result<&'a str> {
         match &self.source {
             Source::Memory(docs) => Ok(&docs[i].text),
-            Source::Dir { dir, files } => {
-                let path = dir.join(&files[i]);
+            Source::Files(paths) => {
+                let path = &paths[i];
                 buf.clear();
-                fs::File::open(&path)
+                fs::File::open(path)
                     .and_then(|mut f| f.read_to_string(buf))
                     .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
                 Ok(buf.as_str())
@@ -159,7 +152,7 @@ impl Corpus {
     pub fn doc_bytes(&self, i: usize) -> u64 {
         match &self.source {
             Source::Memory(docs) => docs[i].text.len() as u64,
-            Source::Dir { dir, files } => fs::metadata(dir.join(&files[i])).map_or(0, |m| m.len()),
+            Source::Files(paths) => fs::metadata(&paths[i]).map_or(0, |m| m.len()),
         }
     }
 

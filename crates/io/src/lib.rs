@@ -66,14 +66,14 @@ pub fn read_file_costed(path: &Path) -> io::Result<(String, TaskCost)> {
 /// Opening or reading the directory. A file that cannot be read fails
 /// the consumer that reads it, with the file's path in the error.
 pub fn load_corpus_parallel(exec: &Exec, name: &str, dir: &Path) -> io::Result<Corpus> {
-    let files = exec.serial(
+    let paths = exec.serial(
         TaskCost {
             io_ops: 1,
             ..Default::default()
         },
         || hpa_corpus::disk::list_documents(dir),
     )?;
-    Ok(Corpus::from_files(name, dir, files))
+    Ok(Corpus::from_files(name, paths))
 }
 
 #[cfg(test)]

@@ -94,14 +94,14 @@ fn corpus() -> Corpus {
 /// What a clean directory read as, in memory: each listed `.txt` file's
 /// text, in listing order.
 fn in_memory(dir: &Path) -> Corpus {
-    let names = disk::list_documents(dir).unwrap();
-    let docs = names
+    let paths = disk::list_documents(dir).unwrap();
+    let docs = paths
         .iter()
         .enumerate()
-        .map(|(i, name)| Document {
+        .map(|(i, path)| Document {
             id: i as u32,
-            name: name.to_string_lossy().into_owned(),
-            text: std::fs::read_to_string(dir.join(name)).unwrap(),
+            name: path.file_name().unwrap().to_string_lossy().into_owned(),
+            text: std::fs::read_to_string(path).unwrap(),
         })
         .collect();
     Corpus::from_documents("memory", docs)
