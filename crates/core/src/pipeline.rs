@@ -312,6 +312,26 @@ mod tests {
     }
 
     #[test]
+    fn predict_reads_a_directory_corpus_and_names_a_file_it_cannot_read() {
+        let (pipeline, _, corpus) = train_small();
+        let dir = std::env::temp_dir().join(format!("hpa_predict_dir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        hpa_corpus::disk::write_corpus(&corpus, &dir).unwrap();
+        let exec = Exec::pool(2);
+        let disk = hpa_io::load_corpus_parallel(&exec, "disk", &dir).unwrap();
+        assert_eq!(
+            pipeline.predict(&exec, &disk).unwrap(),
+            pipeline.predict(&exec, &corpus).unwrap()
+        );
+        std::fs::remove_file(dir.join("doc_000005.txt")).unwrap();
+        match pipeline.predict(&exec, &disk) {
+            Err(WorkflowError::Io(e)) => assert!(e.to_string().contains("doc_000005.txt"), "{e}"),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn predict_on_training_data_matches_final_assignment() {
         let (pipeline, assignments, corpus) = train_small();
         // Training assignments are the argmin against the *pre-recompute*
