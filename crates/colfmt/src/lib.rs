@@ -91,10 +91,9 @@ pub const CHUNK_HEADER_LEN: usize = 40;
 pub const DEFAULT_CHUNK_ROWS: usize = 256;
 
 /// FNV-1a 64-bit over a byte slice — the per-chunk payload checksum.
-/// The fold is the workspace-shared [`hpa_sparse::fnv`] implementation
-/// (the same one the dictionary hashes words with); this wrapper keeps
-/// the format-facing name so call sites and the wire contract read the
-/// same as before the dedupe.
+/// The fold is the workspace-shared [`hpa_sparse::fnv`] implementation;
+/// this wrapper keeps the format-facing name so call sites and the wire
+/// contract read the same as before the dedupe.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     hpa_sparse::fnv1a(bytes)

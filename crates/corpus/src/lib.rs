@@ -137,9 +137,18 @@ impl Corpus {
             Source::Memory(docs) => Ok(&docs[i].text),
             Source::Files(paths) => {
                 let path = &paths[i];
-                buf.clear();
+                // `File::read_to_string` asks for the file's size and
+                // position (`statx`, `lseek`) before it reads; through
+                // `Take`, the read goes on to EOF without asking.
+                let mut bytes = std::mem::take(buf).into_bytes();
+                bytes.clear();
                 fs::File::open(path)
-                    .and_then(|mut f| f.read_to_string(buf))
+                    .and_then(|f| f.take(u64::MAX).read_to_end(&mut bytes))
+                    .and_then(|_| {
+                        String::from_utf8(bytes)
+                            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+                    })
+                    .map(|text| *buf = text)
                     .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
                 Ok(buf.as_str())
             }

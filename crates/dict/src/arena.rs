@@ -13,8 +13,8 @@
 //!   than eight bytes, and
 //! * one flat, power-of-two slot table (`Vec<u64>`) probed linearly,
 //!   with no tombstones (the dictionary never deletes), where a slot is
-//!   `tag << 32 | id + 1` — 8 bytes, no pointers. The tag is the word's
-//!   [`hash_word`] folded to 32 bits: a probe rejects on
+//!   `tag << 32 | id + 1` — 8 bytes, no pointers. The tag is the high
+//!   half of the word's [`hash_word`]: a probe rejects on
 //!   it before it reads anything else, and growth re-places slots by it,
 //!   so neither touches the arena.
 //!
@@ -35,7 +35,7 @@
 //! the crate-level `#![forbid(unsafe_code)]` applies here too.
 
 use crate::mem::arena_heap_bytes;
-use crate::{hash_word, Dictionary};
+use crate::Dictionary;
 
 /// A key's first eight bytes, zero-padded, as a little-endian `u64` —
 /// the prefix `hpa_corpus::Tokenizer::for_each_prefixed` yields with
@@ -76,10 +76,56 @@ fn unmarked(entry: u64) -> u64 {
 /// the tag, where masking off the low bits would use only those.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A word's 64-bit hash folded to the 32 bits a slot stores.
+/// Odd multiplier of [`mix`] (SplitMix64's first), unrelated to [`FIB`]
+/// so that the slot index is no second pass of the same multiply.
+const MIX: u64 = 0xBF58_476D_1CE4_E5B9;
+
+/// Xorshift-multiply-xorshift: one multiply, a bijection of `u64`. A
+/// multiply carries each bit only upward, so the first xorshift copies
+/// the high half into the low one, from where it reaches every bit of
+/// the product's high half; the second brings that half back down.
+#[inline]
+fn mix(v: u64) -> u64 {
+    let x = (v ^ v >> 32).wrapping_mul(MIX);
+    x ^ x >> 32
+}
+
+/// A word's hash (see [`hash_word`]) from its [`marked`] prefix `entry`
+/// and its bytes `key`: one [`mix`] of the entry for a key shorter than
+/// eight bytes — the entry is the whole key and its length — and for a
+/// longer one, the length and each further eight bytes, zero-padded,
+/// folded in with one more mix each.
+#[inline]
+fn hash_marked(entry: u64, key: &[u8]) -> u64 {
+    let mut h = entry;
+    if key.len() >= 8 {
+        h = mix(h) ^ key.len() as u64;
+        for word in key[8..].chunks(8) {
+            h = mix(h) ^ key_prefix(word);
+        }
+    }
+    mix(h)
+}
+
+/// The 64-bit hash the interner places a word by, computed a word at a
+/// time: the key's [`key_prefix`] marked with its length when it is
+/// shorter than eight bytes (one multiply in all, and most tokens are
+/// that short), and for a longer key one multiply more per further
+/// eight bytes and one for the length. [`ArenaDict`] computes it
+/// itself, from the prefix the tokenizer yields; this is the same
+/// function on a word alone. Stable across processes, unlike a seeded
+/// `DefaultHasher`, so probe order is deterministic.
+#[inline]
+pub fn hash_word(word: &str) -> u64 {
+    let key = word.as_bytes();
+    hash_marked(marked(key_prefix(key), key.len()), key)
+}
+
+/// The 32 bits of a word's hash a slot stores: the high half, which
+/// [`mix`]'s multiply makes depend on every bit of its input.
 #[inline]
 fn fold(hash: u64) -> u32 {
-    (hash ^ (hash >> 32)) as u32
+    (hash >> 32) as u32
 }
 
 /// Running operation counters (see [`ArenaDict::stats`]).
@@ -172,37 +218,37 @@ impl ArenaDict {
         }
     }
 
-    /// The id of `word`, whose [`hash_word`] value is `hash`; a word not
-    /// seen before takes the next id and the value 0.
+    /// The id of `word`; a word not seen before takes the next id and
+    /// the value 0.
     #[inline]
-    pub fn intern(&mut self, hash: u64, word: &str) -> u32 {
-        self.intern_prefixed(hash, key_prefix(word.as_bytes()), word)
+    pub fn intern(&mut self, word: &str) -> u32 {
+        self.intern_prefixed(key_prefix(word.as_bytes()), word)
     }
 
     /// [`ArenaDict::intern`] for a caller that also has the word's
     /// [`key_prefix`] in hand, as the tokenizer yields it. This is the
-    /// one probe a token costs: the caller hashes it once and indexes
-    /// its own per-id arrays with the result.
+    /// one probe a token costs: the word is hashed from the prefix (and
+    /// its bytes past the eighth), and the caller indexes its own per-id
+    /// arrays with the result.
     #[inline]
-    pub fn intern_prefixed(&mut self, hash: u64, prefix: u64, word: &str) -> u32 {
-        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
+    pub fn intern_prefixed(&mut self, prefix: u64, word: &str) -> u32 {
         debug_assert_eq!(
             prefix,
             key_prefix(word.as_bytes()),
             "caller-supplied prefix mismatch"
         );
-        self.intern_bytes(hash, marked(prefix, word.len()), word.as_bytes())
+        let (key, entry) = (word.as_bytes(), marked(prefix, word.len()));
+        self.intern_bytes(hash_marked(entry, key), entry, key)
     }
 
-    /// The id of `word` (with its [`hash_word`] value), if it was interned.
-    pub fn id_of(&self, hash: u64, word: &str) -> Option<u32> {
-        debug_assert_eq!(hash, hash_word(word), "caller-supplied hash mismatch");
+    /// The id of `word`, if it was interned.
+    pub fn id_of(&self, word: &str) -> Option<u32> {
         if self.is_empty() {
             return None;
         }
         let key = word.as_bytes();
-        self.probe(fold(hash), marked(key_prefix(key), key.len()), key)
-            .1
+        let entry = marked(key_prefix(key), key.len());
+        self.probe(fold(hash_marked(entry, key)), entry, key).1
     }
 
     /// The word with the given id.
@@ -264,8 +310,8 @@ impl ArenaDict {
         let map = (0..other.len() as u32)
             .map(|id| {
                 let key = other.key_bytes(id);
-                let prefix = other.prefixes[id as usize];
-                let here = self.intern_bytes(hpa_sparse::fnv1a(key), prefix, key);
+                let entry = other.prefixes[id as usize];
+                let here = self.intern_bytes(hash_marked(entry, key), entry, key);
                 self.add_at(here, other.value(id));
                 here
             })
@@ -385,18 +431,18 @@ impl ArenaDict {
 
 impl Dictionary for ArenaDict {
     fn add(&mut self, word: &str, delta: u64) -> u64 {
-        let id = self.intern(hash_word(word), word);
+        let id = self.intern(word);
         self.add_at(id, delta);
         self.value(id)
     }
 
     fn insert(&mut self, word: &str, value: u64) {
-        let id = self.intern(hash_word(word), word);
+        let id = self.intern(word);
         self.values[id as usize] = value;
     }
 
     fn get(&self, word: &str) -> Option<u64> {
-        self.id_of(hash_word(word), word).map(|id| self.value(id))
+        self.id_of(word).map(|id| self.value(id))
     }
 
     fn len(&self) -> usize {
@@ -530,14 +576,13 @@ mod tests {
     #[test]
     fn hashed_entry_points_match_plain_ones() {
         let mut d = ArenaDict::new();
-        let h = hash_word("token");
-        assert_eq!(d.id_of(h, "token"), None);
-        let id = d.intern(h, "token");
+        assert_eq!(d.id_of("token"), None);
+        let id = d.intern("token");
         assert_eq!(d.get("token"), Some(0), "a new word starts at 0");
         d.add_at(id, 2);
         assert_eq!(d.add("token", 9), 11);
-        assert_eq!(d.intern(h, "token"), id, "interning is idempotent");
-        assert_eq!(d.id_of(h, "token"), Some(id));
+        assert_eq!(d.intern("token"), id, "interning is idempotent");
+        assert_eq!(d.id_of("token"), Some(id));
         assert_eq!((d.key(id), d.value(id)), ("token", 11));
     }
 
@@ -548,7 +593,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            let id = d.intern(hash_word(w), w);
+            let id = d.intern(w);
             assert_eq!(id, [0, 1, 0, 2, 3, 1][i]);
         }
         assert_eq!(d.len(), 4);
@@ -653,7 +698,7 @@ mod tests {
         for i in 0..2000 {
             let w = format!("word{i}");
             let _ = d.get(&w);
-            let _ = d.id_of(hash_word(&w), &w);
+            let _ = d.id_of(&w);
         }
         assert_eq!(d.stats(), before, "lookups through &self write nothing");
     }

@@ -190,7 +190,7 @@ impl DictKind {
                 cpu_ns: 38.0 + COLD_SPARSE_ARRAY_NS + 0.5 * tlb_stall_ns(len),
                 mem_bytes: self.hash_touch_bytes(len) + 64.0,
             },
-            // Cheap hash (FNV vs SipHash-class), flat probe, compact
+            // Cheap hash (word-at-a-time vs SipHash-class), flat probe, compact
             // working set: beats the chained table on both axes.
             DictKind::Arena => OpCost {
                 cpu_ns: 20.0 + arena_stall_ns(len),

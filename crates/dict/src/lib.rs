@@ -24,22 +24,9 @@ pub mod atomic;
 pub mod costmodel;
 mod mem;
 
-pub use arena::{key_prefix, ArenaDict, ArenaStats};
+pub use arena::{hash_word, key_prefix, ArenaDict, ArenaStats};
 pub use costmodel::OpCost;
 pub use mem::{arena_heap_bytes, btree_heap_bytes, hash_heap_bytes};
-
-/// FNV-1a over the word's bytes — the one 64-bit hash the whole pipeline
-/// shares: [`ArenaDict`] derives its slot tag and index from it, and
-/// [`ArenaDict::intern`] takes it from the caller so a token is hashed
-/// once. Stable across processes, unlike a seeded
-/// `DefaultHasher`, so probe order is deterministic. The fold itself is
-/// the workspace-shared [`hpa_sparse::fnv`] implementation (the same one
-/// the columnar format checksums with); this wrapper keeps the
-/// dictionary-facing name.
-#[inline]
-pub fn hash_word(word: &str) -> u64 {
-    hpa_sparse::fnv1a_str(word)
-}
 
 /// Word → `u64` dictionary operations shared by both structures.
 pub trait Dictionary {
@@ -509,11 +496,45 @@ mod tests {
     }
 
     #[test]
-    fn hash_word_is_fnv1a() {
-        // Spot-check against the published FNV-1a test vectors.
-        assert_eq!(hash_word(""), 0xcbf29ce484222325);
-        assert_eq!(hash_word("a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(hash_word("foobar"), 0x85944171f73967e8);
+    fn hash_word_pinned_vectors() {
+        // Probe order, `probe_steps` and the trace counters follow these.
+        for (word, hash) in [
+            ("", 0xebfd_be8b_d3fd_be8b),
+            ("a", 0x928d_b3c8_7136_b8d1),
+            ("foobar", 0x2073_c097_2f0c_fd98),
+            ("abcdefgh", 0x93f4_5a9c_516f_aa10),
+            ("abcdefghi", 0x7cf2_78f8_2e12_5934),
+            ("internationalization", 0x7e96_07f2_fd76_07bc),
+        ] {
+            assert_eq!(hash_word(word), hash, "{word:?}");
+        }
+    }
+
+    #[test]
+    fn hash_word_separates_lengths_and_padding() {
+        // Keys equal in their first eight bytes, and keys that differ
+        // only by zero bytes that look like the prefix's padding.
+        let words = [
+            "ab",
+            "ab\0",
+            "ab\0\0\0\0\0",
+            "ab\0\0\0\0\0\0",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghi",
+            "abcdefghi\0",
+            "abcdefghj",
+            "abcdefghijklmnop",
+            "abcdefghijklmnop\0",
+            "abcdefghijklmnopq",
+            "",
+            "\0",
+        ];
+        let hashes: std::collections::HashSet<u64> = words.iter().map(|w| hash_word(w)).collect();
+        assert_eq!(hashes.len(), words.len());
+        // The interner's tag is the high half: it must separate them too.
+        let tags: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 32).collect();
+        assert_eq!(tags.len(), words.len());
     }
 
     #[test]

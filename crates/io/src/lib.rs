@@ -9,9 +9,9 @@
 //!
 //! * [`load_corpus_parallel`] — open a document directory as a corpus
 //!   whose files are read where they are counted: the word count's
-//!   parallel loop reads each file into a recycled buffer, annotated with
-//!   its I/O cost so the execution simulator can apply its storage-device
-//!   model;
+//!   parallel loop reads each file into a recycled buffer, and its chunks'
+//!   cost annotations charge those reads ([`READ_CPU_NS_PER_BYTE`] per
+//!   byte) so the execution simulator can apply its storage-device model;
 //! * [`Sequencer`] — an order-restoring stage in front of the bounded
 //!   channel, so parallel producers feed a strictly ordered consumer
 //!   (the pipelined ARFF writer's drain thread);
@@ -32,23 +32,9 @@ use std::io;
 use std::path::Path;
 
 /// Per-byte CPU cost of moving file bytes into memory (copy + UTF-8
-/// validation), used for analytic-mode annotations. Calibrated to
-/// DRAM-speed copies: ~0.3 ns/byte.
+/// validation), used for analytic-mode annotations (`hpa_tfidf::cost`).
+/// Calibrated to DRAM-speed copies: ~0.3 ns/byte.
 pub const READ_CPU_NS_PER_BYTE: f64 = 0.3;
-
-/// Read one file to a string, returning its [`TaskCost`].
-pub fn read_file_costed(path: &Path) -> io::Result<(String, TaskCost)> {
-    let text = std::fs::read_to_string(path)?;
-    let bytes = text.len() as u64;
-    let cost = TaskCost {
-        cpu_ns: (bytes as f64 * READ_CPU_NS_PER_BYTE) as u64,
-        mem_bytes: bytes,
-        io_read_bytes: bytes,
-        io_ops: 1,
-        ..Default::default()
-    };
-    Ok((text, cost))
-}
 
 /// Open a corpus directory (written by `hpa_corpus::disk::write_corpus`):
 /// list its `.txt` files, sorted as bytes, and return a [`Corpus`] that
@@ -85,20 +71,6 @@ mod tests {
         let d = std::env::temp_dir().join(format!("hpa_io_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
-    }
-
-    #[test]
-    fn read_file_costed_reports_bytes_and_ops() {
-        let dir = tmpdir("cost");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("x.txt");
-        std::fs::write(&p, "hello world").unwrap();
-        let (text, cost) = read_file_costed(&p).unwrap();
-        assert_eq!(text, "hello world");
-        assert_eq!(cost.io_read_bytes, 11);
-        assert_eq!(cost.io_ops, 1);
-        assert_eq!(cost.mem_bytes, 11);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

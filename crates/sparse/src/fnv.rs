@@ -1,18 +1,19 @@
-//! FNV-1a 64-bit — the workspace's one shared byte hash.
+//! FNV-1a 64-bit — the workspace's one shared byte checksum.
 //!
 //! Two independent copies of this fold used to live in the tree: the
 //! dictionary's `hash_word` (the arena slot index) and the
 //! columnar format's per-chunk payload checksum. Both fold the same
 //! offset basis and prime in the same order, so their digests were
-//! already byte-for-byte identical; this module is now the single
-//! definition both re-export. It sits in `hpa-sparse` because that crate
-//! is the bottom of the dependency order (both consumers already depend
-//! on it or can cheaply).
+//! already byte-for-byte identical, and this module became the single
+//! definition. The dictionary has since hashed words a word at a time
+//! (`hpa_dict::hash_word`: one multiply per eight bytes, where this fold
+//! chains one per byte); the columnar format's checksums and the test
+//! suites' digests still fold with this one. It sits in `hpa-sparse`
+//! because that crate is the bottom of the dependency order.
 //!
 //! The digest is stable across processes and platforms — no per-process
-//! hasher seed — which the dictionary relies on for deterministic
-//! probe order, and the file format relies on for
-//! checksums that validate on a different machine than wrote them.
+//! hasher seed — which the file format relies on for checksums that
+//! validate on a different machine than wrote them.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -31,12 +32,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit over a string's UTF-8 bytes.
-#[inline]
-pub fn fnv1a_str(s: &str) -> u64 {
-    fnv1a(s.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,11 +42,9 @@ mod tests {
     /// break.
     #[test]
     fn digests_match_both_original_implementations() {
-        assert_eq!(fnv1a_str(""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a_str("a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a_str("foobar"), 0x85944171f73967e8);
-        assert_eq!(fnv1a(b""), fnv1a_str(""));
-        assert_eq!(fnv1a(b"foobar"), fnv1a_str("foobar"));
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     /// Byte-identical to a literal transcription of the two deduped
@@ -85,7 +78,7 @@ mod tests {
             "longer sample text with spaces",
         ];
         for s in samples {
-            assert_eq!(fnv1a_str(s), dict_style(s), "{s:?}");
+            assert_eq!(fnv1a(s.as_bytes()), dict_style(s), "{s:?}");
             assert_eq!(fnv1a(s.as_bytes()), colfmt_style(s.as_bytes()), "{s:?}");
         }
         let bytes: Vec<u8> = (0..=255).collect();

@@ -17,7 +17,7 @@ pub mod fnv;
 pub use block::CentroidBlock;
 pub use dense::DenseVec;
 pub use distance::{cosine_similarity, squared_distance_to_centroid};
-pub use fnv::{fnv1a, fnv1a_str};
+pub use fnv::fnv1a;
 
 /// Term identifier. `u32` keeps pairs at 12 bytes + padding; vocabularies
 /// in the paper peak below 300 K terms.

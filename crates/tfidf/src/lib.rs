@@ -59,7 +59,7 @@ use vocab::PRUNED;
 use hpa_arff::{parse_data_line, ArffError, ArffHeader, ArffReader, ArffWriter};
 use hpa_colfmt::{encode_chunk, ColFmtError, ColReader, ColWriter};
 use hpa_corpus::{Corpus, Tokenizer};
-use hpa_dict::{hash_word, pack, AnyDict, ArenaDict, DictKind, Dictionary};
+use hpa_dict::{pack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_exec::sync::Mutex;
 use hpa_exec::{Exec, TaskCost};
 use hpa_io::{ByteCounter, Sequencer};
@@ -176,7 +176,8 @@ impl InternedCounts {
 /// Count the documents `range` of `corpus` on interned runs: their
 /// token counts, the chunk's interner (value = document frequency within
 /// the chunk), its runs, and the bytes of text it read. Each document's
-/// text is read into one recycled buffer and tokenized there.
+/// text is read into one recycled buffer and tokenized there, its tokens
+/// interned into one recycled id buffer, and its run built from that.
 fn count_chunk_interned(
     corpus: &Corpus,
     range: Range<usize>,
@@ -191,35 +192,36 @@ fn count_chunk_interned(
     let mut per_doc = Vec::with_capacity(docs);
     let mut tok = Tokenizer::new();
     let mut buf = String::new();
+    let mut ids: Vec<u32> = Vec::new();
     let mut bytes = 0u64;
     for (d, i) in range.enumerate() {
         let text = corpus.text(i, &mut buf)?;
         bytes += text.len() as u64;
         // A token takes two bytes at least, so run positions and term
         // frequencies of the document fit the `u32`s that hold them, and
-        // the document adds at most half its bytes to the runs.
+        // the document has at most half as many tokens as bytes.
         assert!(
             text.len() < u32::MAX as usize,
             "document {} exceeds 4 GiB",
             corpus.doc_name(i)
         );
-        let most = text.len().div_ceil(2);
-        if runs.capacity() - runs.len() < most {
+        // Scan, hash and probe in one pass, with nothing else in the
+        // loop; the run is built from the ids afterwards.
+        ids.clear();
+        ids.reserve(text.len().div_ceil(2));
+        tok.for_each_prefixed(text, |w, prefix| ids.push(words.intern_prefixed(prefix, w)));
+        seen.resize(words.len(), (0, 0));
+        // The document adds at most one run entry per token.
+        if runs.capacity() - runs.len() < ids.len() {
             // Reserve for this document and, at the mean run length seen
             // so far, the rest of the chunk: one growth, not a doubling
             // series, and the unused tail is cut when the chunk ends.
             let mean = runs.len().div_ceil(d.max(1));
-            runs.reserve(most + mean * (docs - d - 1));
+            runs.reserve(ids.len() + mean * (docs - d - 1));
         }
         let mark = u32::try_from(d + 1).expect("fewer than 2^32 documents per chunk");
         let start = runs.len();
-        let mut total_terms = 0u64;
-        tok.for_each_prefixed(text, |w, prefix| {
-            total_terms += 1;
-            let id = words.intern_prefixed(hash_word(w), prefix, w);
-            if id as usize == seen.len() {
-                seen.push((0, 0));
-            }
+        for &id in &ids {
             let (last, at) = &mut seen[id as usize];
             if *last == mark {
                 runs[start + *at as usize].1 += 1;
@@ -228,9 +230,11 @@ fn count_chunk_interned(
                 runs.push((id, 1));
                 words.add_at(id, 1);
             }
-        });
+        }
         ends.push(runs.len());
-        per_doc.push(DocTermCounts { total_terms });
+        per_doc.push(DocTermCounts {
+            total_terms: ids.len() as u64,
+        });
     }
     runs.shrink_to_fit();
     let chunk = ChunkRuns {
@@ -279,7 +283,7 @@ impl WordCounts {
         match &self.terms {
             TermCounts::PerDoc { docs, .. } => docs[doc].get(word),
             TermCounts::Interned(c) => {
-                let id = c.words.id_of(hash_word(word), word)?;
+                let id = c.words.id_of(word)?;
                 let (run, chunk) = c.run(doc);
                 let to_global = c.chunks[chunk].to_global.as_deref();
                 run.iter()

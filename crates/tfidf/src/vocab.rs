@@ -13,7 +13,7 @@
 //! transform needs. `idf = ln(N / df)` is taken once per term here, not
 //! once per non-zero downstream.
 
-use hpa_dict::{hash_word, pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
+use hpa_dict::{pack, unpack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_sparse::{SparseVec, TermId};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -284,7 +284,7 @@ impl Vocab {
         match &self.0.index {
             Index::Dict(index) => index.get(word).map(unpack),
             Index::Interned { words, rank } => {
-                let id = rank[words.id_of(hash_word(word), word)? as usize];
+                let id = rank[words.id_of(word)? as usize];
                 (id != PRUNED).then(|| (id, self.df(id)))
             }
         }
