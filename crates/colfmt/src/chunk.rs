@@ -9,7 +9,7 @@
 //! so corruption that survives the checksum lottery still cannot
 //! produce a silently wrong matrix.
 
-use crate::{fnv1a, varint, ChunkHeader, ColFmtError};
+use crate::{checksum, varint, ChunkHeader, ColFmtError};
 use hpa_sparse::SparseVec;
 
 /// Encode `docs` (the rows starting at document `doc_start`) as one
@@ -53,7 +53,7 @@ pub fn encode_chunk(docs: &[SparseVec], doc_start: u64, out: &mut Vec<u8>) -> us
         doc_count: docs.len() as u64,
         nnz,
         payload_len: payload.len() as u64,
-        checksum: fnv1a(payload),
+        checksum: checksum(payload),
     };
     out[header_at..payload_at].copy_from_slice(&header.encode());
     out.len() - before
@@ -76,7 +76,7 @@ pub fn decode_chunk(
             header.payload_len
         )));
     }
-    let actual = fnv1a(payload);
+    let actual = checksum(payload);
     if actual != header.checksum {
         return Err(corrupt(format!(
             "checksum mismatch: payload hashes to {actual:#018x}, header says {:#018x}",
@@ -279,7 +279,7 @@ mod tests {
             doc_count,
             nnz,
             payload_len: payload.len() as u64,
-            checksum: fnv1a(payload),
+            checksum: checksum(payload),
         }
     }
 
@@ -327,7 +327,7 @@ mod tests {
             doc_count: 1,
             nnz: u64::MAX / 16, // would demand exabytes
             payload_len: 1,
-            checksum: fnv1a(&[0]),
+            checksum: checksum(&[0]),
         };
         let err = decode_chunk(&header, &[0], 100, 0).unwrap_err();
         assert!(err.to_string().contains("payload bytes"), "{err}");

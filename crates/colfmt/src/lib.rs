@@ -17,7 +17,7 @@
 //! ```text
 //! FileHeader (32 bytes)
 //!   magic    [u8;4]  = b"HPAC"
-//!   version  u16 LE  = 1
+//!   version  u16 LE  = 2
 //!   flags    u16 LE  = 0 (reserved)
 //!   num_docs u64 LE     total rows in the file
 //!   dim      u64 LE     matrix dimensionality (vocabulary size)
@@ -28,7 +28,7 @@
 //!     doc_count   u64 LE  rows in the chunk
 //!     nnz         u64 LE  total entries in the chunk
 //!     payload_len u64 LE  bytes of payload that follow
-//!     checksum    u64 LE  FNV-1a 64 over the payload bytes
+//!     checksum    u64 LE  checksum() of the payload bytes
 //!   Payload (columnar, `payload_len` bytes)
 //!     row lengths  doc_count varints   (nnz per document)
 //!     term ids     delta+varint        (per row: first id, then gaps)
@@ -48,12 +48,17 @@
 //! front of the payload — so a writer can produce them in parallel and
 //! drain them in order (the `Sequencer` pipeline of
 //! `hpa_tfidf::write_colfmt_overlapped`), and a reader can either stream
-//! chunk-by-chunk ([`ColReader`]) or slice a slurped file at chunk
-//! boundaries and decode the slices in parallel
-//! (`hpa_tfidf::read_colfmt_parallel`). The chunk grain is a fixed row
-//! count ([`DEFAULT_CHUNK_ROWS`]), independent of thread count, so the
-//! emitted bytes are deterministic for a fixed input whatever executor
-//! produced them.
+//! chunk-by-chunk ([`ColReader::read_chunk`]) or read a window of whole
+//! chunks into one reused buffer ([`ColReader::fill_window`]) and decode
+//! the window's chunks in parallel (`hpa_tfidf::read_colfmt_parallel`).
+//! The chunk grain is a fixed row count ([`DEFAULT_CHUNK_ROWS`]),
+//! independent of thread count, so the emitted bytes are deterministic
+//! for a fixed input whatever executor produced them.
+//!
+//! The checksum is a four-lane fold of the payload's eight-byte words
+//! ([`checksum()`]): one multiply per word, where version 1's FNV-1a
+//! chained one per byte. A reader of this version rejects version-1
+//! files as an unsupported version.
 //!
 //! Every decode path verifies the magic, version, chunk checksum, and
 //! structural invariants (lengths sum to `nnz`, ids strictly increasing
@@ -61,13 +66,15 @@
 //! corruption surfaces as a [`ColFmtError::Corrupt`] naming the chunk —
 //! never a panic, never silently wrong data.
 
+pub mod checksum;
 pub mod chunk;
 pub mod reader;
 pub mod varint;
 pub mod writer;
 
+pub use checksum::checksum;
 pub use chunk::{decode_chunk, encode_chunk};
-pub use reader::{index_chunks, ColReader};
+pub use reader::{ChunkWindow, ColReader};
 pub use writer::ColWriter;
 
 use std::fmt;
@@ -75,8 +82,10 @@ use std::fmt;
 /// File magic: the first four bytes of every colfmt intermediate.
 pub const MAGIC: [u8; 4] = *b"HPAC";
 
-/// Format version this crate reads and writes.
-pub const VERSION: u16 = 1;
+/// Format version this crate reads and writes. Version 2 replaced
+/// version 1's FNV-1a chunk checksum with [`checksum()`]; nothing else in
+/// the layout changed.
+pub const VERSION: u16 = 2;
 
 /// Encoded [`FileHeader`] size in bytes.
 pub const FILE_HEADER_LEN: usize = 32;
@@ -89,15 +98,6 @@ pub const CHUNK_HEADER_LEN: usize = 40;
 /// same bytes; ~256 rows keeps chunks in the hundreds of kilobytes at
 /// corpus scale, enough blocks to keep every worker busy.
 pub const DEFAULT_CHUNK_ROWS: usize = 256;
-
-/// FNV-1a 64-bit over a byte slice — the per-chunk payload checksum.
-/// The fold is the workspace-shared [`hpa_sparse::fnv`] implementation;
-/// this wrapper keeps the format-facing name so call sites and the wire
-/// contract read the same as before the dedupe.
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    hpa_sparse::fnv1a(bytes)
-}
 
 /// Decode/encode errors. Corruption always names the chunk it was
 /// detected in (`None` = the file header), so operators can report
@@ -231,7 +231,7 @@ pub struct ChunkHeader {
     pub nnz: u64,
     /// Payload bytes that follow this header.
     pub payload_len: u64,
-    /// FNV-1a 64 of the payload bytes.
+    /// [`checksum()`] of the payload bytes.
     pub checksum: u64,
 }
 
@@ -306,6 +306,13 @@ mod tests {
         bytes[4] = 99;
         let err = FileHeader::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("unsupported version 99"), "{err}");
+        bytes[4] = 1;
+        let err = FileHeader::decode(&bytes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "colfmt corrupt intermediate in file header: \
+             unsupported version 1 (this reader understands 2)"
+        );
     }
 
     #[test]
@@ -318,14 +325,6 @@ mod tests {
             checksum: 0xdead_beef_cafe_f00d,
         };
         assert_eq!(ChunkHeader::decode(&h.encode()), h);
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

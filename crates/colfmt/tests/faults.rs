@@ -1,11 +1,15 @@
 //! Fault injection against whole files on disk: a corrupted
 //! intermediate must surface a clean error naming the chunk it died in
 //! — never a panic, never a silently wrong matrix. Exercises both read
-//! paths (streaming `ColReader` and the slurp-and-index table used by
-//! the parallel reader).
+//! paths — streaming `ColReader::read_chunk`, and the windows of whole
+//! chunks (`ColReader::fill_window`) the parallel reader decodes — and
+//! holds them to the same message.
 
-use hpa_colfmt::{decode_chunk, index_chunks, ColFmtError, ColReader, ColWriter};
+use hpa_colfmt::{
+    ChunkHeader, ChunkWindow, ColFmtError, ColReader, ColWriter, CHUNK_HEADER_LEN, FILE_HEADER_LEN,
+};
 use hpa_sparse::SparseVec;
+use std::ops::Range;
 
 /// A three-chunk sample file and the rows it encodes.
 fn sample() -> (Vec<SparseVec>, Vec<u8>) {
@@ -29,29 +33,52 @@ fn sample() -> (Vec<SparseVec>, Vec<u8>) {
     (docs.clone(), w.finish().unwrap())
 }
 
-/// Run both read paths over `bytes`; they must agree that the file is
-/// corrupt, and both error strings must satisfy `check`.
-fn both_paths_reject(bytes: &[u8], check: impl Fn(&str)) {
-    let streaming = ColReader::new(bytes).and_then(|r| r.read_all());
-    match streaming {
-        Ok(_) => panic!("streaming reader accepted a corrupt file"),
-        Err(e) => check(&e.to_string()),
-    }
-    let parallel = index_chunks(bytes).and_then(|(header, table)| {
-        let mut all = Vec::new();
-        for (i, (ch, range)) in table.iter().enumerate() {
-            all.extend(decode_chunk(
-                ch,
-                &bytes[range.clone()],
-                header.dim,
-                i as u64,
-            )?);
+/// Read `bytes` a window of `max_chunks` chunks at a time, as the
+/// parallel reader does: decode a window's chunks, earliest first,
+/// before acting on the error that ended its fill.
+fn windowed(bytes: &[u8], max_chunks: usize) -> Result<Vec<SparseVec>, ColFmtError> {
+    let mut reader = ColReader::new(bytes)?;
+    let dim = reader.header().dim;
+    let mut window = ChunkWindow::default();
+    let mut rows = Vec::new();
+    loop {
+        let more = reader.fill_window(&mut window, max_chunks);
+        for i in 0..window.len() {
+            rows.extend(window.decode(i, dim)?);
         }
-        Ok(all)
-    });
-    match parallel {
-        Ok(_) => panic!("indexed reader accepted a corrupt file"),
-        Err(e) => check(&e.to_string()),
+        if !more? {
+            return Ok(rows);
+        }
+    }
+}
+
+/// Each chunk's header and payload range in a well-formed file.
+fn chunk_table(bytes: &[u8]) -> Vec<(ChunkHeader, Range<usize>)> {
+    let mut table = Vec::new();
+    let mut pos = FILE_HEADER_LEN;
+    while pos < bytes.len() {
+        let header = ChunkHeader::decode(bytes[pos..pos + CHUNK_HEADER_LEN].try_into().unwrap());
+        let start = pos + CHUNK_HEADER_LEN;
+        pos = start + header.payload_len as usize;
+        table.push((header, start..pos));
+    }
+    table
+}
+
+/// Run both read paths over `bytes` — windows of one and of two chunks
+/// on the windowed one; they must agree that the file is corrupt, with
+/// one message, and it must satisfy `check`.
+fn both_paths_reject(bytes: &[u8], check: impl Fn(&str)) {
+    let streaming = match ColReader::new(bytes).and_then(|r| r.read_all()) {
+        Ok(_) => panic!("streaming reader accepted a corrupt file"),
+        Err(e) => e.to_string(),
+    };
+    check(&streaming);
+    for max_chunks in [1, 2] {
+        match windowed(bytes, max_chunks) {
+            Ok(_) => panic!("windowed reader accepted a corrupt file"),
+            Err(e) => assert_eq!(e.to_string(), streaming, "windows of {max_chunks}"),
+        }
     }
 }
 
@@ -62,12 +89,9 @@ fn pristine_file_reads_back_on_both_paths() {
         ColReader::new(&bytes[..]).unwrap().read_all().unwrap(),
         docs
     );
-    let (header, table) = index_chunks(&bytes).unwrap();
-    let mut all = Vec::new();
-    for (i, (ch, range)) in table.iter().enumerate() {
-        all.extend(decode_chunk(ch, &bytes[range.clone()], header.dim, i as u64).unwrap());
+    for max_chunks in 1..=4 {
+        assert_eq!(windowed(&bytes, max_chunks).unwrap(), docs);
     }
-    assert_eq!(all, docs);
 }
 
 #[test]
@@ -89,7 +113,8 @@ fn truncated_file_names_the_cut_chunk() {
 #[test]
 fn bit_flip_in_any_payload_is_a_checksum_mismatch() {
     let (_, bytes) = sample();
-    let (_, table) = index_chunks(&bytes).unwrap();
+    let table = chunk_table(&bytes);
+    assert_eq!(table.len(), 3);
     for (i, (_, range)) in table.iter().enumerate() {
         // Flip one bit in the middle of each chunk's payload.
         let target = range.start + (range.end - range.start) / 2;
@@ -118,10 +143,32 @@ fn bad_magic_is_rejected_before_any_payload_work() {
 #[test]
 fn future_version_is_rejected_with_the_version_number() {
     let (_, mut bytes) = sample();
-    bytes[4] = 2;
+    bytes[4] = 3;
     bytes[5] = 0;
     both_paths_reject(&bytes, |msg| {
-        assert!(msg.contains("unsupported version 2"), "{msg}");
+        assert!(msg.contains("unsupported version 3"), "{msg}");
+    });
+}
+
+#[test]
+fn version_1_file_is_rejected_as_unsupported() {
+    // A version-1 file as that format wrote it: the same layout, each
+    // chunk's checksum FNV-1a over its payload.
+    let (_, mut bytes) = sample();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    for (header, range) in chunk_table(&bytes) {
+        let v1 = ChunkHeader {
+            checksum: hpa_sparse::fnv1a(&bytes[range.clone()]),
+            ..header
+        };
+        bytes[range.start - CHUNK_HEADER_LEN..range.start].copy_from_slice(&v1.encode());
+    }
+    both_paths_reject(&bytes, |msg| {
+        assert_eq!(
+            msg,
+            "colfmt corrupt intermediate in file header: \
+             unsupported version 1 (this reader understands 2)"
+        );
     });
 }
 

@@ -1,9 +1,9 @@
 //! Randomized round-trip coverage (SplitMix64, fixed seeds —
 //! deterministic, no external crates): random matrices through both
-//! read paths bit for bit, and random single-bit flips never decoding
-//! to a wrong matrix.
+//! read paths (streaming, and windows of whole chunks) bit for bit, and
+//! random single-bit flips never decoding to a wrong matrix.
 
-use hpa_colfmt::{decode_chunk, index_chunks, ColReader, ColWriter, DEFAULT_CHUNK_ROWS};
+use hpa_colfmt::{ChunkWindow, ColReader, ColWriter, DEFAULT_CHUNK_ROWS};
 use hpa_rng::SplitMix64;
 use hpa_sparse::SparseVec;
 
@@ -71,11 +71,19 @@ fn random_matrices_round_trip_bit_exactly() {
         let back = ColReader::new(&bytes[..]).unwrap().read_all().unwrap();
         assert_bit_identical(&docs, &back);
 
-        // Indexed (parallel-shaped) path.
-        let (header, table) = index_chunks(&bytes).unwrap();
+        // Windowed (parallel-shaped) path, a random window size.
+        let mut reader = ColReader::new(&bytes[..]).unwrap();
+        let mut window = ChunkWindow::default();
+        let max_chunks = 1 + rng.gen_index(4);
         let mut all = Vec::new();
-        for (i, (ch, range)) in table.iter().enumerate() {
-            all.extend(decode_chunk(ch, &bytes[range.clone()], header.dim, i as u64).unwrap());
+        loop {
+            let more = reader.fill_window(&mut window, max_chunks).unwrap();
+            for i in 0..window.len() {
+                all.extend(window.decode(i, dim).unwrap());
+            }
+            if !more {
+                break;
+            }
         }
         assert_bit_identical(&docs, &all);
 

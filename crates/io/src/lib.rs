@@ -36,6 +36,13 @@ use std::path::Path;
 /// Calibrated to DRAM-speed copies: ~0.3 ns/byte.
 pub const READ_CPU_NS_PER_BYTE: f64 = 0.3;
 
+/// Declared CPU cost of listing one directory entry (read its name, keep
+/// a `.txt` path, sort the paths): about what the listing of NSF × 0.025's
+/// 2 537 files measures (1–2 ms). The declared cost is what the
+/// simulator charges the listing in analytic mode, where an undeclared
+/// one would fall back to the host's wall time.
+pub const LIST_NS_PER_ENTRY: u64 = 400;
+
 /// Open a corpus directory (written by `hpa_corpus::disk::write_corpus`):
 /// list its `.txt` files, sorted as bytes, and return a [`Corpus`] that
 /// reads each document only when a consumer asks for its text. The word
@@ -45,20 +52,23 @@ pub const READ_CPU_NS_PER_BYTE: f64 = 0.3;
 /// The simulator charges that read to the count too (`charge_input_io`).
 ///
 /// `exec` runs the listing as a serial step, priced as one directory
-/// read.
+/// read plus [`LIST_NS_PER_ENTRY`] per file (and one for the directory).
 ///
 /// # Errors
 ///
 /// Opening or reading the directory. A file that cannot be read fails
 /// the consumer that reads it, with the file's path in the error.
 pub fn load_corpus_parallel(exec: &Exec, name: &str, dir: &Path) -> io::Result<Corpus> {
-    let paths = exec.serial(
-        TaskCost {
+    let paths = exec.serial_costed(|| {
+        let paths = hpa_corpus::disk::list_documents(dir);
+        let entries = paths.as_ref().map_or(0, Vec::len) as u64;
+        let cost = TaskCost {
+            cpu_ns: LIST_NS_PER_ENTRY * (entries + 1),
             io_ops: 1,
             ..Default::default()
-        },
-        || hpa_corpus::disk::list_documents(dir),
-    )?;
+        };
+        (paths, cost)
+    })?;
     Ok(Corpus::from_files(name, paths))
 }
 
@@ -101,16 +111,26 @@ mod tests {
         let dir = tmpdir("lazy");
         let corpus = CorpusSpec::mix().scaled(0.001).generate(3);
         hpa_corpus::disk::write_corpus(&corpus, &dir).unwrap();
-        // A very slow simulated disk: listing the directory reads no
-        // document bytes, so the clock stays far below one file's read.
-        let model = hpa_exec::MachineModel {
-            io_read_bandwidth: 1.0e6, // 1 MB/s
-            ..hpa_exec::MachineModel::frictionless()
+        // Analytic costs: the clock holds what the listing declares, never
+        // the host's wall time, so the result is the same on any host.
+        let load = |io_read_bandwidth| {
+            let model = hpa_exec::MachineModel {
+                io_read_bandwidth,
+                ..hpa_exec::MachineModel::frictionless()
+            };
+            let exec = Exec::simulated_with(8, model, hpa_exec::CostMode::Analytic);
+            let loaded = load_corpus_parallel(&exec, "Mix", &dir).unwrap();
+            (loaded, exec.now())
         };
-        let exec = Exec::simulated(8, model);
-        let loaded = load_corpus_parallel(&exec, "Mix", &dir).unwrap();
+        // Listing reads no document bytes: a very slow disk (1 MB/s)
+        // costs the clock nothing, and it stays far below one file's read.
+        let (loaded, slow_disk) = load(1.0e6);
+        let (_, no_disk) = load(f64::INFINITY);
+        assert_eq!(slow_disk, no_disk);
+        let declared = LIST_NS_PER_ENTRY * (loaded.len() as u64 + 1);
+        assert_eq!(slow_disk.as_nanos(), u128::from(declared));
         let one_file_ns = loaded.doc_bytes(0) as f64 / 1.0e6 * 1e9;
-        assert!((exec.now().as_nanos() as f64) < one_file_ns);
+        assert!((slow_disk.as_nanos() as f64) < one_file_ns);
         assert!(loaded.documents().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }

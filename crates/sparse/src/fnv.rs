@@ -1,19 +1,20 @@
-//! FNV-1a 64-bit — the workspace's one shared byte checksum.
+//! FNV-1a 64-bit — the workspace's digest of test and benchmark outputs.
 //!
 //! Two independent copies of this fold used to live in the tree: the
 //! dictionary's `hash_word` (the arena slot index) and the
 //! columnar format's per-chunk payload checksum. Both fold the same
 //! offset basis and prime in the same order, so their digests were
 //! already byte-for-byte identical, and this module became the single
-//! definition. The dictionary has since hashed words a word at a time
-//! (`hpa_dict::hash_word`: one multiply per eight bytes, where this fold
-//! chains one per byte); the columnar format's checksums and the test
-//! suites' digests still fold with this one. It sits in `hpa-sparse`
-//! because that crate is the bottom of the dependency order.
+//! definition. Both users have since left it for folds that take eight
+//! bytes per multiply where this one chains a multiply per byte: the
+//! dictionary for `hpa_dict::hash_word`, and the columnar format, in its
+//! version 2, for a four-lane chunk checksum (`hpa_colfmt::checksum`).
+//! What still folds with it are the test suites' pinned digests and the
+//! benchmark's cluster-file digest. It sits in `hpa-sparse` because that
+//! crate is the bottom of the dependency order.
 //!
 //! The digest is stable across processes and platforms — no per-process
-//! hasher seed — which the file format relies on for checksums that
-//! validate on a different machine than wrote them.
+//! hasher seed — so a digest pinned on one machine checks on another.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -38,8 +39,8 @@ mod tests {
 
     /// The reference digests both original implementations produced
     /// (dict `hash_word` and colfmt `fnv1a` shared these exact values
-    /// before the dedupe); changing any of them is a wire-format
-    /// break.
+    /// before the dedupe); changing any of them would move every pinned
+    /// digest.
     #[test]
     fn digests_match_both_original_implementations() {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);

@@ -383,8 +383,12 @@ pub const COLFMT_DRAIN_NS_PER_BYTE: f64 = 0.2;
 /// identical total work.
 pub const COLFMT_WRITE_NS_PER_BYTE: f64 = 0.55;
 
-/// FNV-1a checksum verification rate on the read side (one multiply +
-/// xor per byte).
+/// Checksum verification rate on the read side. Set for format version
+/// 1's FNV-1a (one multiply + xor per byte). Version 2's four-lane fold
+/// measures ≈ 0.23 ns/B on the 2-core build host, against FNV-1a's
+/// ≈ 1.6 ns/B; the constant is kept so that no simulated figure or
+/// planner price moves (EXPERIMENTS.md, "Checksum `.hpac` chunks eight
+/// bytes at a time").
 pub const COLFMT_CHECKSUM_NS_PER_BYTE: f64 = 0.3;
 
 /// Per-entry decode cost: two varint reads (row bookkeeping amortized),
@@ -456,10 +460,11 @@ pub fn colfmt_header_cost() -> TaskCost {
     }
 }
 
-/// Cost of slurping the binary intermediate into memory (page-cache
-/// warm, like [`arff_slurp_cost`] — the file was written moments
-/// earlier by the same workflow).
-pub fn colfmt_slurp_cost(bytes: u64) -> TaskCost {
+/// Cost of reading `bytes` of the binary intermediate into memory — the
+/// parallel reader's window fills, which together read the file once
+/// (page-cache warm, like [`arff_slurp_cost`]: the file was written
+/// moments earlier by the same workflow).
+pub fn colfmt_fill_cost(bytes: u64) -> TaskCost {
     TaskCost {
         cpu_ns: (bytes as f64 * READ_CPU_NS_PER_BYTE) as u64,
         mem_bytes: bytes,
@@ -467,8 +472,8 @@ pub fn colfmt_slurp_cost(bytes: u64) -> TaskCost {
     }
 }
 
-/// Cost of walking the chunk table of a slurped file: fixed headers
-/// only, no payload bytes touched.
+/// Cost of walking `chunks` chunk headers (fixed size) and placing their
+/// payloads in a window, payload bytes untouched.
 pub fn colfmt_index_cost(chunks: u64) -> TaskCost {
     TaskCost {
         cpu_ns: 100 + chunks * 25,
@@ -587,18 +592,20 @@ pub fn colfmt_write_overlapped_ns(m: &MatrixStats, exec: &Exec) -> u64 {
     header_ns + encode_ns.max(drain_ns)
 }
 
-/// Predicted wall time (ns) of [`crate::read_colfmt_parallel`]: serial
-/// slurp + chunk table walk, then chunk-parallel checksum + decode.
+/// Predicted wall time (ns) of [`crate::read_colfmt_parallel`]: its
+/// serial window fills priced as one pass over the file plus one walk of
+/// the chunk headers, and its windows' chunk-parallel checksum + decode
+/// as one region (the joins between windows are not priced).
 pub fn colfmt_read_parallel_ns(m: &MatrixStats, exec: &Exec) -> u64 {
     let file = colfmt_file_bytes_stats(m);
     let nchunks = (m.rows as usize).div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS);
-    let slurp_ns = exec.predict_serial_ns(&colfmt_slurp_cost(file));
+    let fill_ns = exec.predict_serial_ns(&colfmt_fill_cost(file));
     let index_ns = exec.predict_serial_ns(&colfmt_index_cost(nchunks as u64));
     let body = file.saturating_sub(hpa_colfmt::FILE_HEADER_LEN as u64);
     let decode_ns = exec.predict_region_ns(nchunks, 1, |chunks| {
         colfmt_decode_chunk_cost(body * chunks.len() as u64 / nchunks.max(1) as u64)
     });
-    slurp_ns + index_ns + decode_ns
+    fill_ns + index_ns + decode_ns
 }
 
 #[cfg(test)]
@@ -756,7 +763,7 @@ mod tests {
         let m = MatrixStats::of(&rows, 0);
         let serial = colfmt_read_cost_stats(&m);
         let chunks = rows.len().div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS);
-        let mut split = colfmt_slurp_cost(colfmt_file_bytes_stats(&m));
+        let mut split = colfmt_fill_cost(colfmt_file_bytes_stats(&m));
         split += colfmt_index_cost(chunks as u64);
         for chunk in rows.chunks(hpa_colfmt::DEFAULT_CHUNK_ROWS) {
             let (n, nnz) = shape(chunk);

@@ -57,7 +57,7 @@ use cost::MatrixStats;
 use vocab::PRUNED;
 
 use hpa_arff::{parse_data_line, ArffError, ArffHeader, ArffReader, ArffWriter};
-use hpa_colfmt::{encode_chunk, ColFmtError, ColReader, ColWriter};
+use hpa_colfmt::{encode_chunk, ChunkWindow, ColFmtError, ColReader, ColWriter};
 use hpa_corpus::{Corpus, Tokenizer};
 use hpa_dict::{pack, AnyDict, ArenaDict, DictKind, Dictionary};
 use hpa_exec::sync::Mutex;
@@ -942,21 +942,21 @@ pub fn read_arff<R: BufRead>(exec: &Exec, input: R) -> Result<(Vec<SparseVec>, u
 
 /// The chunk-parallel read protocol both parallel readers instantiate:
 /// `decode(ci)` decodes chunk `ci` in parallel (priced by `cost`), and
-/// the chunks concatenate in chunk order. When chunks fail, the earliest
-/// chunk's error wins — what a streaming reader, which stops at the
-/// first bad chunk, would report.
+/// the chunks append to `rows` in chunk order. When chunks fail, the
+/// earliest chunk's error wins — what a streaming reader, which stops at
+/// the first bad chunk, would report.
 fn read_chunks_parallel<E: Send>(
     exec: &Exec,
     nchunks: usize,
+    rows: &mut Vec<SparseVec>,
     decode: impl Fn(usize) -> Result<Vec<SparseVec>, E> + Sync,
     cost: impl Fn(Range<usize>) -> TaskCost + Sync,
-) -> Result<Vec<SparseVec>, E> {
+) -> Result<(), E> {
     let decoded = exec.par_map_chunks(nchunks, 1, |chunk| decode(chunk.start), cost);
-    let mut rows = Vec::new();
     for chunk in decoded {
         rows.extend(chunk?);
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Chunked-parallel variant of [`read_arff`]: the header parses serially,
@@ -1008,9 +1008,11 @@ pub fn read_arff_parallel<R: BufRead>(
             pos = end;
         }
 
-        let rows = read_chunks_parallel(
+        let mut rows = Vec::new();
+        read_chunks_parallel(
             exec,
             bounds.len() - 1,
+            &mut rows,
             |ci| {
                 let bytes = &data[bounds[ci]..bounds[ci + 1]];
                 let _sp = hpa_trace::span!("arff", "parse-chunk", bytes.len() as u64);
@@ -1163,55 +1165,64 @@ fn colfmt_dim(dim: u64) -> Result<usize, ColFmtError> {
         .map_err(|_| ColFmtError::corrupt_header(format!("dimension {dim} overflows usize")))
 }
 
+/// Chunks the parallel binary reader holds per thread: a window of
+/// `threads` × this many whole chunks is read, then decoded in parallel.
+const WINDOW_CHUNKS_PER_THREAD: usize = 2;
+
 /// Chunk-parallel variant of [`read_colfmt`], the binary sibling of
-/// [`read_arff_parallel`]: the file is slurped once (page-cache warm),
-/// the chunk table is walked serially (fixed 40-byte headers, no
-/// payload work), and each chunk's payload is checksummed and decoded
-/// in parallel — chunk independence makes the split trivial, no
-/// line-boundary search required. Value-identical to the streaming
-/// reader, in the same order; corruption reports the same chunk
-/// numbers.
+/// [`read_arff_parallel`]. It reads a window of whole chunks at a time
+/// into one reused buffer (serial: fixed headers and payload bytes,
+/// through the streaming reader's checks), then checksums and decodes
+/// the window's chunks in parallel — chunk independence makes the split
+/// trivial, no line-boundary search required. The window holds two
+/// chunks per thread, so the file is never resident whole.
+/// Value-identical to the streaming reader, in the same order; a fault
+/// reports what the streaming reader reports, since a window's chunks
+/// are decoded before the fault that ended its read.
 pub fn read_colfmt_parallel<R: Read>(
     exec: &Exec,
-    mut input: R,
+    input: R,
 ) -> Result<(Vec<SparseVec>, usize), ColFmtError> {
     let _span = hpa_trace::span!("tfidf", "read-colfmt-parallel", 0);
     let result = (|| {
-        // Serial prefix 1: slurp the file.
-        let data = exec.serial_costed(|| {
-            let mut data = Vec::new();
-            let result = match input.read_to_end(&mut data) {
-                Ok(_) => Ok(data),
-                Err(e) => Err(ColFmtError::Io(e)),
-            };
-            let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-            (result, cost::colfmt_slurp_cost(bytes))
+        // Serial prefix: the file header.
+        let mut reader = exec.serial_costed(|| match ColReader::new(input) {
+            Ok(reader) => {
+                let bytes = hpa_colfmt::FILE_HEADER_LEN as u64;
+                (Ok(reader), cost::colfmt_fill_cost(bytes))
+            }
+            Err(e) => (Err(e), TaskCost::default()),
         })?;
-
-        // Serial prefix 2: the chunk table (headers only).
-        let (header, table) = exec.serial_costed(|| {
-            let result = hpa_colfmt::index_chunks(&data);
-            let chunks = result.as_ref().map(|(h, _)| h.chunks).unwrap_or(0);
-            (result, cost::colfmt_index_cost(chunks))
-        })?;
+        let header = reader.header();
         let dim = colfmt_dim(header.dim)?;
-
-        let rows = read_chunks_parallel(
-            exec,
-            table.len(),
-            |ci| {
-                let (ch, range) = &table[ci];
-                let bytes = &data[range.clone()];
-                let _sp = hpa_trace::span!("colfmt", "read-chunk", bytes.len() as u64);
-                hpa_colfmt::decode_chunk(ch, bytes, header.dim, ci as u64)
-            },
-            |chunks| {
-                let bytes: u64 = chunks
-                    .map(|ci| (hpa_colfmt::CHUNK_HEADER_LEN + table[ci].1.len()) as u64)
-                    .sum();
-                cost::colfmt_decode_chunk_cost(bytes)
-            },
-        )?;
+        let max_chunks = WINDOW_CHUNKS_PER_THREAD * exec.threads();
+        let mut window = ChunkWindow::default();
+        let mut rows = Vec::with_capacity(reader.rows_hint());
+        for ordinal in 0u64.. {
+            let _sp = hpa_trace::span!("colfmt", "read-window", ordinal);
+            // Serial: read the next window (chunk headers and payloads).
+            let more = exec.serial_costed(|| {
+                let more = reader.fill_window(&mut window, max_chunks);
+                let cost = cost::colfmt_fill_cost(window.bytes_read())
+                    + cost::colfmt_index_cost(window.len() as u64);
+                (more, cost)
+            });
+            read_chunks_parallel(
+                exec,
+                window.len(),
+                &mut rows,
+                |ci| {
+                    let _sp = hpa_trace::span!("colfmt", "read-chunk", window.block_len(ci));
+                    window.decode(ci, header.dim)
+                },
+                |chunks| {
+                    cost::colfmt_decode_chunk_cost(chunks.map(|ci| window.block_len(ci)).sum())
+                },
+            )?;
+            if !more? {
+                break;
+            }
+        }
         Ok((rows, dim))
     })();
     if let Some(m) = traced_read_stats(&result) {
@@ -1790,27 +1801,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn colfmt_readers_agree_on_the_corrupt_chunk() {
-        let exec = Exec::sequential();
-        let n = 3 * hpa_colfmt::DEFAULT_CHUNK_ROWS;
+    /// A colfmt file of `chunks` full chunks of one-entry rows, and the
+    /// byte range of each chunk's payload in it.
+    fn colfmt_file(chunks: usize) -> (Vec<SparseVec>, Vec<u8>, Vec<Range<usize>>) {
+        let chunk_rows = hpa_colfmt::DEFAULT_CHUNK_ROWS;
+        let n = chunks * chunk_rows;
         let rows: Vec<SparseVec> = (0..n as u32)
             .map(|i| SparseVec::from_pairs(vec![(i % 40, 1.0 + i as f64)]))
             .collect();
-        let mut w =
-            ColWriter::new(Vec::new(), n as u64, 40, hpa_colfmt::DEFAULT_CHUNK_ROWS).unwrap();
-        for chunk in rows.chunks(hpa_colfmt::DEFAULT_CHUNK_ROWS) {
+        let mut w = ColWriter::new(Vec::new(), n as u64, 40, chunk_rows).unwrap();
+        for chunk in rows.chunks(chunk_rows) {
             w.write_chunk(chunk).unwrap();
         }
-        let mut bytes = w.finish().unwrap();
+        let bytes = w.finish().unwrap();
+        let mut payloads = Vec::new();
+        let mut pos = hpa_colfmt::FILE_HEADER_LEN;
+        while pos < bytes.len() {
+            let at = pos + hpa_colfmt::CHUNK_HEADER_LEN;
+            let header = hpa_colfmt::ChunkHeader::decode(bytes[pos..at].try_into().unwrap());
+            pos = at + header.payload_len as usize;
+            payloads.push(at..pos);
+        }
+        assert_eq!(payloads.len(), chunks);
+        (rows, bytes, payloads)
+    }
+
+    /// Flip one bit in the middle of each of `chunks`' payloads.
+    fn corrupt_chunks(bytes: &mut [u8], payloads: &[Range<usize>], chunks: &[usize]) {
+        for &ci in chunks {
+            let range = &payloads[ci];
+            bytes[range.start + range.len() / 2] ^= 0x20;
+        }
+    }
+
+    #[test]
+    fn colfmt_readers_agree_on_the_corrupt_chunk() {
+        let exec = Exec::sequential();
+        let (_, mut bytes, payloads) = colfmt_file(3);
         // Corrupt the middle chunk's payload (and, further on, the last
         // chunk's): the parallel reader must report the *earliest* bad
         // chunk, matching the streaming reader's stop-at-first behavior.
-        let (_, table) = hpa_colfmt::index_chunks(&bytes).unwrap();
-        for ci in [1usize, 2] {
-            let mid = table[ci].1.start + (table[ci].1.end - table[ci].1.start) / 2;
-            bytes[mid] ^= 0x20;
-        }
+        corrupt_chunks(&mut bytes, &payloads, &[1, 2]);
         let serial = read_colfmt(&exec, std::io::Cursor::new(bytes.clone()))
             .unwrap_err()
             .to_string();
@@ -1820,6 +1851,95 @@ mod tests {
         assert!(serial.contains("chunk 1"), "{serial}");
         assert!(parallel.contains("chunk 1"), "{parallel}");
         assert!(serial.contains("checksum mismatch"), "{serial}");
+    }
+
+    /// Executors whose windows (two chunks per thread) hold 2, 4 and 8
+    /// chunks: each reads a nine-chunk file in several windows.
+    fn windowed_execs() -> [Exec; 3] {
+        [
+            Exec::sequential(),
+            Exec::pool(2),
+            Exec::simulated(4, hpa_exec::MachineModel::default()),
+        ]
+    }
+
+    /// A byte source that counts what it hands out.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        read: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (&self.bytes[self.read..]).read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn colfmt_parallel_read_spans_several_windows() {
+        let (rows, bytes, payloads) = colfmt_file(9);
+        let mut bad_first = bytes.clone();
+        corrupt_chunks(&mut bad_first, &payloads, &[0]);
+        for exec in windowed_execs() {
+            let window = WINDOW_CHUNKS_PER_THREAD * exec.threads();
+            assert!(9 > window);
+            let (read, dim) = read_colfmt_parallel(&exec, std::io::Cursor::new(&bytes)).unwrap();
+            assert_eq!(dim, 40);
+            assert_matrix_bits_equal(&rows, &read, &format!("windowed read under {exec:?}"));
+            // The first window is decoded before the second is read: a
+            // corrupt first chunk stops the read at the window's end.
+            let mut source = Counting {
+                bytes: &bad_first,
+                read: 0,
+            };
+            let err = read_colfmt_parallel(&exec, &mut source).unwrap_err();
+            assert!(err.to_string().contains("chunk 0:"), "{err}");
+            assert_eq!(source.read, payloads[window - 1].end, "under {exec:?}");
+        }
+    }
+
+    #[test]
+    fn colfmt_corrupt_chunk_in_a_later_window_is_named_on_both_paths() {
+        let (_, clean, payloads) = colfmt_file(9);
+        for bad in [7usize, 8] {
+            let mut bytes = clean.clone();
+            corrupt_chunks(&mut bytes, &payloads, &[bad]);
+            let serial = read_colfmt(&Exec::sequential(), std::io::Cursor::new(&bytes))
+                .unwrap_err()
+                .to_string();
+            assert!(serial.contains(&format!("chunk {bad}:")), "{serial}");
+            assert!(serial.contains("checksum mismatch"), "{serial}");
+            for exec in windowed_execs() {
+                let parallel = read_colfmt_parallel(&exec, std::io::Cursor::new(&bytes))
+                    .unwrap_err()
+                    .to_string();
+                assert_eq!(parallel, serial, "under {exec:?}");
+            }
+        }
+        // A cut in a later window is reported by its chunk; a corrupt
+        // chunk read before the cut, in the same window, wins over it.
+        let mut corrupt = clean.clone();
+        corrupt_chunks(&mut corrupt, &payloads, &[6]);
+        for (bytes, expected) in [
+            (&clean[..payloads[8].start + 3], "chunk 8: file truncated"),
+            (
+                &corrupt[..payloads[7].start + 3],
+                "chunk 6: checksum mismatch",
+            ),
+        ] {
+            let serial = read_colfmt(&Exec::sequential(), std::io::Cursor::new(bytes))
+                .unwrap_err()
+                .to_string();
+            assert!(serial.contains(expected), "{serial}");
+            for exec in windowed_execs() {
+                let parallel = read_colfmt_parallel(&exec, std::io::Cursor::new(bytes))
+                    .unwrap_err()
+                    .to_string();
+                assert_eq!(parallel, serial, "under {exec:?}");
+            }
+        }
     }
 
     #[test]

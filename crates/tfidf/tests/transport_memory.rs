@@ -41,8 +41,9 @@ fn colfmt_reads_allocate_per_row_and_per_chunk_not_per_entry() {
     let nnz: u64 = model.vectors.iter().map(|v| v.nnz() as u64).sum();
     let chunks = rows.div_ceil(hpa_colfmt::DEFAULT_CHUNK_ROWS as u64);
     assert!(rows > 500 && chunks > 2 && nnz > 50 * rows);
-    // Two arrays per row; per chunk, its buffers, the pool's task and
-    // the doublings of the growing row list; the file slurp's doublings.
+    // Two arrays per row; per chunk, its buffers and the pool's task;
+    // the parallel read's window of chunks and its growth, once, and per
+    // window the pool's slots.
     let bound = 2 * rows + 16 * chunks + 64;
 
     let gauge = HeapGauge::start();

@@ -24,6 +24,11 @@
 //! that corpus `Workflow::run` must write one cluster file, pinned by its
 //! digest, whether the matrix stays in memory or crosses a serial ARFF
 //! file or a pipelined `.hpac` file.
+//!
+//! The intermediate files are pinned too: one digest of the ARFF bytes
+//! and one of the `.hpac` bytes each shape's TF/IDF model writes, in
+//! memory, and the serial and overlapped writers must write the same
+//! bytes in each format.
 
 use hpa::corpus::CorpusSpec;
 use hpa::exec::MachineModel;
@@ -155,19 +160,47 @@ fn workflows(k: usize, dir: &Path) -> [(&'static str, Workflow); 3] {
     ]
 }
 
+/// Digests of the intermediate files a shape's TF/IDF model writes.
+#[derive(Debug, PartialEq, Eq)]
+struct Intermediates {
+    arff: u64,
+    hpac: u64,
+}
+
+/// Write `corpus`'s TF/IDF model in both formats, serially and
+/// overlapped on a two-thread pool: each format's two writers must write
+/// the same bytes, and their digests must be `expected`.
+fn assert_intermediates_pinned(corpus: &Corpus, expected: &Intermediates) {
+    use hpa::tfidf::{write_arff, write_arff_overlapped, write_colfmt, write_colfmt_overlapped};
+    let (serial, pool) = (Exec::sequential(), Exec::pool(2));
+    let model = hpa::tfidf::TfIdf::new(TfIdfConfig::default()).fit(&serial, corpus);
+    let arff = write_arff(&serial, &model, Vec::new()).unwrap();
+    assert!(arff == write_arff_overlapped(&pool, &model, Vec::new()).unwrap());
+    let hpac = write_colfmt(&serial, &model, Vec::new()).unwrap();
+    assert!(hpac == write_colfmt_overlapped(&pool, &model, Vec::new()).unwrap());
+    let digests = Intermediates {
+        arff: fnv1a(arff),
+        hpac: fnv1a(hpac),
+    };
+    assert_eq!(&digests, expected);
+}
+
 /// Check `spec` against its pins in memory and from disk: the fit's
-/// digests on both routes, and the digest of the cluster file
-/// `Workflow::run` writes from the loaded corpus on every transport.
+/// digests on both routes, the intermediate files' digests, and the
+/// digest of the cluster file `Workflow::run` writes from the loaded
+/// corpus on every transport.
 fn assert_shape_pinned(
     tag: &str,
     spec: CorpusSpec,
     k: usize,
     postings: bool,
     expected: Answers,
+    intermediates: Intermediates,
     cluster_file: u64,
 ) {
     let corpus = spec.generate(SEED);
     assert_pinned(&corpus, k, postings, &expected);
+    assert_intermediates_pinned(&corpus, &intermediates);
 
     let scratch = ScratchDir::new(tag);
     let (docs, intermediates) = (scratch.0.join("corpus"), scratch.0.join("intermediates"));
@@ -197,6 +230,10 @@ fn nsf_at_k8_is_pinned() {
             trace: 0x0c3f_0df2_9fbf_0063,
             centroids: 0x045b_d01b_49dc_ffb6,
         },
+        Intermediates {
+            arff: 0x7c93_e89f_076a_c326,
+            hpac: 0xac89_3da8_d8dd_a194,
+        },
         0xbdcc_4215_f3b5_5271,
     );
 }
@@ -213,6 +250,10 @@ fn mix_at_k128_is_pinned() {
             assignments: 0x3b1c_1afa_13a2_8957,
             trace: 0xff5f_8f01_9332_8bda,
             centroids: 0x30bc_efe4_c18c_d52d,
+        },
+        Intermediates {
+            arff: 0x6fa0_677f_db83_cb03,
+            hpac: 0x1325_6f89_7260_1578,
         },
         0x4aef_1b78_1b23_90aa,
     );
