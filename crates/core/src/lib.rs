@@ -29,12 +29,6 @@
 //!   under the paper's names (`input+wc`, `transform`, `tfidf-output`,
 //!   `kmeans-input`, `kmeans`, `output`). A stage of your own joins the
 //!   same report the same way.
-//! * [`TrainedPipeline`] — a fitted workflow kept for classifying new
-//!   documents.
-
-pub mod pipeline;
-
-pub use pipeline::TrainedPipeline;
 
 pub use hpa_plan::{IntermediateFormat, PlanSpace, Transport};
 

@@ -279,15 +279,6 @@ impl DictKind {
         }
     }
 
-    /// Short label used in reports ("map" / "u-map", as in Figure 4).
-    pub fn label(&self) -> &'static str {
-        match self {
-            DictKind::BTree => "map",
-            DictKind::Hash | DictKind::HashPresized(_) => "u-map",
-            DictKind::Arena => "arena",
-        }
-    }
-
     /// The kind a corpus-wide (never per-document) structure of this
     /// configuration uses: the pre-sized table degrades to the plain
     /// hash table.
@@ -490,9 +481,6 @@ mod tests {
         assert_eq!("arena".parse::<DictKind>().unwrap(), DictKind::Arena);
         assert!("auto".parse::<DictKind>().is_err());
         assert!("bogus".parse::<DictKind>().is_err());
-        assert_eq!(DictKind::BTree.label(), "map");
-        assert_eq!(DictKind::Hash.label(), "u-map");
-        assert_eq!(DictKind::Arena.label(), "arena");
     }
 
     #[test]

@@ -195,14 +195,9 @@ fn ranked(words: &ArenaDict, min_df: u64, max_df: u64) -> Vec<u32> {
 
 impl Vocab {
     /// Build from a word → document-frequency dictionary over `num_docs`
-    /// documents. Ids follow the one rank: descending document
+    /// documents, keeping only terms whose document frequency lies in
+    /// `[min_df, max_df]`. Ids follow the one rank: descending document
     /// frequency, ties in ascending word order.
-    pub fn from_df_dict(kind: DictKind, df: &AnyDict, num_docs: usize) -> Self {
-        Vocab::from_df_dict_pruned(kind, df, 1, u64::MAX, num_docs)
-    }
-
-    /// Like [`Vocab::from_df_dict`], keeping only terms whose document
-    /// frequency lies in `[min_df, max_df]`.
     pub fn from_df_dict_pruned(
         kind: DictKind,
         df: &AnyDict,
@@ -307,7 +302,7 @@ impl Vocab {
         }
     }
 
-    /// The one scoring function of the training and the prediction path:
+    /// The one scoring function, for every dictionary arm's transform:
     /// `keys` holds a document's `pack(term id, tf)` pairs, each term
     /// once, in any order; the result is its normalized TF·IDF vector
     /// (`idf = ln(N / df)`), the arrays sized exactly. `keys` is left
@@ -400,7 +395,7 @@ mod tests {
             ("apple", 1),
         ];
         for kind in KINDS {
-            let all = Vocab::from_df_dict(kind, &df, 30);
+            let all = Vocab::from_df_dict_pruned(kind, &df, 1, u64::MAX, 30);
             let expect: Vec<_> = rank.iter().map(|&(w, n)| (w.to_string(), n)).collect();
             assert_eq!(words(&all), expect, "{kind:?}");
             // The band [2, 9] drops the first and the last term; the
@@ -448,7 +443,7 @@ mod tests {
     #[test]
     fn lookup_round_trips_every_word() {
         for kind in KINDS {
-            let v = Vocab::from_df_dict(kind, &df_dict(), 10);
+            let v = Vocab::from_df_dict_pruned(kind, &df_dict(), 1, u64::MAX, 10);
             for id in 0..v.len() as u32 {
                 let (got_id, got_df) = v.lookup(v.word(id)).unwrap();
                 assert_eq!(got_id, id);
@@ -460,14 +455,15 @@ mod tests {
 
     #[test]
     fn presized_kind_degrades_to_plain_hash() {
-        let v = Vocab::from_df_dict(DictKind::HashPresized(4096), &df_dict(), 10);
+        let v =
+            Vocab::from_df_dict_pruned(DictKind::HashPresized(4096), &df_dict(), 1, u64::MAX, 10);
         assert_eq!(v.kind(), DictKind::Hash);
     }
 
     #[test]
     fn arena_index_orders_ids_like_the_tree() {
-        let tree = Vocab::from_df_dict(DictKind::BTree, &df_dict(), 10);
-        let arena = Vocab::from_df_dict(DictKind::Arena, &df_dict(), 10);
+        let tree = Vocab::from_df_dict_pruned(DictKind::BTree, &df_dict(), 1, u64::MAX, 10);
+        let arena = Vocab::from_df_dict_pruned(DictKind::Arena, &df_dict(), 1, u64::MAX, 10);
         for id in 0..tree.len() as u32 {
             assert_eq!(tree.word(id), arena.word(id));
             assert_eq!(tree.df(id), arena.df(id));
@@ -477,7 +473,7 @@ mod tests {
     #[test]
     fn empty_df_dict() {
         for kind in KINDS {
-            let v = Vocab::from_df_dict(kind, &kind.new_dict(), 0);
+            let v = Vocab::from_df_dict_pruned(kind, &kind.new_dict(), 1, u64::MAX, 0);
             assert!(v.is_empty());
             assert_eq!(v.lookup("x"), None);
             assert!(v.score(&mut Vec::new()).is_empty());
@@ -501,7 +497,7 @@ mod tests {
         let raw = [2.0 * idf(7.0), 1.0 * idf(3.0), 4.0 * idf(1.0)];
         let norm = raw.iter().map(|w| w * w).sum::<f64>().sqrt();
         for kind in KINDS {
-            let v = Vocab::from_df_dict(kind, &df_dict(), 10);
+            let v = Vocab::from_df_dict_pruned(kind, &df_dict(), 1, u64::MAX, 10);
             let scored = v.score(&mut vec![pack(2, 4), pack(0, 2), pack(1, 1)]);
             assert_eq!(scored.terms(), [0, 1, 2], "{kind:?}");
             let expect: Vec<f64> = raw.iter().map(|w| w * (1.0 / norm)).collect();
@@ -557,7 +553,7 @@ mod tests {
             foreign.insert(w, 1);
         }
         assert_eq!(&*v.ranks_of(&foreign), [2, PRUNED, 0]);
-        let tree = Vocab::from_df_dict(DictKind::BTree, &df_dict(), 10);
+        let tree = Vocab::from_df_dict_pruned(DictKind::BTree, &df_dict(), 1, u64::MAX, 10);
         assert_eq!(&*tree.ranks_of(&foreign), [2, PRUNED, 0]);
     }
 }

@@ -6,12 +6,11 @@
 //! hpa tfidf    --input ./corpus --out scores.arff
 //! ```
 //!
-//! `cluster`, `tfidf`, `train` and `predict` run on the work-stealing
-//! pool with one worker per available core and the `arena` dictionary
-//! — the configuration the benchmark measures. `--threads N` sets the
-//! worker count; `--simulate` runs the same work on N simulated cores
-//! instead, so thread counts beyond the host's still give a modelled
-//! schedule.
+//! `cluster` and `tfidf` run on the work-stealing pool with one worker
+//! per available core and the `arena` dictionary — the configuration the
+//! benchmark measures. `--threads N` sets the worker count; `--simulate`
+//! runs the same work on N simulated cores instead, so thread counts
+//! beyond the host's still give a modelled schedule.
 
 use hpa::corpus::{disk, CorpusSpec};
 use hpa::dict::DictKind;
@@ -27,8 +26,6 @@ fn main() -> ExitCode {
         Some("generate") => cmd_generate(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
         Some("tfidf") => cmd_tfidf(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("predict") => cmd_predict(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -54,8 +51,6 @@ USAGE:
                [--dict map|u-map|u-map-presized|arena] [--simulate]
                [--out FILE]
   hpa tfidf    --input DIR [--dict ...] [--threads N] --out FILE.arff
-  hpa train    --input DIR [--k N] [--threads N] --model FILE
-  hpa predict  --input DIR --model FILE [--threads N] [--out FILE]
 
   --threads defaults to the host's available parallelism and --dict to
   arena; every command but generate runs on real threads unless
@@ -190,70 +185,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
                 .write_all(&outcome.output)
                 .map_err(|e| e.to_string())?;
         }
-    }
-    Ok(())
-}
-
-fn cmd_train(args: &[String]) -> Result<(), String> {
-    let flags = Flags(args.to_vec());
-    let k = flags.parse_count("--k", 8)?;
-    let exec = make_exec(&flags)?;
-    let corpus = load_input(&flags, &exec)?;
-    let model_path = flags
-        .get("--model")
-        .ok_or_else(|| "--model FILE is required".to_string())?;
-    let (pipeline, assignments) = hpa::workflow::TrainedPipeline::train(
-        &corpus,
-        &exec,
-        TfIdfConfig {
-            dict_kind: dict_kind(&flags)?,
-            ..Default::default()
-        },
-        KMeansConfig {
-            k,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("training failed: {e}"))?;
-    let file = std::io::BufWriter::new(
-        std::fs::File::create(model_path).map_err(|e| format!("creating {model_path}: {e}"))?,
-    );
-    pipeline
-        .save(file)
-        .map_err(|e| format!("saving model: {e}"))?;
-    eprintln!(
-        "trained on {} documents ({} terms, k={k}); model saved to {model_path}",
-        assignments.len(),
-        pipeline.vocab.len()
-    );
-    Ok(())
-}
-
-fn cmd_predict(args: &[String]) -> Result<(), String> {
-    let flags = Flags(args.to_vec());
-    let exec = make_exec(&flags)?;
-    let corpus = load_input(&flags, &exec)?;
-    let model_path = flags
-        .get("--model")
-        .ok_or_else(|| "--model FILE is required".to_string())?;
-    let file = std::io::BufReader::new(
-        std::fs::File::open(model_path).map_err(|e| format!("opening {model_path}: {e}"))?,
-    );
-    let pipeline =
-        hpa::workflow::TrainedPipeline::load(file).map_err(|e| format!("loading model: {e}"))?;
-    let predictions = pipeline
-        .predict(&exec, &corpus)
-        .map_err(|e| format!("predicting: {e}"))?;
-    let mut out = String::with_capacity(predictions.len() * 12);
-    for (i, p) in predictions.iter().enumerate() {
-        out.push_str(&format!("{},{p}\n", corpus.doc_name(i)));
-    }
-    match flags.get("--out") {
-        Some(path) => {
-            std::fs::write(path, out).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("{} predictions written to {path}", predictions.len());
-        }
-        None => print!("{out}"),
     }
     Ok(())
 }

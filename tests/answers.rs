@@ -22,8 +22,8 @@
 //! corpus is written one file per document and loaded back with
 //! `load_corpus_parallel`, as `hpa cluster` and the benchmark load it. On
 //! that corpus `Workflow::run` must write one cluster file, pinned by its
-//! digest, whether the matrix stays in memory or crosses a serial ARFF
-//! file or a pipelined `.hpac` file.
+//! digest, on each of the three executors, whether the matrix stays in
+//! memory or crosses a serial ARFF file or a pipelined `.hpac` file.
 //!
 //! The intermediate files are pinned too: one digest of the ARFF bytes
 //! and one of the `.hpac` bytes each shape's TF/IDF model writes, in
@@ -188,7 +188,7 @@ fn assert_intermediates_pinned(corpus: &Corpus, expected: &Intermediates) {
 /// Check `spec` against its pins in memory and from disk: the fit's
 /// digests on both routes, the intermediate files' digests, and the
 /// digest of the cluster file `Workflow::run` writes from the loaded
-/// corpus on every transport.
+/// corpus on every executor and transport.
 fn assert_shape_pinned(
     tag: &str,
     spec: CorpusSpec,
@@ -209,9 +209,15 @@ fn assert_shape_pinned(
     let exec = Exec::pool(2);
     let loaded = hpa::io::load_corpus_parallel(&exec, tag, &docs).unwrap();
     assert_pinned(&loaded, k, postings, &expected);
-    for (label, workflow) in workflows(k, &intermediates) {
-        let outcome = workflow.run(&loaded, &exec).unwrap();
-        assert_eq!(fnv1a(outcome.output), cluster_file, "{label}: cluster file");
+    for exec in execs() {
+        for (label, workflow) in workflows(k, &intermediates) {
+            let outcome = workflow.run(&loaded, &exec).unwrap();
+            assert_eq!(
+                fnv1a(outcome.output),
+                cluster_file,
+                "{label} {exec:?}: cluster file"
+            );
+        }
     }
     let left: Vec<_> = std::fs::read_dir(&intermediates).unwrap().collect();
     assert!(left.is_empty(), "intermediates left behind: {left:?}");

@@ -1,6 +1,5 @@
 //! End-to-end tests of the `hpa` command-line binary: generate a corpus,
-//! cluster it, export TF/IDF, train and predict — all through the real
-//! executable.
+//! cluster it and export TF/IDF — all through the real executable.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -16,7 +15,6 @@ fn tmp(tag: &str) -> PathBuf {
 #[test]
 fn full_cli_round_trip() {
     let corpus_dir = tmp("corpus");
-    let model_path = tmp("model.txt");
     let clusters_path = tmp("clusters.csv");
     let arff_path = tmp("scores.arff");
 
@@ -77,44 +75,8 @@ fn full_cli_round_trip() {
     assert!(arff.starts_with("@RELATION"));
     assert!(arff.contains("@DATA"));
 
-    // train + predict
-    let out = hpa()
-        .args(["train", "--k", "3"])
-        .arg("--input")
-        .arg(&corpus_dir)
-        .arg("--model")
-        .arg(&model_path)
-        .output()
-        .expect("run hpa train");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = hpa()
-        .arg("predict")
-        .arg("--input")
-        .arg(&corpus_dir)
-        .arg("--model")
-        .arg(&model_path)
-        .output()
-        .expect("run hpa predict");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let predictions = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(predictions.lines().count(), n_files);
-    for line in predictions.lines() {
-        let (_, cluster) = line.rsplit_once(',').expect("name,cluster");
-        let c: u32 = cluster.parse().expect("numeric cluster id");
-        assert!(c < 3);
-    }
-
     std::fs::remove_dir_all(&corpus_dir).ok();
-    for p in [&model_path, &clusters_path, &arff_path] {
+    for p in [&clusters_path, &arff_path] {
         std::fs::remove_file(p).ok();
     }
 }
@@ -143,10 +105,8 @@ fn generate_corpus(tag: &str) -> (PathBuf, usize) {
 #[test]
 fn zero_counts_fail_cleanly_instead_of_panicking() {
     let (corpus_dir, _) = generate_corpus("zero_counts");
-    let model_path = tmp("zero_counts_model.txt");
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 3] = [
         &["cluster", "--k", "0"],
-        &["train", "--k", "0"],
         &["cluster", "--threads", "0"],
         &["cluster", "--threads", "0", "--simulate"],
     ];
@@ -155,8 +115,6 @@ fn zero_counts_fail_cleanly_instead_of_panicking() {
             .args(args)
             .arg("--input")
             .arg(&corpus_dir)
-            .arg("--model")
-            .arg(&model_path)
             .output()
             .expect("run hpa");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -197,9 +155,11 @@ fn k_larger_than_document_count_still_clusters_every_document() {
 
 #[test]
 fn unknown_command_fails_with_message() {
-    let out = hpa().arg("frobnicate").output().expect("run hpa");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for command in ["frobnicate", "train", "predict"] {
+        let out = hpa().arg(command).output().expect("run hpa");
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    }
 }
 
 #[test]
@@ -213,5 +173,12 @@ fn missing_required_flag_fails_cleanly() {
 fn help_prints_usage() {
     let out = hpa().arg("--help").output().expect("run hpa");
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    let usage = String::from_utf8_lossy(&out.stdout);
+    assert!(usage.contains("USAGE"));
+    let commands: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  hpa "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(commands, ["generate", "cluster", "tfidf"]);
 }

@@ -6,8 +6,8 @@
 //! word count tokenizes it. So a file that cannot be read fails the run,
 //! not the load, and the failure must be a typed `WorkflowError::Io` whose
 //! message names the file. An entry that reads cleanly — an empty file,
-//! an empty directory — must give the same result as the same text held
-//! in memory. Either way no intermediate may be left behind and nothing
+//! an empty directory, documents of punctuation only (a vocabulary of no
+//! term) — must give the same result as the same text held in memory. Either way no intermediate may be left behind and nothing
 //! may panic.
 
 use hpa::corpus::{disk, Document};
@@ -40,7 +40,7 @@ struct Case {
 
 fn nothing(_: &Path) {}
 
-fn cases() -> [Case; 5] {
+fn cases() -> [Case; 6] {
     [
         Case {
             tag: "removed_after_listing",
@@ -74,6 +74,16 @@ fn cases() -> [Case; 5] {
             before: |dir| {
                 std::fs::remove_dir_all(dir).unwrap();
                 std::fs::create_dir(dir).unwrap();
+            },
+            after: nothing,
+            expect: Expect::Runs,
+        },
+        Case {
+            tag: "no_token",
+            before: |dir| {
+                for path in disk::list_documents(dir).unwrap() {
+                    std::fs::write(path, "!!! ... ,,, ---").unwrap();
+                }
             },
             after: nothing,
             expect: Expect::Runs,
